@@ -65,11 +65,12 @@ let add_client c name =
   Hashtbl.replace c.clients name session;
   session
 
-(* Drive a steady update stream against an existing cluster and collect
-   confirmation latencies. Exposed separately from [measure_latencies] so
-   experiments that need the cluster afterwards (E13 reads per-replica
-   crypto counters) can keep it. *)
-let run_load ?(rate = 10.0) ?(duration = 30.0) c =
+(* Drive a steady update stream against a fresh cluster and collect
+   confirmation latencies, plus the highest view any replica reached. *)
+let measure_latencies ?(rate = 10.0) ?(duration = 30.0) ?(misbehavior = Prime.Replica.Honest)
+    ?(config = Prime.Config.create ~f:1 ~k:0 ()) () =
+  let c = make_cluster ~config () in
+  Prime.Replica.set_misbehavior c.replicas.(0) misbehavior;
   let client = add_client c "load" in
   let stats = Sim.Stats.Summary.create () in
   Prime.Client.set_on_confirmed client (fun ~client_seq:_ ~latency ->
@@ -85,13 +86,6 @@ let run_load ?(rate = 10.0) ?(duration = 30.0) c =
            ignore (Prime.Client.submit ~targets:[ 1 ] client ~op:(Printf.sprintf "op-%d" i))))
   done;
   Sim.Engine.run ~until:(duration +. 30.0) c.engine;
-  (stats, n_updates)
-
-let measure_latencies ?rate ?duration ?(misbehavior = Prime.Replica.Honest)
-    ?(config = Prime.Config.create ~f:1 ~k:0 ()) () =
-  let c = make_cluster ~config () in
-  Prime.Replica.set_misbehavior c.replicas.(0) misbehavior;
-  let stats, n_updates = run_load ?rate ?duration c in
   let views = Array.map Prime.Replica.view c.replicas in
   let max_view = Array.fold_left max 0 views in
   (stats, n_updates, max_view)

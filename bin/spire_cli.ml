@@ -42,18 +42,7 @@ let redteam_cmd =
 
 (* --- latency ------------------------------------------------------------------ *)
 
-(* Shared by latency/chaos: drop back to sign-per-message with no
-   verified-signature cache, for measuring the amortized pipeline's gain. *)
-let plain_crypto (config : Prime.Config.t) =
-  { config with Prime.Config.batch_signing = false; sig_cache_capacity = 0 }
-
-let no_batch_arg =
-  Arg.(
-    value & flag
-    & info [ "no-batch-signing" ]
-        ~doc:"Disable Merkle batch signing and the verified-signature cache.")
-
-(* Spines data-plane escape hatches, parity with --no-batch-signing. *)
+(* Spines data-plane escape hatches, shared by latency/chaos. *)
 let no_route_cache_arg =
   Arg.(
     value & flag
@@ -72,8 +61,8 @@ let apply_data_plane ~no_route_cache ~no_coalescing (config : Prime.Config.t) =
   in
   if no_coalescing then { config with Prime.Config.coalescing = false } else config
 
-(* Durable-store escape hatches, parity with the crypto and data-plane
-   flags above. *)
+(* Durable-store escape hatches, parity with the data-plane flags
+   above. *)
 let no_durable_store_arg =
   Arg.(
     value & flag
@@ -95,7 +84,7 @@ let apply_store ~no_durable_store ~checkpoint_interval (config : Prime.Config.t)
   | None -> config
   | Some k -> { config with Prime.Config.checkpoint_interval = max 1 k }
 
-let latency samples poll gap no_batch no_route_cache no_coalescing no_durable_store
+let latency samples poll gap no_route_cache no_coalescing no_durable_store
     checkpoint_interval json_file =
   let pr name stats completed =
     Printf.printf "%-24s %3d/%d samples  mean %7.1f ms  p50 %7.1f ms  p99 %7.1f ms\n" name
@@ -107,7 +96,6 @@ let latency samples poll gap no_batch no_route_cache no_coalescing no_durable_st
   let horizon = 5.0 +. (gap *. float_of_int (samples + 4)) in
   let engine, trace = fresh_world () in
   let config = Prime.Config.power_plant () in
-  let config = if no_batch then plain_crypto config else config in
   let config = apply_data_plane ~no_route_cache ~no_coalescing config in
   let config = apply_store ~no_durable_store ~checkpoint_interval config in
   let deployment =
@@ -177,7 +165,7 @@ let latency_cmd =
   Cmd.v
     (Cmd.info "latency" ~doc:"Measure breaker-flip-to-HMI reaction time (Section V).")
     Term.(
-      const latency $ samples $ poll $ gap $ no_batch_arg $ no_route_cache_arg
+      const latency $ samples $ poll $ gap $ no_route_cache_arg
       $ no_coalescing_arg $ no_durable_store_arg $ checkpoint_interval_arg $ json)
 
 (* --- plant -------------------------------------------------------------------- *)
@@ -327,10 +315,9 @@ let chaos_soak ~config ~duration ~load_period seeds =
         fs;
       1
 
-let chaos seed duration load_period soak no_batch no_route_cache no_coalescing
+let chaos seed duration load_period soak no_route_cache no_coalescing
     no_durable_store checkpoint_interval json_file =
   let config = Prime.Config.power_plant () in
-  let config = if no_batch then plain_crypto config else config in
   let config = apply_data_plane ~no_route_cache ~no_coalescing config in
   let config = apply_store ~no_durable_store ~checkpoint_interval config in
   match soak with
@@ -414,7 +401,7 @@ let chaos_cmd =
          "Run a seeded fault-injection scenario with continuous invariant checking; exits \
           non-zero on any violation.")
     Term.(
-      const chaos $ seed $ duration $ load_period $ soak $ no_batch_arg $ no_route_cache_arg
+      const chaos $ seed $ duration $ load_period $ soak $ no_route_cache_arg
       $ no_coalescing_arg $ no_durable_store_arg $ checkpoint_interval_arg $ json)
 
 (* --- monitor ------------------------------------------------------------------ *)

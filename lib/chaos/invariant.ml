@@ -88,6 +88,10 @@ let set_on_violation t f = t.on_violation <- Some f
 let violate t ~invariant detail =
   let v = { v_time = Sim.Engine.now t.engine; v_invariant = invariant; v_detail = detail } in
   t.violations <- v :: t.violations;
+  (* The verdict itself closes the narrative a violation dump carries. *)
+  if Obs.Flight.recording Obs.Flight.default then
+    Obs.Flight.record Obs.Flight.default ~time:v.v_time ~severity:Obs.Flight.Alarm
+      ~subsystem:"chaos" ~kind:"invariant.violation" (invariant ^ ": " ^ detail);
   match t.on_violation with Some f -> f v | None -> ()
 
 let note_execution t ~replica ~exec_seq ~identity =

@@ -167,8 +167,11 @@ let r_digest r =
   r.pos <- r.pos + 32;
   s
 
+(* The length is checked against the bytes present before allocating: a
+   hostile u32 length must not size a multi-gigabyte array. *)
 let r_int_array r =
   let len = r_u32 r in
+  need r (8 * len);
   Array.init len (fun _ -> r_int r)
 
 let r_opt rd r = if r_bool r then Some (rd r) else None

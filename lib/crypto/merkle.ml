@@ -1,23 +1,15 @@
 (* Merkle hash trees over byte strings.
 
-   Used for state-transfer integrity (a recovering SCADA master checks
-   fetched chunks against the root agreed through replication) and for
-   batch signature aggregation (one signature over the root of a tree of
-   message bodies, Prime's signature-amortization trick). Leaves and
-   interior nodes use distinct domain separators so a leaf cannot be
-   replayed as an interior node.
+   Used for incremental state digests (the SCADA state keeps one tree per
+   breaker, cursor and telemetry table and rehashes one root path per
+   update) and for checkpoint identity (a root over a checkpoint's
+   fields). Leaves and interior nodes use distinct domain separators so
+   a leaf cannot be replayed as an interior node.
 
    The tree is built bottom-up into arrays: level 0 holds the leaf
-   hashes, each higher level the pairwise node hashes. Proof extraction
-   is then O(log n) array indexing; the previous list-based walk
-   re-materialized every level per proof (O(n) per level, O(n^2) for a
-   full batch of proofs), which dominated state-transfer verification on
-   large chunk lists. Odd nodes are promoted unchanged (Bitcoin-style
-   duplication would allow leaf-set ambiguity). *)
-
-type proof_step = { sibling : Sha256.digest; sibling_on_left : bool }
-
-type proof = proof_step list
+   hashes, each higher level the pairwise node hashes. Odd nodes are
+   promoted unchanged (Bitcoin-style duplication would allow leaf-set
+   ambiguity). *)
 
 let leaf_hash data = Sha256.digest_list [ "\x00merkle-leaf"; data ]
 
@@ -67,67 +59,4 @@ let tree_root t =
   let top = t.levels.(Array.length t.levels - 1) in
   top.(0)
 
-let leaf_count t = Array.length t.levels.(0)
-
-let tree_proof t index =
-  let n = leaf_count t in
-  if index < 0 || index >= n then invalid_arg "Merkle.proof: index out of range";
-  let steps = ref [] in
-  let idx = ref index in
-  for l = 0 to Array.length t.levels - 2 do
-    let level = t.levels.(l) in
-    let i = !idx in
-    let sibling_idx = if i land 1 = 0 then i + 1 else i - 1 in
-    if sibling_idx < Array.length level then
-      steps := { sibling = level.(sibling_idx); sibling_on_left = sibling_idx < i } :: !steps;
-    (* A promoted odd node keeps its hash, so it contributes no step. *)
-    idx := i / 2
-  done;
-  List.rev !steps
-
 let root leaves = tree_root (build (Array.of_list leaves))
-
-let proof leaves index = tree_proof (build (Array.of_list leaves)) index
-
-let verify_proof ~root:expected ~leaf ~proof =
-  let folded =
-    List.fold_left
-      (fun acc step ->
-        if step.sibling_on_left then node_hash step.sibling acc else node_hash acc step.sibling)
-      (leaf_hash leaf) proof
-  in
-  String.equal folded expected
-
-(* --- batch signature aggregation -----------------------------------------
-
-   One signature amortized over many message bodies: the signer builds a
-   tree over the bodies and signs the (domain-separated) root once; each
-   body travels with the shared root signature plus its inclusion proof.
-   A verifier checks the proof (hashing only) and the root signature —
-   and since every attestation of a batch shares the same signed root, a
-   verified-signature cache collapses the per-batch HMAC checks to one. *)
-
-module Batch = struct
-  type t = { root : Sha256.digest; agg : Signature.t }
-
-  type attestation = { batch : t; proof : proof }
-
-  (* The signed bytes are domain-separated so a batch root can never be
-     confused with (or replayed as) a directly-signed message body. *)
-  let root_binding root = "\x02merkle-batch-root:" ^ root
-
-  let sign kp bodies =
-    let tree = build bodies in
-    let root = tree_root tree in
-    let batch = { root; agg = Signature.sign kp (root_binding root) } in
-    Array.init (Array.length bodies) (fun i -> { batch; proof = tree_proof tree i })
-
-  let signer att = Signature.signer att.batch.agg
-
-  let verify ks ~signer ~body att =
-    verify_proof ~root:att.batch.root ~leaf:body ~proof:att.proof
-    && Signature.verify ks ~signer (root_binding att.batch.root) att.batch.agg
-
-  (* Wire size: root + aggregate signature + one digest per proof step. *)
-  let size_bytes att = 32 + Signature.size_bytes + (32 * List.length att.proof)
-end

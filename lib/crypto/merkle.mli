@@ -1,16 +1,10 @@
-(** Merkle hash trees with membership proofs, used to integrity-check
-    application state-transfer chunks against an agreed root and to
-    aggregate many message signatures under one root signature.
+(** Merkle hash trees, used for the SCADA state's incremental digests
+    and for checkpoint identity.
 
-    Trees are built bottom-up into arrays, so extracting all n proofs of
-    an n-leaf tree is O(n log n) rather than the O(n^2) of a per-proof
-    level walk. *)
+    Trees are built bottom-up into arrays, so replacing one leaf rehashes
+    only its path to the root. *)
 
-type proof_step = { sibling : Sha256.digest; sibling_on_left : bool }
-
-type proof = proof_step list
-
-(** A built tree, reusable for the root and any number of proofs. *)
+(** A built tree, kept to update leaves in place. *)
 type tree
 
 (** [build leaves] hashes the leaf data and builds all levels. Raises
@@ -30,54 +24,9 @@ val set_leaf_hash : tree -> int -> Sha256.digest -> unit
 
 val tree_root : tree -> Sha256.digest
 
-val leaf_count : tree -> int
-
-(** [tree_proof t index] is the membership proof for leaf [index].
-    Raises [Invalid_argument] if [index] is out of range. *)
-val tree_proof : tree -> int -> proof
-
 (** Root hash over the leaf data list. Raises [Invalid_argument] on an
     empty list. *)
 val root : string list -> Sha256.digest
 
-(** [proof leaves index] is the membership proof for [List.nth leaves
-    index]. Builds the tree each call; build once + [tree_proof] for
-    extracting many proofs. *)
-val proof : string list -> int -> proof
-
-(** [verify_proof ~root ~leaf ~proof] checks that [leaf] is a member of
-    the tree with the given [root]. *)
-val verify_proof : root:Sha256.digest -> leaf:string -> proof:proof -> bool
-
-(** Domain-separated leaf hash (exposed for tests). *)
+(** Domain-separated leaf hash. *)
 val leaf_hash : string -> Sha256.digest
-
-(** Aggregate signatures: one signature over a batch's Merkle root, with
-    a per-body inclusion proof. All attestations of a batch share the
-    same signed root, so verifiers (and verified-signature caches) pay
-    one signature check per batch, plus hashing. *)
-module Batch : sig
-  type t = { root : Sha256.digest; agg : Signature.t }
-
-  (** One body's share of a batch: the shared root signature plus this
-      body's inclusion proof. *)
-  type attestation = { batch : t; proof : proof }
-
-  (** The domain-separated byte string actually covered by the aggregate
-      signature (exposed for caches and tests). *)
-  val root_binding : Sha256.digest -> string
-
-  (** [sign kp bodies] signs the batch root once and returns one
-      attestation per body, in order. Raises on an empty array. *)
-  val sign : Signature.keypair -> string array -> attestation array
-
-  val signer : attestation -> Signature.identity
-
-  (** [verify ks ~signer ~body att] checks the inclusion proof and the
-      root signature. *)
-  val verify :
-    Signature.keystore -> signer:Signature.identity -> body:string -> attestation -> bool
-
-  (** Wire size of an attestation, for traffic modelling. *)
-  val size_bytes : attestation -> int
-end

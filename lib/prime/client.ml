@@ -76,7 +76,7 @@ let handle_reply t = function
             ~client_seq:crep_client_seq ~exec_seq:crep_exec_seq
         in
         let valid =
-          Crypto.Auth.verify t.keystore ~signer:(Msg.replica_identity crep_rep) body crep_sig
+          Crypto.Signature.verify t.keystore ~signer:(Msg.replica_identity crep_rep) body crep_sig
         in
         if not valid then Sim.Stats.Counter.incr t.counters "reply.bad_sig"
         else

@@ -14,9 +14,6 @@ type t = {
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
   reconcile_period : float; (* missing-update re-request interval *)
   log_retention : int; (* ordered-log entries kept for catchup *)
-  batch_signing : bool; (* aggregate outbound ack/prepare/commit signatures *)
-  batch_window : float; (* accumulation window before a batch flush *)
-  sig_cache_capacity : int; (* verified-signature cache entries (0 disables) *)
   route_cache : bool; (* Spines: cache next-hop tables per view epoch *)
   coalescing : bool; (* Spines: pack same-neighbor payloads into one frame *)
   egress_capacity : int; (* Spines: per-neighbor egress queue bound *)
@@ -28,7 +25,7 @@ type t = {
 }
 
 (** Raises [Invalid_argument] for f < 1 or k < 0 (and on out-of-range
-    batching/egress knobs). *)
+    egress/store knobs). *)
 val create :
   ?f:int ->
   ?k:int ->
@@ -39,9 +36,6 @@ val create :
   ?tat_allowance:float ->
   ?reconcile_period:float ->
   ?log_retention:int ->
-  ?batch_signing:bool ->
-  ?batch_window:float ->
-  ?sig_cache_capacity:int ->
   ?route_cache:bool ->
   ?coalescing:bool ->
   ?egress_capacity:int ->

@@ -3,9 +3,8 @@
    Every protocol message is authenticated by its sender and verified on
    receipt; client updates carry their own client signature end-to-end (a
    replica cannot fabricate supervisory commands on behalf of an HMI).
-   Replica-to-replica authenticators are [Crypto.Auth.t]: either a direct
-   signature or a share of a Merkle-aggregated batch signature — the
-   amortization that keeps the signing hot path off the latency budget.
+   Every replica-to-replica message carries its sender's direct
+   signature over the message body.
 
    Canonical bodies are built with the binary [Wire] codec: fixed-width
    big-endian integers and raw 32-byte digests, with a leading tag byte
@@ -90,7 +89,7 @@ end
 (* A replica's cumulative preorder vector: aru.(i) is the highest
    sequence s such that all of origin i's preorder slots 1..s hold
    certified updates at this replica. *)
-type summary = { sum_rep : int; aru : int array; sum_sig : Crypto.Auth.t }
+type summary = { sum_rep : int; aru : int array; sum_sig : Crypto.Signature.t }
 
 let write_summary_body b ~sum_rep ~aru =
   Wire.w_u8 b tag_summary;
@@ -116,13 +115,13 @@ let replica_identity =
         id
 
 let verify_summary ks s =
-  Crypto.Auth.verify ks ~signer:(replica_identity s.sum_rep) (encode_summary s) s.sum_sig
+  Crypto.Signature.verify ks ~signer:(replica_identity s.sum_rep) (encode_summary s) s.sum_sig
 
 (* The proof matrix carried by a pre-prepare: the freshest summary the
    leader holds from each replica (None until one is received). Only the
    summary *bodies* enter the matrix encoding — each summary's own
-   authenticator is verified separately — so the matrix digest is
-   canonical regardless of whether summaries arrived direct or batched. *)
+   signature is verified separately — so the matrix digest depends only
+   on the vectors the leader proposes. *)
 type matrix = summary option array
 
 let write_matrix b (m : matrix) =
@@ -154,40 +153,40 @@ type prepared_cert = { pc_seq : int; pc_view : int; pc_matrix : matrix }
 
 type t =
   | Update_msg of Update.t
-  | Po_request of { origin : int; po_seq : int; update : Update.t; po_sig : Crypto.Auth.t }
+  | Po_request of { origin : int; po_seq : int; update : Update.t; po_sig : Crypto.Signature.t }
   | Po_ack of {
       acker : int;
       ack_origin : int;
       ack_po_seq : int;
       ack_digest : Crypto.Sha256.digest;
-      ack_sig : Crypto.Auth.t;
+      ack_sig : Crypto.Signature.t;
     }
   | Po_summary of summary
-  | Pre_prepare of { pp_view : int; pp_seq : int; pp_matrix : matrix; pp_sig : Crypto.Auth.t }
+  | Pre_prepare of { pp_view : int; pp_seq : int; pp_matrix : matrix; pp_sig : Crypto.Signature.t }
   | Prepare of {
       prep_rep : int;
       prep_view : int;
       prep_seq : int;
       prep_digest : Crypto.Sha256.digest;
-      prep_sig : Crypto.Auth.t;
+      prep_sig : Crypto.Signature.t;
     }
   | Commit of {
       com_rep : int;
       com_view : int;
       com_seq : int;
       com_digest : Crypto.Sha256.digest;
-      com_sig : Crypto.Auth.t;
+      com_sig : Crypto.Signature.t;
     }
-  | Suspect_leader of { sus_rep : int; sus_view : int; sus_sig : Crypto.Auth.t }
+  | Suspect_leader of { sus_rep : int; sus_view : int; sus_sig : Crypto.Signature.t }
   | Vc_report of {
       vc_rep : int;
       vc_view : int; (* the view being installed *)
       vc_max_ordered : int;
       vc_prepared : prepared_cert list;
-      vc_sig : Crypto.Auth.t;
+      vc_sig : Crypto.Signature.t;
     }
-  | Origin_reset of { or_rep : int; or_new_start : int; or_sig : Crypto.Auth.t }
-  | Recon_floor of { rf_origin : int; rf_new_start : int; rf_sig : Crypto.Auth.t }
+  | Origin_reset of { or_rep : int; or_new_start : int; or_sig : Crypto.Signature.t }
+  | Recon_floor of { rf_origin : int; rf_new_start : int; rf_sig : Crypto.Signature.t }
   | Recon_request of { rr_rep : int; rr_origin : int; rr_po_seq : int }
   | Recon_reply of { rp_rep : int; rp_origin : int; rp_po_seq : int; rp_update : Update.t }
   | Order_cert of {
@@ -195,8 +194,8 @@ type t =
       oc_seq : int;
       oc_view : int;
       oc_matrix : matrix;
-      oc_pp_sig : Crypto.Auth.t; (* leader's pre-prepare authenticator *)
-      oc_commits : (int * Crypto.Auth.t) list; (* quorum of commit authenticators *)
+      oc_pp_sig : Crypto.Signature.t; (* leader's pre-prepare authenticator *)
+      oc_commits : (int * Crypto.Signature.t) list; (* quorum of commit authenticators *)
     }
   | Catchup_request of {
       cu_rep : int;
@@ -216,7 +215,7 @@ type t =
       crep_client : string;
       crep_client_seq : int;
       crep_exec_seq : int;
-      crep_sig : Crypto.Auth.t;
+      crep_sig : Crypto.Signature.t;
     }
 
 type Netbase.Packet.payload += Prime_msg of t
@@ -295,7 +294,9 @@ let encode_client_reply ~rep ~client ~client_seq ~exec_seq =
       Wire.w_int b exec_seq)
 
 (* Approximate wire sizes (bytes) for traffic modelling. *)
-let summary_size s = 24 + (8 * Array.length s.aru) + Crypto.Auth.size_bytes s.sum_sig
+let sig_bytes = Crypto.Signature.size_bytes
+
+let summary_size s = 24 + (8 * Array.length s.aru) + sig_bytes
 
 let matrix_size m =
   Array.fold_left
@@ -303,33 +304,25 @@ let matrix_size m =
     4 m
 
 (* The cluster-size parameter is retained for interface stability; sizes
-   are now derived from the actual matrices and authenticators. *)
+   are now derived from the actual matrices and signatures. *)
 let size _config_n = function
   | Update_msg u -> Update.size u
-  | Po_request { update; po_sig; _ } -> Update.size update + 48 + Crypto.Auth.size_bytes po_sig
-  | Po_ack { ack_sig; _ } -> 80 + Crypto.Auth.size_bytes ack_sig
+  | Po_request { update; _ } -> Update.size update + 48 + sig_bytes
+  | Po_ack _ | Prepare _ | Commit _ | Client_reply _ -> 80 + sig_bytes
   | Po_summary s -> 16 + summary_size s
-  | Pre_prepare { pp_matrix; pp_sig; _ } ->
-      48 + matrix_size pp_matrix + Crypto.Auth.size_bytes pp_sig
-  | Prepare { prep_sig; _ } -> 80 + Crypto.Auth.size_bytes prep_sig
-  | Commit { com_sig; _ } -> 80 + Crypto.Auth.size_bytes com_sig
-  | Suspect_leader { sus_sig; _ } -> 48 + Crypto.Auth.size_bytes sus_sig
-  | Vc_report { vc_prepared; vc_sig; _ } ->
-      64 + Crypto.Auth.size_bytes vc_sig
+  | Pre_prepare { pp_matrix; _ } -> 48 + matrix_size pp_matrix + sig_bytes
+  | Suspect_leader _ | Origin_reset _ | Recon_floor _ -> 48 + sig_bytes
+  | Vc_report { vc_prepared; _ } ->
+      64 + sig_bytes
       + List.fold_left (fun acc c -> acc + 16 + matrix_size c.pc_matrix) 0 vc_prepared
-  | Origin_reset { or_sig; _ } -> 48 + Crypto.Auth.size_bytes or_sig
-  | Recon_floor { rf_sig; _ } -> 48 + Crypto.Auth.size_bytes rf_sig
   | Recon_request _ -> 48
   | Recon_reply { rp_update; _ } -> 48 + Update.size rp_update
-  | Order_cert { oc_matrix; oc_pp_sig; oc_commits; _ } ->
-      48 + matrix_size oc_matrix
-      + Crypto.Auth.size_bytes oc_pp_sig
-      + List.fold_left (fun acc (_, a) -> acc + 16 + Crypto.Auth.size_bytes a) 0 oc_commits
+  | Order_cert { oc_matrix; oc_commits; _ } ->
+      48 + matrix_size oc_matrix + sig_bytes + (List.length oc_commits * (16 + sig_bytes))
   | Catchup_request _ -> 48
   | Catchup_reply { cr_entries; cr_cursor; _ } ->
       48 + (8 * Array.length cr_cursor)
       + List.fold_left (fun acc (_, u) -> acc + 16 + Update.size u) 0 cr_entries
-  | Client_reply { crep_sig; _ } -> 80 + Crypto.Auth.size_bytes crep_sig
 
 let describe = function
   | Update_msg u -> Printf.sprintf "update %s#%d" u.Update.client u.Update.client_seq

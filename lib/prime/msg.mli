@@ -2,9 +2,8 @@
 
     Every protocol message is authenticated by its sender; client updates
     carry their own end-to-end client signature (a replica cannot
-    fabricate supervisory commands on behalf of an HMI). Replica
-    authenticators are {!Crypto.Auth.t}: direct signatures or shares of a
-    Merkle-aggregated batch signature. Canonical bodies use the binary
+    fabricate supervisory commands on behalf of an HMI). Replicas sign
+    each message body directly. Canonical bodies use the binary
     {!Wire} codec — byte-stable across deployments by construction. *)
 
 module Update : sig
@@ -36,7 +35,7 @@ module Update : sig
 end
 
 (** A replica's authenticated cumulative preorder vector. *)
-type summary = { sum_rep : int; aru : int array; sum_sig : Crypto.Auth.t }
+type summary = { sum_rep : int; aru : int array; sum_sig : Crypto.Signature.t }
 
 val encode_summary_body : sum_rep:int -> aru:int array -> string
 
@@ -46,8 +45,8 @@ val verify_summary : Crypto.Signature.keystore -> summary -> bool
 
 (** The proof matrix carried by a pre-prepare: freshest summary per
     replica. Matrix encodings cover only the summary bodies (each
-    summary's authenticator is verified separately), so the digest is
-    canonical whether summaries arrived direct or batched. *)
+    summary's signature is verified separately), so the digest depends
+    only on the proposed vectors. *)
 type matrix = summary option array
 
 val encode_matrix : matrix -> string
@@ -59,40 +58,40 @@ type prepared_cert = { pc_seq : int; pc_view : int; pc_matrix : matrix }
 
 type t =
   | Update_msg of Update.t
-  | Po_request of { origin : int; po_seq : int; update : Update.t; po_sig : Crypto.Auth.t }
+  | Po_request of { origin : int; po_seq : int; update : Update.t; po_sig : Crypto.Signature.t }
   | Po_ack of {
       acker : int;
       ack_origin : int;
       ack_po_seq : int;
       ack_digest : Crypto.Sha256.digest;
-      ack_sig : Crypto.Auth.t;
+      ack_sig : Crypto.Signature.t;
     }
   | Po_summary of summary
-  | Pre_prepare of { pp_view : int; pp_seq : int; pp_matrix : matrix; pp_sig : Crypto.Auth.t }
+  | Pre_prepare of { pp_view : int; pp_seq : int; pp_matrix : matrix; pp_sig : Crypto.Signature.t }
   | Prepare of {
       prep_rep : int;
       prep_view : int;
       prep_seq : int;
       prep_digest : Crypto.Sha256.digest;
-      prep_sig : Crypto.Auth.t;
+      prep_sig : Crypto.Signature.t;
     }
   | Commit of {
       com_rep : int;
       com_view : int;
       com_seq : int;
       com_digest : Crypto.Sha256.digest;
-      com_sig : Crypto.Auth.t;
+      com_sig : Crypto.Signature.t;
     }
-  | Suspect_leader of { sus_rep : int; sus_view : int; sus_sig : Crypto.Auth.t }
+  | Suspect_leader of { sus_rep : int; sus_view : int; sus_sig : Crypto.Signature.t }
   | Vc_report of {
       vc_rep : int;
       vc_view : int;
       vc_max_ordered : int;
       vc_prepared : prepared_cert list;
-      vc_sig : Crypto.Auth.t;
+      vc_sig : Crypto.Signature.t;
     }
-  | Origin_reset of { or_rep : int; or_new_start : int; or_sig : Crypto.Auth.t }
-  | Recon_floor of { rf_origin : int; rf_new_start : int; rf_sig : Crypto.Auth.t }
+  | Origin_reset of { or_rep : int; or_new_start : int; or_sig : Crypto.Signature.t }
+  | Recon_floor of { rf_origin : int; rf_new_start : int; rf_sig : Crypto.Signature.t }
   | Recon_request of { rr_rep : int; rr_origin : int; rr_po_seq : int }
   | Recon_reply of { rp_rep : int; rp_origin : int; rp_po_seq : int; rp_update : Update.t }
   | Order_cert of {
@@ -100,8 +99,8 @@ type t =
       oc_seq : int;
       oc_view : int;
       oc_matrix : matrix;
-      oc_pp_sig : Crypto.Auth.t;
-      oc_commits : (int * Crypto.Auth.t) list;
+      oc_pp_sig : Crypto.Signature.t;
+      oc_commits : (int * Crypto.Signature.t) list;
     }
       (** Self-certifying commit certificate: the leader's pre-prepare
           authenticator plus a quorum of commit authenticators over the
@@ -122,7 +121,7 @@ type t =
       crep_client : string;
       crep_client_seq : int;
       crep_exec_seq : int;
-      crep_sig : Crypto.Auth.t;
+      crep_sig : Crypto.Signature.t;
     }
 
 (** Prime messages as network payloads (carried inside Spines). *)

@@ -14,14 +14,14 @@ type instance = {
   mutable inst_view : int;
   mutable matrix : Msg.matrix option;
   mutable digest : Crypto.Sha256.digest option;
-  mutable pp_sig : Crypto.Auth.t option; (* leader's authenticator, for relay *)
+  mutable pp_sig : Crypto.Signature.t option; (* leader's authenticator, for relay *)
   prepares : (int, unit) Hashtbl.t;
   commits : (int, unit) Hashtbl.t;
   (* Commit authenticators retained past ordering: together with
      [pp_sig] they form a self-certifying commit certificate that can be
      served to lagging replicas (who may be unable to complete the
      quorum themselves once everyone else has moved on). *)
-  commit_auths : (int, Crypto.Auth.t) Hashtbl.t;
+  commit_auths : (int, Crypto.Signature.t) Hashtbl.t;
   mutable prepared : bool;
   mutable ordered : bool;
 }
@@ -166,9 +166,7 @@ let record_commit_auth t ~rep ~view ~pp_seq ~digest auth =
   | None -> ()
 
 (* The self-certifying commit certificate for an ordered instance, once
-   enough authenticators have been retained (our own arrives via the
-   deferred batch-signing flush, so a freshly-ordered instance may be
-   briefly unservable). *)
+   enough authenticators have been retained. *)
 let ordered_cert t pp_seq =
   match Hashtbl.find_opt t.instances pp_seq with
   | Some ({ ordered = true; matrix = Some m; pp_sig = Some s; _ } as inst)

@@ -25,7 +25,7 @@ val accept_pre_prepare :
   view:int ->
   pp_seq:int ->
   matrix:Msg.matrix ->
-  pp_sig:Crypto.Auth.t ->
+  pp_sig:Crypto.Signature.t ->
   [ `Accept of Crypto.Sha256.digest
   | `Already_ordered
   | `Conflicting_leader
@@ -38,7 +38,7 @@ val accept_pre_prepare :
 val stalled_instances :
   t ->
   limit:int ->
-  (int * int * Msg.matrix * Crypto.Sha256.digest * Crypto.Auth.t * bool) list
+  (int * int * Msg.matrix * Crypto.Sha256.digest * Crypto.Signature.t * bool) list
 
 (** Count a prepare; [true] when the instance just became prepared (a
     full quorum of distinct prepares — every replica, leader included,
@@ -54,13 +54,19 @@ val add_commit :
     serving — accepted even for already-ordered instances, unlike
     {!add_commit}. *)
 val record_commit_auth :
-  t -> rep:int -> view:int -> pp_seq:int -> digest:Crypto.Sha256.digest -> Crypto.Auth.t -> unit
+  t ->
+  rep:int ->
+  view:int ->
+  pp_seq:int ->
+  digest:Crypto.Sha256.digest ->
+  Crypto.Signature.t ->
+  unit
 
 (** Self-certifying commit certificate for an ordered instance:
     (view, matrix, leader authenticator, quorum of commit
     authenticators), once enough authenticators are retained. *)
 val ordered_cert :
-  t -> int -> (int * Msg.matrix * Crypto.Auth.t * (int * Crypto.Auth.t) list) option
+  t -> int -> (int * Msg.matrix * Crypto.Signature.t * (int * Crypto.Signature.t) list) option
 
 (** Install a verified commit certificate; [true] when the instance was
     not already ordered. *)
@@ -70,8 +76,8 @@ val install_cert :
   view:int ->
   matrix:Msg.matrix ->
   digest:Crypto.Sha256.digest ->
-  pp_sig:Crypto.Auth.t ->
-  commits:(int * Crypto.Auth.t) list ->
+  pp_sig:Crypto.Signature.t ->
+  commits:(int * Crypto.Signature.t) list ->
   bool
 
 (** Highest ordered pp_seq (at or above the execution cursor). *)

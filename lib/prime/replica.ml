@@ -87,12 +87,9 @@ type t = {
   outstanding_recon : (int * int, float) Hashtbl.t;
   (* origin resets after proactive recovery *)
   mutable origin_synced : bool; (* my own sequence is safely above any prior use *)
-  stored_resets : (int, int * Crypto.Auth.t) Hashtbl.t; (* origin -> new_start, sig *)
+  stored_resets : (int, int * Crypto.Signature.t) Hashtbl.t; (* origin -> new_start, sig *)
   rebase_reports : (int, int) Hashtbl.t; (* reporter -> its view of my column *)
-  (* amortized crypto pipeline *)
   sig_cache : Sigcache.t;
-  mutable outbox : (string * (Crypto.Auth.t -> unit)) list; (* newest first *)
-  mutable flush_scheduled : bool;
   (* lifecycle / behaviour *)
   mutable running : bool;
   mutable timers : Sim.Engine.timer list;
@@ -113,6 +110,9 @@ type t = {
      history. *)
   mutable cursors_settled : bool;
 }
+
+(* Verified-signature cache entries per replica. *)
+let sig_cache_entries = 512
 
 let null_app =
   { apply = (fun ~exec_seq:_ _ -> ()); state_transfer_needed = (fun () -> ()) }
@@ -151,9 +151,7 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     origin_synced = true;
     stored_resets = Hashtbl.create 8;
     rebase_reports = Hashtbl.create 8;
-    sig_cache = Sigcache.create ~capacity:config.Config.sig_cache_capacity;
-    outbox = [];
-    flush_scheduled = false;
+    sig_cache = Sigcache.create ~capacity:sig_cache_entries;
     running = false;
     timers = [];
     misbehavior = Honest;
@@ -181,7 +179,6 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     (fun () ->
       [
         ("aru", float_of_int (Array.fold_left ( + ) 0 (Preorder.aru t.preorder)));
-        ("backlog", float_of_int (List.length t.outbox));
         ("exec_seq", float_of_int (Order.exec_seq t.order));
         ("running", if t.running then 1.0 else 0.0);
         ("view", float_of_int t.view);
@@ -236,7 +233,7 @@ let send t ~dst msg = if not (silent t) then t.transport.send ~dst msg
 
 let broadcast t msg = if not (silent t) then t.transport.broadcast msg
 
-(* --- amortized crypto pipeline ---------------------------------------- *)
+(* --- signing and verification ------------------------------------------ *)
 
 let count_sign t =
   Sim.Stats.Counter.incr t.counters "crypto.sign";
@@ -256,76 +253,27 @@ let count_check t = function
       Obs.Registry.incr Obs.Registry.default "crypto.verify";
       false
 
-(* Direct (unbatched) signing: summaries, pre-prepares, view-change
-   traffic, client replies — messages that are rare, latency-critical for
-   protocol progress, or whose receivers span views. *)
+(* Every outbound protocol message is signed directly when it is sent. *)
 let sign t body =
   count_sign t;
-  Crypto.Auth.sign t.keypair body
+  Crypto.Signature.sign t.keypair body
 
-let verify_from t ~rep body auth =
+let verify_from t ~rep body s =
   count_check t
-    (Sigcache.check t.sig_cache t.keystore ~signer:(Msg.replica_identity rep) body auth)
+    (Sigcache.check t.sig_cache t.keystore ~signer:(Msg.replica_identity rep) body s)
 
 (* Client update signatures go through the same cache: the identical
    (client, body, tag) triple arrives via f+1 direct sends, n po-request
    relays and every retransmission thereof. *)
 let verify_update t (u : Msg.Update.t) =
   count_check t
-    (Sigcache.check_signature t.sig_cache t.keystore ~signer:u.Msg.Update.client
+    (Sigcache.check t.sig_cache t.keystore ~signer:u.Msg.Update.client
        (Msg.Update.encode u) u.Msg.Update.signature)
 
 (* Summaries are re-verified inside every matrix; the cache collapses
    each re-check of an already-seen summary to a hash-table probe. *)
 let verify_summary t (s : Msg.summary) =
   verify_from t ~rep:s.Msg.sum_rep (Msg.encode_summary s) s.Msg.sum_sig
-
-(* Outbound batching: bodies queued within one batch window are signed
-   under a single Merkle-aggregated signature at flush time. Only wire
-   emission is deferred — local state transitions (our own prepare/commit
-   counting toward quorums) happen immediately at the call site. *)
-let flush_outbox t =
-  t.flush_scheduled <- false;
-  let items = List.rev t.outbox in
-  t.outbox <- [];
-  (match items with
-  | [] -> ()
-  | _ ->
-      if Obs.Flight.recording Obs.Flight.default then
-        Obs.Flight.record Obs.Flight.default ~time:(now t) ~severity:Obs.Flight.Info
-          ~subsystem:"prime" ~kind:"batch.flush"
-          (Printf.sprintf "replica %d flushed %d signed bodies" t.id (List.length items)));
-  match items with
-  | [] -> ()
-  | [ (body, emit) ] ->
-      (* A batch of one gains nothing from the proof machinery. *)
-      count_sign t;
-      Sim.Stats.Counter.incr t.counters "crypto.batch_flush";
-      Sim.Stats.Counter.incr t.counters "crypto.batch_msgs";
-      Obs.Registry.observe Obs.Registry.default "crypto.batch_size" 1.0;
-      emit (Crypto.Auth.sign t.keypair body)
-  | items ->
-      let bodies = Array.of_list (List.map fst items) in
-      count_sign t;
-      Sim.Stats.Counter.incr t.counters "crypto.batch_flush";
-      Sim.Stats.Counter.incr ~by:(Array.length bodies) t.counters "crypto.batch_msgs";
-      Obs.Registry.observe Obs.Registry.default "crypto.batch_size"
-        (float_of_int (Array.length bodies));
-      let auths = Crypto.Auth.sign_batch t.keypair bodies in
-      List.iteri (fun i (_, emit) -> emit auths.(i)) items
-
-let enqueue_signed t body emit =
-  if (not t.config.Config.batch_signing) || t.config.Config.batch_window <= 0.0 then
-    emit (sign t body)
-  else begin
-    t.outbox <- (body, emit) :: t.outbox;
-    if not t.flush_scheduled then begin
-      t.flush_scheduled <- true;
-      ignore
-        (Sim.Engine.schedule t.engine ~delay:t.config.Config.batch_window (fun () ->
-             flush_outbox t))
-    end
-  end
 
 (* --- summaries --------------------------------------------------------- *)
 
@@ -390,9 +338,8 @@ let handle_client_update t (u : Msg.Update.t) =
     Obs.Registry.incr Obs.Registry.default "prime.update.accepted";
     let po_seq = Preorder.assign t.preorder u in
     Sim.Stats.Counter.incr t.counters "update.accepted";
-    let body = Msg.encode_po_request ~origin:t.id ~po_seq u in
-    enqueue_signed t body (fun po_sig ->
-        broadcast t (Msg.Po_request { origin = t.id; po_seq; update = u; po_sig }))
+    let po_sig = sign t (Msg.encode_po_request ~origin:t.id ~po_seq u) in
+    broadcast t (Msg.Po_request { origin = t.id; po_seq; update = u; po_sig })
   end
 
 let handle_po_request t ~origin ~po_seq update po_sig =
@@ -403,17 +350,10 @@ let handle_po_request t ~origin ~po_seq update po_sig =
     Sim.Stats.Counter.incr t.counters "po_request.bad_update_sig"
   else
     let send_ack digest =
-      let ack_body = Msg.encode_po_ack ~acker:t.id ~origin ~po_seq ~digest in
-      enqueue_signed t ack_body (fun ack_sig ->
-          broadcast t
-            (Msg.Po_ack
-               {
-                 acker = t.id;
-                 ack_origin = origin;
-                 ack_po_seq = po_seq;
-                 ack_digest = digest;
-                 ack_sig;
-               }))
+      let ack_sig = sign t (Msg.encode_po_ack ~acker:t.id ~origin ~po_seq ~digest) in
+      broadcast t
+        (Msg.Po_ack
+           { acker = t.id; ack_origin = origin; ack_po_seq = po_seq; ack_digest = digest; ack_sig })
     in
     match Preorder.receive_request t.preorder ~origin ~po_seq update with
     | `Conflict ->
@@ -547,24 +487,19 @@ let matrix_valid t (m : Msg.matrix) =
   Array.for_all (function None -> true | Some s -> verify_summary t s) m
 
 let broadcast_commit t ~view ~pp_seq ~digest =
-  let body = Msg.encode_commit ~rep:t.id ~view ~pp_seq ~digest in
-  enqueue_signed t body (fun com_sig ->
-      (* Retain our own authenticator for commit-certificate serving (it
-         materializes only here, at batch-flush time). *)
-      Order.record_commit_auth t.order ~rep:t.id ~view ~pp_seq ~digest com_sig;
-      broadcast t
-        (Msg.Commit
-           { com_rep = t.id; com_view = view; com_seq = pp_seq; com_digest = digest;
-             com_sig }));
+  let com_sig = sign t (Msg.encode_commit ~rep:t.id ~view ~pp_seq ~digest) in
+  (* Retain our own signature for commit-certificate serving. *)
+  Order.record_commit_auth t.order ~rep:t.id ~view ~pp_seq ~digest com_sig;
+  broadcast t
+    (Msg.Commit
+       { com_rep = t.id; com_view = view; com_seq = pp_seq; com_digest = digest; com_sig });
   if Order.add_commit t.order ~rep:t.id ~view ~pp_seq ~digest then execute_ready t
 
 let broadcast_prepare t ~view ~pp_seq ~digest =
-  let body = Msg.encode_prepare ~rep:t.id ~view ~pp_seq ~digest in
-  enqueue_signed t body (fun prep_sig ->
-      broadcast t
-        (Msg.Prepare
-           { prep_rep = t.id; prep_view = view; prep_seq = pp_seq; prep_digest = digest;
-             prep_sig }));
+  let prep_sig = sign t (Msg.encode_prepare ~rep:t.id ~view ~pp_seq ~digest) in
+  broadcast t
+    (Msg.Prepare
+       { prep_rep = t.id; prep_view = view; prep_seq = pp_seq; prep_digest = digest; prep_sig });
   (* Our own prepare may complete the quorum (e.g. when ours is the last
      to be counted locally). *)
   if Order.add_prepare t.order ~rep:t.id ~view ~pp_seq ~digest then
@@ -972,20 +907,18 @@ let reconcile_tick t =
       if view = t.view then begin
         Sim.Stats.Counter.incr t.counters "order.retransmit";
         broadcast t (Msg.Pre_prepare { pp_view = view; pp_seq; pp_matrix = matrix; pp_sig });
-        let prep_body = Msg.encode_prepare ~rep:t.id ~view ~pp_seq ~digest in
-        enqueue_signed t prep_body (fun prep_sig ->
-            broadcast t
-              (Msg.Prepare
-                 { prep_rep = t.id; prep_view = view; prep_seq = pp_seq;
-                   prep_digest = digest; prep_sig }));
+        let prep_sig = sign t (Msg.encode_prepare ~rep:t.id ~view ~pp_seq ~digest) in
+        broadcast t
+          (Msg.Prepare
+             { prep_rep = t.id; prep_view = view; prep_seq = pp_seq; prep_digest = digest;
+               prep_sig });
         if prepared then begin
-          let com_body = Msg.encode_commit ~rep:t.id ~view ~pp_seq ~digest in
-          enqueue_signed t com_body (fun com_sig ->
-              Order.record_commit_auth t.order ~rep:t.id ~view ~pp_seq ~digest com_sig;
-              broadcast t
-                (Msg.Commit
-                   { com_rep = t.id; com_view = view; com_seq = pp_seq;
-                     com_digest = digest; com_sig }))
+          let com_sig = sign t (Msg.encode_commit ~rep:t.id ~view ~pp_seq ~digest) in
+          Order.record_commit_auth t.order ~rep:t.id ~view ~pp_seq ~digest com_sig;
+          broadcast t
+            (Msg.Commit
+               { com_rep = t.id; com_view = view; com_seq = pp_seq; com_digest = digest;
+                 com_sig })
         end
       end)
     (Order.stalled_instances t.order ~limit:5);
@@ -1020,9 +953,8 @@ let reconcile_tick t =
     match Preorder.update_for t.preorder ~origin:t.id ~po_seq with
     | Some u ->
         Sim.Stats.Counter.incr t.counters "po_request.retransmit";
-        let body = Msg.encode_po_request ~origin:t.id ~po_seq u in
-        enqueue_signed t body (fun po_sig ->
-            broadcast t (Msg.Po_request { origin = t.id; po_seq; update = u; po_sig }))
+        let po_sig = sign t (Msg.encode_po_request ~origin:t.id ~po_seq u) in
+        broadcast t (Msg.Po_request { origin = t.id; po_seq; update = u; po_sig })
     | None -> ()
   done
 
@@ -1364,11 +1296,8 @@ let restart_clean t =
   Hashtbl.reset t.outstanding_recon;
   Hashtbl.reset t.stored_resets;
   Hashtbl.reset t.rebase_reports;
-  (* Forget cached verifications and drop queued-but-unsigned outbound
-     bodies: they reference pre-wipe state. *)
+  (* Forget cached verifications: they reference pre-wipe state. *)
   Sigcache.clear t.sig_cache;
-  t.outbox <- [];
-  t.flush_scheduled <- false;
   t.origin_synced <- false;
   t.misbehavior <- Honest;
   start t;

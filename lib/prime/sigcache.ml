@@ -2,20 +2,19 @@
 
    Relayed and retransmitted protocol messages re-verify the same
    (signer, tag, message) triple many times — every po-request relay
-   carries the same client signature, every matrix re-verifies the same
-   summaries, every share of a batch reduces to the same signed root.
-   The cache remembers triples whose HMAC check already succeeded; a hit
-   skips the HMAC entirely.
+   carries the same client signature, and every matrix re-verifies the
+   same summaries. The cache remembers triples whose HMAC check already
+   succeeded; a hit skips the HMAC entirely.
 
    Soundness: the key covers the signer, the tag AND the exact signed
    bytes, and entries are inserted only after a successful verification.
    A forged tag therefore never hits (different tag, different key) and
    never populates the cache (its verification fails). Eviction is FIFO
    with a hard capacity bound, so a flood of one-off signatures cannot
-   grow memory. *)
+   grow memory; capacity 0 keeps nothing. *)
 
 type t = {
-  capacity : int; (* 0 disables caching entirely *)
+  capacity : int;
   table : (string, unit) Hashtbl.t;
   order : string Queue.t; (* insertion order, for FIFO eviction *)
 }
@@ -25,8 +24,6 @@ let create ~capacity =
   { capacity; table = Hashtbl.create (max 16 capacity); order = Queue.create () }
 
 let size t = Hashtbl.length t.table
-
-let capacity t = t.capacity
 
 let clear t =
   Hashtbl.reset t.table;
@@ -39,36 +36,25 @@ let key ~signer ~tag message =
   String.concat "\x00" [ signer; tag; message ]
 
 let remember t key =
-  if t.capacity > 0 then begin
-    Hashtbl.replace t.table key ();
-    Queue.push key t.order;
-    while Hashtbl.length t.table > t.capacity do
-      Hashtbl.remove t.table (Queue.pop t.order)
-    done
-  end
+  Hashtbl.replace t.table key ();
+  Queue.push key t.order;
+  while Hashtbl.length t.table > t.capacity do
+    Hashtbl.remove t.table (Queue.pop t.order)
+  done
 
-(* Check an authenticator over [body]. [`Hit] means the underlying HMAC
-   triple was verified earlier (only structural work — for batched
-   shares, the inclusion proof — was redone); [`Valid] means a fresh
-   verification succeeded and was cached; [`Invalid] means it failed. *)
-let check t ks ~signer body auth =
-  match Crypto.Auth.underlying body auth with
-  | None -> `Invalid
-  | Some (message, s) ->
-      let k = key ~signer ~tag:(Crypto.Signature.tag s) message in
-      if t.capacity > 0 && Hashtbl.mem t.table k then `Hit
-      else if Crypto.Signature.verify ks ~signer message s then begin
-        remember t k;
-        `Valid
-      end
-      else `Invalid
-
-(* Direct client signatures (updates) go through the same cache. *)
-let check_signature t ks ~signer message s =
-  let k = key ~signer ~tag:(Crypto.Signature.tag s) message in
-  if t.capacity > 0 && Hashtbl.mem t.table k then `Hit
-  else if Crypto.Signature.verify ks ~signer message s then begin
-    remember t k;
-    `Valid
-  end
-  else `Invalid
+(* Check [s] over [message]. [`Hit] means the same triple was verified
+   earlier; [`Valid] means a fresh verification succeeded and was cached;
+   [`Invalid] means it failed. The signature must name [signer] itself:
+   the key covers the caller's [signer], so without this comparison a
+   copy of a cached tag relabelled with another signer would hit where
+   [Signature.verify] rejects it. *)
+let check t ks ~signer message s =
+  if not (String.equal (Crypto.Signature.signer s) signer) then `Invalid
+  else
+    let k = key ~signer ~tag:(Crypto.Signature.tag s) message in
+    if Hashtbl.mem t.table k then `Hit
+    else if Crypto.Signature.verify ks ~signer message s then begin
+      remember t k;
+      `Valid
+    end
+    else `Invalid

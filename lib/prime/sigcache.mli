@@ -12,24 +12,14 @@ val create : capacity:int -> t
 
 val size : t -> int
 
-val capacity : t -> int
-
 val clear : t -> unit
 
-(** Check an {!Crypto.Auth.t} over [body]. [`Hit]: the underlying triple
-    was verified earlier (batched shares still redo the inclusion-proof
-    hashing). [`Valid]: fresh verification succeeded and was cached.
-    [`Invalid]: verification failed (nothing cached). *)
+(** [check t ks ~signer message s] agrees with
+    [Crypto.Signature.verify ks ~signer message s] on every input.
+    [`Hit]: the triple was verified earlier. [`Valid]: fresh verification
+    succeeded and was cached. [`Invalid]: verification failed (nothing
+    cached). *)
 val check :
-  t ->
-  Crypto.Signature.keystore ->
-  signer:Crypto.Signature.identity ->
-  string ->
-  Crypto.Auth.t ->
-  [ `Hit | `Valid | `Invalid ]
-
-(** Same, for a bare signature (client update signatures). *)
-val check_signature :
   t ->
   Crypto.Signature.keystore ->
   signer:Crypto.Signature.identity ->

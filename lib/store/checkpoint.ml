@@ -6,8 +6,8 @@
    a [Crypto.Merkle] tree whose root is the checkpoint's identity: peers
    vote transfer acceptance by root (f + 1 matching roots guarantee a
    correct replica produced the content), and each replica signs the
-   domain-separated root through the existing [Crypto.Auth] path so a
-   stored checkpoint is tamper-evident on disk too.
+   domain-separated root so a stored checkpoint is tamper-evident on disk
+   too.
 
    The application state enters the tree as [ck_app_root] — the state's
    own incremental Merkle root, an O(1) read off the live [Scada.State] —
@@ -26,7 +26,7 @@ type t = {
   ck_app_state : string;
   ck_app_root : Crypto.Sha256.digest;
   ck_root : Crypto.Sha256.digest;
-  ck_auth : Crypto.Auth.t;
+  ck_auth : Crypto.Signature.t;
 }
 
 let sort_client_seqs seqs =
@@ -60,7 +60,7 @@ let root_of ~exec_seq ~next_exec_pp ~cursor ~client_seqs ~app_root =
   Crypto.Merkle.root (leaves ~exec_seq ~next_exec_pp ~cursor ~client_seqs ~app_root)
 
 (* Domain separation: the signature can never be confused with one over a
-   protocol message or a batch root. *)
+   protocol message. *)
 let root_binding root = "store-checkpoint:" ^ root
 
 let make ~keypair ~replica ~next_exec_pp ~exec_seq ~cursor ~client_seqs ~app_state ~app_root =
@@ -75,7 +75,7 @@ let make ~keypair ~replica ~next_exec_pp ~exec_seq ~cursor ~client_seqs ~app_sta
     ck_app_state = app_state;
     ck_app_root = app_root;
     ck_root = root;
-    ck_auth = Crypto.Auth.sign keypair (root_binding root);
+    ck_auth = Crypto.Signature.sign keypair (root_binding root);
   }
 
 (* Root/signature verification: the root must re-derive from the covered
@@ -86,17 +86,9 @@ let verify ~keystore ~signer t =
   String.equal t.ck_root
     (root_of ~exec_seq:t.ck_exec_seq ~next_exec_pp:t.ck_next_exec_pp ~cursor:t.ck_cursor
        ~client_seqs:t.ck_client_seqs ~app_root:t.ck_app_root)
-  && Crypto.Auth.verify keystore ~signer (root_binding t.ck_root) t.ck_auth
+  && Crypto.Signature.verify keystore ~signer (root_binding t.ck_root) t.ck_auth
 
 let encode t =
-  let signature =
-    match t.ck_auth with
-    | Crypto.Auth.Direct s -> s
-    | Crypto.Auth.Batched _ ->
-        (* Checkpoints are signed individually; batched shares never
-           reach the disk format. *)
-        invalid_arg "Checkpoint.encode: batched signature"
-  in
   Wire.encode ~size_hint:(String.length t.ck_app_state + 256) (fun b ->
       Wire.w_int b t.ck_replica;
       Wire.w_int b t.ck_exec_seq;
@@ -111,8 +103,8 @@ let encode t =
       Wire.w_str b t.ck_app_state;
       Wire.w_digest b t.ck_app_root;
       Wire.w_digest b t.ck_root;
-      Wire.w_str b (Crypto.Signature.signer signature);
-      Wire.w_str b (Crypto.Signature.tag signature))
+      Wire.w_str b (Crypto.Signature.signer t.ck_auth);
+      Wire.w_str b (Crypto.Signature.tag t.ck_auth))
 
 let decode s =
   match
@@ -136,6 +128,10 @@ let decode s =
     let ck_root = Wire.r_digest r in
     let signer = Wire.r_str r in
     let tag = Wire.r_str r in
+    (* Trailing bytes would decode to a checkpoint that re-encodes to
+       different bytes: reject them, as [Scada.State] and [Spines.Frame]
+       do. *)
+    if not (Wire.at_end r) then raise Wire.Truncated;
     {
       ck_replica;
       ck_exec_seq;
@@ -145,7 +141,7 @@ let decode s =
       ck_app_state;
       ck_app_root;
       ck_root;
-      ck_auth = Crypto.Auth.Direct (Crypto.Signature.of_tag ~signer tag);
+      ck_auth = Crypto.Signature.of_tag ~signer tag;
     }
   with
   | t -> Some t

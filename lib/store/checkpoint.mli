@@ -1,8 +1,8 @@
 (** Authenticated replica checkpoints: a snapshot of the replication
     execution point (exec seq, next pre-prepare, per-origin cursors,
     client dedup keys) plus the serialized SCADA application state,
-    identified by a [Crypto.Merkle] root over its content and signed via
-    the [Crypto.Auth] path. Peers accept a transferred checkpoint only
+    identified by a [Crypto.Merkle] root over its content and signed by
+    the snapshotting replica. Peers accept a transferred checkpoint only
     once f + 1 replicas present the same root.
 
     The application state is covered through [ck_app_root] — the state's
@@ -20,7 +20,7 @@ type t = {
   ck_app_state : string;
   ck_app_root : Crypto.Sha256.digest;  (** the state's digest root at the snapshot *)
   ck_root : Crypto.Sha256.digest;
-  ck_auth : Crypto.Auth.t;
+  ck_auth : Crypto.Signature.t;
 }
 
 (** Canonical sort for client dedup keys (applied by {!make}). *)
@@ -58,7 +58,8 @@ val verify : keystore:Crypto.Signature.keystore -> signer:Crypto.Signature.ident
 (** Canonical byte encoding (disk format and transfer-size model). *)
 val encode : t -> string
 
-(** [None] on truncated or malformed input. *)
+(** [None] on truncated, malformed or over-long input: every accepted
+    string is exactly the {!encode} of the result. *)
 val decode : string -> t option
 
 val size : t -> int

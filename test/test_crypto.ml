@@ -150,55 +150,24 @@ let test_merkle_single_leaf () =
   let root = Crypto.Merkle.root [ "only" ] in
   check_str "root is leaf hash"
     (Crypto.Sha256.to_hex (Crypto.Merkle.leaf_hash "only"))
-    (Crypto.Sha256.to_hex root);
-  let proof = Crypto.Merkle.proof [ "only" ] 0 in
-  check "empty proof verifies" true (Crypto.Merkle.verify_proof ~root ~leaf:"only" ~proof)
+    (Crypto.Sha256.to_hex root)
 
-let test_merkle_proofs_all_indices () =
-  (* Cover even and odd leaf counts, including promoted odd nodes. *)
-  List.iter
-    (fun n ->
-      let leaves = List.init n (fun i -> Printf.sprintf "chunk-%d" i) in
-      let root = Crypto.Merkle.root leaves in
-      List.iteri
-        (fun i leaf ->
-          let proof = Crypto.Merkle.proof leaves i in
-          check
-            (Printf.sprintf "n=%d i=%d" n i)
-            true
-            (Crypto.Merkle.verify_proof ~root ~leaf ~proof))
-        leaves)
-    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 16; 17 ]
-
+(* Root recomputation is how checkpoints and state digests are checked:
+   a wrong leaf must not reproduce the expected root. *)
 let test_merkle_wrong_leaf_rejected () =
-  let leaves = [ "a"; "b"; "c"; "d" ] in
-  let root = Crypto.Merkle.root leaves in
-  let proof = Crypto.Merkle.proof leaves 1 in
-  check "wrong leaf fails" false (Crypto.Merkle.verify_proof ~root ~leaf:"x" ~proof)
+  let root = Crypto.Merkle.root [ "a"; "b"; "c"; "d" ] in
+  check "wrong leaf fails" false (Crypto.Merkle.root [ "a"; "x"; "c"; "d" ] = root)
 
 let test_merkle_root_depends_on_order () =
   check "order matters" true (Crypto.Merkle.root [ "a"; "b" ] <> Crypto.Merkle.root [ "b"; "a" ])
-
-let prop_merkle_proof_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"merkle proof verifies for every index"
-    QCheck.(list_of_size Gen.(int_range 1 24) small_string)
-    (fun leaves ->
-      let root = Crypto.Merkle.root leaves in
-      List.for_all
-        (fun i ->
-          Crypto.Merkle.verify_proof ~root ~leaf:(List.nth leaves i)
-            ~proof:(Crypto.Merkle.proof leaves i))
-        (List.init (List.length leaves) (fun i -> i)))
 
 let prop_merkle_tamper_detected =
   QCheck.Test.make ~count:200 ~name:"merkle detects tampered leaf"
     QCheck.(pair (list_of_size Gen.(int_range 2 16) small_string) small_string)
     (fun (leaves, replacement) ->
-      let root = Crypto.Merkle.root leaves in
       let victim = List.nth leaves 0 in
       QCheck.assume (victim <> replacement);
-      let proof = Crypto.Merkle.proof leaves 0 in
-      not (Crypto.Merkle.verify_proof ~root ~leaf:replacement ~proof))
+      Crypto.Merkle.root leaves <> Crypto.Merkle.root (replacement :: List.tl leaves))
 
 (* --- incremental API: feed_bytes and ctx copy -------------------------- *)
 
@@ -226,31 +195,8 @@ let prop_hmac_schedule_equals_mac =
       Crypto.Hmac.mac_sched sched msg = Crypto.Hmac.mac ~key msg
       && Crypto.Hmac.verify_sched sched ~tag:(Crypto.Hmac.mac ~key msg) msg)
 
-(* --- Merkle at scale (regression for the O(n^2) level walk) ------------ *)
-
-let test_merkle_1000_leaves () =
-  (* Build once, extract and verify all 1000 proofs. With the previous
-     per-proof level recomputation this was ~n^2 hashing; the array tree
-     makes it comfortably fast, and every proof must still verify. *)
-  let n = 1000 in
-  let leaves = Array.init n (fun i -> Printf.sprintf "state-chunk-%06d" i) in
-  let tree = Crypto.Merkle.build leaves in
-  let root = Crypto.Merkle.tree_root tree in
-  Alcotest.(check int) "leaf count" n (Crypto.Merkle.leaf_count tree);
-  check_str "same root as list API"
-    (Crypto.Sha256.to_hex (Crypto.Merkle.root (Array.to_list leaves)))
-    (Crypto.Sha256.to_hex root);
-  for i = 0 to n - 1 do
-    if
-      not
-        (Crypto.Merkle.verify_proof ~root ~leaf:leaves.(i)
-           ~proof:(Crypto.Merkle.tree_proof tree i))
-    then Alcotest.failf "proof %d does not verify" i
-  done
-
 (* Incremental leaf replacement must land on exactly the root a full
-   rebuild produces — across sizes that exercise promoted odd nodes —
-   and existing proofs must keep verifying against the updated tree. *)
+   rebuild produces — across sizes that exercise promoted odd nodes. *)
 let test_merkle_set_leaf_matches_rebuild () =
   List.iter
     (fun n ->
@@ -267,85 +213,8 @@ let test_merkle_set_leaf_matches_rebuild () =
       check_str
         (Printf.sprintf "incremental root matches rebuild at n=%d" n)
         (Crypto.Sha256.to_hex (Crypto.Merkle.tree_root rebuilt))
-        (Crypto.Sha256.to_hex (Crypto.Merkle.tree_root tree));
-      let root = Crypto.Merkle.tree_root tree in
-      for i = 0 to n - 1 do
-        if
-          not
-            (Crypto.Merkle.verify_proof ~root ~leaf:leaves.(i)
-               ~proof:(Crypto.Merkle.tree_proof tree i))
-        then Alcotest.failf "post-update proof %d does not verify (n=%d)" i n
-      done)
+        (Crypto.Sha256.to_hex (Crypto.Merkle.tree_root tree)))
     [ 1; 2; 3; 5; 8; 13; 64; 1000 ]
-
-(* --- Batch aggregate signatures ---------------------------------------- *)
-
-let test_batch_sign_verify () =
-  let ks = Crypto.Signature.create_keystore () in
-  let kp = Crypto.Signature.generate ks "replica-0" in
-  let bodies = Array.init 9 (fun i -> Printf.sprintf "body-%d" i) in
-  let atts = Crypto.Merkle.Batch.sign kp bodies in
-  Array.iteri
-    (fun i body ->
-      check
-        (Printf.sprintf "share %d verifies" i)
-        true
-        (Crypto.Merkle.Batch.verify ks ~signer:"replica-0" ~body atts.(i)))
-    bodies;
-  check "wrong body rejected" false
-    (Crypto.Merkle.Batch.verify ks ~signer:"replica-0" ~body:"body-0" atts.(1));
-  check "wrong signer rejected" false
-    (Crypto.Merkle.Batch.verify ks ~signer:"replica-1" ~body:"body-0" atts.(0))
-
-let test_batch_share_not_transplantable () =
-  (* A share's proof must not authenticate a body outside the batch, and
-     a share from another batch must not verify against this root. *)
-  let ks = Crypto.Signature.create_keystore () in
-  let kp = Crypto.Signature.generate ks "replica-0" in
-  let a = Crypto.Merkle.Batch.sign kp [| "a1"; "a2"; "a3" |] in
-  let b = Crypto.Merkle.Batch.sign kp [| "b1"; "b2" |] in
-  check "cross-batch share rejected" false
-    (Crypto.Merkle.Batch.verify ks ~signer:"replica-0" ~body:"a1" b.(0));
-  check "outside body rejected" false
-    (Crypto.Merkle.Batch.verify ks ~signer:"replica-0" ~body:"b1" a.(0))
-
-let test_batch_root_not_replayable_as_body () =
-  (* The aggregate signature covers a domain-separated binding of the
-     root, so it cannot be replayed as a direct signature over any
-     protocol body (including the raw root bytes). *)
-  let ks = Crypto.Signature.create_keystore () in
-  let kp = Crypto.Signature.generate ks "replica-0" in
-  let atts = Crypto.Merkle.Batch.sign kp [| "m1"; "m2" |] in
-  let { Crypto.Merkle.Batch.batch = { root; agg }; _ } = atts.(0) in
-  check "raw root rejected" false (Crypto.Signature.verify ks ~signer:"replica-0" root agg);
-  check "binding accepted" true
-    (Crypto.Signature.verify ks ~signer:"replica-0" (Crypto.Merkle.Batch.root_binding root) agg)
-
-let test_auth_direct_and_batched () =
-  let ks = Crypto.Signature.create_keystore () in
-  let kp = Crypto.Signature.generate ks "replica-0" in
-  let direct = Crypto.Auth.sign kp "hello" in
-  check "direct verifies" true (Crypto.Auth.verify ks ~signer:"replica-0" "hello" direct);
-  check "direct wrong body" false (Crypto.Auth.verify ks ~signer:"replica-0" "hellO" direct);
-  let auths = Crypto.Auth.sign_batch kp [| "x"; "y"; "z" |] in
-  Array.iteri
-    (fun i body ->
-      check
-        (Printf.sprintf "batched %d verifies" i)
-        true
-        (Crypto.Auth.verify ks ~signer:"replica-0" body auths.(i)))
-    [| "x"; "y"; "z" |];
-  check "batched wrong body" false (Crypto.Auth.verify ks ~signer:"replica-0" "w" auths.(0));
-  check "forged auth rejected" false
-    (Crypto.Auth.verify ks ~signer:"replica-0" "hello"
-       (Crypto.Auth.forge ~signer:"replica-0" "hello"));
-  (* All shares of one batch reduce to the same underlying HMAC pair —
-     the property the verified-signature cache exploits. *)
-  (match (Crypto.Auth.underlying "x" auths.(0), Crypto.Auth.underlying "y" auths.(1)) with
-  | Some (m0, s0), Some (m1, s1) ->
-      check "shares share the signed root" true (m0 = m1 && s0 = s1)
-  | _ -> Alcotest.fail "underlying missing");
-  check "underlying rejects foreign body" true (Crypto.Auth.underlying "w" auths.(0) = None)
 
 let suite =
   [
@@ -360,21 +229,14 @@ let suite =
     ("signature duplicate identity", `Quick, test_signature_duplicate_identity);
     ("signature keystores isolated", `Quick, test_signature_keystores_isolated);
     ("merkle single leaf", `Quick, test_merkle_single_leaf);
-    ("merkle proofs all indices", `Quick, test_merkle_proofs_all_indices);
     ("merkle wrong leaf rejected", `Quick, test_merkle_wrong_leaf_rejected);
     ("merkle order matters", `Quick, test_merkle_root_depends_on_order);
     ("sha256 feed_bytes and copy", `Quick, test_sha256_feed_bytes_and_copy);
-    ("merkle 1000 leaves all proofs", `Quick, test_merkle_1000_leaves);
     ("merkle set_leaf matches rebuild", `Quick, test_merkle_set_leaf_matches_rebuild);
-    ("batch sign/verify", `Quick, test_batch_sign_verify);
-    ("batch share not transplantable", `Quick, test_batch_share_not_transplantable);
-    ("batch root not replayable as body", `Quick, test_batch_root_not_replayable_as_body);
-    ("auth direct and batched", `Quick, test_auth_direct_and_batched);
     QCheck_alcotest.to_alcotest prop_hmac_schedule_equals_mac;
     QCheck_alcotest.to_alcotest prop_sha256_split_invariance;
     QCheck_alcotest.to_alcotest prop_sha256_injective_smoke;
     QCheck_alcotest.to_alcotest prop_hmac_mac_list;
-    QCheck_alcotest.to_alcotest prop_merkle_proof_roundtrip;
     QCheck_alcotest.to_alcotest prop_merkle_tamper_detected;
   ]
 

@@ -461,13 +461,13 @@ let test_lossy_regression_35_10 () =
 let test_lossy_regression_870_17 () =
   check "seed 870 at 17% loss converges after heal" true (lossy_run_converges (870, 17))
 
-(* --- verified-signature cache and batch signing ------------------------ *)
+(* --- verified-signature cache and direct signing ------------------------ *)
 
 let test_sigcache_bound_and_hits () =
   let ks = Crypto.Signature.create_keystore () in
   let kp = Crypto.Signature.generate ks "replica-0" in
   let cache = Prime.Sigcache.create ~capacity:4 in
-  let auth body = Crypto.Auth.sign kp body in
+  let auth body = Crypto.Signature.sign kp body in
   let a0 = auth "m0" in
   check "first check verifies" true
     (Prime.Sigcache.check cache ks ~signer:"replica-0" "m0" a0 = `Valid);
@@ -493,36 +493,64 @@ let test_sigcache_never_accepts_forgery () =
   let ks = Crypto.Signature.create_keystore () in
   let kp = Crypto.Signature.generate ks "replica-0" in
   let cache = Prime.Sigcache.create ~capacity:16 in
-  let forged = Crypto.Auth.forge ~signer:"replica-0" "open breaker" in
+  let forged = Crypto.Signature.forge ~signer:"replica-0" "open breaker" in
   check "forged auth invalid" true
     (Prime.Sigcache.check cache ks ~signer:"replica-0" "open breaker" forged = `Invalid);
   check "forgery does not populate" true (Prime.Sigcache.size cache = 0);
   (* A valid signature over the same body must not be confused with the
      forged tag, and vice versa after caching the valid one. *)
-  let good = Crypto.Auth.sign kp "open breaker" in
+  let good = Crypto.Signature.sign kp "open breaker" in
   check "valid after forgery" true
     (Prime.Sigcache.check cache ks ~signer:"replica-0" "open breaker" good = `Valid);
   check "forged still invalid after valid cached" true
     (Prime.Sigcache.check cache ks ~signer:"replica-0" "open breaker" forged = `Invalid);
   let forged_sig = Crypto.Signature.forge ~signer:"replica-0" "x" in
   check "forged bare signature invalid" true
-    (Prime.Sigcache.check_signature cache ks ~signer:"replica-0" "x" forged_sig = `Invalid)
+    (Prime.Sigcache.check cache ks ~signer:"replica-0" "x" forged_sig = `Invalid)
+
+(* The cache is an optimisation only: over any sequence of checks —
+   valid signatures, forgeries, and valid tags relabelled with another
+   replica's identity — its verdict agrees with uncached verification.
+   Each step packs (key, message, form, claimed signer, checked message)
+   into one small int so collisions with cached entries are frequent. *)
+let prop_sigcache_matches_verify =
+  let ks = Crypto.Signature.create_keystore () in
+  let keys = Array.init 2 (fun i -> Crypto.Signature.generate ks (Printf.sprintf "replica-%d" i)) in
+  let id i = Crypto.Signature.identity keys.(i) in
+  let msgs = [| "open B57"; "close B57" |] in
+  QCheck.Test.make ~count:300 ~name:"sigcache verdicts match uncached verification"
+    QCheck.(list_of_size Gen.(int_range 1 30) (int_bound 47))
+    (fun steps ->
+      let cache = Prime.Sigcache.create ~capacity:3 in
+      List.for_all
+        (fun step ->
+          let key = step mod 2 and msg = step / 2 mod 2 and form = step / 4 mod 3 in
+          let signer = id (step / 12 mod 2) and checked = msgs.(step / 24) in
+          let s = Crypto.Signature.sign keys.(key) msgs.(msg) in
+          let s =
+            match form with
+            | 0 -> s
+            | 1 -> Crypto.Signature.of_tag ~signer:(id (1 - key)) (Crypto.Signature.tag s)
+            | _ -> Crypto.Signature.forge ~signer:(id key) msgs.(msg)
+          in
+          let verdict = Prime.Sigcache.check cache ks ~signer checked s in
+          (verdict = `Invalid) = not (Crypto.Signature.verify ks ~signer checked s))
+        steps)
 
 let crypto_counter c name =
   Array.fold_left
     (fun acc r -> acc + Sim.Stats.Counter.get (Prime.Replica.counters r) name)
     0 c.replicas
 
-let test_batch_signing_orders_and_amortizes () =
-  (* Under batch signing the protocol must stay correct AND actually
-     amortize: multi-message flushes and cache hits both observed. *)
-  let config = Prime.Config.create ~f:1 ~k:0 ~batch_window:0.005 () in
-  let c = make_cluster ~config () in
+let test_direct_signing_orders_with_cache_hits () =
+  (* Every message is signed when sent; ordering stays identical across
+     replicas and relayed signatures still hit the verified cache. *)
+  let c = make_cluster () in
   let client = add_client c "hmi" in
   for i = 1 to 30 do
     ignore
       (Sim.Engine.schedule c.engine ~delay:(0.005 *. float_of_int i) (fun () ->
-           ignore (Prime.Client.submit ~targets:[ i mod 4 ] client ~op:(Printf.sprintf "b-%d" i))))
+           ignore (Prime.Client.submit ~targets:[ i mod 4 ] client ~op:(Printf.sprintf "d-%d" i))))
   done;
   run c ~until:5.0;
   let reference = exec_history c 0 in
@@ -532,27 +560,7 @@ let test_batch_signing_orders_and_amortizes () =
       (Printf.sprintf "replica %d matches replica 0" id)
       reference (exec_history c id)
   done;
-  check "multi-message batches occurred" true
-    (crypto_counter c "crypto.batch_msgs" > crypto_counter c "crypto.batch_flush");
-  check "cache hits occurred" true (crypto_counter c "crypto.cache_hit" > 0);
-  (* Each multi-message flush costs one signature, so signatures saved
-     relative to sign-per-message is exactly batch_msgs - batch_flush. *)
-  let saved = crypto_counter c "crypto.batch_msgs" - crypto_counter c "crypto.batch_flush" in
-  check "batching saved signatures" true (saved > 0)
-
-let test_batching_disabled_still_orders () =
-  let config = Prime.Config.create ~f:1 ~k:0 ~batch_signing:false ~sig_cache_capacity:0 () in
-  let c = make_cluster ~config () in
-  let client = add_client c "hmi" in
-  for i = 1 to 10 do
-    ignore
-      (Sim.Engine.schedule c.engine ~delay:(0.01 *. float_of_int i) (fun () ->
-           ignore (Prime.Client.submit ~targets:[ i mod 4 ] client ~op:(Printf.sprintf "d-%d" i))))
-  done;
-  run c ~until:5.0;
-  check_int "all executed" 10 (List.length (exec_history c 0));
-  check_int "no cache hits when disabled" 0 (crypto_counter c "crypto.cache_hit");
-  check_int "no batch flushes when disabled" 0 (crypto_counter c "crypto.batch_flush")
+  check "cache hits occurred" true (crypto_counter c "crypto.cache_hit" > 0)
 
 let suite =
   [
@@ -574,12 +582,12 @@ let suite =
     ("config sizing", `Quick, test_config_sizing);
     ("sigcache bound and hits", `Quick, test_sigcache_bound_and_hits);
     ("sigcache never accepts forgery", `Quick, test_sigcache_never_accepts_forgery);
-    ("batch signing orders and amortizes", `Quick, test_batch_signing_orders_and_amortizes);
-    ("batching disabled still orders", `Quick, test_batching_disabled_still_orders);
+    ("direct signing orders with cache hits", `Quick, test_direct_signing_orders_with_cache_hits);
     ("lossy regression 35/10", `Slow, test_lossy_regression_35_10);
     ("lossy regression 870/17", `Slow, test_lossy_regression_870_17);
     QCheck_alcotest.to_alcotest prop_replicas_agree_on_execution_order;
     QCheck_alcotest.to_alcotest prop_safety_under_lossy_network;
+    QCheck_alcotest.to_alcotest prop_sigcache_matches_verify;
   ]
 
 let () = Alcotest.run "prime" [ ("prime", suite) ]

@@ -202,6 +202,49 @@ let test_checkpoint_tamper_detected () =
   let cut = String.sub blob 0 (String.length blob - 3) in
   check "truncated blob rejected" true (Store.Checkpoint.decode cut = None)
 
+(* Decoding is total on arbitrary bytes, and every accepted input is
+   exactly the encoding of what it decodes to: no trailing junk, no
+   second spelling of the same checkpoint. Inputs mix raw random bytes
+   with valid encodings that are extended, truncated or bit-flipped. *)
+let prop_checkpoint_decode_canonical =
+  let _, kp0, _ = make_keys () in
+  let gen_valid =
+    QCheck.Gen.(
+      map
+        (fun ((exec_seq, next_exec_pp, cursor), (client_seqs, app_state)) ->
+          Store.Checkpoint.encode
+            (Store.Checkpoint.make ~keypair:kp0 ~replica:0 ~next_exec_pp ~exec_seq
+               ~cursor:(Array.of_list cursor) ~client_seqs ~app_state
+               ~app_root:(Crypto.Sha256.digest app_state)))
+        (pair
+           (triple int int (list_size (int_bound 6) int))
+           (pair (list_size (int_bound 4) (pair string_small small_nat)) string_small)))
+  in
+  let mutate blob =
+    QCheck.Gen.(
+      let n = String.length blob in
+      oneof
+        [
+          return blob;
+          map (fun junk -> blob ^ junk) (string_size (int_range 1 8));
+          map (fun k -> String.sub blob 0 k) (int_bound (n - 1));
+          map2
+            (fun i bit ->
+              let b = Bytes.of_string blob in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+              Bytes.to_string b)
+            (int_bound (n - 1)) (int_bound 7);
+        ])
+  in
+  QCheck.Test.make ~count:1000 ~name:"checkpoint decode is total and canonical"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         oneof [ string_size (int_bound 200); gen_valid >>= mutate ]))
+    (fun s ->
+      match Store.Checkpoint.decode s with
+      | None -> true
+      | Some ck -> String.equal (Store.Checkpoint.encode ck) s)
+
 (* --- end-to-end recovery over a full deployment ------------------------------- *)
 
 let mini_scenario =
@@ -610,6 +653,7 @@ let () =
           ("root is replica independent", `Quick, test_checkpoint_root_is_replica_independent);
           ("tampering detected", `Quick, test_checkpoint_tamper_detected);
           ("blob binding detects flips", `Quick, test_checkpoint_blob_binding_detects_flips);
+          QCheck_alcotest.to_alcotest prop_checkpoint_decode_canonical;
         ] );
       ( "recovery",
         [

@@ -112,6 +112,12 @@ let test_malformed_rejected () =
   check "r_str truncated" true
     (match Wire.r_str (Wire.reader (huge_len ^ "abc")) with
     | exception Wire.Truncated -> true
+    | _ -> false);
+  (* Nor may it size an array: 2^32 - 1 ints would be 32 GiB. *)
+  let max_len = Wire.encode (fun b -> Wire.w_u32 b 0xFFFFFFFF) in
+  check "r_int_array truncated" true
+    (match Wire.r_int_array (Wire.reader (max_len ^ String.make 16 '\000')) with
+    | exception Wire.Truncated -> true
     | _ -> false)
 
 let prop_int_roundtrip =
