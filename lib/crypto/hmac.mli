@@ -11,8 +11,10 @@ val mac_list : key:string -> string list -> string
 val verify : key:string -> tag:string -> string -> bool
 
 (** Precomputed key schedule: the inner and outer padded-key blocks are
-    absorbed once, so each MAC under a long-lived key costs two context
-    copies instead of two key-block compressions plus key normalization. *)
+    absorbed once, so each MAC under a long-lived key rewinds one scratch
+    context instead of normalizing the key and compressing two key
+    blocks, and allocates only the two 32-byte digests. The scratch
+    context is mutable state: a schedule belongs to one domain. *)
 type schedule
 
 val schedule : key:string -> schedule
@@ -22,3 +24,7 @@ val mac_sched : schedule -> string -> string
 val mac_list_sched : schedule -> string list -> string
 
 val verify_sched : schedule -> tag:string -> string -> bool
+
+(** [verify_list_sched sched ~tag parts] checks a tag over the
+    concatenation of [parts] without building it. *)
+val verify_list_sched : schedule -> tag:string -> string list -> bool

@@ -50,34 +50,44 @@ let init () =
     total_len = 0;
   }
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Rotations on a doubled word. For [x < 2^32], [x lor (x lsl 32)] holds
+   two copies of [x], so bits [n .. n+31] of it are [x] rotated right by
+   [n]; OCaml's 63-bit int keeps every bit the rotations below read (the
+   largest, 25, reads up to bit 56). The sums they feed are masked once,
+   so the Σ/σ functions are plain shifts and XORs with no mask of their
+   own: only their low 32 bits matter. *)
+let[@inline] dbl x = x lor (x lsl 32)
 
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
     let base = off + (i * 4) in
-    w.(i) <-
-      (Char.code (Bytes.unsafe_get block base) lsl 24)
+    Array.unsafe_set w i
+      ((Char.code (Bytes.unsafe_get block base) lsl 24)
       lor (Char.code (Bytes.unsafe_get block (base + 1)) lsl 16)
       lor (Char.code (Bytes.unsafe_get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (base + 3))
+      lor Char.code (Bytes.unsafe_get block (base + 3)))
   done;
   for i = 16 to 63 do
-    let x15 = w.(i - 15) and x2 = w.(i - 2) in
-    let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
-    let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x15 = Array.unsafe_get w (i - 15) and x2 = Array.unsafe_get w (i - 2) in
+    let d15 = dbl x15 and d2 = dbl x2 in
+    let s0 = (d15 lsr 7) lxor (d15 lsr 18) lxor (x15 lsr 3) in
+    let s1 = (d2 lsr 17) lxor (d2 lsr 19) lxor (x2 lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let state = ctx.state in
   let a = ref state.(0) and b = ref state.(1) and c = ref state.(2) and d = ref state.(3) in
   let e = ref state.(4) and f = ref state.(5) and g = ref state.(6) and h = ref state.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let de = dbl !e in
+    let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
     let ch = !e land !f lxor (lnot !e land !g) in
-    let temp1 = (!h + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
+    let temp1 = !h + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let da = dbl !a in
+    let s0 = (da lsr 2) lxor (da lsr 13) lxor (da lsr 22) in
+    let maj = !a land (!b lor !c) lor (!b land !c) in
+    let temp2 = s0 + maj in
     h := !g;
     g := !f;
     f := !e;
@@ -127,39 +137,41 @@ let feed_string ctx s =
 
 let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
 
-(* Independent continuation of a partially-fed context. The message
-   schedule is per-compression scratch, so a fresh one is fine. *)
-let copy ctx =
-  {
-    state = Array.copy ctx.state;
-    w = Array.make 64 0;
-    buf = Bytes.copy ctx.buf;
-    buf_len = ctx.buf_len;
-    total_len = ctx.total_len;
-  }
-
-let finalize ctx =
-  let bit_len = ctx.total_len * 8 in
-  let pad_len =
-    let rem = ctx.total_len mod 64 in
-    if rem < 56 then 56 - rem else 120 - rem
-  in
-  let padding = Bytes.make pad_len '\000' in
-  Bytes.set padding 0 '\x80';
-  let length_block = Bytes.create 8 in
+(* Rewind [dst] to [src]'s point in the stream, in place. Only the live
+   prefix of the block buffer matters; the message schedule is
+   per-compression scratch. *)
+let restore ~dst src =
   for i = 0 to 7 do
-    Bytes.set length_block i (Char.chr ((bit_len lsr (56 - (8 * i))) land 0xFF))
+    Array.unsafe_set dst.state i (Array.unsafe_get src.state i)
   done;
-  feed_string ctx (Bytes.unsafe_to_string padding);
-  feed_string ctx (Bytes.unsafe_to_string length_block);
-  assert (ctx.buf_len = 0);
+  Bytes.blit src.buf 0 dst.buf 0 src.buf_len;
+  dst.buf_len <- src.buf_len;
+  dst.total_len <- src.total_len
+
+(* Pads in place in the block buffer: 0x80, zeros to 56 mod 64 (spilling
+   into one more block when fewer than 9 bytes are free), then the 64-bit
+   big-endian bit length. Leaves the context spent until a [restore]. *)
+let finalize ctx =
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.unsafe_set buf n '\x80';
+  if n < 56 then Bytes.fill buf (n + 1) (55 - n) '\000'
+  else begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end;
+  let bit_len = ctx.total_len * 8 in
+  for i = 0 to 7 do
+    Bytes.unsafe_set buf (56 + i) (Char.unsafe_chr ((bit_len lsr (56 - (8 * i))) land 0xFF))
+  done;
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let word = ctx.state.(i) in
-    Bytes.set out (i * 4) (Char.chr ((word lsr 24) land 0xFF));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((word lsr 16) land 0xFF));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((word lsr 8) land 0xFF));
-    Bytes.set out ((i * 4) + 3) (Char.chr (word land 0xFF))
+    let word = Array.unsafe_get ctx.state i in
+    Bytes.unsafe_set out (i * 4) (Char.unsafe_chr (word lsr 24));
+    Bytes.unsafe_set out ((i * 4) + 1) (Char.unsafe_chr ((word lsr 16) land 0xFF));
+    Bytes.unsafe_set out ((i * 4) + 2) (Char.unsafe_chr ((word lsr 8) land 0xFF));
+    Bytes.unsafe_set out ((i * 4) + 3) (Char.unsafe_chr (word land 0xFF))
   done;
   Bytes.unsafe_to_string out
 

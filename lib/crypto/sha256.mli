@@ -17,11 +17,14 @@ val feed_string : ctx -> string -> unit
     is not retained; mutating it afterwards is safe. *)
 val feed_bytes : ctx -> Bytes.t -> unit
 
-(** Independent snapshot of a streaming context: feeding or finalizing
-    one does not affect the other. Used to precompute key schedules. *)
-val copy : ctx -> ctx
+(** [restore ~dst src] rewinds [dst] in place to the point [src] has
+    reached, whatever [dst] held before; later feeding or finalizing one
+    does not affect the other. Allocates nothing. Used to replay
+    precomputed key schedules. *)
+val restore : dst:ctx -> ctx -> unit
 
-(** Finish and return the digest. The context must not be reused. *)
+(** Finish and return the digest. The context must not be fed again
+    until a {!restore} rewinds it. *)
 val finalize : ctx -> digest
 
 (** One-shot hash. *)

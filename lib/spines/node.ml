@@ -140,6 +140,7 @@ type egress_state = { eq : inner Egress.t; mutable flush_event : Sim.Engine.even
 type t = {
   id : node_id;
   config : config;
+  auth_sched : Crypto.Hmac.schedule option; (* group-key HMAC schedule, built once *)
   host : Netbase.Host.t;
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
@@ -176,6 +177,7 @@ let create ~engine ~trace ~host ~id config =
     {
       id;
       config;
+      auth_sched = Option.map (fun key -> Crypto.Hmac.schedule ~key) config.group_key;
       host;
       engine;
       trace;
@@ -258,14 +260,14 @@ let encode_inner = function
         (String.concat "," (List.map string_of_int up_neighbors))
 
 let compute_auth t inner =
-  match t.config.group_key with
-  | Some key -> Crypto.Hmac.mac ~key (encode_inner inner)
+  match t.auth_sched with
+  | Some sched -> Crypto.Hmac.mac_sched sched (encode_inner inner)
   | None -> ""
 
 let auth_valid t ~auth inner =
-  match t.config.group_key with
+  match t.auth_sched with
   | None -> true (* an unkeyed daemon cannot check anything *)
-  | Some key -> Crypto.Hmac.verify ~key ~tag:auth (encode_inner inner)
+  | Some sched -> Crypto.Hmac.verify_sched sched ~tag:auth (encode_inner inner)
 
 let encode_session_inner = function
   | Sess_attach { sa_name } -> Printf.sprintf "sess-attach:%s" sa_name
@@ -275,10 +277,10 @@ let encode_session_inner = function
   | Sess_deliver { sd_origin; sd_seq; sd_size; _ } ->
       Printf.sprintf "sess-deliver:%d:%d:%d" sd_origin sd_seq sd_size
 
-let session_auth ~key inner = Crypto.Hmac.mac ~key (encode_session_inner inner)
+let session_auth sched inner = Crypto.Hmac.mac_sched sched (encode_session_inner inner)
 
-let session_auth_valid ~key ~auth inner =
-  Crypto.Hmac.verify ~key ~tag:auth (encode_session_inner inner)
+let session_auth_valid sched ~auth inner =
+  Crypto.Hmac.verify_sched sched ~tag:auth (encode_session_inner inner)
 
 (* --- link transmission -------------------------------------------------- *)
 
@@ -332,14 +334,14 @@ let frame_sub_overhead = 12
 let lsa_priority = 1000
 
 let frame_auth t header =
-  match t.config.group_key with
-  | Some key -> Crypto.Hmac.mac ~key ("frame:" ^ header)
+  match t.auth_sched with
+  | Some sched -> Crypto.Hmac.mac_list_sched sched [ "frame:"; header ]
   | None -> ""
 
 let frame_auth_valid t ~auth header =
-  match t.config.group_key with
+  match t.auth_sched with
   | None -> true
-  | Some key -> Crypto.Hmac.verify ~key ~tag:auth ("frame:" ^ header)
+  | Some sched -> Crypto.Hmac.verify_list_sched sched ~tag:auth [ "frame:"; header ]
 
 let meta_of_dst = function
   | To_client { node; client } -> Frame.M_client { node; client }
@@ -536,8 +538,8 @@ let deliver_local t (d : data) =
         (fun client_id c -> if List.mem g c.groups then deliver_to client_id c)
         t.clients
   | To_session name -> (
-      match (Hashtbl.find_opt t.sessions name, t.config.group_key) with
-      | Some entry, Some key
+      match (Hashtbl.find_opt t.sessions name, t.auth_sched) with
+      | Some entry, Some sched
         when Sim.Engine.now t.engine -. entry.sess_last_seen <= t.config.session_timeout ->
           Sim.Stats.Counter.incr t.counters "session.delivered";
           let inner =
@@ -547,7 +549,7 @@ let deliver_local t (d : data) =
           in
           Netbase.Host.udp_send t.host ~dst_ip:entry.sess_ip ~dst_port:entry.sess_port
             ~src_port:t.config.session_port ~size:(d.app_size + overhead_bytes)
-            (Session_wire { s_auth = session_auth ~key inner; s_inner = inner })
+            (Session_wire { s_auth = session_auth sched inner; s_inner = inner })
       | _ -> ())
 
 (* --- fairness (per-source rate limiting, IT mode) ------------------------ *)
@@ -747,9 +749,9 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
 
 (* Remote session clients: attach / send, over the session port. *)
 let receive_session t ~src payload =
-  match (payload, t.config.group_key) with
-  | Session_wire { s_auth; s_inner }, Some key ->
-      if not (session_auth_valid ~key ~auth:s_auth s_inner) then
+  match (payload, t.auth_sched) with
+  | Session_wire { s_auth; s_inner }, Some sched ->
+      if not (session_auth_valid sched ~auth:s_auth s_inner) then
         Sim.Stats.Counter.incr t.counters "session.auth_reject"
       else begin
         match s_inner with
@@ -772,7 +774,7 @@ let receive_session t ~src payload =
             Netbase.Host.udp_send t.host ~dst_ip:src.Netbase.Addr.ip
               ~dst_port:src.Netbase.Addr.port ~src_port:t.config.session_port
               ~size:overhead_bytes
-              (Session_wire { s_auth = session_auth ~key ack; s_inner = ack })
+              (Session_wire { s_auth = session_auth sched ack; s_inner = ack })
         | Sess_send { ss_name; ss_dst; ss_priority; ss_size; ss_payload } -> (
             match Hashtbl.find_opt t.sessions ss_name with
             | Some entry
@@ -866,7 +868,7 @@ module Session = struct
     engine : Sim.Engine.t;
     trace : Sim.Trace.t;
     host : Netbase.Host.t;
-    key : string;
+    sched : Crypto.Hmac.schedule; (* group-key HMAC schedule, built once *)
     daemons : (node_id * Netbase.Addr.Ip.t) array;
     daemon_session_port : int;
     local_port : int;
@@ -890,7 +892,7 @@ module Session = struct
       engine;
       trace;
       host;
-      key;
+      sched = Crypto.Hmac.schedule ~key;
       daemons = Array.of_list daemons;
       daemon_session_port;
       local_port;
@@ -921,7 +923,7 @@ module Session = struct
         (match inner with
         | Sess_send { ss_size; _ } -> ss_size + overhead_bytes
         | _ -> overhead_bytes)
-      (Session_wire { s_auth = session_auth ~key:s.key inner; s_inner = inner })
+      (Session_wire { s_auth = session_auth s.sched inner; s_inner = inner })
 
   let attach_tick s =
     let now = Sim.Engine.now s.engine in
@@ -943,7 +945,7 @@ module Session = struct
   let receive s payload =
     match payload with
     | Session_wire { s_auth; s_inner } ->
-        if not (session_auth_valid ~key:s.key ~auth:s_auth s_inner) then
+        if not (session_auth_valid s.sched ~auth:s_auth s_inner) then
           Sim.Stats.Counter.incr s.sess_counters "auth_reject"
         else begin
           match s_inner with

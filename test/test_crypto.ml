@@ -47,6 +47,23 @@ let test_sha256_padding_boundaries () =
         (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
     [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128; 129 ]
 
+(* Known answers at the padding boundaries, computed with Python's
+   hashlib. One-shot and streaming hashing share [finalize], so only
+   independent digests can catch a padding bug there. *)
+let test_sha256_boundary_known_answers () =
+  List.iter
+    (fun (n, expected) ->
+      let s = String.init n (fun i -> Char.chr (i mod 251)) in
+      check_str (Printf.sprintf "length %d" n) expected (Crypto.Sha256.hex_of_string s))
+    [
+      (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+    ]
+
 let prop_sha256_split_invariance =
   QCheck.Test.make ~count:300 ~name:"sha256 digest is split-invariant"
     QCheck.(pair (string_of_size Gen.(int_range 0 300)) (int_range 0 300))
@@ -169,22 +186,32 @@ let prop_merkle_tamper_detected =
       QCheck.assume (victim <> replacement);
       Crypto.Merkle.root leaves <> Crypto.Merkle.root (replacement :: List.tl leaves))
 
-(* --- incremental API: feed_bytes and ctx copy -------------------------- *)
+(* --- incremental API: feed_bytes and ctx restore ----------------------- *)
 
-let test_sha256_feed_bytes_and_copy () =
+let test_sha256_feed_bytes_and_restore () =
   let s = String.init 300 (fun i -> Char.chr (i mod 251)) in
+  let hex ctx = Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx) in
   let ctx = Crypto.Sha256.init () in
   Crypto.Sha256.feed_bytes ctx (Bytes.of_string (String.sub s 0 100));
-  (* A copy forks the stream: both continuations must be independent. *)
-  let fork = Crypto.Sha256.copy ctx in
+  (* A restored context forks the stream: both continuations must be
+     independent. The fork starts from a context holding other input. *)
+  let fork = Crypto.Sha256.init () in
+  Crypto.Sha256.feed_string fork "unrelated input";
+  let saved = Crypto.Sha256.init () in
+  Crypto.Sha256.restore ~dst:saved ctx;
+  Crypto.Sha256.restore ~dst:fork ctx;
   Crypto.Sha256.feed_string ctx (String.sub s 100 200);
   Crypto.Sha256.feed_string fork "different tail";
-  check_str "copied branch"
+  check_str "restored branch"
     (Crypto.Sha256.to_hex (Crypto.Sha256.digest (String.sub s 0 100 ^ "different tail")))
-    (Crypto.Sha256.to_hex (Crypto.Sha256.finalize fork));
-  check_str "original branch"
-    (Crypto.Sha256.to_hex (Crypto.Sha256.digest s))
-    (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx))
+    (hex fork);
+  check_str "original branch" (Crypto.Sha256.hex_of_string s) (hex ctx);
+  (* Rewinding a spent context replays the stream from the saved point. *)
+  Crypto.Sha256.restore ~dst:ctx saved;
+  Crypto.Sha256.feed_string ctx "x";
+  check_str "rewound spent context"
+    (Crypto.Sha256.hex_of_string (String.sub s 0 100 ^ "x"))
+    (hex ctx)
 
 let prop_hmac_schedule_equals_mac =
   QCheck.Test.make ~count:200 ~name:"hmac precomputed schedule equals one-shot mac"
@@ -194,6 +221,60 @@ let prop_hmac_schedule_equals_mac =
       let sched = Crypto.Hmac.schedule ~key in
       Crypto.Hmac.mac_sched sched msg = Crypto.Hmac.mac ~key msg
       && Crypto.Hmac.verify_sched sched ~tag:(Crypto.Hmac.mac ~key msg) msg)
+
+(* One schedule reused across an interleaving of MACs, list MACs and
+   verifies (some against wrong tags) must leave no state behind: every
+   tag equals a fresh one-shot MAC. Lengths cluster at the SHA-256
+   padding boundaries, where a stale buffer offset would show. *)
+type sched_op = Mac of string | Mac_list of string list | Verify of string * bool
+
+let boundary_string =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ 0; 55; 56; 63; 64; 119; 120 ] >>= fun n -> string_size (return n));
+        (1, string_size (int_range 0 130));
+      ])
+
+let sched_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun m -> Mac m) boundary_string);
+        (1, map (fun ps -> Mac_list ps) (list_size (int_range 0 4) boundary_string));
+        (2, map2 (fun m wrong -> Verify (m, wrong)) boundary_string bool);
+      ])
+
+let print_sched_op = function
+  | Mac m -> Printf.sprintf "Mac %d" (String.length m)
+  | Mac_list ps ->
+      Printf.sprintf "Mac_list [%s]"
+        (String.concat "; " (List.map (fun p -> string_of_int (String.length p)) ps))
+  | Verify (m, wrong) -> Printf.sprintf "Verify (%d, wrong=%b)" (String.length m) wrong
+
+let prop_hmac_schedule_reuse =
+  QCheck.Test.make ~count:200 ~name:"hmac schedule reuse leaks no state between calls"
+    QCheck.(
+      pair (string_of_size Gen.(int_range 0 80))
+        (make
+           ~print:(fun ops -> String.concat ", " (List.map print_sched_op ops))
+           Gen.(list_size (int_range 1 24) sched_op_gen)))
+    (fun (key, ops) ->
+      let sched = Crypto.Hmac.schedule ~key in
+      List.for_all
+        (function
+          | Mac m -> Crypto.Hmac.mac_sched sched m = Crypto.Hmac.mac ~key m
+          | Mac_list ps ->
+              Crypto.Hmac.mac_list_sched sched ps = Crypto.Hmac.mac ~key (String.concat "" ps)
+          | Verify (m, wrong) ->
+              let tag = Crypto.Hmac.mac ~key m in
+              let tag =
+                if wrong then
+                  String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) tag
+                else tag
+              in
+              Crypto.Hmac.verify_sched sched ~tag m = not wrong)
+        ops)
 
 (* Incremental leaf replacement must land on exactly the root a full
    rebuild produces — across sizes that exercise promoted odd nodes. *)
@@ -221,6 +302,7 @@ let suite =
     ("sha256 FIPS vectors", `Quick, test_sha256_vectors);
     ("sha256 million a", `Slow, test_sha256_million_a);
     ("sha256 padding boundaries", `Quick, test_sha256_padding_boundaries);
+    ("sha256 boundary known answers", `Quick, test_sha256_boundary_known_answers);
     ("hmac rfc4231 vectors", `Quick, test_hmac_rfc4231);
     ("hmac verify", `Quick, test_hmac_verify);
     ("signature roundtrip", `Quick, test_signature_roundtrip);
@@ -231,9 +313,10 @@ let suite =
     ("merkle single leaf", `Quick, test_merkle_single_leaf);
     ("merkle wrong leaf rejected", `Quick, test_merkle_wrong_leaf_rejected);
     ("merkle order matters", `Quick, test_merkle_root_depends_on_order);
-    ("sha256 feed_bytes and copy", `Quick, test_sha256_feed_bytes_and_copy);
+    ("sha256 feed_bytes and restore", `Quick, test_sha256_feed_bytes_and_restore);
     ("merkle set_leaf matches rebuild", `Quick, test_merkle_set_leaf_matches_rebuild);
     QCheck_alcotest.to_alcotest prop_hmac_schedule_equals_mac;
+    QCheck_alcotest.to_alcotest prop_hmac_schedule_reuse;
     QCheck_alcotest.to_alcotest prop_sha256_split_invariance;
     QCheck_alcotest.to_alcotest prop_sha256_injective_smoke;
     QCheck_alcotest.to_alcotest prop_hmac_mac_list;
