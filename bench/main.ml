@@ -778,227 +778,6 @@ let exp_e12 () =
   print_endline "  liveness while at most f replicas are faulty, and recovery liveness.";
   Obs.Json.Obj rows
 
-(* --- E14: Spines data plane ------------------------------------------------------------------- *)
-
-(* Probe payload carrying its send timestamp, for overlay latency. *)
-type Netbase.Packet.payload += Bench_probe of float
-
-type e14_overlay_row = {
-  ov_nodes : int;
-  ov_cache : bool;
-  ov_delivered : int;
-  ov_sent : int;
-  ov_dijkstra_per_delivered : float;
-  ov_dijkstra_per_link_send : float;
-  ov_link_sends_per_delivered : float;
-  ov_hop_p50_ms : float;
-  ov_hop_p99_ms : float;
-}
-
-(* Unicast-routed ring overlay (degenerate single node at n = 1): node 0
-   streams probes to a client on the far side; every daemon's counters
-   are summed afterwards. *)
-let e14_overlay_case ~n ~route_cache =
-  let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let switch = Netbase.Switch.create ~engine ~trace "bench-overlay" in
-  let topology =
-    if n = 1 then Spines.Topology.create ~nodes:[ 0 ] ~links:[]
-    else
-      Spines.Topology.create
-        ~nodes:(List.init n (fun i -> i))
-        ~links:(List.init n (fun i -> Spines.Topology.link i ((i + 1) mod n)))
-  in
-  let ip i = Netbase.Addr.Ip.v 10 0 0 (i + 1) in
-  let hosts =
-    Array.init n (fun i ->
-        let h = Netbase.Host.create ~engine ~trace (Printf.sprintf "ov%d" i) in
-        let nic = Netbase.Host.add_nic h ~ip:(ip i) in
-        let (_ : int) = Netbase.Host.plug_into_switch h nic switch in
-        h)
-  in
-  let nodes =
-    Array.init n (fun i ->
-        Spines.Node.create ~engine ~trace ~host:hosts.(i) ~id:i
-          (Spines.Node.default_config ~it_mode:false ~group_key:"bench-key" ~route_cache
-             topology))
-  in
-  Array.iteri
-    (fun i node ->
-      for j = 0 to n - 1 do
-        if i <> j then Spines.Node.set_peer_address node j (ip j)
-      done;
-      Spines.Node.start node)
-    nodes;
-  let dst = if n = 1 then 0 else n / 2 in
-  let hops = if n = 1 then 1 else n / 2 in
-  let lat = Sim.Stats.Summary.create () in
-  Spines.Node.register_client nodes.(dst) ~client:1 (fun ~src:_ ~size:_ payload ->
-      match payload with
-      | Bench_probe t0 -> Sim.Stats.Summary.add lat (Sim.Engine.now engine -. t0)
-      | _ -> ());
-  (* Let hellos settle before measuring. *)
-  Sim.Engine.run ~until:2.0 engine;
-  let sent = 400 in
-  for i = 0 to sent - 1 do
-    ignore
-      (Sim.Engine.schedule_at engine
-         ~time:(2.0 +. (0.005 *. float_of_int i))
-         (fun () ->
-           Spines.Node.send nodes.(0) ~client:0 ~size:64
-             (Spines.Node.To_client { node = dst; client = 1 })
-             (Bench_probe (Sim.Engine.now engine))))
-  done;
-  Sim.Engine.run ~until:6.0 engine;
-  Array.iter Spines.Node.stop nodes;
-  let total name =
-    Array.fold_left
-      (fun acc nd -> acc + Sim.Stats.Counter.get (Spines.Node.counters nd) name)
-      0 nodes
-  in
-  let delivered = Sim.Stats.Summary.count lat in
-  let per_delivered x = float_of_int x /. float_of_int (max 1 delivered) in
-  let link_tx = total "link.tx" in
-  {
-    ov_nodes = n;
-    ov_cache = route_cache;
-    ov_delivered = delivered;
-    ov_sent = sent;
-    ov_dijkstra_per_delivered = per_delivered (total "route.dijkstra");
-    ov_dijkstra_per_link_send =
-      float_of_int (total "route.dijkstra") /. float_of_int (max 1 link_tx);
-    ov_link_sends_per_delivered = per_delivered link_tx;
-    ov_hop_p50_ms = ms (Sim.Stats.Summary.median lat) /. float_of_int hops;
-    ov_hop_p99_ms = ms (Sim.Stats.Summary.percentile lat 99.0) /. float_of_int hops;
-  }
-
-type e14_deploy_row = {
-  dp_label : string;
-  dp_confirmed : int;
-  dp_issued : int;
-  dp_link_tx : int;
-  dp_link_tx_per_confirmed : float;
-  dp_egress_drops : int;
-  dp_mean_latency_ms : float;
-}
-
-(* Full Spire deployment under HMI command load plus proxy polling:
-   link-level sends per confirmed command, with frame coalescing on or
-   off. *)
-let e14_deployment_case ~coalescing =
-  let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let config = Prime.Config.create ~f:1 ~k:1 ~coalescing () in
-  let deployment = Spire.Deployment.create ~engine ~trace ~config mini_scenario in
-  Sim.Engine.run ~until:5.0 engine;
-  let hmi_bundle = (Spire.Deployment.hmis deployment).(0) in
-  let stats = Sim.Stats.Summary.create () in
-  Prime.Client.set_on_confirmed hmi_bundle.Spire.Deployment.h_client
-    (fun ~client_seq:_ ~latency -> Sim.Stats.Summary.add stats latency);
-  let issued = ref 0 in
-  let toggle = ref false in
-  let timer =
-    Sim.Engine.every engine ~period:0.1 (fun () ->
-        incr issued;
-        toggle := not !toggle;
-        ignore
-          (Scada.Hmi.command hmi_bundle.Spire.Deployment.h_hmi ~breaker:"B57" ~close:!toggle))
-  in
-  Sim.Engine.run ~until:25.0 engine;
-  Sim.Engine.cancel_timer engine timer;
-  Sim.Engine.run ~until:27.0 engine;
-  let replicas = Spire.Deployment.replicas deployment in
-  let spines_total name =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        + Sim.Stats.Counter.get (Spines.Node.counters r.Spire.Deployment.r_internal_node) name
-        + Sim.Stats.Counter.get (Spines.Node.counters r.Spire.Deployment.r_external_node) name)
-      0 replicas
-  in
-  let link_tx = spines_total "link.tx" in
-  let confirmed = Sim.Stats.Summary.count stats in
-  {
-    dp_label = (if coalescing then "coalescing on" else "coalescing off");
-    dp_confirmed = confirmed;
-    dp_issued = !issued;
-    dp_link_tx = link_tx;
-    dp_link_tx_per_confirmed = float_of_int link_tx /. float_of_int (max 1 confirmed);
-    dp_egress_drops = spines_total "egress.drop";
-    dp_mean_latency_ms = ms (Sim.Stats.Summary.mean stats);
-  }
-
-let exp_e14 () =
-  section "E14" "Spines data plane: route-cache amortization and link-frame coalescing";
-  let overlay_rows =
-    List.concat_map
-      (fun n ->
-        [ e14_overlay_case ~n ~route_cache:false; e14_overlay_case ~n ~route_cache:true ])
-      [ 1; 8; 32 ]
-  in
-  Printf.printf "  %-22s %9s %12s %12s %12s %10s %10s\n" "overlay (unicast)" "delivered"
-    "dijkstra/msg" "dijkstra/snd" "sends/msg" "hop p50" "hop p99";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-22s %5d/%-3d %12.3f %12.3f %12.2f %8.2fms %8.2fms\n"
-        (Printf.sprintf "%2d nodes, cache %s" r.ov_nodes (if r.ov_cache then "on" else "off"))
-        r.ov_delivered r.ov_sent r.ov_dijkstra_per_delivered r.ov_dijkstra_per_link_send
-        r.ov_link_sends_per_delivered r.ov_hop_p50_ms r.ov_hop_p99_ms)
-    overlay_rows;
-  let deploy_rows = [ e14_deployment_case ~coalescing:false; e14_deployment_case ~coalescing:true ] in
-  Printf.printf "\n  %-18s %10s %10s %12s %10s\n" "deployment" "confirmed" "link.tx"
-    "tx/confirmed" "mean(ms)";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-18s %6d/%-3d %10d %12.1f %10.1f\n" r.dp_label r.dp_confirmed
-        r.dp_issued r.dp_link_tx r.dp_link_tx_per_confirmed r.dp_mean_latency_ms)
-    deploy_rows;
-  let off = List.nth deploy_rows 0 and on = List.nth deploy_rows 1 in
-  let reduction = off.dp_link_tx_per_confirmed /. max 1e-9 on.dp_link_tx_per_confirmed in
-  Printf.printf "\n  Link sends per confirmed command: %.1f -> %.1f (%.2fx reduction).\n"
-    off.dp_link_tx_per_confirmed on.dp_link_tx_per_confirmed reduction;
-  print_endline "\n  With the epoch-keyed route cache, Dijkstra runs only when the live-link";
-  print_endline "  view changes (LSA/hello transitions) instead of once per forwarded packet;";
-  print_endline "  with frame coalescing, payloads flushed to the same neighbor inside one";
-  print_endline "  window cross the link as a single authenticated frame.";
-  let open Obs.Json in
-  Obj
-    [
-      ( "overlay",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("nodes", num_i r.ov_nodes);
-                   ("route_cache", Bool r.ov_cache);
-                   ("delivered", num_i r.ov_delivered);
-                   ("sent", num_i r.ov_sent);
-                   ("dijkstra_per_delivered", Num r.ov_dijkstra_per_delivered);
-                   ("dijkstra_per_link_send", Num r.ov_dijkstra_per_link_send);
-                   ("link_sends_per_delivered", Num r.ov_link_sends_per_delivered);
-                   ("hop_latency_p50_ms", Num r.ov_hop_p50_ms);
-                   ("hop_latency_p99_ms", Num r.ov_hop_p99_ms);
-                 ])
-             overlay_rows) );
-      ( "deployment",
-        Obj
-          (List.map
-             (fun r ->
-               ( r.dp_label,
-                 Obj
-                   [
-                     ("confirmed", num_i r.dp_confirmed);
-                     ("issued", num_i r.dp_issued);
-                     ("link_tx", num_i r.dp_link_tx);
-                     ("link_tx_per_confirmed", Num r.dp_link_tx_per_confirmed);
-                     ("egress_drops", num_i r.dp_egress_drops);
-                     ("mean_latency_ms", Num r.dp_mean_latency_ms);
-                   ] ))
-             deploy_rows) );
-      ("link_send_reduction_ratio", Num reduction);
-    ]
-
 (* --- E11: micro benches (Bechamel) ----------------------------------------------------------- *)
 
 let exp_micro () =
@@ -1254,13 +1033,12 @@ let run_e15_case ~checkpoint_interval ~down_s ~wiped ~label =
       0
       (Spire.Deployment.replicas deployment)
   in
-  let transfer_before, replayed_before =
-    match Spire.Deployment.durable deployment 0 with
-    | None -> (0, 0)
-    | Some d ->
-        ( Scada.Durable.transfer_bytes d,
-          Sim.Stats.Counter.get (Scada.Durable.counters d) "durable.recovered_records" )
+  let d0 = Spire.Deployment.durable deployment 0 in
+  let recovered_records () =
+    Sim.Stats.Counter.get (Scada.Durable.counters d0) "durable.recovered_records"
   in
+  let transfer_before = Scada.Durable.transfer_bytes d0 in
+  let replayed_before = recovered_records () in
   if wiped then Spire.Deployment.bring_up_replica_clean deployment 0
   else Spire.Deployment.bring_up_replica_intact deployment 0;
   let t0 = Sim.Engine.now engine in
@@ -1274,31 +1052,17 @@ let run_e15_case ~checkpoint_interval ~down_s ~wiped ~label =
   done;
   let catch_up = Sim.Engine.now engine -. t0 in
   Spire.Scenario_driver.stop driver;
-  let transfer_bytes, replayed, wal_bytes =
-    match Spire.Deployment.durable deployment 0 with
-    | None -> (0, 0, 0)
-    | Some d ->
-        ( Scada.Durable.transfer_bytes d - transfer_before,
-          Sim.Stats.Counter.get (Scada.Durable.counters d) "durable.recovered_records"
-          - replayed_before,
-          Store.Media.total_bytes (Scada.Durable.media d) )
-  in
-  let peer_fsyncs =
-    match Spire.Deployment.durable deployment 1 with
-    | None -> 0
-    | Some d ->
-        Sim.Stats.Counter.get (Store.Media.counters (Scada.Durable.media d)) "media.fsync"
-  in
+  let peer_media = Scada.Durable.media (Spire.Deployment.durable deployment 1) in
   {
     e15_label = label;
     e15_interval = checkpoint_interval;
     e15_down_s = down_s;
     e15_log_execs = frontier - exec_at_departure;
     e15_catch_up_s = catch_up;
-    e15_transfer_bytes = transfer_bytes;
-    e15_replayed = replayed;
-    e15_wal_bytes = wal_bytes;
-    e15_peer_fsyncs = peer_fsyncs;
+    e15_transfer_bytes = Scada.Durable.transfer_bytes d0 - transfer_before;
+    e15_replayed = recovered_records () - replayed_before;
+    e15_wal_bytes = Store.Media.total_bytes (Scada.Durable.media d0);
+    e15_peer_fsyncs = Sim.Stats.Counter.get (Store.Media.counters peer_media) "media.fsync";
     e15_rejoined = rejoined ();
   }
 
@@ -2332,7 +2096,6 @@ let experiments =
     ("e9", exp_e9);
     ("e10", exp_e10);
     ("e12", exp_e12);
-    ("e14", exp_e14);
     ("e15", exp_e15);
     ("e16", exp_e16);
     ("e17", exp_e17);

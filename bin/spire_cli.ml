@@ -42,50 +42,7 @@ let redteam_cmd =
 
 (* --- latency ------------------------------------------------------------------ *)
 
-(* Spines data-plane escape hatches, shared by latency/chaos. *)
-let no_route_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-route-cache" ]
-        ~doc:"Recompute Dijkstra next hops per packet instead of caching per view epoch.")
-
-let no_coalescing_arg =
-  Arg.(
-    value & flag
-    & info [ "no-coalescing" ]
-        ~doc:"Send every overlay payload as its own link message instead of coalescing frames.")
-
-let apply_data_plane ~no_route_cache ~no_coalescing (config : Prime.Config.t) =
-  let config =
-    if no_route_cache then { config with Prime.Config.route_cache = false } else config
-  in
-  if no_coalescing then { config with Prime.Config.coalescing = false } else config
-
-(* Durable-store escape hatches, parity with the data-plane flags
-   above. *)
-let no_durable_store_arg =
-  Arg.(
-    value & flag
-    & info [ "no-durable-store" ]
-        ~doc:"Run replicas without the durable store (no WAL, no authenticated checkpoints).")
-
-let checkpoint_interval_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "checkpoint-interval" ] ~docv:"N"
-        ~doc:"Executions between authenticated checkpoints (default from the deployment config).")
-
-let apply_store ~no_durable_store ~checkpoint_interval (config : Prime.Config.t) =
-  let config =
-    if no_durable_store then { config with Prime.Config.durable_store = false } else config
-  in
-  match checkpoint_interval with
-  | None -> config
-  | Some k -> { config with Prime.Config.checkpoint_interval = max 1 k }
-
-let latency samples poll gap no_route_cache no_coalescing no_durable_store
-    checkpoint_interval json_file =
+let latency samples poll gap json_file =
   let pr name stats completed =
     Printf.printf "%-24s %3d/%d samples  mean %7.1f ms  p50 %7.1f ms  p99 %7.1f ms\n" name
       completed samples
@@ -96,8 +53,6 @@ let latency samples poll gap no_route_cache no_coalescing no_durable_store
   let horizon = 5.0 +. (gap *. float_of_int (samples + 4)) in
   let engine, trace = fresh_world () in
   let config = Prime.Config.power_plant () in
-  let config = apply_data_plane ~no_route_cache ~no_coalescing config in
-  let config = apply_store ~no_durable_store ~checkpoint_interval config in
   let deployment =
     Spire.Deployment.create ~proxy_poll_period:poll ~engine ~trace ~config mini_scenario
   in
@@ -164,9 +119,7 @@ let latency_cmd =
   in
   Cmd.v
     (Cmd.info "latency" ~doc:"Measure breaker-flip-to-HMI reaction time (Section V).")
-    Term.(
-      const latency $ samples $ poll $ gap $ no_route_cache_arg
-      $ no_coalescing_arg $ no_durable_store_arg $ checkpoint_interval_arg $ json)
+    Term.(const latency $ samples $ poll $ gap $ json)
 
 (* --- plant -------------------------------------------------------------------- *)
 
@@ -315,11 +268,8 @@ let chaos_soak ~config ~duration ~load_period seeds =
         fs;
       1
 
-let chaos seed duration load_period soak no_route_cache no_coalescing
-    no_durable_store checkpoint_interval json_file =
+let chaos seed duration load_period soak json_file =
   let config = Prime.Config.power_plant () in
-  let config = apply_data_plane ~no_route_cache ~no_coalescing config in
-  let config = apply_store ~no_durable_store ~checkpoint_interval config in
   match soak with
   | Some seeds when seeds > 0 -> exit (chaos_soak ~config ~duration ~load_period seeds)
   | Some _ | None ->
@@ -400,9 +350,7 @@ let chaos_cmd =
        ~doc:
          "Run a seeded fault-injection scenario with continuous invariant checking; exits \
           non-zero on any violation.")
-    Term.(
-      const chaos $ seed $ duration $ load_period $ soak $ no_route_cache_arg
-      $ no_coalescing_arg $ no_durable_store_arg $ checkpoint_interval_arg $ json)
+    Term.(const chaos $ seed $ duration $ load_period $ soak $ json)
 
 (* --- monitor ------------------------------------------------------------------ *)
 

@@ -5,13 +5,12 @@
    each outgoing link transmission consults this module's shared fault
    state (partitioned links, lossy-link parameters) and draws from the
    chaos RNG, so the whole fault pattern replays from the chaos seed.
-   With frame coalescing enabled the daemon consults the injector at the
-   egress-queue boundary — one verdict per link frame — so a lossy link
-   drops or delays the coalesced payloads together, the way a real lossy
-   wire loses a datagram; with coalescing off the verdict stays
-   per-message. Replica faults use the deployment's proactive-recovery
-   entry points; leader faults re-use Prime's misbehaviour knobs on the
-   current leader. *)
+   The daemon consults the injector once per wire datagram — each hello
+   and each link frame leaving the egress queue — so a lossy link drops
+   or delays a frame's coalesced payloads together, the way a real lossy
+   wire loses a datagram. Replica faults use the deployment's
+   proactive-recovery entry points; leader faults re-use Prime's
+   misbehaviour knobs on the current leader. *)
 
 type lossy = { lp_drop : float; lp_duplicate : float; lp_delay_max : float }
 
@@ -106,17 +105,11 @@ let apply t (action : Fault.action) =
         t.crashed.(i) <- false
       end
   | Disk_tear i ->
-      Option.iter
-        (fun d -> ignore (Store.Media.tear_any (Scada.Durable.media d)))
-        (Spire.Deployment.durable t.deployment i)
+      ignore (Store.Media.tear_any (Scada.Durable.media (Spire.Deployment.durable t.deployment i)))
   | Disk_corrupt i ->
-      Option.iter
-        (fun d -> ignore (Store.Media.corrupt_any (Scada.Durable.media d)))
-        (Spire.Deployment.durable t.deployment i)
-  | Disk_wipe i ->
-      Option.iter
-        (fun d -> Scada.Durable.wipe_disk d)
-        (Spire.Deployment.durable t.deployment i)
+      ignore
+        (Store.Media.corrupt_any (Scada.Durable.media (Spire.Deployment.durable t.deployment i)))
+  | Disk_wipe i -> Scada.Durable.wipe_disk (Spire.Deployment.durable t.deployment i)
   | Partition links -> List.iter (fun l -> Hashtbl.replace t.partitioned (norm l) ()) links
   | Heal links -> List.iter (fun l -> Hashtbl.remove t.partitioned (norm l)) links
   | Lossy_link { link; drop; duplicate; delay_max } ->

@@ -31,7 +31,7 @@ type replica_bundle = {
   r_replica : Prime.Replica.t;
   r_master : Scada.Master.t;
   r_keypair : Crypto.Signature.keypair;
-  r_durable : Scada.Durable.t option;
+  r_durable : Scada.Durable.t option; (* always [Some]: every replica has a store *)
 }
 
 (* A field site speaks either Modbus (PLC) or DNP3 (RTU); the proxy
@@ -110,8 +110,7 @@ let power_net t = t.power_net
 
 let replicas t = t.replicas
 
-(* The durable store of replica [i] ([None] when [durable_store] is off). *)
-let durable t i = t.replicas.(i).r_durable
+let durable t i = Scada.Master.durable t.replicas.(i).r_master
 
 (* The most advanced view any running replica has reached. A cleanly
    restarted replica re-enters at view 0 and a crashed one's view is
@@ -193,15 +192,10 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
      and HMIs attach as remote session clients. *)
   let internal_topology = Spines.Topology.full_mesh (List.init n (fun i -> i)) in
   let external_topology = Spines.Topology.full_mesh (List.init n (fun i -> i)) in
-  (* Data-plane knobs (route cache, coalescing, egress bounds) follow the
-     Prime config so one escape hatch governs both overlays. *)
   let internal_config node_key =
     {
       (Spines.Node.default_config ~port:Addressing.spines_internal_port ~it_mode:true
-         ~group_key:node_key ~route_cache:config.Prime.Config.route_cache
-         ~coalescing:config.Prime.Config.coalescing
-         ~egress_capacity:config.Prime.Config.egress_capacity
-         ~coalesce_window:config.Prime.Config.coalesce_window internal_topology)
+         ~group_key:node_key internal_topology)
       with
       Spines.Node.hello_period = 1.0;
       hello_timeout = 3.5;
@@ -211,10 +205,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
     {
       (Spines.Node.default_config ~port:Addressing.spines_external_port
          ~session_port:Addressing.spines_session_port ~it_mode:true ~group_key:node_key
-         ~route_cache:config.Prime.Config.route_cache
-         ~coalescing:config.Prime.Config.coalescing
-         ~egress_capacity:config.Prime.Config.egress_capacity
-         ~coalesce_window:config.Prime.Config.coalesce_window external_topology)
+         external_topology)
       with
       Spines.Node.hello_period = 1.0;
       hello_timeout = 3.5;
@@ -435,27 +426,15 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
                     (Spines.Node.To_session endpoint) payload);
           }
         in
-        let master =
-          Scada.Master.create ~engine ~trace ~keystore ~keypair:replica_keypairs.(i) ~config
-            ~replica ~scenario ~net
-        in
         (* Simulated durable device per replica machine: its RNG is a
            split stream so disk fault draws never perturb the rest of the
            simulation. *)
-        let durable =
-          if config.Prime.Config.durable_store then begin
-            let media =
-              Store.Media.create ~rng:(Sim.Engine.split_rng engine)
-                (Printf.sprintf "disk-%d" i)
-            in
-            let d =
-              Scada.Durable.create ~keystore ~keypair:replica_keypairs.(i) ~config ~replica
-                ~state:(Scada.Master.state master) ~media
-            in
-            Scada.Master.attach_durable master d;
-            Some d
-          end
-          else None
+        let media =
+          Store.Media.create ~rng:(Sim.Engine.split_rng engine) (Printf.sprintf "disk-%d" i)
+        in
+        let master =
+          Scada.Master.create ~engine ~trace ~keystore ~keypair:replica_keypairs.(i) ~config
+            ~replica ~scenario ~media ~net
         in
         for j = 0 to n_hmis - 1 do
           Scada.Master.register_hmi master (Printf.sprintf "hmi-%d" j)
@@ -486,7 +465,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
           r_replica = replica;
           r_master = master;
           r_keypair = replica_keypairs.(i);
-          r_durable = durable;
+          r_durable = Some (Scada.Master.durable master);
         })
   in
   (* --- proxies, PLCs, breakers --- *)
@@ -655,7 +634,7 @@ let take_down_replica t i =
   let r = t.replicas.(i) in
   Prime.Replica.shutdown r.r_replica;
   (* Power loss on the machine: the device drops its unsynced tails. *)
-  Option.iter Scada.Durable.on_crash r.r_durable;
+  Scada.Durable.on_crash (Scada.Master.durable r.r_master);
   Spines.Node.stop r.r_internal_node;
   Spines.Node.stop r.r_external_node
 
@@ -665,28 +644,24 @@ let bring_up_replica_clean t i =
   Spines.Node.start r.r_external_node;
   (* A clean (diverse-variant) reinstall wipes the machine's disk too:
      the replica rejoins with nothing and relies on state transfer. *)
-  Option.iter Scada.Durable.wipe_disk r.r_durable;
+  Scada.Durable.wipe_disk (Scada.Master.durable r.r_master);
   Scada.State.reset (Scada.Master.state r.r_master);
   Prime.Replica.restart_clean r.r_replica;
   Netbase.Host.set_compromise r.r_host Netbase.Host.Clean
 
 (* Restart that keeps the machine's disk: replay the durable state and
    rejoin from it, leaning on Prime catchup only for the suffix past the
-   last durable execution boundary. Falls back to the clean path when the
-   device holds nothing installable (or the store is disabled). *)
+   last durable execution boundary. When the device holds nothing
+   installable the replica rejoins as a clean one does, through the
+   f + 1-voted state transfer. *)
 let bring_up_replica_intact t i =
-  match t.replicas.(i).r_durable with
-  | None -> bring_up_replica_clean t i
-  | Some d ->
-      let r = t.replicas.(i) in
-      Spines.Node.start r.r_internal_node;
-      Spines.Node.start r.r_external_node;
-      Scada.State.reset (Scada.Master.state r.r_master);
-      Prime.Replica.restart_clean r.r_replica;
-      if not (Scada.Durable.local_recover d) then
-        (* Nothing durable: equivalent to a clean rejoin. *)
-        ();
-      Netbase.Host.set_compromise r.r_host Netbase.Host.Clean
+  let r = t.replicas.(i) in
+  Spines.Node.start r.r_internal_node;
+  Spines.Node.start r.r_external_node;
+  Scada.State.reset (Scada.Master.state r.r_master);
+  Prime.Replica.restart_clean r.r_replica;
+  ignore (Scada.Durable.local_recover (Scada.Master.durable r.r_master) : bool);
+  Netbase.Host.set_compromise r.r_host Netbase.Host.Clean
 
 (* Ground-truth rebuild after an assumption breach (Section III-A): every
    master resets; replication restarts from scratch; the proxies' polling
@@ -696,7 +671,7 @@ let ground_truth_reset t =
     (fun r ->
       Prime.Replica.shutdown r.r_replica;
       (* Post-breach, pre-breach durable state is untrusted by design. *)
-      Option.iter Scada.Durable.wipe_disk r.r_durable;
+      Scada.Durable.wipe_disk (Scada.Master.durable r.r_master);
       Scada.Master.ground_truth_reset r.r_master)
     t.replicas;
   Array.iter

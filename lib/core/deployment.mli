@@ -29,7 +29,7 @@ type replica_bundle = {
   r_replica : Prime.Replica.t;
   r_master : Scada.Master.t;
   r_keypair : Crypto.Signature.keypair;
-  r_durable : Scada.Durable.t option;  (** [None] when [durable_store] is off *)
+  r_durable : Scada.Durable.t option;  (** always [Some]: every replica has a store *)
 }
 
 type proxy_bundle = {
@@ -92,9 +92,8 @@ val power_net : t -> Power.Net.t
 
 val replicas : t -> replica_bundle array
 
-(** The durable store of replica [i] ([None] when [durable_store] is
-    off). *)
-val durable : t -> int -> Scada.Durable.t option
+(** The durable store of replica [i]. *)
+val durable : t -> int -> Scada.Durable.t
 
 (** The most advanced view any running replica has reached (a cleanly
     restarted replica re-enters at view 0, so this is the authoritative
@@ -137,8 +136,8 @@ val bring_up_replica_clean : t -> int -> unit
 
 (** Restart that keeps the machine's disk: recover the durable state
     locally (checkpoint + WAL replay) and rely on Prime catchup only for
-    the suffix. Falls back to the clean path when the store is disabled
-    or the device holds nothing installable. *)
+    the suffix. When the device holds nothing installable the replica
+    rejoins through state transfer, as a clean one does. *)
 val bring_up_replica_intact : t -> int -> unit
 
 (** Section III-A assumption-breach recovery: every master resets,

@@ -18,11 +18,6 @@ type t = {
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
   reconcile_period : float; (* missing-update re-request interval *)
   log_retention : int; (* ordered-log entries kept for catchup *)
-  route_cache : bool; (* Spines: cache next-hop tables per view epoch *)
-  coalescing : bool; (* Spines: pack same-neighbor payloads into one frame *)
-  egress_capacity : int; (* Spines: per-neighbor egress queue bound *)
-  coalesce_window : float; (* Spines: egress flush window, seconds *)
-  durable_store : bool; (* WAL + authenticated checkpoints per replica *)
   checkpoint_interval : int; (* executions between durable checkpoints *)
   wal_segment_size : int; (* bytes per WAL segment before rotation *)
   fsync_every : int; (* WAL appends between durability points *)
@@ -30,14 +25,10 @@ type t = {
 
 let create ?(f = 1) ?(k = 0) ?(delta_pp = 0.03) ?(summary_period = 0.01)
     ?(heartbeat_period = 0.5) ?(tat_check_period = 0.25) ?(tat_allowance = 0.25)
-    ?(reconcile_period = 0.1) ?(log_retention = 1000) ?(route_cache = true)
-    ?(coalescing = true) ?(egress_capacity = 256) ?(coalesce_window = 0.0005)
-    ?(durable_store = true) ?(checkpoint_interval = 64) ?(wal_segment_size = 64 * 1024)
-    ?(fsync_every = 8) () =
+    ?(reconcile_period = 0.1) ?(log_retention = 1000) ?(checkpoint_interval = 64)
+    ?(wal_segment_size = 64 * 1024) ?(fsync_every = 8) () =
   if f < 1 then invalid_arg "Config.create: f must be >= 1";
   if k < 0 then invalid_arg "Config.create: k must be >= 0";
-  if egress_capacity < 1 then invalid_arg "Config.create: egress_capacity must be >= 1";
-  if coalesce_window < 0.0 then invalid_arg "Config.create: coalesce_window must be >= 0";
   if checkpoint_interval < 1 then invalid_arg "Config.create: checkpoint_interval must be >= 1";
   if wal_segment_size < 64 then invalid_arg "Config.create: wal_segment_size must be >= 64";
   if fsync_every < 1 then invalid_arg "Config.create: fsync_every must be >= 1";
@@ -53,11 +44,6 @@ let create ?(f = 1) ?(k = 0) ?(delta_pp = 0.03) ?(summary_period = 0.01)
     tat_allowance;
     reconcile_period;
     log_retention;
-    route_cache;
-    coalescing;
-    egress_capacity;
-    coalesce_window;
-    durable_store;
     checkpoint_interval;
     wal_segment_size;
     fsync_every;

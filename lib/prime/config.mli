@@ -14,18 +14,13 @@ type t = {
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
   reconcile_period : float; (* missing-update re-request interval *)
   log_retention : int; (* ordered-log entries kept for catchup *)
-  route_cache : bool; (* Spines: cache next-hop tables per view epoch *)
-  coalescing : bool; (* Spines: pack same-neighbor payloads into one frame *)
-  egress_capacity : int; (* Spines: per-neighbor egress queue bound *)
-  coalesce_window : float; (* Spines: egress flush window, seconds *)
-  durable_store : bool; (* WAL + authenticated checkpoints per replica *)
   checkpoint_interval : int; (* executions between durable checkpoints *)
   wal_segment_size : int; (* bytes per WAL segment before rotation *)
   fsync_every : int; (* WAL appends between durability points *)
 }
 
 (** Raises [Invalid_argument] for f < 1 or k < 0 (and on out-of-range
-    egress/store knobs). *)
+    store knobs). *)
 val create :
   ?f:int ->
   ?k:int ->
@@ -36,11 +31,6 @@ val create :
   ?tat_allowance:float ->
   ?reconcile_period:float ->
   ?log_retention:int ->
-  ?route_cache:bool ->
-  ?coalescing:bool ->
-  ?egress_capacity:int ->
-  ?coalesce_window:float ->
-  ?durable_store:bool ->
   ?checkpoint_interval:int ->
   ?wal_segment_size:int ->
   ?fsync_every:int ->

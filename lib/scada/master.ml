@@ -28,7 +28,7 @@ type t = {
   mutable transfer_timer : Sim.Engine.timer option;
   counters : Sim.Stats.Counter.t;
   mutable on_apply : (exec_seq:int -> Op.t -> unit) list;
-  mutable durable : Durable.t option;
+  durable : Durable.t;
 }
 
 let id t = Prime.Replica.id t.replica
@@ -42,8 +42,6 @@ let register_hmi t endpoint =
     t.hmi_endpoints <- endpoint :: t.hmi_endpoints
 
 let on_apply t f = t.on_apply <- f :: t.on_apply
-
-let attach_durable t d = t.durable <- Some d
 
 let durable t = t.durable
 
@@ -148,11 +146,10 @@ let reply_vote_key ~state_blob ~next_exec_pp ~exec_seq ~cursor ~client_seqs =
           ~client_seqs))
 
 let send_state_reply t =
-  (* Durable-store path: serve the latest authenticated checkpoint — the
-     requester votes by its Merkle root and replays forward from there.
-     Without a checkpoint yet (young run, store disabled) fall back to
-     the full App_state_reply. *)
-  match Option.bind t.durable Durable.latest_checkpoint with
+  (* Serve the latest authenticated checkpoint — the requester votes by
+     its Merkle root and replays forward from there. Without a checkpoint
+     yet (young run) fall back to the full App_state_reply. *)
+  match Durable.latest_checkpoint t.durable with
   | Some ck ->
       let vote = Messages.encode_checkpoint_reply ~rep:(id t) ~root:ck.Store.Checkpoint.ck_root in
       let msg =
@@ -224,9 +221,9 @@ let finish_state_transfer t (reply : Messages.t) =
       | Ok () ->
           Prime.Replica.install_app_checkpoint t.replica ~next_exec_pp ~exec_seq ~cursor
             ~client_seqs;
-          (* The local log, if any, precedes this install point; rebase
-             it so recovery never replays across the jump. *)
-          Option.iter (fun d -> Durable.rebase d ~next_exec_pp ~exec_seq ~cursor) t.durable;
+          (* The local log precedes this install point; rebase it so
+             recovery never replays across the jump. *)
+          Durable.rebase t.durable ~next_exec_pp ~exec_seq ~cursor;
           transfer_done t ~exec_seq;
           true
       | Error e ->
@@ -235,29 +232,7 @@ let finish_state_transfer t (reply : Messages.t) =
           false)
   | Messages.Checkpoint_reply { ckr_ck = ck; _ } -> (
       let exec_seq = ck.Store.Checkpoint.ck_exec_seq in
-      let install_result =
-        match t.durable with
-        | Some d -> Durable.install_from_peer d ck
-        | None -> (
-            (* Store disabled locally: adopt the checkpoint's state
-               without persisting it — but still bind the blob to the
-               f+1-voted app root first; the vote never covered the
-               blob bytes the sender attached. *)
-            match State.root_of_blob t.state ck.Store.Checkpoint.ck_app_state with
-            | Error _ as e -> e
-            | Ok root when not (String.equal root ck.Store.Checkpoint.ck_app_root) ->
-                Error "state blob does not match voted app root"
-            | Ok _ -> (
-                match State.load t.state ck.Store.Checkpoint.ck_app_state with
-                | Error _ as e -> e
-                | Ok () ->
-                    Prime.Replica.install_app_checkpoint t.replica
-                      ~next_exec_pp:ck.Store.Checkpoint.ck_next_exec_pp ~exec_seq
-                      ~cursor:ck.Store.Checkpoint.ck_cursor
-                      ~client_seqs:ck.Store.Checkpoint.ck_client_seqs;
-                    Ok ()))
-      in
-      match install_result with
+      match Durable.install_from_peer t.durable ck with
       | Ok () ->
           transfer_done t ~exec_seq;
           true
@@ -356,7 +331,8 @@ let ground_truth_reset t =
   | None -> ());
   Sim.Stats.Counter.incr t.counters "ground_truth_reset"
 
-let create ~engine ~trace ~keystore ~keypair ~config ~replica ~scenario ~net =
+let create ~engine ~trace ~keystore ~keypair ~config ~replica ~scenario ~media ~net =
+  let state = State.create scenario in
   let t =
     {
       engine;
@@ -365,7 +341,7 @@ let create ~engine ~trace ~keystore ~keypair ~config ~replica ~scenario ~net =
       keypair;
       config;
       replica;
-      state = State.create scenario;
+      state;
       net;
       hmi_endpoints = [];
       awaiting_transfer = false;
@@ -373,7 +349,7 @@ let create ~engine ~trace ~keystore ~keypair ~config ~replica ~scenario ~net =
       transfer_timer = None;
       counters = Sim.Stats.Counter.create ();
       on_apply = [];
-      durable = None;
+      durable = Durable.create ~keystore ~keypair ~config ~replica ~state ~media;
     }
   in
   Prime.Replica.set_app replica

@@ -10,6 +10,8 @@ type net = {
 
 type t
 
+(** [media] is the replica machine's durable device; the master keeps
+    its {!Durable.t} there. *)
 val create :
   engine:Sim.Engine.t ->
   trace:Sim.Trace.t ->
@@ -18,6 +20,7 @@ val create :
   config:Prime.Config.t ->
   replica:Prime.Replica.t ->
   scenario:Plc.Power.scenario ->
+  media:Store.Media.t ->
   net:net ->
   t
 
@@ -33,12 +36,10 @@ val register_hmi : t -> string -> unit
 (** Observer invoked on every applied operation (historian feed, tests). *)
 val on_apply : t -> (exec_seq:int -> Op.t -> unit) -> unit
 
-(** Bind the replica's durable store: state-transfer replies then serve
-    the latest authenticated checkpoint, and accepted peer checkpoints
+(** The replica's durable store on [media]: state-transfer replies serve
+    its latest authenticated checkpoint, and accepted peer checkpoints
     are installed through it. *)
-val attach_durable : t -> Durable.t -> unit
-
-val durable : t -> Durable.t option
+val durable : t -> Durable.t
 
 (** Handle a SCADA-level payload from the network (state-transfer
     requests/replies from peer masters). *)

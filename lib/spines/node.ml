@@ -36,20 +36,27 @@ type data = {
   app_payload : Netbase.Packet.payload;
 }
 
-type inner =
-  | Data of data
+(* Link-level liveness probes: the only messages sent on their own, one
+   HMAC each. *)
+type link_inner =
   | Hello of { hfrom : node_id; hseq : int }
   | Hello_ack of { afrom : node_id; hseq : int }
+
+(* Data and LSAs always leave through the per-neighbor egress queue, in
+   a coalesced frame. *)
+type frame_inner =
+  | Data of data
   | Lsa of { lsa_origin : node_id; lsa_seq : int; up_neighbors : node_id list }
 
-type Netbase.Packet.payload += Link_msg of { auth : string; encrypted : bool; inner : inner }
+type Netbase.Packet.payload +=
+  | Link_msg of { auth : string; encrypted : bool; inner : link_inner }
 
 (* A coalesced frame: several payloads for the same neighbor under one
    HMAC. [fr_header] is the Wire-encoded manifest ({!Frame}); the
    receiver authenticates the frame, decodes the manifest, and checks it
    against [fr_inners] before handling anything. *)
 type Netbase.Packet.payload +=
-  | Link_frame of { fr_auth : string; fr_header : string; fr_inners : inner list }
+  | Link_frame of { fr_auth : string; fr_header : string; fr_inners : frame_inner list }
 
 (* Client-to-daemon session protocol (the real Spines' remote client
    sessions): attach with a name, send into the overlay, receive
@@ -88,18 +95,16 @@ type config = {
   source_rate_limit : float; (* data msgs/s accepted per origin in IT mode *)
   session_timeout : float; (* attachment freshness bound *)
   dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
-  route_cache : bool; (* cache next-hop tables per view epoch *)
-  coalescing : bool; (* pack same-neighbor payloads into one link frame *)
-  egress_capacity : int; (* per-neighbor egress queue bound, messages *)
-  coalesce_window : float; (* egress flush window, seconds *)
 }
 
+(* Per-neighbor egress queue bound (messages) and coalescing flush
+   window (seconds). *)
+let egress_bound = 256
+
+let flush_window = 0.0005
+
 let default_config ?(port = 8100) ?session_port ?(it_mode = true) ?group_key
-    ?(dedup_window = 4096) ?(route_cache = true) ?(coalescing = true)
-    ?(egress_capacity = 256) ?(coalesce_window = 0.0005) topology =
-  if egress_capacity < 1 then invalid_arg "Node.default_config: egress_capacity must be >= 1";
-  if coalesce_window < 0.0 then
-    invalid_arg "Node.default_config: coalesce_window must be >= 0";
+    ?(dedup_window = 4096) topology =
   {
     topology;
     port;
@@ -111,10 +116,6 @@ let default_config ?(port = 8100) ?session_port ?(it_mode = true) ?group_key
     source_rate_limit = 2000.0;
     session_timeout = 5.0;
     dedup_window;
-    route_cache;
-    coalescing;
-    egress_capacity;
-    coalesce_window;
   }
 
 type client = {
@@ -135,7 +136,7 @@ let no_fault = { fd_drop = false; fd_duplicate = false; fd_delay = 0.0 }
 
 (* Per-neighbor egress: the bounded priority queue plus the pending
    flush event for the current coalesce window, if any. *)
-type egress_state = { eq : inner Egress.t; mutable flush_event : Sim.Engine.event_id option }
+type egress_state = { eq : frame_inner Egress.t; mutable flush_event : Sim.Engine.event_id option }
 
 type t = {
   id : node_id;
@@ -249,25 +250,19 @@ let encode_dst = function
   | To_group g -> Printf.sprintf "g:%s" g
   | To_session name -> Printf.sprintf "s:%s" name
 
-let encode_inner = function
-  | Data d ->
-      Printf.sprintf "data:%d:%d:%d:%s:%d:%d" d.origin d.origin_client d.data_seq
-        (encode_dst d.dst) d.priority d.app_size
+let encode_link_inner = function
   | Hello { hfrom; hseq } -> Printf.sprintf "hello:%d:%d" hfrom hseq
   | Hello_ack { afrom; hseq } -> Printf.sprintf "ack:%d:%d" afrom hseq
-  | Lsa { lsa_origin; lsa_seq; up_neighbors } ->
-      Printf.sprintf "lsa:%d:%d:%s" lsa_origin lsa_seq
-        (String.concat "," (List.map string_of_int up_neighbors))
 
 let compute_auth t inner =
   match t.auth_sched with
-  | Some sched -> Crypto.Hmac.mac_sched sched (encode_inner inner)
+  | Some sched -> Crypto.Hmac.mac_sched sched (encode_link_inner inner)
   | None -> ""
 
 let auth_valid t ~auth inner =
   match t.auth_sched with
   | None -> true (* an unkeyed daemon cannot check anything *)
-  | Some sched -> Crypto.Hmac.verify_sched sched ~tag:auth (encode_inner inner)
+  | Some sched -> Crypto.Hmac.verify_sched sched ~tag:auth (encode_link_inner inner)
 
 let encode_session_inner = function
   | Sess_attach { sa_name } -> Printf.sprintf "sess-attach:%s" sa_name
@@ -284,23 +279,22 @@ let session_auth_valid sched ~auth inner =
 
 (* --- link transmission -------------------------------------------------- *)
 
-let inner_size = function
-  | Data d -> d.app_size + overhead_bytes
-  | Hello _ | Hello_ack _ -> overhead_bytes
-  | Lsa _ -> overhead_bytes + 32
-
-(* Named rather than a local closure: the no-fault fast path below calls
-   it directly, so a steady-state link send allocates no thunk. *)
-let transmit_link t ~ip inner =
-  let msg =
-    Link_msg { auth = compute_auth t inner; encrypted = t.config.group_key <> None; inner }
-  in
+let transmit t ~ip ~size payload =
   Sim.Stats.Counter.incr t.counters "link.tx";
   Obs.Registry.incr Obs.Registry.default "spines.link.tx";
-  Netbase.Host.udp_send t.host ~dst_ip:ip ~dst_port:t.config.port ~src_port:t.config.port
-    ~size:(inner_size inner) msg
+  (match payload with
+  | Link_frame { fr_inners; _ } ->
+      Obs.Registry.observe Obs.Registry.default "spines.frame.msgs"
+        (float_of_int (List.length fr_inners))
+  | _ -> ());
+  Netbase.Host.udp_send t.host ~dst_ip:ip ~dst_port:t.config.port ~src_port:t.config.port ~size
+    payload
 
-let send_link t ~to_ inner =
+(* Fault injection sits at the wire boundary: one verdict per hello or
+   per frame, so a lossy link drops or delays a frame's coalesced
+   payloads together, as a real lossy wire loses a datagram. The
+   no-fault path calls [transmit] directly and allocates no thunk. *)
+let send_wire t ~to_ ~size payload =
   match Hashtbl.find_opt t.peer_addrs to_ with
   | None -> Sim.Stats.Counter.incr t.counters "link.no_address"
   | Some ip ->
@@ -315,14 +309,18 @@ let send_link t ~to_ inner =
           Sim.Stats.Counter.incr t.counters "chaos.delayed";
           ignore
             (Sim.Engine.schedule t.engine ~delay:d.fd_delay (fun () ->
-                 transmit_link t ~ip inner))
+                 transmit t ~ip ~size payload))
         end
-        else transmit_link t ~ip inner;
+        else transmit t ~ip ~size payload;
         if d.fd_duplicate then begin
           Sim.Stats.Counter.incr t.counters "chaos.duplicated";
-          transmit_link t ~ip inner
+          transmit t ~ip ~size payload
         end
       end
+
+let send_link t ~to_ inner =
+  send_wire t ~to_ ~size:overhead_bytes
+    (Link_msg { auth = compute_auth t inner; encrypted = t.config.group_key <> None; inner })
 
 (* --- coalesced frames ---------------------------------------------------- *)
 
@@ -348,82 +346,45 @@ let meta_of_dst = function
   | To_group g -> Frame.M_group g
   | To_session s -> Frame.M_session s
 
-(* Hellos never enter the egress queue, so every coalesced sub-message
-   has a manifest entry. *)
 let meta_of_inner = function
   | Data d ->
-      Some
-        (Frame.M_data
-           {
-             origin = d.origin;
-             origin_client = d.origin_client;
-             data_seq = d.data_seq;
-             dst = meta_of_dst d.dst;
-             priority = d.priority;
-             app_size = d.app_size;
-           })
+      Frame.M_data
+        {
+          origin = d.origin;
+          origin_client = d.origin_client;
+          data_seq = d.data_seq;
+          dst = meta_of_dst d.dst;
+          priority = d.priority;
+          app_size = d.app_size;
+        }
   | Lsa { lsa_origin; lsa_seq; up_neighbors } ->
-      Some (Frame.M_lsa { origin = lsa_origin; seq = lsa_seq; up_neighbors })
-  | Hello _ | Hello_ack _ -> None
+      Frame.M_lsa { origin = lsa_origin; seq = lsa_seq; up_neighbors }
 
 let rec metas_match metas inners =
   match (metas, inners) with
   | [], [] -> true
-  | m :: ms, i :: is -> (
-      match meta_of_inner i with
-      | Some mi -> mi = m && metas_match ms is
-      | None -> false)
+  | m :: ms, i :: is -> m = meta_of_inner i && metas_match ms is
   | _, _ -> false
 
-(* Named for the same reason as [transmit_link]: the no-fault fast path
-   transmits without allocating a thunk. *)
-let transmit_frame t ~ip ~size ~header inners =
-  Sim.Stats.Counter.incr t.counters "link.tx";
-  Obs.Registry.incr Obs.Registry.default "spines.link.tx";
-  Obs.Registry.observe Obs.Registry.default "spines.frame.msgs"
-    (float_of_int (List.length inners));
-  Netbase.Host.udp_send t.host ~dst_ip:ip ~dst_port:t.config.port ~src_port:t.config.port
-    ~size
-    (Link_frame { fr_auth = frame_auth t header; fr_header = header; fr_inners = inners })
+let payload_size = function Data d -> d.app_size | Lsa _ -> 32
 
 let send_frame t ~to_ inners =
-  match Hashtbl.find_opt t.peer_addrs to_ with
-  | None -> Sim.Stats.Counter.incr t.counters "link.no_address"
-  | Some ip ->
-      let header = Frame.encode_header (List.filter_map meta_of_inner inners) in
-      (* The red team's corrupt-frames exploit: ship a frame whose HMAC
-         covers a truncated manifest, so it passes authentication and
-         must be caught by the decode path. *)
-      let header =
-        match t.exploit with
-        | Some "corrupt-frames" -> String.sub header 0 (String.length header - 1)
-        | _ -> header
-      in
-      let size =
-        List.fold_left
-          (fun acc i -> acc + (inner_size i - overhead_bytes) + frame_sub_overhead)
-          overhead_bytes inners
-      in
-      (* Fault injection moves to the queue boundary: one verdict per
-         frame, so a lossy link drops/delays coalesced payloads together
-         (as a real lossy wire would). *)
-      let d =
-        match t.fault_injector with None -> no_fault | Some inject -> inject ~peer:to_
-      in
-      if d.fd_drop then Sim.Stats.Counter.incr t.counters "chaos.dropped"
-      else begin
-        if d.fd_delay > 0.0 then begin
-          Sim.Stats.Counter.incr t.counters "chaos.delayed";
-          ignore
-            (Sim.Engine.schedule t.engine ~delay:d.fd_delay (fun () ->
-                 transmit_frame t ~ip ~size ~header inners))
-        end
-        else transmit_frame t ~ip ~size ~header inners;
-        if d.fd_duplicate then begin
-          Sim.Stats.Counter.incr t.counters "chaos.duplicated";
-          transmit_frame t ~ip ~size ~header inners
-        end
-      end
+  let header = Frame.encode_header (List.map meta_of_inner inners) in
+  (* The red team's corrupt-frames exploit: ship a frame whose HMAC
+     covers a truncated manifest, so it passes authentication and must
+     be caught by the decode path. *)
+  let header =
+    match t.exploit with
+    | Some "corrupt-frames" -> String.sub header 0 (String.length header - 1)
+    | _ -> header
+  in
+  let size =
+    List.fold_left
+      (fun acc i -> acc + payload_size i + frame_sub_overhead)
+      overhead_bytes inners
+  in
+  send_wire t ~to_ ~size
+    (Link_frame { fr_auth = frame_auth t header; fr_header = header; fr_inners = inners })
 
 (* --- egress scheduling ----------------------------------------------------- *)
 
@@ -431,7 +392,7 @@ let egress_for t peer =
   match Hashtbl.find_opt t.egress peer with
   | Some es -> es
   | None ->
-      let es = { eq = Egress.create ~capacity:t.config.egress_capacity (); flush_event = None } in
+      let es = { eq = Egress.create ~capacity:egress_bound (); flush_event = None } in
       Hashtbl.replace t.egress peer es;
       es
 
@@ -447,26 +408,23 @@ let schedule_flush t to_ es =
   | None ->
       es.flush_event <-
         Some
-          (Sim.Engine.schedule t.engine ~delay:t.config.coalesce_window (fun () ->
+          (Sim.Engine.schedule t.engine ~delay:flush_window (fun () ->
                flush_egress t to_ es))
 
 let enqueue_link t ~to_ ~prio ~origin inner =
-  if not t.config.coalescing then send_link t ~to_ inner
-  else begin
-    let es = egress_for t to_ in
-    let before = Egress.drops es.eq in
-    ignore (Egress.enqueue es.eq ~prio ~origin inner);
-    let dropped = Egress.drops es.eq - before in
-    if dropped > 0 then begin
-      Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
-      Obs.Registry.incr ~by:dropped Obs.Registry.default "spines.egress.drop";
-      if Obs.Flight.recording Obs.Flight.default then
-        Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
-          ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"egress.drop"
-          (Printf.sprintf "node %d dropped %d toward %d (queue full)" t.id dropped to_)
-    end;
-    schedule_flush t to_ es
-  end
+  let es = egress_for t to_ in
+  let before = Egress.drops es.eq in
+  ignore (Egress.enqueue es.eq ~prio ~origin inner);
+  let dropped = Egress.drops es.eq - before in
+  if dropped > 0 then begin
+    Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
+    Obs.Registry.incr ~by:dropped Obs.Registry.default "spines.egress.drop";
+    if Obs.Flight.recording Obs.Flight.default then
+      Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
+        ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"egress.drop"
+        (Printf.sprintf "node %d dropped %d toward %d (queue full)" t.id dropped to_)
+  end;
+  schedule_flush t to_ es
 
 (* --- route cache ------------------------------------------------------------ *)
 
@@ -492,24 +450,14 @@ let ensure_route_table t =
 
 let route_next_hop t ~dst =
   if dst = t.id then None
-  else if t.config.route_cache then begin
+  else begin
     ensure_route_table t;
     Hashtbl.find_opt t.route_table dst
   end
-  else begin
-    Sim.Stats.Counter.incr t.counters "route.dijkstra";
-    Topology.route t.config.topology t.view ~src:t.id ~dst
-  end
 
 let next_hop_snapshot t =
-  let tbl =
-    if t.config.route_cache then begin
-      ensure_route_table t;
-      t.route_table
-    end
-    else Topology.next_hops t.config.topology t.view ~src:t.id
-  in
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  ensure_route_table t;
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.route_table [])
 
 let live_neighbors t =
   List.filter
@@ -581,7 +529,6 @@ let flood t ?except inner =
     match inner with
     | Data d -> (d.priority, d.origin)
     | Lsa { lsa_origin; _ } -> (lsa_priority, lsa_origin)
-    | Hello _ | Hello_ack _ -> (lsa_priority, t.id)
   in
   List.iter
     (fun n -> if Some n <> except then enqueue_link t ~to_:n ~prio ~origin inner)
@@ -688,11 +635,12 @@ let handle_hello_ack t ~afrom =
 
 (* --- receive ---------------------------------------------------------------- *)
 
-let handle_inner t ~from inner =
-  match inner with
-  | Data d -> forward_data t ~from:(Some from) d
+let handle_link_inner t = function
   | Hello { hfrom; hseq } -> send_link t ~to_:hfrom (Hello_ack { afrom = t.id; hseq })
   | Hello_ack { afrom; _ } -> handle_hello_ack t ~afrom
+
+let handle_frame_inner t ~from = function
+  | Data d -> forward_data t ~from:(Some from) d
   | Lsa { lsa_origin; lsa_seq; up_neighbors } ->
       handle_lsa t ~from:(Some from) ~lsa_origin ~lsa_seq ~up_neighbors
 
@@ -713,7 +661,7 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
         end
         else
           match peer_of_ip t src.Netbase.Addr.ip with
-          | Some from -> handle_inner t ~from inner
+          | Some _ -> handle_link_inner t inner
           | None -> Sim.Stats.Counter.incr t.counters "link.unknown_peer")
     | Link_frame { fr_auth; fr_header; fr_inners } -> (
         if not (frame_auth_valid t ~auth:fr_auth fr_header) then begin
@@ -732,7 +680,7 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
                  payload its manifest does not vouch for. *)
               match Frame.decode_header fr_header with
               | Some metas when metas_match metas fr_inners ->
-                  List.iter (fun i -> handle_inner t ~from i) fr_inners
+                  List.iter (fun i -> handle_frame_inner t ~from i) fr_inners
               | Some _ | None ->
                   Sim.Stats.Counter.incr t.counters "frame.malformed";
                   Obs.Registry.incr Obs.Registry.default "spines.frame.malformed";

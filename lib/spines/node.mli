@@ -28,24 +28,14 @@ type config = {
   source_rate_limit : float;
   session_timeout : float;
   dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
-  route_cache : bool; (* cache next-hop tables per view epoch *)
-  coalescing : bool; (* pack same-neighbor payloads into one link frame *)
-  egress_capacity : int; (* per-neighbor egress queue bound, messages *)
-  coalesce_window : float; (* egress flush window, seconds *)
 }
 
-(** Raises [Invalid_argument] on [egress_capacity < 1] or negative
-    [coalesce_window]. *)
 val default_config :
   ?port:int ->
   ?session_port:int ->
   ?it_mode:bool ->
   ?group_key:string ->
   ?dedup_window:int ->
-  ?route_cache:bool ->
-  ?coalescing:bool ->
-  ?egress_capacity:int ->
-  ?coalesce_window:float ->
   Topology.t ->
   config
 

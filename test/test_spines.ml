@@ -18,7 +18,7 @@ type overlay = {
 }
 
 let make_overlay ?(it_mode = true) ?(keyed = fun _ -> Some "group-key") ?(rate = 2000.0)
-    ?(dedup_window = 4096) ?(egress_capacity = 256) topology =
+    ?(dedup_window = 4096) topology =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let switch = Netbase.Switch.create ~engine ~trace "overlay-lan" in
@@ -35,7 +35,7 @@ let make_overlay ?(it_mode = true) ?(keyed = fun _ -> Some "group-key") ?(rate =
     Array.init n (fun i ->
         let config =
           {
-            (Spines.Node.default_config ~it_mode ~dedup_window ~egress_capacity topology) with
+            (Spines.Node.default_config ~it_mode ~dedup_window topology) with
             Spines.Node.group_key = keyed ids.(i);
             source_rate_limit = rate;
           }
@@ -713,13 +713,15 @@ let test_corrupt_frames_dropped_not_crashing () =
   check_int "honest traffic unaffected" 1 (List.length !sink)
 
 let test_node_egress_overflow_counted () =
-  (* A burst far beyond a tiny egress bound inside one coalesce window
-     must shed load and count it instead of growing without bound. *)
-  let o = make_overlay ~it_mode:true ~egress_capacity:8 (Spines.Topology.full_mesh [ 0; 1 ]) in
+  (* A burst of 1 000 sends inside one coalesce window, far past the
+     256-message egress bound, must shed load and count it instead of
+     growing without bound. The receiver's rate limit is lifted so every
+     frame that crosses the link is delivered. *)
+  let o = make_overlay ~it_mode:true ~rate:1e6 (Spines.Topology.full_mesh [ 0; 1 ]) in
   let received = ref 0 in
   Spines.Node.register_client o.nodes.(1) ~client:7 (fun ~src:_ ~size:_ _ -> incr received);
   Sim.Engine.run ~until:0.5 o.engine;
-  for _ = 1 to 100 do
+  for _ = 1 to 1000 do
     Spines.Node.send o.nodes.(0) ~client:7 ~size:16
       (Spines.Node.To_client { node = 1; client = 7 })
       (Netbase.Packet.Raw "burst")
@@ -727,8 +729,66 @@ let test_node_egress_overflow_counted () =
   Sim.Engine.run ~until:2.0 o.engine;
   check "overflow dropped" true
     (Sim.Stats.Counter.get (Spines.Node.counters o.nodes.(0)) "egress.drop" > 0);
-  check "capacity's worth got through" true (!received >= 8);
-  check "shed load never arrived" true (!received < 100)
+  check "a full queue got through" true (!received >= 256);
+  check "shed load never arrived" true (!received < 1000)
+
+(* After a random sequence of daemon stops settles, every running
+   daemon's next-hop table must equal Dijkstra over the ground truth,
+   where a link is up iff both endpoints run. Tables are also read
+   between stops, so a cache that missed a view change stays stale. *)
+let prop_next_hops_track_stops =
+  QCheck.Test.make ~count:40
+    ~name:"next-hop tables match the live graph after daemon stops"
+    QCheck.(triple (int_range 4 9) (int_bound 10_000) (int_range 1 3))
+    (fun (n, seed, stops) ->
+      let rng = Sim.Rng.create (Int64.of_int (seed + 11)) in
+      (* A ring plus up to two random chords. *)
+      let chords =
+        List.filter_map
+          (fun _ ->
+            let a = Sim.Rng.int rng n and b = Sim.Rng.int rng n in
+            if abs (a - b) > 1 && abs (a - b) < n - 1 then Some (min a b, max a b) else None)
+          [ (); () ]
+        |> List.sort_uniq compare
+        |> List.map (fun (a, b) -> Spines.Topology.link a b)
+      in
+      let t =
+        Spines.Topology.create
+          ~nodes:(List.init n (fun i -> i))
+          ~links:(List.init n (fun i -> Spines.Topology.link i ((i + 1) mod n)) @ chords)
+      in
+      let o = make_overlay t in
+      let running i = Spines.Node.is_running o.nodes.(i) in
+      let snapshot_all () =
+        Array.iter
+          (fun nd -> if Spines.Node.is_running nd then ignore (Spines.Node.next_hop_snapshot nd))
+          o.nodes
+      in
+      Sim.Engine.run ~until:0.5 o.engine;
+      snapshot_all ();
+      for _ = 1 to stops do
+        Spines.Node.stop o.nodes.(Sim.Rng.int rng n);
+        Sim.Engine.run ~until:(Sim.Engine.now o.engine +. Sim.Rng.float rng 2.0) o.engine;
+        snapshot_all ()
+      done;
+      (* Settle: hello timeout (1 s) plus a hello period and the flood. *)
+      Sim.Engine.run ~until:(Sim.Engine.now o.engine +. 3.0) o.engine;
+      let truth = Spines.Topology.View.all_up t in
+      List.iter
+        (fun l ->
+          let a = l.Spines.Topology.a and b = l.Spines.Topology.b in
+          Spines.Topology.View.set_link truth a b ~up:(running a && running b))
+        (Spines.Topology.links t);
+      List.for_all
+        (fun i ->
+          (not (running i))
+          ||
+          let expect =
+            Spines.Topology.next_hops t truth ~src:i
+            |> Hashtbl.to_seq |> List.of_seq |> List.sort compare
+          in
+          Spines.Node.next_hop_snapshot o.nodes.(i) = expect)
+        (List.init n (fun i -> i)))
 
 let suite =
   [
@@ -769,6 +829,7 @@ let suite =
     ("frame decode total on garbage", `Quick, test_frame_decode_total_on_garbage);
     ("corrupt frames dropped not crashing", `Quick, test_corrupt_frames_dropped_not_crashing);
     ("node egress overflow counted", `Quick, test_node_egress_overflow_counted);
+    QCheck_alcotest.to_alcotest prop_next_hops_track_stops;
   ]
 
 let () = Alcotest.run "spines" [ ("spines", suite) ]

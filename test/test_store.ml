@@ -313,9 +313,7 @@ let check_converged d =
   | [] -> Alcotest.fail "no masters"
 
 let durable_counter d i key =
-  match Spire.Deployment.durable d i with
-  | None -> Alcotest.fail "durable store missing"
-  | Some dur -> Sim.Stats.Counter.get (Scada.Durable.counters dur) key
+  Sim.Stats.Counter.get (Scada.Durable.counters (Spire.Deployment.durable d i)) key
 
 let test_replicas_checkpoint_at_same_points () =
   let engine, _, d = make_spire () in
@@ -332,12 +330,9 @@ let test_replicas_checkpoint_at_same_points () =
     Array.to_list
       (Array.mapi
          (fun i _ ->
-           match Spire.Deployment.durable d i with
-           | None -> Alcotest.fail "durable store missing"
-           | Some dur -> (
-               match Scada.Durable.latest_checkpoint dur with
-               | None -> Alcotest.fail "no checkpoint taken"
-               | Some ck -> ck))
+           match Scada.Durable.latest_checkpoint (Spire.Deployment.durable d i) with
+           | None -> Alcotest.fail "no checkpoint taken"
+           | Some ck -> ck)
          (Spire.Deployment.replicas d))
   in
   match latest with
@@ -411,9 +406,7 @@ let test_gap_recovery_via_checkpoint_transfer () =
      >= 1);
   check "peer checkpoint adopted" true (durable_counter d 3 "durable.peer_install" >= 1);
   check "checkpoint bytes accounted" true
-    (match Spire.Deployment.durable d 3 with
-    | None -> false
-    | Some dur -> Scada.Durable.transfer_bytes dur > 0);
+    (Scada.Durable.transfer_bytes (Spire.Deployment.durable d 3) > 0);
   check_converged d
 
 let test_gap_recovery_transfer_is_deterministic () =
@@ -433,11 +426,7 @@ let test_gap_recovery_transfer_is_deterministic () =
               "transfer.bytes_sent")
         0 (Spire.Deployment.replicas d)
     in
-    let adopted =
-      match Spire.Deployment.durable d 3 with
-      | None -> 0
-      | Some dur -> Scada.Durable.transfer_bytes dur
-    in
+    let adopted = Scada.Durable.transfer_bytes (Spire.Deployment.durable d 3) in
     (received, sent, adopted, master_digests d)
   in
   let a = observe () in
@@ -514,17 +503,14 @@ let test_single_replica_cannot_force_fabricated_checkpoint () =
   check_converged d
 
 let slot_exec d i slot =
-  match Spire.Deployment.durable d i with
-  | None -> Alcotest.fail "durable store missing"
-  | Some dur -> (
-      match
-        Store.Media.read (Scada.Durable.media dur) ~file:(Printf.sprintf "ck%d" slot)
-      with
-      | None -> None
-      | Some blob ->
-          Option.map
-            (fun ck -> ck.Store.Checkpoint.ck_exec_seq)
-            (Store.Checkpoint.decode blob))
+  match
+    Store.Media.read
+      (Scada.Durable.media (Spire.Deployment.durable d i))
+      ~file:(Printf.sprintf "ck%d" slot)
+  with
+  | None -> None
+  | Some blob ->
+      Option.map (fun ck -> ck.Store.Checkpoint.ck_exec_seq) (Store.Checkpoint.decode blob)
 
 (* Toggle the breaker until replica [i]'s checkpoint count reaches
    [target], returning the reached simulated time. *)
@@ -586,11 +572,7 @@ let test_corrupt_newest_slot_past_gcd_wal_fails_over () =
   run engine ~until:3.0;
   let t = drive_until_checkpoints engine d 3 ~target:3 ~from_t:3.0 in
   Spire.Deployment.take_down_replica d 3;
-  let dur =
-    match Spire.Deployment.durable d 3 with
-    | Some dur -> dur
-    | None -> Alcotest.fail "durable store missing"
-  in
+  let dur = Spire.Deployment.durable d 3 in
   let newest_slot =
     match (slot_exec d 3 0, slot_exec d 3 1) with
     | Some a, Some b -> if a > b then 0 else 1
