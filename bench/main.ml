@@ -893,44 +893,42 @@ let exp_micro () =
   let header = Spines.Frame.encode_header frame_metas in
   let copying_decode s =
     (* The pre-zero-copy path: copy each length-prefixed entry out, then
-       parse it with a fresh reader. *)
-    let r = Wire.reader s in
-    if Wire.r_u8 r <> 0xF5 then None
-    else if Wire.r_u8 r <> 1 then None
-    else begin
-      let n = Wire.r_u16 r in
-      let metas = ref [] in
-      for _ = 1 to n do
-        let entry = Wire.r_str r in
-        let er = Wire.reader entry in
-        let m =
-          match Wire.r_u8 er with
-          | 0 ->
-              let origin = Wire.r_int er in
-              let origin_client = Wire.r_int er in
-              let data_seq = Wire.r_int er in
-              let priority = Wire.r_int er in
-              let app_size = Wire.r_int er in
-              let dst =
-                match Wire.r_u8 er with
-                | 0 ->
-                    let node = Wire.r_int er in
-                    let client = Wire.r_int er in
-                    Spines.Frame.M_client { node; client }
-                | 1 -> Spines.Frame.M_group (Wire.r_str er)
-                | _ -> Spines.Frame.M_session (Wire.r_str er)
-              in
-              Spines.Frame.M_data { origin; origin_client; data_seq; dst; priority; app_size }
-          | _ ->
-              let origin = Wire.r_int er in
-              let seq = Wire.r_int er in
-              Spines.Frame.M_lsa
-                { origin; seq; up_neighbors = Array.to_list (Wire.r_int_array er) }
-        in
-        metas := m :: !metas
-      done;
-      Some (List.rev !metas)
-    end
+       parse it with a fresh reader. Rejects exactly what
+       [Frame.decode_header] rejects. *)
+    try
+      let r = Wire.reader s in
+      if Wire.r_u8 r <> 0xF5 then None
+      else if Wire.r_u8 r <> 1 then None
+      else begin
+        let n = Wire.r_u16 r in
+        let metas = ref [] in
+        for _ = 1 to n do
+          let entry = Wire.r_str r in
+          let er = Wire.reader entry in
+          if Wire.r_u8 er <> 0 then raise Wire.Truncated;
+          let origin = Wire.r_int er in
+          let origin_client = Wire.r_int er in
+          let data_seq = Wire.r_int er in
+          let priority = Wire.r_int er in
+          let app_size = Wire.r_int er in
+          let dst =
+            match Wire.r_u8 er with
+            | 0 ->
+                let node = Wire.r_int er in
+                let client = Wire.r_int er in
+                Spines.Frame.M_client { node; client }
+            | 1 -> Spines.Frame.M_group (Wire.r_str er)
+            | 2 -> Spines.Frame.M_session (Wire.r_str er)
+            | _ -> raise Wire.Truncated
+          in
+          if not (Wire.at_end er) then raise Wire.Truncated;
+          metas :=
+            Spines.Frame.M_data { origin; origin_client; data_seq; dst; priority; app_size }
+            :: !metas
+        done;
+        if n = 0 || not (Wire.at_end r) then None else Some (List.rev !metas)
+      end
+    with Wire.Truncated | Invalid_argument _ -> None
   in
   assert (copying_decode header = Spines.Frame.decode_header header);
   let frame_iters = 50_000 in

@@ -333,7 +333,7 @@ let run_excursion (tb : Testbed.t) =
   (* Step 2: run a rebuilt open-source daemon without the new keys. *)
   let rogue_config =
     {
-      (Spines.Node.default_config ~port:Spire.Addressing.spines_internal_port ~it_mode:true
+      (Spines.Node.default_config ~port:Spire.Addressing.spines_internal_port
          (Spines.Topology.full_mesh
             (List.init (Spire.Deployment.config deployment).Prime.Config.n (fun i -> i))))
       with
@@ -375,25 +375,19 @@ let run_excursion (tb : Testbed.t) =
        | Error a, Error b -> Printf.sprintf "both failed on hardened CentOS: %s; %s" a b
        | _ -> "escalated to root"));
   (* Step 4: patch the (keyed) Spines binary with the discovered exploit;
-     accepted as a member, but the vulnerable code path is disabled in
-     intrusion-tolerant mode. *)
+     accepted as a member, but the vulnerable code path does not exist in
+     an intrusion-tolerant daemon. *)
   Spines.Node.start r0.Spire.Deployment.r_internal_node;
   Spines.Node.start r0.Spire.Deployment.r_external_node;
   Spines.Node.inject_exploit r0.Spire.Deployment.r_internal_node "drop-foreign-traffic";
-  let exploited_before =
-    Sim.Stats.Counter.get (Spines.Node.counters r0.Spire.Deployment.r_internal_node) "exploit.dropped"
-  in
   let progressed = service_ok ~window:10.0 in
-  let exploited_after =
-    Sim.Stats.Counter.get (Spines.Node.counters r0.Spire.Deployment.r_internal_node) "exploit.dropped"
-  in
   push
     (step ~phase:"excursion" ~attack:"patched keyed binary with exploit"
-       ~position:"replica-0 (user)"
-       ~succeeded:(exploited_after > exploited_before || progressed = 0)
+       ~position:"replica-0 (user)" ~succeeded:(progressed = 0)
        (Printf.sprintf
-          "accepted as valid member; exploit fired %d times (code path disabled in IT mode); %d actuations"
-          (exploited_after - exploited_before) progressed));
+          "accepted as valid member; the targeted code path does not exist in \
+           intrusion-tolerant mode; %d actuations"
+          progressed));
   (* Step 5: root access granted — insider floods the overlay as a
      trusted member, attacking fairness. *)
   Netbase.Host.set_compromise r0.Spire.Deployment.r_host Netbase.Host.Root_level;

@@ -194,8 +194,8 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
   let external_topology = Spines.Topology.full_mesh (List.init n (fun i -> i)) in
   let internal_config node_key =
     {
-      (Spines.Node.default_config ~port:Addressing.spines_internal_port ~it_mode:true
-         ~group_key:node_key internal_topology)
+      (Spines.Node.default_config ~port:Addressing.spines_internal_port ~group_key:node_key
+         internal_topology)
       with
       Spines.Node.hello_period = 1.0;
       hello_timeout = 3.5;
@@ -204,8 +204,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
   let external_config node_key =
     {
       (Spines.Node.default_config ~port:Addressing.spines_external_port
-         ~session_port:Addressing.spines_session_port ~it_mode:true ~group_key:node_key
-         external_topology)
+         ~session_port:Addressing.spines_session_port ~group_key:node_key external_topology)
       with
       Spines.Node.hello_period = 1.0;
       hello_timeout = 3.5;

@@ -24,7 +24,6 @@ type meta =
       priority : int;
       app_size : int;
     }
-  | M_lsa of { origin : int; seq : int; up_neighbors : int list }
 
 let magic = 0xF5
 
@@ -33,11 +32,15 @@ let version = 1
 (* u16 count field; far above any realistic flush. *)
 let max_msgs = 0xFFFF
 
+(* Entry kind byte. Data is the only kind; the decoder rejects any other
+   byte, so a manifest from an older or foreign build never decodes. *)
+let kind_data = 0
+
 let encode_meta m =
   Wire.encode ~size_hint:64 (fun b ->
       match m with
       | M_data d ->
-          Wire.w_u8 b 0;
+          Wire.w_u8 b kind_data;
           Wire.w_int b d.origin;
           Wire.w_int b d.origin_client;
           Wire.w_int b d.data_seq;
@@ -53,12 +56,7 @@ let encode_meta m =
               Wire.w_str b g
           | M_session s ->
               Wire.w_u8 b 2;
-              Wire.w_str b s)
-      | M_lsa l ->
-          Wire.w_u8 b 1;
-          Wire.w_int b l.origin;
-          Wire.w_int b l.seq;
-          Wire.w_int_array b (Array.of_list l.up_neighbors))
+              Wire.w_str b s))
 
 let encode_header metas =
   let n = List.length metas in
@@ -74,33 +72,24 @@ let encode_header metas =
    the header — no per-entry [String.sub] copy — and must consume the
    view exactly. *)
 let decode_meta r =
-  let m =
+  if Wire.r_u8 r <> kind_data then raise Wire.Truncated;
+  let origin = Wire.r_int r in
+  let origin_client = Wire.r_int r in
+  let data_seq = Wire.r_int r in
+  let priority = Wire.r_int r in
+  let app_size = Wire.r_int r in
+  let dst =
     match Wire.r_u8 r with
     | 0 ->
-        let origin = Wire.r_int r in
-        let origin_client = Wire.r_int r in
-        let data_seq = Wire.r_int r in
-        let priority = Wire.r_int r in
-        let app_size = Wire.r_int r in
-        let dst =
-          match Wire.r_u8 r with
-          | 0 ->
-              let node = Wire.r_int r in
-              let client = Wire.r_int r in
-              M_client { node; client }
-          | 1 -> M_group (Wire.r_str r)
-          | 2 -> M_session (Wire.r_str r)
-          | _ -> raise Wire.Truncated
-        in
-        M_data { origin; origin_client; data_seq; dst; priority; app_size }
-    | 1 ->
-        let origin = Wire.r_int r in
-        let seq = Wire.r_int r in
-        let up = Wire.r_int_array r in
-        M_lsa { origin; seq; up_neighbors = Array.to_list up }
+        let node = Wire.r_int r in
+        let client = Wire.r_int r in
+        M_client { node; client }
+    | 1 -> M_group (Wire.r_str r)
+    | 2 -> M_session (Wire.r_str r)
     | _ -> raise Wire.Truncated
   in
-  if Wire.at_end r then m else raise Wire.Truncated
+  if Wire.at_end r then M_data { origin; origin_client; data_seq; dst; priority; app_size }
+  else raise Wire.Truncated
 
 let decode_header s =
   try

@@ -23,12 +23,11 @@ type meta =
       priority : int;
       app_size : int;
     }
-  | M_lsa of { origin : int; seq : int; up_neighbors : int list }
 
 (** Raises [Invalid_argument] on an empty list or more than 65535
     entries. *)
 val encode_header : meta list -> string
 
-(** Total decoder: [None] on any malformed, truncated, or
-    wrong-magic/version input. *)
+(** Total decoder: [None] on any malformed, truncated, wrong-magic/version
+    or unknown-entry-kind input. *)
 val decode_header : string -> meta list option

@@ -6,12 +6,13 @@
      an HMAC under the deployment's group key. A daemon built without the
      key (the red team's recompiled open-source version) cannot produce
      valid traffic and is ignored by keyed peers.
-   - intrusion-tolerant mode: data is disseminated by priority flooding
-     with per-source rate limiting (source fairness), so a compromised
-     insider daemon cannot starve other sources; and the code paths the
-     red team's patched-binary exploit targeted are disabled.
-   - link-state routing for non-IT mode: hellos detect neighbor failures,
-     LSAs propagate them, unicast follows Dijkstra next hops.
+   - intrusion-tolerant dissemination, the only mode Spire runs: every
+     message, unicast included, is priority-flooded with per-source rate
+     limiting (source fairness), so a compromised insider daemon cannot
+     starve other sources. The code path the red team's patched-binary
+     exploit targeted does not exist here.
+   - hello-based liveness: each daemon tracks which of its own links are
+     up, and flooding skips the dead ones.
 
    The [Link_msg] payload constructor is deliberately not exported:
    attack code cannot destructure overlay traffic (encryption) nor
@@ -42,21 +43,16 @@ type link_inner =
   | Hello of { hfrom : node_id; hseq : int }
   | Hello_ack of { afrom : node_id; hseq : int }
 
-(* Data and LSAs always leave through the per-neighbor egress queue, in
-   a coalesced frame. *)
-type frame_inner =
-  | Data of data
-  | Lsa of { lsa_origin : node_id; lsa_seq : int; up_neighbors : node_id list }
-
 type Netbase.Packet.payload +=
   | Link_msg of { auth : string; encrypted : bool; inner : link_inner }
 
-(* A coalesced frame: several payloads for the same neighbor under one
-   HMAC. [fr_header] is the Wire-encoded manifest ({!Frame}); the
+(* A coalesced frame: several data messages for the same neighbor under
+   one HMAC. Data always leaves through the per-neighbor egress queue in
+   such a frame. [fr_header] is the Wire-encoded manifest ({!Frame}); the
    receiver authenticates the frame, decodes the manifest, and checks it
-   against [fr_inners] before handling anything. *)
+   against [fr_msgs] before handling anything. *)
 type Netbase.Packet.payload +=
-  | Link_frame of { fr_auth : string; fr_header : string; fr_inners : frame_inner list }
+  | Link_frame of { fr_auth : string; fr_header : string; fr_msgs : data list }
 
 (* Client-to-daemon session protocol (the real Spines' remote client
    sessions): attach with a name, send into the overlay, receive
@@ -88,11 +84,10 @@ type config = {
   topology : Topology.t;
   port : int;
   session_port : int; (* client-facing port for remote session clients *)
-  it_mode : bool;
   group_key : string option; (* None models a build without the new encryption *)
   hello_period : float;
   hello_timeout : float;
-  source_rate_limit : float; (* data msgs/s accepted per origin in IT mode *)
+  source_rate_limit : float; (* data msgs/s accepted per origin *)
   session_timeout : float; (* attachment freshness bound *)
   dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
 }
@@ -103,13 +98,11 @@ let egress_bound = 256
 
 let flush_window = 0.0005
 
-let default_config ?(port = 8100) ?session_port ?(it_mode = true) ?group_key
-    ?(dedup_window = 4096) topology =
+let default_config ?(port = 8100) ?session_port ?group_key ?(dedup_window = 4096) topology =
   {
     topology;
     port;
     session_port = (match session_port with Some p -> p | None -> port + 1);
-    it_mode;
     group_key;
     hello_period = 0.2;
     hello_timeout = 1.0;
@@ -136,7 +129,7 @@ let no_fault = { fd_drop = false; fd_duplicate = false; fd_delay = 0.0 }
 
 (* Per-neighbor egress: the bounded priority queue plus the pending
    flush event for the current coalesce window, if any. *)
-type egress_state = { eq : frame_inner Egress.t; mutable flush_event : Sim.Engine.event_id option }
+type egress_state = { eq : data Egress.t; mutable flush_event : Sim.Engine.event_id option }
 
 type t = {
   id : node_id;
@@ -146,20 +139,15 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   peer_addrs : (node_id, Netbase.Addr.Ip.t) Hashtbl.t;
+  neighbors : node_id array; (* sorted; shared with the topology *)
   clients : (int, client) Hashtbl.t;
   mutable seq : int;
   mutable hello_seq : int;
-  mutable lsa_seq : int;
   dedup : Window.t;
-  lsa_seen : (node_id * int, unit) Hashtbl.t;
-  view : Topology.View.view;
   neighbor_states : (node_id, neighbor_state) Hashtbl.t;
   buckets : (node_id, bucket) Hashtbl.t;
   counters : Sim.Stats.Counter.t;
   sessions : (string, session_entry) Hashtbl.t; (* attached remote clients *)
-  (* next-hop table cached per view epoch; -1 means never built *)
-  mutable route_table : (node_id, node_id) Hashtbl.t;
-  mutable route_table_epoch : int;
   egress : (node_id, egress_state) Hashtbl.t;
   mutable running : bool;
   mutable timers : Sim.Engine.timer list;
@@ -183,19 +171,15 @@ let create ~engine ~trace ~host ~id config =
       engine;
       trace;
       peer_addrs = Hashtbl.create 16;
+      neighbors = Topology.neighbors config.topology id;
       clients = Hashtbl.create 8;
       seq = 0;
       hello_seq = 0;
-      lsa_seq = 0;
       dedup = Window.create ~span:config.dedup_window ();
-      lsa_seen = Hashtbl.create 64;
-      view = Topology.View.all_up config.topology;
       neighbor_states = Hashtbl.create 16;
       buckets = Hashtbl.create 16;
       counters = Sim.Stats.Counter.create ();
       sessions = Hashtbl.create 16;
-      route_table = Hashtbl.create 16;
-      route_table_epoch = -1;
       egress = Hashtbl.create 16;
       running = false;
       timers = [];
@@ -203,26 +187,21 @@ let create ~engine ~trace ~host ~id config =
       fault_injector = None;
     }
   in
-  List.iter
+  Array.iter
     (fun n -> Hashtbl.replace t.neighbor_states n { last_ack = 0.0; up = true })
-    (Topology.neighbors config.topology id);
+    t.neighbors;
   (* Health probe; the port disambiguates internal/external daemons that
      share node ids. No-op unless a harness enabled the registry. *)
   Obs.Probe.register Obs.Probe.default
     ~name:(Printf.sprintf "spines.node.%d.%d" id config.port)
     (fun () ->
       let c name = Sim.Stats.Counter.get t.counters name in
-      let hits = float_of_int (c "route.cache_hit") in
-      let misses = float_of_int (c "route.cache_miss") in
       [
         ("chaos_dropped", float_of_int (c "chaos.dropped"));
         ("drops_total", float_of_int (c "egress.drop" + c "chaos.dropped"));
         ( "egress_len",
           float_of_int
             (Hashtbl.fold (fun _ es acc -> acc + Egress.length es.eq) t.egress 0) );
-        ("epoch", float_of_int (Topology.View.epoch t.view));
-        ( "route_hit_rate",
-          if hits +. misses > 0.0 then hits /. (hits +. misses) else 0.0 );
         ("running", if t.running then 1.0 else 0.0);
       ]);
   t
@@ -283,9 +262,9 @@ let transmit t ~ip ~size payload =
   Sim.Stats.Counter.incr t.counters "link.tx";
   Obs.Registry.incr Obs.Registry.default "spines.link.tx";
   (match payload with
-  | Link_frame { fr_inners; _ } ->
+  | Link_frame { fr_msgs; _ } ->
       Obs.Registry.observe Obs.Registry.default "spines.frame.msgs"
-        (float_of_int (List.length fr_inners))
+        (float_of_int (List.length fr_msgs))
   | _ -> ());
   Netbase.Host.udp_send t.host ~dst_ip:ip ~dst_port:t.config.port ~src_port:t.config.port ~size
     payload
@@ -327,10 +306,6 @@ let send_link t ~to_ inner =
 (* Per-sub-message framing cost replacing a full overlay header + HMAC. *)
 let frame_sub_overhead = 12
 
-(* LSAs ride the egress queue above any data priority so routing
-   convergence is never queued behind application traffic. *)
-let lsa_priority = 1000
-
 let frame_auth t header =
   match t.auth_sched with
   | Some sched -> Crypto.Hmac.mac_list_sched sched [ "frame:"; header ]
@@ -346,30 +321,25 @@ let meta_of_dst = function
   | To_group g -> Frame.M_group g
   | To_session s -> Frame.M_session s
 
-let meta_of_inner = function
-  | Data d ->
-      Frame.M_data
-        {
-          origin = d.origin;
-          origin_client = d.origin_client;
-          data_seq = d.data_seq;
-          dst = meta_of_dst d.dst;
-          priority = d.priority;
-          app_size = d.app_size;
-        }
-  | Lsa { lsa_origin; lsa_seq; up_neighbors } ->
-      Frame.M_lsa { origin = lsa_origin; seq = lsa_seq; up_neighbors }
+let meta_of_data d =
+  Frame.M_data
+    {
+      origin = d.origin;
+      origin_client = d.origin_client;
+      data_seq = d.data_seq;
+      dst = meta_of_dst d.dst;
+      priority = d.priority;
+      app_size = d.app_size;
+    }
 
-let rec metas_match metas inners =
-  match (metas, inners) with
+let rec metas_match metas msgs =
+  match (metas, msgs) with
   | [], [] -> true
-  | m :: ms, i :: is -> m = meta_of_inner i && metas_match ms is
+  | m :: ms, d :: ds -> m = meta_of_data d && metas_match ms ds
   | _, _ -> false
 
-let payload_size = function Data d -> d.app_size | Lsa _ -> 32
-
-let send_frame t ~to_ inners =
-  let header = Frame.encode_header (List.map meta_of_inner inners) in
+let send_frame t ~to_ msgs =
+  let header = Frame.encode_header (List.map meta_of_data msgs) in
   (* The red team's corrupt-frames exploit: ship a frame whose HMAC
      covers a truncated manifest, so it passes authentication and must
      be caught by the decode path. *)
@@ -379,12 +349,10 @@ let send_frame t ~to_ inners =
     | _ -> header
   in
   let size =
-    List.fold_left
-      (fun acc i -> acc + payload_size i + frame_sub_overhead)
-      overhead_bytes inners
+    List.fold_left (fun acc d -> acc + d.app_size + frame_sub_overhead) overhead_bytes msgs
   in
   send_wire t ~to_ ~size
-    (Link_frame { fr_auth = frame_auth t header; fr_header = header; fr_inners = inners })
+    (Link_frame { fr_auth = frame_auth t header; fr_header = header; fr_msgs = msgs })
 
 (* --- egress scheduling ----------------------------------------------------- *)
 
@@ -400,7 +368,7 @@ let flush_egress t to_ es =
   es.flush_event <- None;
   match Egress.drain es.eq with
   | [] -> ()
-  | batch -> send_frame t ~to_ (List.map (fun (_, _, i) -> i) batch)
+  | batch -> send_frame t ~to_ (List.map (fun (_, _, d) -> d) batch)
 
 let schedule_flush t to_ es =
   match es.flush_event with
@@ -411,10 +379,10 @@ let schedule_flush t to_ es =
           (Sim.Engine.schedule t.engine ~delay:flush_window (fun () ->
                flush_egress t to_ es))
 
-let enqueue_link t ~to_ ~prio ~origin inner =
+let enqueue_link t ~to_ (d : data) =
   let es = egress_for t to_ in
   let before = Egress.drops es.eq in
-  ignore (Egress.enqueue es.eq ~prio ~origin inner);
+  ignore (Egress.enqueue es.eq ~prio:d.priority ~origin:d.origin d);
   let dropped = Egress.drops es.eq - before in
   if dropped > 0 then begin
     Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
@@ -425,45 +393,6 @@ let enqueue_link t ~to_ ~prio ~origin inner =
         (Printf.sprintf "node %d dropped %d toward %d (queue full)" t.id dropped to_)
   end;
   schedule_flush t to_ es
-
-(* --- route cache ------------------------------------------------------------ *)
-
-let ensure_route_table t =
-  let ep = Topology.View.epoch t.view in
-  if t.route_table_epoch = ep then begin
-    Sim.Stats.Counter.incr t.counters "route.cache_hit";
-    Obs.Registry.incr Obs.Registry.default "spines.route.cache_hit"
-  end
-  else begin
-    Sim.Stats.Counter.incr t.counters "route.cache_miss";
-    Sim.Stats.Counter.incr t.counters "route.rebuild";
-    Sim.Stats.Counter.incr t.counters "route.dijkstra";
-    Obs.Registry.incr Obs.Registry.default "spines.route.cache_miss";
-    Obs.Registry.incr Obs.Registry.default "spines.route.rebuild";
-    if Obs.Flight.recording Obs.Flight.default then
-      Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
-        ~severity:Obs.Flight.Info ~subsystem:"spines" ~kind:"route.rebuild"
-        (Printf.sprintf "node %d rebuilt routes for epoch %d" t.id ep);
-    t.route_table <- Topology.next_hops t.config.topology t.view ~src:t.id;
-    t.route_table_epoch <- ep
-  end
-
-let route_next_hop t ~dst =
-  if dst = t.id then None
-  else begin
-    ensure_route_table t;
-    Hashtbl.find_opt t.route_table dst
-  end
-
-let next_hop_snapshot t =
-  ensure_route_table t;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.route_table [])
-
-let live_neighbors t =
-  List.filter
-    (fun n ->
-      match Hashtbl.find_opt t.neighbor_states n with Some s -> s.up | None -> false)
-    (Topology.neighbors t.config.topology t.id)
 
 (* --- local delivery ------------------------------------------------------ *)
 
@@ -500,7 +429,7 @@ let deliver_local t (d : data) =
             (Session_wire { s_auth = session_auth sched inner; s_inner = inner })
       | _ -> ())
 
-(* --- fairness (per-source rate limiting, IT mode) ------------------------ *)
+(* --- fairness (per-source rate limiting) ---------------------------------- *)
 
 let bucket_for t origin =
   match Hashtbl.find_opt t.buckets origin with
@@ -524,15 +453,16 @@ let within_rate t origin =
 
 (* --- dissemination -------------------------------------------------------- *)
 
-let flood t ?except inner =
-  let prio, origin =
-    match inner with
-    | Data d -> (d.priority, d.origin)
-    | Lsa { lsa_origin; _ } -> (lsa_priority, lsa_origin)
-  in
-  List.iter
-    (fun n -> if Some n <> except then enqueue_link t ~to_:n ~prio ~origin inner)
-    (live_neighbors t)
+(* Hands [d] to every live neighbor except the one it came from, in
+   sorted neighbor order. Walks the topology's precomputed array: nothing
+   is allocated per neighbor. *)
+let flood t ~from (d : data) =
+  let nbrs = t.neighbors in
+  for i = 0 to Array.length nbrs - 1 do
+    let n = nbrs.(i) in
+    let is_sender = match from with Some f -> f = n | None -> false in
+    if (not is_sender) && (Hashtbl.find t.neighbor_states n).up then enqueue_link t ~to_:n d
+  done
 
 let forward_data t ~from (d : data) =
   let before = Window.evictions t.dedup in
@@ -543,57 +473,17 @@ let forward_data t ~from (d : data) =
   else begin
     Obs.Registry.incr Obs.Registry.default "spines.data.forwarded";
     (* Source fairness: a flooding origin is clipped at every honest hop. *)
-    let admitted = (not t.config.it_mode) || d.origin = t.id || within_rate t d.origin in
-    if not admitted then Sim.Stats.Counter.incr t.counters "fairness.clipped"
+    if d.origin <> t.id && not (within_rate t d.origin) then
+      Sim.Stats.Counter.incr t.counters "fairness.clipped"
     else begin
-      (* The red team's patched-binary exploit lives in a code path that is
-         disabled in intrusion-tolerant mode; outside IT mode it lets the
-         daemon silently discard other sources' traffic. *)
-      (match (t.exploit, t.config.it_mode) with
-      | Some "drop-foreign-traffic", false when d.origin <> t.id ->
-          Sim.Stats.Counter.incr t.counters "exploit.dropped";
-          Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"spines"
-            "node %d exploit dropped data from %d" t.id d.origin
-      | _ ->
-          deliver_local t d;
-          (match d.dst with
-          | To_group _ | To_session _ -> flood t ?except:from (Data d)
-          | To_client { node; _ } when node = t.id -> ()
-          | To_client { node; _ } ->
-              if t.config.it_mode then flood t ?except:from (Data d)
-              else begin
-                match route_next_hop t ~dst:node with
-                | Some hop ->
-                    enqueue_link t ~to_:hop ~prio:d.priority ~origin:d.origin (Data d)
-                | None -> Sim.Stats.Counter.incr t.counters "route.unreachable"
-              end))
+      deliver_local t d;
+      match d.dst with
+      | To_client { node; _ } when node = t.id -> ()
+      | To_client _ | To_group _ | To_session _ -> flood t ~from d
     end
   end
 
-(* --- link-state protocol --------------------------------------------------- *)
-
-let originate_lsa t =
-  t.lsa_seq <- t.lsa_seq + 1;
-  let lsa =
-    Lsa { lsa_origin = t.id; lsa_seq = t.lsa_seq; up_neighbors = live_neighbors t }
-  in
-  Hashtbl.replace t.lsa_seen (t.id, t.lsa_seq) ();
-  flood t lsa
-
-let apply_lsa t ~lsa_origin ~up_neighbors =
-  List.iter
-    (fun n ->
-      Topology.View.set_link t.view lsa_origin n ~up:(List.mem n up_neighbors))
-    (Topology.neighbors t.config.topology lsa_origin)
-
-let handle_lsa t ~from ~lsa_origin ~lsa_seq ~up_neighbors =
-  if not (Hashtbl.mem t.lsa_seen (lsa_origin, lsa_seq)) then begin
-    Hashtbl.replace t.lsa_seen (lsa_origin, lsa_seq) ();
-    if lsa_origin <> t.id then begin
-      apply_lsa t ~lsa_origin ~up_neighbors;
-      flood t ?except:from (Lsa { lsa_origin; lsa_seq; up_neighbors })
-    end
-  end
+(* --- link liveness ----------------------------------------------------------- *)
 
 let mark_neighbor t n ~up =
   match Hashtbl.find_opt t.neighbor_states n with
@@ -601,7 +491,6 @@ let mark_neighbor t n ~up =
   | Some s ->
       if s.up <> up then begin
         s.up <- up;
-        Topology.View.set_link t.view t.id n ~up;
         if Obs.Flight.recording Obs.Flight.default then
           Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
             ~severity:(if up then Obs.Flight.Info else Obs.Flight.Warn)
@@ -609,8 +498,7 @@ let mark_neighbor t n ~up =
             ~kind:(if up then "link.up" else "link.down")
             (Printf.sprintf "node %d: link to %d %s" t.id n (if up then "up" else "down"));
         Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"spines"
-          "node %d: link to %d %s" t.id n (if up then "up" else "down");
-        originate_lsa t
+          "node %d: link to %d %s" t.id n (if up then "up" else "down")
       end
 
 let hello_tick t =
@@ -621,9 +509,7 @@ let hello_tick t =
         mark_neighbor t n ~up:false)
     t.neighbor_states;
   t.hello_seq <- t.hello_seq + 1;
-  List.iter
-    (fun n -> send_link t ~to_:n (Hello { hfrom = t.id; hseq = t.hello_seq }))
-    (Topology.neighbors t.config.topology t.id)
+  Array.iter (fun n -> send_link t ~to_:n (Hello { hfrom = t.id; hseq = t.hello_seq })) t.neighbors
 
 let handle_hello_ack t ~afrom =
   (match Hashtbl.find_opt t.neighbor_states afrom with
@@ -638,11 +524,6 @@ let handle_hello_ack t ~afrom =
 let handle_link_inner t = function
   | Hello { hfrom; hseq } -> send_link t ~to_:hfrom (Hello_ack { afrom = t.id; hseq })
   | Hello_ack { afrom; _ } -> handle_hello_ack t ~afrom
-
-let handle_frame_inner t ~from = function
-  | Data d -> forward_data t ~from:(Some from) d
-  | Lsa { lsa_origin; lsa_seq; up_neighbors } ->
-      handle_lsa t ~from:(Some from) ~lsa_origin ~lsa_seq ~up_neighbors
 
 let peer_of_ip t ip =
   Hashtbl.fold
@@ -663,7 +544,7 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
           match peer_of_ip t src.Netbase.Addr.ip with
           | Some _ -> handle_link_inner t inner
           | None -> Sim.Stats.Counter.incr t.counters "link.unknown_peer")
-    | Link_frame { fr_auth; fr_header; fr_inners } -> (
+    | Link_frame { fr_auth; fr_header; fr_msgs } -> (
         if not (frame_auth_valid t ~auth:fr_auth fr_header) then begin
           Sim.Stats.Counter.incr t.counters "auth.reject";
           Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"spines"
@@ -679,8 +560,9 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
                  corrupted frame must never crash the daemon or deliver a
                  payload its manifest does not vouch for. *)
               match Frame.decode_header fr_header with
-              | Some metas when metas_match metas fr_inners ->
-                  List.iter (fun i -> handle_frame_inner t ~from i) fr_inners
+              | Some metas when metas_match metas fr_msgs ->
+                  let from = Some from in
+                  List.iter (fun d -> forward_data t ~from d) fr_msgs
               | Some _ | None ->
                   Sim.Stats.Counter.incr t.counters "frame.malformed";
                   Obs.Registry.incr Obs.Registry.default "spines.frame.malformed";

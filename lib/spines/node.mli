@@ -1,6 +1,7 @@
 (** Spines overlay daemon: authenticated/encrypted links, intrusion-
-    tolerant priority flooding with source fairness, link-state routing,
-    and client sessions.
+    tolerant priority flooding with source fairness (the only data
+    plane; hellos tell flooding which links are dead), and client
+    sessions.
 
     The link-message payload constructor is private to the implementation:
     attack code cannot inspect overlay traffic contents (modelling link
@@ -21,7 +22,6 @@ type config = {
   topology : Topology.t;
   port : int;
   session_port : int; (* client-facing port for remote session clients *)
-  it_mode : bool; (* intrusion-tolerant dissemination (flooding + fairness) *)
   group_key : string option; (* None models a daemon built without keys *)
   hello_period : float;
   hello_timeout : float;
@@ -33,7 +33,6 @@ type config = {
 val default_config :
   ?port:int ->
   ?session_port:int ->
-  ?it_mode:bool ->
   ?group_key:string ->
   ?dedup_window:int ->
   Topology.t ->
@@ -64,8 +63,10 @@ val start : t -> unit
 val stop : t -> unit
 
 (** Arm a named exploit in this daemon (the red team's patched binary).
-    The ["drop-foreign-traffic"] exploit only has an effect when the
-    daemon runs outside intrusion-tolerant mode. *)
+    ["corrupt-frames"] makes it ship frames whose authenticated manifest
+    is truncated. Any other name, such as ["drop-foreign-traffic"],
+    targets a code path an intrusion-tolerant daemon does not have, and
+    changes nothing. *)
 val inject_exploit : t -> string -> unit
 
 (** Fault-injection verdict for one outgoing link message, drawn by a
@@ -84,12 +85,6 @@ val dedup_evictions : t -> int
 
 val dedup_retained : t -> int
 
-(** The daemon's current next-hop table as a sorted
-    [(destination, first hop)] list, forcing a cache rebuild if the view
-    epoch moved. Canonical (see {!Topology.next_hops}); the determinism
-    regression compares it across same-seed runs. *)
-val next_hop_snapshot : t -> (node_id * node_id) list
-
 (** Attach a local client session. Raises [Invalid_argument] on duplicate
     client ids. *)
 val register_client :
@@ -100,7 +95,7 @@ val register_client :
   unit
 
 (** Send from a local client. Local destinations are delivered directly;
-    remote ones disseminated per the configured mode. *)
+    remote ones are flooded to every live neighbor. *)
 val send :
   t -> client:int -> ?priority:int -> size:int -> dst -> Netbase.Packet.payload -> unit
 
