@@ -870,98 +870,12 @@ let exp_micro () =
         (name, estimate, r2))
       (List.sort compare rows)
   in
-  (* Zero-copy frame decode: minor words per decoded frame, against the
-     copying baseline the decoder used to be — one [String.sub] plus a
-     fresh reader per manifest entry. The baseline is reimplemented here
-     so the comparison stays honest after the production path changed. *)
-  let frame_metas =
-    List.init 12 (fun i ->
-        Spines.Frame.M_data
-          {
-            origin = i mod 6;
-            origin_client = 1;
-            data_seq = 1000 + i;
-            dst =
-              (match i mod 3 with
-              | 0 -> Spines.Frame.M_client { node = i mod 6; client = 1 }
-              | 1 -> Spines.Frame.M_group "prime"
-              | _ -> Spines.Frame.M_session (Printf.sprintf "hmi-%d" i));
-            priority = 1 + (i mod 3);
-            app_size = 200;
-          })
-  in
-  let header = Spines.Frame.encode_header frame_metas in
-  let copying_decode s =
-    (* The pre-zero-copy path: copy each length-prefixed entry out, then
-       parse it with a fresh reader. Rejects exactly what
-       [Frame.decode_header] rejects. *)
-    try
-      let r = Wire.reader s in
-      if Wire.r_u8 r <> 0xF5 then None
-      else if Wire.r_u8 r <> 1 then None
-      else begin
-        let n = Wire.r_u16 r in
-        let metas = ref [] in
-        for _ = 1 to n do
-          let entry = Wire.r_str r in
-          let er = Wire.reader entry in
-          if Wire.r_u8 er <> 0 then raise Wire.Truncated;
-          let origin = Wire.r_int er in
-          let origin_client = Wire.r_int er in
-          let data_seq = Wire.r_int er in
-          let priority = Wire.r_int er in
-          let app_size = Wire.r_int er in
-          let dst =
-            match Wire.r_u8 er with
-            | 0 ->
-                let node = Wire.r_int er in
-                let client = Wire.r_int er in
-                Spines.Frame.M_client { node; client }
-            | 1 -> Spines.Frame.M_group (Wire.r_str er)
-            | 2 -> Spines.Frame.M_session (Wire.r_str er)
-            | _ -> raise Wire.Truncated
-          in
-          if not (Wire.at_end er) then raise Wire.Truncated;
-          metas :=
-            Spines.Frame.M_data { origin; origin_client; data_seq; dst; priority; app_size }
-            :: !metas
-        done;
-        if n = 0 || not (Wire.at_end r) then None else Some (List.rev !metas)
-      end
-    with Wire.Truncated | Invalid_argument _ -> None
-  in
-  assert (copying_decode header = Spines.Frame.decode_header header);
-  let frame_iters = 50_000 in
-  let words_per_frame decode =
-    Gc.full_major ();
-    let m0 = Gc.minor_words () in
-    for _ = 1 to frame_iters do
-      ignore (Sys.opaque_identity (decode header))
-    done;
-    (Gc.minor_words () -. m0) /. float_of_int frame_iters
-  in
-  let wpf_copying = words_per_frame copying_decode in
-  let wpf_zero = words_per_frame Spines.Frame.decode_header in
-  let frame_reduction = wpf_copying /. Float.max 1e-9 wpf_zero in
-  Printf.printf
-    "  frame decode (%d metas): %.0f minor words/frame zero-copy vs %.0f copying (%.2fx drop)\n"
-    (List.length frame_metas) wpf_zero wpf_copying frame_reduction;
   let open Obs.Json in
   Obj
     (List.map
        (fun (name, estimate, r2) ->
          (name, Obj [ ("ns_per_op", Num estimate); ("r_square", Num r2) ]))
-       printed
-    @ [
-        ( "frame-decode-minor-words",
-          Obj
-            [
-              ("metas_per_frame", num_i (List.length frame_metas));
-              ("minor_words_per_frame_zero_copy", Num wpf_zero);
-              ("minor_words_per_frame_copying", Num wpf_copying);
-              ("reduction_ratio", Num frame_reduction);
-            ] );
-      ])
+       printed)
 
 let exp_throughput () =
   section "E11b" "Prime ordering under load vs cluster size (loopback transport)";

@@ -10,7 +10,9 @@
    Byte stability is a signature-compatibility property: two deployments
    encoding the same logical message must produce identical bytes, or
    signatures made by one would not verify at the other. Everything here
-   is therefore canonical — no varints, no optional padding. *)
+   is therefore canonical, and has no optional padding. The one variable-width
+   field, [w_varint], is canonical too: its reader rejects every encoding
+   [w_varint] would not produce. *)
 
 exception Truncated
 
@@ -60,6 +62,23 @@ let w_int_array b a =
   w_u32 b (Array.length a);
   Array.iter (w_int b) a
 
+(* Zigzag folds the sign into bit 0, so small negative ints stay short;
+   LEB128 then spends 7 bits per byte, low group first. A 63-bit int
+   needs at most 9 bytes. *)
+let zigzag v = (v lsl 1) lxor (v asr 62)
+
+let varint_size v =
+  let rec go u n = if u lsr 7 = 0 then n else go (u lsr 7) (n + 1) in
+  go (zigzag v) 1
+
+let w_varint b v =
+  let u = ref (zigzag v) in
+  while !u lsr 7 <> 0 do
+    Buffer.add_char b (Char.unsafe_chr (!u land 0x7F lor 0x80));
+    u := !u lsr 7
+  done;
+  Buffer.add_char b (Char.unsafe_chr !u)
+
 let w_opt b w = function
   | None -> w_bool b false
   | Some v ->
@@ -68,29 +87,15 @@ let w_opt b w = function
 
 (* --- reader ------------------------------------------------------------- *)
 
-(* [limit] bounds the view: a plain reader covers the whole string, a
-   [sub_reader] a window of its parent's bytes. Sharing [data] instead
-   of [String.sub]-ing it is what makes nested decodes (frame manifests)
-   copy-free. *)
-type reader = { data : string; mutable pos : int; limit : int }
+type reader = { data : string; mutable pos : int }
 
-let reader data = { data; pos = 0; limit = String.length data }
+let reader data = { data; pos = 0 }
 
-let remaining r = r.limit - r.pos
+let remaining r = String.length r.data - r.pos
 
 let at_end r = remaining r = 0
 
 let need r n = if remaining r < n then raise Truncated
-
-(* Zero-copy sub-view: a reader over the next [len] bytes, sharing the
-   backing string. Consumes the window from the parent. *)
-let sub_reader r len =
-  if len < 0 then raise Truncated;
-  need r len;
-  let sub = { data = r.data; pos = r.pos; limit = r.pos + len } in
-  r.pos <- r.pos + len;
-  sub
-
 
 let r_u8 r =
   need r 1;
@@ -133,6 +138,28 @@ let r_int r =
   r.pos <- r.pos + 8;
   !v
 
+(* The 9th byte carries bits 56-62 and must end the number; a last byte
+   of 0 after the first is a padded (non-minimal) encoding. Rejecting
+   both leaves exactly one encoding per int. *)
+let max_varint_bytes = 9
+
+let r_varint r =
+  let u = ref 0 in
+  let shift = ref 0 in
+  let fin = ref false in
+  while not !fin do
+    if !shift = 7 * max_varint_bytes || r.pos >= String.length r.data then raise Truncated;
+    let byte = Char.code (String.unsafe_get r.data r.pos) in
+    r.pos <- r.pos + 1;
+    if byte land 0x80 = 0 then begin
+      if byte = 0 && !shift > 0 then raise Truncated;
+      fin := true
+    end;
+    u := !u lor ((byte land 0x7F) lsl !shift);
+    shift := !shift + 7
+  done;
+  (!u lsr 1) lxor (- (!u land 1))
+
 let r_f64 r =
   need r 8;
   let bits = ref 0L in
@@ -148,24 +175,16 @@ let r_bool r =
   | 1 -> true
   | _ -> raise Truncated
 
-let r_str r =
-  let len = r_u32 r in
+let r_bytes r len =
+  if len < 0 then raise Truncated;
   need r len;
   let s = String.sub r.data r.pos len in
   r.pos <- r.pos + len;
   s
 
-(* The length-prefixed string field as a zero-copy sub-view instead of a
-   copied-out string. *)
-let r_str_reader r =
-  let len = r_u32 r in
-  sub_reader r len
+let r_str r = r_bytes r (r_u32 r)
 
-let r_digest r =
-  need r 32;
-  let s = String.sub r.data r.pos 32 in
-  r.pos <- r.pos + 32;
-  s
+let r_digest r = r_bytes r 32
 
 (* The length is checked against the bytes present before allocating: a
    hostile u32 length must not size a multi-gigabyte array. *)

@@ -1,10 +1,10 @@
 (** Binary wire codec for canonical (signed) message encodings.
 
-    Writers append fixed-width big-endian fields to a [Buffer.t]; the
-    reader walks the same layout back. Encodings are canonical by
-    construction — the same logical message always produces the same
-    bytes, the property signatures need (signature compatibility across
-    deployments). *)
+    Writers append fixed-width big-endian fields (and one canonical
+    varint) to a [Buffer.t]; the reader walks the same layout back.
+    Encodings are canonical by construction — the same logical message
+    always produces the same bytes, the property signatures need
+    (signature compatibility across deployments). *)
 
 (** Raised by readers on truncated or malformed input. *)
 exception Truncated
@@ -33,6 +33,13 @@ val w_digest : Buffer.t -> string -> unit
 
 val w_int_array : Buffer.t -> int array -> unit
 
+(** Full native int as a zigzag LEB128 varint: 1 byte for [-64..63], at
+    most 9 bytes. The only variable-width field; see {!r_varint}. *)
+val w_varint : Buffer.t -> int -> unit
+
+(** Bytes {!w_varint} writes for this int. *)
+val varint_size : int -> int
+
 (** Presence flag byte, then the value if present. *)
 val w_opt : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
 
@@ -44,15 +51,6 @@ val remaining : reader -> int
 
 val at_end : reader -> bool
 
-(** Zero-copy sub-view over the next [len] bytes (shares the backing
-    string; consumes the window from the parent). Raises [Truncated]
-    when fewer than [len] bytes remain. *)
-val sub_reader : reader -> int -> reader
-
-(** The next length-prefixed string field as a {!sub_reader} instead of
-    a copied-out string. *)
-val r_str_reader : reader -> reader
-
 val r_u8 : reader -> int
 
 val r_u16 : reader -> int
@@ -63,11 +61,20 @@ val r_u32 : reader -> int
     no {!w_int} produces, so a decoded blob re-encodes byte-identically. *)
 val r_int : reader -> int
 
+(** Canonical: rejects (raises {!Truncated}) padded encodings and ones
+    longer than 9 bytes, so every accepted input re-encodes to itself.
+    Allocates nothing. *)
+val r_varint : reader -> int
+
 val r_bool : reader -> bool
 
 val r_f64 : reader -> float
 
 val r_str : reader -> string
+
+(** The next [len] raw bytes, copied out. Raises {!Truncated} on a
+    negative [len] or when fewer than [len] bytes remain. *)
+val r_bytes : reader -> int -> string
 
 val r_digest : reader -> string
 

@@ -1,11 +1,13 @@
 (** Coalesced link-frame header codec: a Wire-encoded manifest of the
     sub-messages packed into one link frame.
 
-    Each manifest entry is length-prefixed, so a corrupted entry can
-    never desynchronise the reader into its neighbors, and {!decode_header}
-    is total — malformed or truncated input yields [None], never an
-    exception. The daemon drops (and counts) any frame whose manifest
-    fails to decode or disagrees with the carried payloads. *)
+    Each manifest entry is length-prefixed, with its integers as
+    {!Wire.w_varint}s (format version 2; there is no decoder for any other
+    version). An entry that does not parse to exactly its length rejects
+    the whole header, and {!decode_header} is total — malformed or
+    truncated input yields [None], never an exception. The daemon drops
+    (and counts) any frame whose manifest fails to decode or disagrees
+    with the carried payloads. *)
 
 type dst_meta =
   | M_client of { node : int; client : int }
@@ -29,5 +31,6 @@ type meta =
 val encode_header : meta list -> string
 
 (** Total decoder: [None] on any malformed, truncated, wrong-magic/version
-    or unknown-entry-kind input. *)
+    or unknown-entry-kind input. Canonical: any header it accepts is
+    exactly what {!encode_header} makes of the result. *)
 val decode_header : string -> meta list option

@@ -139,6 +139,7 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   peer_addrs : (node_id, Netbase.Addr.Ip.t) Hashtbl.t;
+  peer_by_ip : (Netbase.Addr.Ip.t, node_id) Hashtbl.t; (* inverse of [peer_addrs] *)
   neighbors : node_id array; (* sorted; shared with the topology *)
   clients : (int, client) Hashtbl.t;
   mutable seq : int;
@@ -153,6 +154,11 @@ type t = {
   mutable timers : Sim.Engine.timer list;
   mutable exploit : string option;
   mutable fault_injector : (peer:node_id -> fault_decision) option;
+  (* The last frame header this daemon MACed and its tag: flooding often
+     sends the same manifest to several neighbors in a row. Exact because
+     [auth_sched] never changes; a rekey must clear both. *)
+  mutable last_header : string;
+  mutable last_tag : string;
 }
 
 and session_entry = {
@@ -171,6 +177,7 @@ let create ~engine ~trace ~host ~id config =
       engine;
       trace;
       peer_addrs = Hashtbl.create 16;
+      peer_by_ip = Hashtbl.create 16;
       neighbors = Topology.neighbors config.topology id;
       clients = Hashtbl.create 8;
       seq = 0;
@@ -185,6 +192,8 @@ let create ~engine ~trace ~host ~id config =
       timers = [];
       exploit = None;
       fault_injector = None;
+      last_header = "";
+      last_tag = "";
     }
   in
   Array.iter
@@ -212,7 +221,12 @@ let counters t = t.counters
 
 let is_running t = t.running
 
-let set_peer_address t peer ip = Hashtbl.replace t.peer_addrs peer ip
+let set_peer_address t peer ip =
+  (match Hashtbl.find_opt t.peer_addrs peer with
+  | Some old when Hashtbl.find_opt t.peer_by_ip old = Some peer -> Hashtbl.remove t.peer_by_ip old
+  | Some _ | None -> ());
+  Hashtbl.replace t.peer_addrs peer ip;
+  Hashtbl.replace t.peer_by_ip ip peer
 
 let inject_exploit t name = t.exploit <- Some name
 
@@ -308,7 +322,12 @@ let frame_sub_overhead = 12
 
 let frame_auth t header =
   match t.auth_sched with
-  | Some sched -> Crypto.Hmac.mac_list_sched sched [ "frame:"; header ]
+  | Some sched ->
+      if not (String.equal header t.last_header) then begin
+        t.last_tag <- Crypto.Hmac.mac_list_sched sched [ "frame:"; header ];
+        t.last_header <- header
+      end;
+      t.last_tag
   | None -> ""
 
 let frame_auth_valid t ~auth header =
@@ -332,10 +351,24 @@ let meta_of_data d =
       app_size = d.app_size;
     }
 
+let dst_matches (m : Frame.dst_meta) (dst : dst) =
+  match (m, dst) with
+  | M_client { node; client }, To_client c -> Int.equal node c.node && Int.equal client c.client
+  | M_group g, To_group g' | M_session g, To_session g' -> String.equal g g'
+  | (M_client _ | M_group _ | M_session _), _ -> false
+
+(* Field by field: no [meta_of_data] record per message. *)
 let rec metas_match metas msgs =
   match (metas, msgs) with
   | [], [] -> true
-  | m :: ms, d :: ds -> m = meta_of_data d && metas_match ms ds
+  | Frame.M_data m :: ms, d :: ds ->
+      Int.equal m.origin d.origin
+      && Int.equal m.origin_client d.origin_client
+      && Int.equal m.data_seq d.data_seq
+      && Int.equal m.priority d.priority
+      && Int.equal m.app_size d.app_size
+      && dst_matches m.dst d.dst
+      && metas_match ms ds
   | _, _ -> false
 
 let send_frame t ~to_ msgs =
@@ -525,14 +558,21 @@ let handle_link_inner t = function
   | Hello { hfrom; hseq } -> send_link t ~to_:hfrom (Hello_ack { afrom = t.id; hseq })
   | Hello_ack { afrom; _ } -> handle_hello_ack t ~afrom
 
-let peer_of_ip t ip =
-  Hashtbl.fold
-    (fun peer addr acc -> if Netbase.Addr.Ip.equal addr ip then Some peer else acc)
-    t.peer_addrs None
+let peer_of_ip t ip = Hashtbl.find_opt t.peer_by_ip ip
+
+let rec all_seen dedup = function
+  | [] -> true
+  | d :: ds -> Window.seen dedup ~origin:d.origin ~seq:d.data_seq && all_seen dedup ds
 
 let receive t ~src ~dst_port:_ ~size:_ payload =
   if t.running then
     match payload with
+    (* A frame whose every message this daemon already holds can only be
+       dropped, message by message, as duplicates: exactly what its
+       authentic copy would cause. So it is counted that way and nothing
+       else happens; no MAC, decode or state is spent on it. *)
+    | Link_frame { fr_msgs = _ :: _ as msgs; _ } when all_seen t.dedup msgs ->
+        Sim.Stats.Counter.incr ~by:(List.length msgs) t.counters "dedup.drop"
     | Link_msg { auth; encrypted = _; inner } -> (
         if not (auth_valid t ~auth inner) then begin
           Sim.Stats.Counter.incr t.counters "auth.reject";

@@ -23,19 +23,31 @@ let create ?(span = 4096) () =
   if span < 1 then invalid_arg "Window.create: span must be >= 1";
   { span; origins = Hashtbl.create 64; evictions = 0 }
 
+(* An origin's state starts with this floor: a never-seen origin's
+   sequences at or below it are already stale. *)
+let initial_floor = 0
+
 let state_for t origin =
   match Hashtbl.find_opt t.origins origin with
   | Some s -> s
   | None ->
-      let s = { floor = 0; highest = 0; seen = Hashtbl.create 64 } in
+      let s = { floor = initial_floor; highest = 0; seen = Hashtbl.create 64 } in
       Hashtbl.replace t.origins origin s;
       s
 
-(* [mark t ~origin ~seq] returns [true] iff this is a fresh sighting.
-   Stale sequences (at or below the eviction floor) count as duplicates. *)
+(* The one duplicate predicate: stale sequences (at or below the
+   eviction floor) count as duplicates. *)
+let duplicate s seq = seq <= s.floor || Hashtbl.mem s.seen seq
+
+let seen t ~origin ~seq =
+  match Hashtbl.find t.origins origin with
+  | s -> duplicate s seq
+  | exception Not_found -> seq <= initial_floor
+
+(* [mark t ~origin ~seq] returns [true] iff this is a fresh sighting. *)
 let mark t ~origin ~seq =
   let s = state_for t origin in
-  if seq <= s.floor || Hashtbl.mem s.seen seq then false
+  if duplicate s seq then false
   else begin
     Hashtbl.replace s.seen seq ();
     if seq > s.highest then s.highest <- seq;

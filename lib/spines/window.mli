@@ -12,6 +12,11 @@ val create : ?span:int -> unit -> t
     return [false]. *)
 val mark : t -> origin:int -> seq:int -> bool
 
+(** [seen t ~origin ~seq] is [true] iff {!mark} would call this pair a
+    duplicate right now. Read-only: it changes no state and creates none
+    for an unknown origin. *)
+val seen : t -> origin:int -> seq:int -> bool
+
 (** Total entries evicted so far across all origins. *)
 val evictions : t -> int
 

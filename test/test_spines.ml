@@ -1,7 +1,7 @@
 (* Tests for the Spines overlay: topology, intrusion-tolerant flooding,
    authentication, replay rejection, hello-driven failure detection,
-   source fairness, egress and frame codec, and the patched-binary
-   exploit model. *)
+   source fairness, egress and frame codec, the unauthenticated
+   all-duplicate drop, and the patched-binary exploit model. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -550,24 +550,93 @@ let test_frame_decode_total_on_garbage () =
   let doctored = good ^ "trailing-junk" in
   check "trailing bytes rejected" true (Spines.Frame.decode_header doctored = None);
   (* A well-formed header whose one entry carries kind byte 1 (the
-     retired link-state kind) instead of 0 (data) must be rejected. *)
-  let r = Wire.reader (Spines.Frame.encode_header [ List.hd metas ]) in
-  let magic = Wire.r_u8 r in
-  let version = Wire.r_u8 r in
-  let count = Wire.r_u16 r in
-  let entry = Wire.r_str r in
-  let with_kind k =
-    let e = Bytes.of_string entry in
-    Bytes.set_uint8 e 0 k;
-    Wire.encode (fun b ->
-        Wire.w_u8 b magic;
-        Wire.w_u8 b version;
-        Wire.w_u16 b count;
-        Wire.w_str b (Bytes.to_string e))
+     retired link-state kind) instead of 0 (data) must be rejected. The
+     kind byte follows the header's 4 fixed bytes and the entry's varint
+     length. *)
+  let one = Spines.Frame.encode_header [ List.hd metas ] in
+  let r = Wire.reader one in
+  let (_ : int) = Wire.r_u8 r in
+  let (_ : int) = Wire.r_u8 r in
+  let (_ : int) = Wire.r_u16 r in
+  let (_ : int) = Wire.r_varint r in
+  let kind_at = String.length one - Wire.remaining r in
+  let patch at v =
+    let e = Bytes.of_string one in
+    Bytes.set_uint8 e at v;
+    Bytes.to_string e
   in
   check "rebuilt kind-0 header decodes" true
-    (Spines.Frame.decode_header (with_kind 0) = Some [ List.hd metas ]);
-  check "entry kind 1 rejected" true (Spines.Frame.decode_header (with_kind 1) = None)
+    (Spines.Frame.decode_header (patch kind_at 0) = Some [ List.hd metas ]);
+  check "entry kind 1 rejected" true (Spines.Frame.decode_header (patch kind_at 1) = None);
+  (* Version 1 (fixed-width 8-byte ints, u32 lengths) has no decoder:
+     neither its own layout nor a version-2 body relabelled 1 decodes. *)
+  check "version byte 1 rejected" true (Spines.Frame.decode_header (patch 1 1) = None);
+  let v1 =
+    Wire.encode (fun b ->
+        Wire.w_u8 b 0xF5;
+        Wire.w_u8 b 1;
+        Wire.w_u16 b 1;
+        Wire.w_str b
+          (Wire.encode (fun e ->
+               Wire.w_u8 e 0;
+               List.iter (Wire.w_int e) [ 2; 1; 9; 3; 16 ];
+               Wire.w_u8 e 0;
+               Wire.w_int e 1;
+               Wire.w_int e 4)))
+  in
+  check "version-1 header rejected" true (Spines.Frame.decode_header v1 = None)
+
+(* --- frame codec properties ---------------------------------------------------- *)
+
+let gen_meta =
+  let open QCheck.Gen in
+  let any_int = oneof [ int; small_signed_int; oneofl [ max_int; min_int; 0; -1 ] ] in
+  let name = string_size ~gen:char (int_range 0 300) in
+  let dst =
+    oneof
+      [
+        map2 (fun node client -> Spines.Frame.M_client { node; client }) any_int any_int;
+        map (fun g -> Spines.Frame.M_group g) name;
+        map (fun s -> Spines.Frame.M_session s) name;
+      ]
+  in
+  map
+    (fun ((origin, origin_client, data_seq), (priority, app_size, dst)) ->
+      Spines.Frame.M_data { origin; origin_client; data_seq; dst; priority; app_size })
+    (pair
+       (triple any_int any_int (oneof [ any_int; return max_int ]))
+       (triple any_int any_int dst))
+
+let prop_frame_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"frame header round-trips random metas"
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 8) gen_meta))
+    (fun metas -> Spines.Frame.decode_header (Spines.Frame.encode_header metas) = Some metas)
+
+(* Random bytes, and valid headers with one byte changed, inserted or
+   removed: whatever decodes must re-encode to exactly those bytes. *)
+let gen_header_bytes =
+  let open QCheck.Gen in
+  let valid = map Spines.Frame.encode_header (list_size (int_range 1 4) gen_meta) in
+  let mutate =
+    valid >>= fun h ->
+    int_range 0 (String.length h - 1) >>= fun i ->
+    char >>= fun c ->
+    oneofl
+      [
+        String.sub h 0 i ^ String.make 1 c ^ String.sub h (i + 1) (String.length h - i - 1);
+        String.sub h 0 i ^ String.make 1 c ^ String.sub h i (String.length h - i);
+        String.sub h 0 i ^ String.sub h (i + 1) (String.length h - i - 1);
+      ]
+  in
+  oneof [ string_size ~gen:char (int_range 0 64); mutate ]
+
+let prop_frame_canonical =
+  QCheck.Test.make ~count:1000 ~name:"every decoded frame header re-encodes to itself"
+    (QCheck.make ~print:String.escaped gen_header_bytes)
+    (fun s ->
+      match Spines.Frame.decode_header s with
+      | None -> true
+      | Some metas -> String.equal (Spines.Frame.encode_header metas) s)
 
 let test_corrupt_frames_dropped_not_crashing () =
   (* A keyed-but-patched daemon ships frames whose HMAC covers a corrupted
@@ -608,6 +677,114 @@ let test_node_egress_overflow_counted () =
   check "a full queue got through" true (!received >= 256);
   check "shed load never arrived" true (!received < 1000)
 
+(* --- forged frames and the duplicate drop ---------------------------------------- *)
+
+(* A window between two hello rounds (hellos fire every [hello_period]
+   from time 0), so the only link traffic in it is the data under test. *)
+let quiet_window =
+  let period = (Spines.Node.default_config (Spines.Topology.full_mesh [ 0 ])).hello_period in
+  (1.25 *. period, 1.75 *. period)
+
+(* Datagrams larger than a hello from daemon [a] to daemon [b]: data frames. *)
+let count_frames o ~a ~b =
+  let n = ref 0 in
+  let src_ip = ip 10 0 0 (a + 1) and dst_ip = ip 10 0 0 (b + 1) in
+  Netbase.Switch.add_tap o.switch (fun frame ->
+      match frame.Netbase.Packet.l3 with
+      | Netbase.Packet.Ipv4 { src; dst; udp; _ }
+        when Netbase.Addr.Ip.equal src src_ip && Netbase.Addr.Ip.equal dst dst_ip
+             && udp.Netbase.Packet.size > Spines.Node.overhead_bytes ->
+          incr n
+      | _ -> ());
+  n
+
+(* Daemon 2 has no key, so each frame it sends carries a bad tag. Daemon 1
+   sees 0's message first from 0, then again inside 2's forgery. *)
+let forged_mesh () =
+  let keyed i = if i = 2 then None else Some "group-key" in
+  make_overlay ~keyed (Spines.Topology.full_mesh [ 0; 1; 2 ])
+
+let test_forged_duplicate_frame_changes_nothing () =
+  let o = forged_mesh () in
+  let sink = collect_client o.nodes.(1) ~client:9 ~groups:[ "g" ] () in
+  let forged = count_frames o ~a:2 ~b:1 in
+  let start, stop = quiet_window in
+  Sim.Engine.run ~until:start o.engine;
+  let c name = Sim.Stats.Counter.get (Spines.Node.counters o.nodes.(1)) name in
+  let rejects = c "auth.reject" and drops = c "dedup.drop" in
+  Spines.Node.send o.nodes.(0) ~client:1 ~size:50 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "from-0");
+  Sim.Engine.run ~until:stop o.engine;
+  check_int "2 forwarded 0's message to 1" 1 !forged;
+  check_int "one delivery" 1 (List.length !sink);
+  check_int "forged copy counted as a duplicate" 1 (c "dedup.drop" - drops);
+  check_int "auth.reject unchanged" 0 (c "auth.reject" - rejects);
+  check_int "dedup window holds only 0's message" 1 (Spines.Node.dedup_retained o.nodes.(1))
+
+let test_forged_mixed_frame_rejected_whole () =
+  let o = forged_mesh () in
+  let sink = collect_client o.nodes.(1) ~client:9 ~groups:[ "g" ] () in
+  (* Daemon 2 answers 0's message with its own, inside the same delivery,
+     so both leave 2 for daemon 1 in one coalesced frame. *)
+  let answered = ref false in
+  Spines.Node.register_client o.nodes.(2) ~client:9 ~groups:[ "g" ] (fun ~src:_ ~size:_ _ ->
+      if not !answered then begin
+        answered := true;
+        Spines.Node.send o.nodes.(2) ~client:9 ~size:50 (Spines.Node.To_group "g")
+          (Netbase.Packet.Raw "from-2")
+      end);
+  let forged = count_frames o ~a:2 ~b:1 in
+  let start, stop = quiet_window in
+  Sim.Engine.run ~until:start o.engine;
+  let c name = Sim.Stats.Counter.get (Spines.Node.counters o.nodes.(1)) name in
+  let rejects = c "auth.reject" in
+  Spines.Node.send o.nodes.(0) ~client:1 ~size:50 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "from-0");
+  Sim.Engine.run ~until:stop o.engine;
+  check "2 answered" true !answered;
+  check_int "one frame from 2 to 1" 1 !forged;
+  check_int "frame rejected" 1 (c "auth.reject" - rejects);
+  (match !sink with
+  | [ (_, Netbase.Packet.Raw "from-0") ] -> ()
+  | _ -> Alcotest.fail "expected only 0's message at daemon 1");
+  check_int "2's message left no dedup state" 1 (Spines.Node.dedup_retained o.nodes.(1))
+
+let test_readdressed_peer_old_ip_unknown () =
+  let o = make_overlay (Spines.Topology.full_mesh [ 0; 1 ]) in
+  let sink = collect_client o.nodes.(1) ~client:9 ~groups:[ "g" ] () in
+  let c name = Sim.Stats.Counter.get (Spines.Node.counters o.nodes.(1)) name in
+  let start, stop = quiet_window in
+  Sim.Engine.run ~until:start o.engine;
+  Spines.Node.set_peer_address o.nodes.(1) 0 (ip 10 0 0 50);
+  let unknown = c "link.unknown_peer" in
+  Spines.Node.send o.nodes.(0) ~client:1 ~size:50 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "old-ip");
+  Sim.Engine.run ~until:stop o.engine;
+  check_int "frame from the old IP is from no peer" 1 (c "link.unknown_peer" - unknown);
+  check_int "not delivered" 0 (List.length !sink);
+  (* Addressing 0 back at its real IP makes it a peer again. *)
+  Spines.Node.set_peer_address o.nodes.(1) 0 (ip 10 0 0 1);
+  Spines.Node.send o.nodes.(0) ~client:1 ~size:50 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "real-ip");
+  Sim.Engine.run ~until:1.0 o.engine;
+  check_int "delivered from the real IP" 1 (List.length !sink)
+
+(* [seen] is [mark]'s duplicate verdict, read without marking. *)
+let prop_window_seen_matches_mark =
+  QCheck.Test.make ~count:200 ~name:"window seen predicts mark"
+    QCheck.(list (pair (int_range 0 3) (int_range (-2) 40)))
+    (fun ops ->
+      let w = Spines.Window.create ~span:8 () in
+      List.for_all
+        (fun (origin, seq) ->
+          let seen = Spines.Window.seen w ~origin ~seq in
+          let retained = Spines.Window.retained w in
+          let seen_again = Spines.Window.seen w ~origin ~seq in
+          Spines.Window.retained w = retained
+          && seen = seen_again
+          && seen = not (Spines.Window.mark w ~origin ~seq))
+        ops)
+
 let suite =
   [
     ("full mesh", `Quick, test_full_mesh);
@@ -637,6 +814,12 @@ let suite =
     ("frame decode total on garbage", `Quick, test_frame_decode_total_on_garbage);
     ("corrupt frames dropped not crashing", `Quick, test_corrupt_frames_dropped_not_crashing);
     ("node egress overflow counted", `Quick, test_node_egress_overflow_counted);
+    QCheck_alcotest.to_alcotest prop_frame_roundtrip;
+    QCheck_alcotest.to_alcotest prop_frame_canonical;
+    ("forged duplicate frame changes nothing", `Quick, test_forged_duplicate_frame_changes_nothing);
+    ("forged mixed frame rejected whole", `Quick, test_forged_mixed_frame_rejected_whole);
+    ("re-addressed peer's old ip unknown", `Quick, test_readdressed_peer_old_ip_unknown);
+    QCheck_alcotest.to_alcotest prop_window_seen_matches_mark;
   ]
 
 let () = Alcotest.run "spines" [ ("spines", suite) ]

@@ -1,6 +1,7 @@
 (* Tests for the binary wire codec: scalar round-trips, malformed-input
-   rejection, and byte stability of every signed Prime body across two
-   independent same-seed deployments (signature compatibility). *)
+   rejection, the canonical varint, and byte stability of every signed
+   Prime body across two independent same-seed deployments (signature
+   compatibility). *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -56,44 +57,6 @@ let test_digest_and_opt () =
   check "opt none" true (Wire.r_opt Wire.r_str r = None);
   check "consumed" true (Wire.at_end r)
 
-let test_sub_reader_bounded_views () =
-  (* Two length-prefixed records back to back; read each through a
-     zero-copy sub-view. *)
-  let rec_a = Wire.encode (fun e -> Wire.w_u16 e 7; Wire.w_str e "payload-a") in
-  let rec_b = Wire.encode (fun e -> Wire.w_u16 e 8) in
-  let blob =
-    Wire.encode (fun b ->
-        Wire.w_str b rec_a;
-        Wire.w_str b rec_b;
-        Wire.w_u8 b 0xAA)
-  in
-  let r = Wire.reader blob in
-  let ra = Wire.r_str_reader r in
-  check_int "sub-view sized to the field" (String.length rec_a) (Wire.remaining ra);
-  check_int "first field" 7 (Wire.r_u16 ra);
-  check_str "nested string" "payload-a" (Wire.r_str ra);
-  check "sub-view consumed exactly" true (Wire.at_end ra);
-  (* The sub-view is bounded: reading past its window raises even though
-     the backing string has more bytes. *)
-  Alcotest.check_raises "bounded past the window" Wire.Truncated (fun () ->
-      ignore (Wire.r_u8 ra));
-  (* The parent resumes after the window, independent of sub-view reads. *)
-  let rb = Wire.r_str_reader r in
-  check_int "second record" 8 (Wire.r_u16 rb);
-  check_int "parent continues past both" 0xAA (Wire.r_u8 r);
-  check "parent consumed" true (Wire.at_end r);
-  (* A sub-view larger than what remains is refused up front. *)
-  let short = Wire.reader (Wire.encode (fun b -> Wire.w_u32 b 1000)) in
-  Alcotest.check_raises "oversized window refused" Wire.Truncated (fun () ->
-      ignore (Wire.r_str_reader short));
-  (* Equivalence: for any record, parsing through a sub-view reads the
-     same bytes as parsing the copied-out string. *)
-  let r1 = Wire.reader blob and r2 = Wire.reader blob in
-  let via_view = Wire.r_str_reader r1 in
-  let via_copy = Wire.reader (Wire.r_str r2) in
-  check_int "same u16 either way" (Wire.r_u16 via_copy) (Wire.r_u16 via_view);
-  check_str "same nested string" (Wire.r_str via_copy) (Wire.r_str via_view)
-
 let test_malformed_rejected () =
   Alcotest.check_raises "u8 range" (Invalid_argument "Wire.w_u8: out of range") (fun () ->
       ignore (Wire.encode (fun b -> Wire.w_u8 b 256)));
@@ -124,6 +87,73 @@ let prop_int_roundtrip =
   QCheck.Test.make ~count:500 ~name:"w_int/r_int round-trips any int"
     QCheck.(oneof [ int; oneofl [ max_int; min_int; 0; -1; 1 ] ])
     (fun i -> Wire.r_int (Wire.reader (Wire.encode (fun b -> Wire.w_int b i))) = i)
+
+(* --- varint ------------------------------------------------------------------- *)
+
+let varint v = Wire.encode (fun b -> Wire.w_varint b v)
+
+let read_varint s =
+  let r = Wire.reader s in
+  match Wire.r_varint r with
+  | v -> Some (v, String.length s - Wire.remaining r)
+  | exception Wire.Truncated -> None
+
+let test_varint_known_answers () =
+  check_str "0" "\x00" (varint 0);
+  check_str "-1" "\x01" (varint (-1));
+  check_str "1" "\x02" (varint 1);
+  check_str "63" "\x7e" (varint 63);
+  check_str "-64" "\x7f" (varint (-64));
+  check_str "64" "\x80\x01" (varint 64);
+  check_int "max_int takes 9 bytes" 9 (String.length (varint max_int));
+  check_int "min_int takes 9 bytes" 9 (String.length (varint min_int));
+  check "padded zero rejected" true (read_varint "\x80\x00" = None);
+  check "padded one rejected" true (read_varint "\x82\x00" = None);
+  check "10-byte encoding rejected" true
+    (read_varint (String.make 9 '\x80' ^ "\x01") = None);
+  check "9th byte may not continue" true (read_varint (String.make 9 '\xff') = None);
+  check "truncated" true (read_varint "\x80" = None);
+  check "empty" true (read_varint "" = None);
+  (* The decoder allocates nothing: 10 000 reads of a 9-byte varint. *)
+  let r = Wire.reader (String.concat "" (List.init 10_000 (fun _ -> varint min_int))) in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Wire.r_varint r))
+  done;
+  check "r_varint allocation-free" true (Gc.minor_words () -. before < 100.0)
+
+let varint_edges =
+  List.concat_map
+    (fun k ->
+      let p = 1 lsl (7 * k) in
+      [ p; p - 1; -p; -p - 1; (p / 2) - 1; -(p / 2) ])
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  @ [ max_int; min_int; 0; -1; 1 ]
+
+let prop_varint_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"w_varint/r_varint round-trips any int"
+    QCheck.(oneof [ int; small_signed_int; oneofl varint_edges ])
+    (fun v ->
+      let s = varint v in
+      String.length s = Wire.varint_size v
+      && String.length s <= 9
+      && read_varint s = Some (v, String.length s))
+
+(* Bytes biased toward the continuation and zero edges, so that padded,
+   over-long and truncated inputs all come up. *)
+let varint_garbage =
+  QCheck.(
+    string_gen_of_size (Gen.int_range 0 12)
+      (Gen.oneof
+         [ Gen.char; Gen.oneofl [ '\x00'; '\x01'; '\x7f'; '\x80'; '\x81'; '\xff' ] ]))
+
+let prop_varint_canonical =
+  QCheck.Test.make ~count:2000 ~name:"every accepted varint re-encodes to itself"
+    varint_garbage
+    (fun s ->
+      match read_varint s with
+      | None -> true
+      | Some (v, used) -> String.equal (varint v) (String.sub s 0 used))
 
 let prop_composite_roundtrip =
   QCheck.Test.make ~count:300 ~name:"composite record round-trips"
@@ -276,11 +306,13 @@ let suite =
   [
     ("scalar round-trips", `Quick, test_scalar_roundtrips);
     ("digest and option round-trips", `Quick, test_digest_and_opt);
-    ("sub-reader bounded views", `Quick, test_sub_reader_bounded_views);
     ("malformed input rejected", `Quick, test_malformed_rejected);
     ("signed bodies byte-stable across deployments", `Quick, test_bodies_stable_across_deployments);
     ("streams diverge across seeds", `Quick, test_bodies_diverge_across_seeds);
+    ("varint known answers", `Quick, test_varint_known_answers);
     QCheck_alcotest.to_alcotest prop_int_roundtrip;
+    QCheck_alcotest.to_alcotest prop_varint_roundtrip;
+    QCheck_alcotest.to_alcotest prop_varint_canonical;
     QCheck_alcotest.to_alcotest prop_composite_roundtrip;
   ]
 
