@@ -1081,7 +1081,7 @@ let exp_e16 () =
   Printf.printf "  off-runs byte-identical: %b; on/off protocol schedule identical: %b\n"
     off_identical on_off_schedule_identical;
   print_endline "\n  Observation is passive: the sampler timer draws no randomness and ties";
-  print_endline "  on the event heap break by insertion order, so enabling the recorder,";
+  print_endline "  in the event queue break by insertion order, so enabling the recorder,";
   print_endline "  probes and alert engine changes allocations but not one protocol event.";
   let open Obs.Json in
   let mode_json (r : Chaos.Runner.result) cpu minor =
@@ -1104,108 +1104,6 @@ let exp_e16 () =
       ("alloc_ratio", Num alloc_ratio);
       ("off_runs_byte_identical", Bool off_identical);
       ("on_off_schedule_identical", Bool on_off_schedule_identical);
-    ]
-
-(* --- E17: sim core — timer wheel vs binary heap ------------------------------------------------ *)
-
-(* Queue-bound synthetic workload: a population of self-rescheduling
-   periodic timers (the dominant event shape in deployment runs —
-   hello/poll/summary/reconcile ticks) plus a retransmit-arm/ack-cancel
-   churn pattern. Thunks are allocated once and reused, so the measured
-   time and allocation deltas belong to the event queue itself. *)
-let run_e17_queue ~backend ~timers ~churn_hz ~duration () =
-  Gc.full_major ();
-  let minor0 = Gc.minor_words () in
-  let cpu0 = Sys.time () in
-  let e = Sim.Engine.create ~backend ~hint:(4 * timers) () in
-  let rng = Sim.Rng.create 99L in
-  for i = 0 to timers - 1 do
-    (* Periods spread over [10ms, 510ms] so bucket occupancy varies. *)
-    let period = 0.01 +. (0.5 *. float_of_int (i mod 50) /. 50.0) in
-    let rec tick () = ignore (Sim.Engine.schedule e ~delay:period tick) in
-    ignore (Sim.Engine.schedule e ~delay:(Sim.Rng.float rng period) tick)
-  done;
-  (* Retransmit churn: arm a far timer, cancel it when the "ack" lands.
-     This is the pattern that makes cancel cost matter. *)
-  let cancelled = ref 0 in
-  let churn_period = 1.0 /. float_of_int churn_hz in
-  let rec churn_tick () =
-    let retransmit = Sim.Engine.schedule e ~delay:0.25 ignore_thunk in
-    ignore
-      (Sim.Engine.schedule e ~delay:0.01 (fun () ->
-           Sim.Engine.cancel e retransmit;
-           incr cancelled));
-    ignore (Sim.Engine.schedule e ~delay:churn_period churn_tick)
-  and ignore_thunk () = () in
-  ignore (Sim.Engine.schedule e ~delay:churn_period churn_tick);
-  Sim.Engine.run ~until:duration e;
-  let cpu = Sys.time () -. cpu0 in
-  let minor = Gc.minor_words () -. minor0 in
-  (Sim.Engine.executed_events e, !cancelled, cpu, minor)
-
-let exp_e17 () =
-  section "E17" "Sim core: timer wheel vs binary heap (events/sec, allocations/event, determinism)";
-  let timers = 20_000 and churn_hz = 500 and duration = 20.0 in
-  let bench backend =
-    let executed, cancelled, cpu, minor =
-      run_e17_queue ~backend ~timers ~churn_hz ~duration ()
-    in
-    let events_per_s = float_of_int executed /. Float.max 1e-9 cpu in
-    let words_per_event = minor /. float_of_int (max 1 executed) in
-    Printf.printf
-      "  %-6s %8d events (%d cancelled) in %6.2f s cpu: %10.0f events/s, %6.1f minor words/event\n"
-      (match backend with `Wheel -> "wheel" | `Heap -> "heap")
-      executed cancelled cpu events_per_s words_per_event;
-    (executed, events_per_s, words_per_event)
-  in
-  let heap_exec, heap_eps, heap_wpe = bench `Heap in
-  let wheel_exec, wheel_eps, wheel_wpe = bench `Wheel in
-  let speedup = wheel_eps /. heap_eps in
-  let alloc_ratio = wheel_wpe /. Float.max 1e-9 heap_wpe in
-  Printf.printf "  wheel speedup: %.2fx events/s; allocations/event ratio %.2fx\n" speedup
-    alloc_ratio;
-  (* End-to-end determinism: a full same-seed chaos campaign must be
-     byte-identical across backends — flight JSONL and result JSON. *)
-  let w = Chaos.Runner.run ~duration:30.0 ~seed:42 ~backend:`Wheel () in
-  let h = Chaos.Runner.run ~duration:30.0 ~seed:42 ~backend:`Heap () in
-  let flight_identical =
-    match (w.Chaos.Runner.flight_jsonl, h.Chaos.Runner.flight_jsonl) with
-    | Some jw, Some jh -> String.equal jw jh
-    | _ -> false
-  in
-  let result_identical =
-    String.equal
-      (Obs.Json.to_string (Chaos.Runner.result_to_json w))
-      (Obs.Json.to_string (Chaos.Runner.result_to_json h))
-  in
-  Printf.printf
-    "  heap/wheel chaos runs: flight JSONL identical: %b; result JSON identical: %b\n"
-    flight_identical result_identical;
-  print_endline "\n  The wheel schedules and cancels in O(1) against slab-allocated cells";
-  print_endline "  (no per-event heap entry or id-table churn) while popping in exactly";
-  print_endline "  the heap's (time, schedule-order) — so it is faster without moving";
-  print_endline "  one event of any same-seed run.";
-  let open Obs.Json in
-  let backend_json executed eps wpe =
-    Obj
-      [
-        ("executed_events", num_i executed);
-        ("events_per_cpu_s", Num eps);
-        ("minor_words_per_event", Num wpe);
-      ]
-  in
-  Obj
-    [
-      ("timers", num_i timers);
-      ("churn_hz", num_i churn_hz);
-      ("duration_s", Num duration);
-      ("heap", backend_json heap_exec heap_eps heap_wpe);
-      ("wheel", backend_json wheel_exec wheel_eps wheel_wpe);
-      ("wheel_speedup", Num speedup);
-      ("alloc_per_event_ratio", Num alloc_ratio);
-      ("synthetic_executed_identical", Bool (heap_exec = wheel_exec));
-      ("chaos_flight_jsonl_identical", Bool flight_identical);
-      ("chaos_result_json_identical", Bool result_identical);
     ]
 
 (* --- E18: scale-out field layer — sharded masters, poll aggregation, 1 000 devices ------------ *)
@@ -1519,40 +1417,6 @@ let exp_e18 () =
 
 (* --- E19: incremental state digests — O(1) votes and binary snapshots ------------------------- *)
 
-(* The pre-incremental digest path, reimplemented here so the comparison
-   stays honest after the production path changed: every digest call
-   re-serialized the whole state (sort the breaker table, sprintf each
-   entry, concat with ';') and hashed the resulting text blob. The
-   shadow tables mirror the same logical state the real [Scada.State.t]
-   carries. *)
-type e19_old_breaker = {
-  mutable ob_reported : bool;
-  mutable ob_commanded : bool;
-  mutable ob_exec : int;
-}
-
-let e19_old_serialize breakers cursors =
-  let body =
-    Hashtbl.fold (fun name b acc -> (name, b) :: acc) breakers []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (name, b) ->
-           Printf.sprintf "%s=%d/%d/%d" name
-             (if b.ob_reported then 1 else 0)
-             (if b.ob_commanded then 1 else 0)
-             b.ob_exec)
-    |> String.concat ";"
-  in
-  let cur =
-    Hashtbl.fold (fun origin c acc -> (origin, c) :: acc) cursors []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (origin, c) -> Printf.sprintf "%s=%d" origin c)
-    |> String.concat ";"
-  in
-  if cur = "" then body else body ^ "#" ^ cur
-
-let e19_old_digest breakers cursors =
-  Crypto.Sha256.to_hex (Crypto.Sha256.digest (e19_old_serialize breakers cursors))
-
 (* CPU nanoseconds per call of [f] over [iters] calls. *)
 let e19_ns_per_call iters f =
   let t0 = Sys.time () in
@@ -1569,58 +1433,35 @@ let exp_e19 () =
   let names = Array.of_list (List.sort String.compare (Plc.Power.all_breakers scenario)) in
   let n = Array.length names in
   let state = Scada.State.create scenario in
-  let old_breakers = Hashtbl.create (2 * n) in
-  Array.iter
-    (fun name ->
-      Hashtbl.replace old_breakers name { ob_reported = true; ob_commanded = true; ob_exec = 0 })
-    names;
-  let old_cursors : (string, int) Hashtbl.t = Hashtbl.create 16 in
   (* Digest-after-update cost: flip one breaker, then ask for the digest
-     — the shape of every f+1 vote, invariant sweep and checkpoint root.
-     The old path pays a full re-serialize + hash; the new path an
-     O(log n) leaf-path rehash and a cached-root read. *)
-  let old_iters = 300 in
-  let old_ns =
-    e19_ns_per_call old_iters (fun i ->
-        let b = Hashtbl.find old_breakers names.(i mod n) in
-        b.ob_reported <- not b.ob_reported;
-        b.ob_exec <- i;
-        e19_old_digest old_breakers old_cursors)
-  in
-  let new_iters = 30_000 in
-  (* Negating the reported position guarantees every apply is a real
-     change — never the no-change fast path or a still-valid memo. *)
+     — the shape of every f+1 vote, invariant sweep and checkpoint root:
+     an O(log n) leaf-path rehash and a cached-root read. Negating the
+     reported position guarantees every apply is a real change — never
+     the no-change fast path or a still-valid memo. *)
   let flip st name ~exec_seq =
     ignore
       (Scada.State.apply st ~exec_seq
          (Scada.Op.Status { breaker = name; closed = not (Scada.State.reported_closed st name) }))
   in
-  let new_ns =
-    e19_ns_per_call new_iters (fun i ->
+  let digest_ns =
+    e19_ns_per_call 30_000 (fun i ->
         flip state names.(i mod n) ~exec_seq:(i + 1);
         Scada.State.digest state)
   in
   let cached_ns =
     e19_ns_per_call 1_000_000 (fun _ -> Scada.State.digest_root state)
   in
-  let digest_speedup = old_ns /. Float.max 1e-9 new_ns in
-  Printf.printf "  digest after 1 update  : %10.0f ns old (re-hash world)  %10.0f ns new  %8.1fx\n"
-    old_ns new_ns digest_speedup;
+  Printf.printf "  digest after 1 update  : %10.0f ns\n" digest_ns;
   Printf.printf "  digest, no mutation    : %10.0f ns (cached root read)\n" cached_ns;
-  (* Snapshot encoding: the sprintf text blob vs the canonical binary
-     blob (memo invalidated by the flip, so each call re-encodes). *)
-  let old_ser_ns =
-    e19_ns_per_call old_iters (fun _ -> e19_old_serialize old_breakers old_cursors)
-  in
-  let new_ser_ns =
+  (* Snapshot encoding: the canonical binary blob (memo invalidated by
+     the flip, so each call re-encodes). *)
+  let serialize_ns =
     e19_ns_per_call 3_000 (fun i ->
         flip state names.(i mod n) ~exec_seq:(i + 1);
         Scada.State.serialize state)
   in
-  let old_blob_bytes = String.length (e19_old_serialize old_breakers old_cursors) in
-  let new_blob_bytes = String.length (Scada.State.serialize state) in
-  Printf.printf "  serialize after 1 flip : %10.0f ns old (%d B text)  %10.0f ns new (%d B binary)\n"
-    old_ser_ns old_blob_bytes new_ser_ns new_blob_bytes;
+  let blob_bytes = String.length (Scada.State.serialize state) in
+  Printf.printf "  serialize after 1 flip : %10.0f ns (%d B binary)\n" serialize_ns blob_bytes;
   (* Differential equivalence: a mixed op/snapshot/reset walk where the
      incrementally maintained digest must equal a from-scratch recompute
      after every step. *)
@@ -1664,8 +1505,8 @@ let exp_e19 () =
   Printf.printf "  incremental = from-scratch recompute over %d mixed steps: %b\n" diff_steps
     !equivalent;
   (* Grid overview throughput: 16 shards over the 1 000-device scenario,
-     f+1 digest votes per shard per query. The comparator forces the
-     from-scratch recompute the old digest paid on every query. *)
+     f+1 digest votes per shard per query. The comparator forces a
+     from-scratch recompute of every replica's digest per query. *)
   let engine = Sim.Engine.create ~seed:19L () in
   let trace = Sim.Trace.create () in
   let config = Prime.Config.create ~f:1 ~k:0 () in
@@ -1709,23 +1550,19 @@ let exp_e19 () =
   in
   Printf.printf "  same-seed chaos runs byte-identical (flight JSONL + result JSON): %b\n"
     same_seed_identical;
-  print_endline "\n  The digest is now a cached Merkle root updated O(log n) per applied op,";
-  print_endline "  so f+1 digest votes, invariant sweeps and checkpoint roots read a field";
-  print_endline "  instead of re-hashing ~1 000 sprintf'd entries; snapshots are canonical";
-  print_endline "  Wire blobs with total parsing and full-replacement install semantics.";
+  print_endline "\n  The digest is a cached Merkle root updated O(log n) per applied op, so";
+  print_endline "  f+1 digest votes, invariant sweeps and checkpoint roots read a field";
+  print_endline "  instead of re-hashing every entry; snapshots are canonical Wire blobs";
+  print_endline "  with total parsing and full-replacement install semantics.";
   let open Obs.Json in
   Obj
     [
       ("devices", num_i e19_devices);
       ("breakers", num_i n);
-      ("old_digest_ns", Num old_ns);
-      ("new_digest_ns", Num new_ns);
+      ("digest_ns", Num digest_ns);
       ("cached_digest_ns", Num cached_ns);
-      ("digest_speedup", Num digest_speedup);
-      ("old_serialize_ns", Num old_ser_ns);
-      ("new_serialize_ns", Num new_ser_ns);
-      ("old_blob_bytes", num_i old_blob_bytes);
-      ("new_blob_bytes", num_i new_blob_bytes);
+      ("serialize_ns", Num serialize_ns);
+      ("blob_bytes", num_i blob_bytes);
       ( "overview",
         Obj
           [
@@ -1772,8 +1609,8 @@ let e20_render net =
    surviving boundary, trip it too, and island the corridor — a genuine
    initial-trip -> overload -> secondary-trips chain, staggered and
    fully deterministic. *)
-let e20_cascade backend =
-  let engine = Sim.Engine.create ~seed:2020L ~backend () in
+let e20_cascade () =
+  let engine = Sim.Engine.create ~seed:2020L () in
   let model = Power.Model.of_scenario (Plc.Power.synthetic ~devices:e20_devices ()) in
   let net = Power.Net.create ~engine model in
   let open_sites sites =
@@ -1818,21 +1655,18 @@ let exp_e20 () =
   let n2_cases = List.init sites (fun s -> [ feeder s; feeder ((s + 1) mod sites) ]) in
   let n1_overloads, n1_worst = sweep "N-1 feeders" n1_cases in
   let n2_overloads, n2_worst = sweep "N-2 adjacent" n2_cases in
-  (* The cascade, and the determinism claims: same seed twice, and the
-     heap vs timer-wheel engine backends, all byte-identical. *)
-  let net, bytes_heap = e20_cascade `Heap in
-  let _, bytes_heap2 = e20_cascade `Heap in
-  let _, bytes_wheel = e20_cascade `Wheel in
-  let same_seed_identical = String.equal bytes_heap bytes_heap2 in
-  let backends_identical = String.equal bytes_heap bytes_wheel in
+  (* The cascade, and the determinism claim: the same seed twice,
+     byte-identical. *)
+  let net, bytes = e20_cascade () in
+  let _, bytes_rerun = e20_cascade () in
+  let same_seed_identical = String.equal bytes bytes_rerun in
   let trips = Power.Net.trip_log net in
   let sheds = Power.Net.shed_log net in
   Printf.printf "  cascade: %d trips, %.1f MW shed, %.1f/%.1f MW served\n" (List.length trips)
     (Power.Net.shed_mw net) (Power.Net.served_mw net) (Power.Net.total_demand_mw net);
   List.iter (fun (t, line) -> Printf.printf "    trip t=%8.3f  %s\n" t line) trips;
   List.iter (fun (t, load, mw) -> Printf.printf "    shed t=%8.3f  %s  %.1f MW\n" t load mw) sheds;
-  Printf.printf "  same-seed identical %b  backends identical %b\n" same_seed_identical
-    backends_identical;
+  Printf.printf "  same-seed identical %b\n" same_seed_identical;
   (* --- Part B: the replicated stack ------------------------------------ *)
   let flight = Obs.Flight.default in
   let prev_flight = Obs.Flight.enabled flight in
@@ -1965,7 +1799,6 @@ let exp_e20 () =
             ("served_mw", Num (Power.Net.served_mw net));
             ("total_demand_mw", Num (Power.Net.total_demand_mw net));
             ("same_seed_identical", Bool same_seed_identical);
-            ("backends_identical", Bool backends_identical);
           ] );
       ( "no_fault",
         Obj
@@ -2010,7 +1843,6 @@ let experiments =
     ("e12", exp_e12);
     ("e15", exp_e15);
     ("e16", exp_e16);
-    ("e17", exp_e17);
     ("e18", exp_e18);
     ("e19", exp_e19);
     ("e20", exp_e20);

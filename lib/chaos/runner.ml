@@ -77,7 +77,7 @@ let sum_dedup_evictions deployment =
 
 let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period = 1.0)
     ?(liveness_bound = 20.0) ?(recovery_bound = 30.0) ?(heal_grace = 10.0) ?schedule
-    ?(observe = true) ?flight_dump ?(backend = `Wheel) ?fault_class ~seed () =
+    ?(observe = true) ?flight_dump ?fault_class ~seed () =
   let config = match config with Some c -> c | None -> Prime.Config.power_plant () in
   (* Observation is opt-in per run and restored afterwards: the default
      recorder and probe registry are process globals shared with whatever
@@ -99,7 +99,7 @@ let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period
     Obs.Probe.reset Obs.Probe.default;
     Obs.Probe.set_enabled Obs.Probe.default true
   end;
-  let engine = Sim.Engine.create ~seed:(Int64.of_int seed) ~backend () in
+  let engine = Sim.Engine.create ~seed:(Int64.of_int seed) () in
   if observe then
     Obs.Flight.set_clock Obs.Flight.default (fun () -> Sim.Engine.now engine);
   let alert =
@@ -201,7 +201,7 @@ let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period
   in
   (* Health sampler: polls the probe registry and runs the alert rules.
      Purely passive — [Sim.Engine.every] without jitter draws no RNG and
-     the heap breaks same-time ties by insertion order, so protocol
+     the event queue breaks same-time ties by insertion order, so protocol
      events are never reordered by observation. *)
   let sampler =
     match alert with

@@ -42,10 +42,6 @@ val default_scenario : Plc.Power.scenario
     the path the flight JSONL is written to when an invariant trips
     (default: [spire-flight-seed<seed>.jsonl] in the temp directory).
 
-    [backend] selects the engine's event-queue implementation (default
-    [`Wheel]); same-seed runs are byte-identical across backends, which
-    the sim bench gates on.
-
     [fault_class] restricts the generated schedule (no explicit
     [schedule] given) to repeated windows of one fault class — the soak
     campaigns run hundreds of seeds of [Fault.Lossy] this way. *)
@@ -60,7 +56,6 @@ val run :
   ?schedule:Fault.schedule ->
   ?observe:bool ->
   ?flight_dump:string ->
-  ?backend:[ `Wheel | `Heap ] ->
   ?fault_class:Fault.fault_class ->
   seed:int ->
   unit ->

@@ -21,8 +21,7 @@
 
    The DC solve is a per-island reduced-Laplacian linear system solved
    by dense Gaussian elimination with partial pivoting — branch-free
-   and allocation-deterministic, so same-input solves are bit-identical
-   on either engine backend. *)
+   and allocation-deterministic, so same-input solves are bit-identical. *)
 
 type bus = { bus_index : int; bus_name : string }
 

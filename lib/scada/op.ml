@@ -31,6 +31,19 @@ let encode = function
       Printf.sprintf "telem:%s:%d:%s" origin cursor
         (String.concat "," (List.map (fun (p, v) -> Printf.sprintf "%s=%d" p v) readings))
 
+(* Only the spelling [string_of_int] prints: an optional '-', then
+   decimal digits with no leading zero, and no "-0". That rules out the
+   '+', radix prefixes and underscores [int_of_string] also takes.
+   Checked in place: telemetry decodes one int per reading. *)
+let rec digits_from s i =
+  i = String.length s || (s.[i] >= '0' && s.[i] <= '9' && digits_from s (i + 1))
+
+let canonical_int s =
+  let n = String.length s in
+  let first = if n > 0 && s.[0] = '-' then 1 else 0 in
+  if n > first && (s.[first] <> '0' || n = 1) && digits_from s first then int_of_string_opt s
+  else None
+
 let decode_reports s =
   if String.length s = 0 then Some []
   else
@@ -54,7 +67,7 @@ let decode_readings s =
     let parse entry =
       match String.index_opt entry '=' with
       | Some i when i > 0 -> (
-          match int_of_string_opt (String.sub entry (i + 1) (String.length entry - i - 1)) with
+          match canonical_int (String.sub entry (i + 1) (String.length entry - i - 1)) with
           | Some v -> Some (String.sub entry 0 i, v)
           | None -> None)
       | _ -> None
@@ -68,17 +81,19 @@ let decode s =
       Some (Status { breaker; closed = flag = "1" })
   | [ "cmd"; breaker; flag ] when flag = "0" || flag = "1" ->
       Some (Command { breaker; close = flag = "1" })
-  | "batch" :: origin :: cursor :: rest -> (
+  | "batch" :: origin :: cursor :: (_ :: _ as rest) -> (
       (* [rest] re-joined: breaker names are colon-free today, but a
-         faulty client could ship one; re-joining keeps decode total. *)
-      match int_of_string_opt cursor with
+         faulty client could ship one; re-joining keeps decode total.
+         It must be present: [encode] always writes the report field's
+         leading ':', even for an empty list. *)
+      match canonical_int cursor with
       | Some cursor when cursor >= 0 -> (
           match decode_reports (String.concat ":" rest) with
           | Some reports -> Some (Batch { origin; cursor; reports })
           | None -> None)
       | _ -> None)
-  | "telem" :: origin :: cursor :: rest -> (
-      match int_of_string_opt cursor with
+  | "telem" :: origin :: cursor :: (_ :: _ as rest) -> (
+      match canonical_int cursor with
       | Some cursor when cursor >= 0 -> (
           match decode_readings (String.concat ":" rest) with
           | Some readings -> Some (Telemetry { origin; cursor; readings })

@@ -5,58 +5,34 @@
    Cancellation is lazy: a cancelled event stays in the queue but its thunk
    is skipped when popped.
 
-   Two queue backends share one engine shell:
-   - [`Wheel] (default): hierarchical timer wheel ({!Wheel}) — O(1)
-     schedule/cancel for the dominant short-horizon timers, slab-allocated
-     event cells, no per-event id bookkeeping tables.
-   - [`Heap]: the original single binary heap plus id hashtables. Kept as
-     the determinism baseline: both backends pop in exactly (time,
-     schedule-order) order, so same-seed runs are byte-identical across
-     backends — asserted by tests and the bench-sim determinism gate. *)
+   The queue is a hierarchical timer wheel ({!Wheel}): O(1)
+   schedule/cancel for the dominant short-horizon timers, slab-allocated
+   event cells, no per-event id bookkeeping tables. It pops in exactly
+   (time, schedule-order) order, so same-seed runs are byte-identical;
+   the sim tests pin that order against a plain binary-heap reference
+   queue. *)
 
 type event_id = int
 
-type event = { id : event_id; thunk : unit -> unit }
-
-type heap_q = {
-  queue : event Heap.t;
-  cancelled : (event_id, unit) Hashtbl.t;
-  pending_ids : (event_id, unit) Hashtbl.t;
-  mutable next_id : int;
-}
-
-type backend = Heap_q of heap_q | Wheel_q of Wheel.t
-
 type t = {
   mutable now : float;
-  backend : backend;
+  queue : Wheel.t;
   rng : Rng.t;
   mutable executed : int;
   mutable stop_requested : bool;
 }
 
-(* [hint] pre-sizes the event queue (wheel slab or heap array plus its
-   id-tracking tables) for the expected number of in-flight events; long
-   deployment runs hold tens of thousands of pending events and the
-   doubling churn (array copies plus hashtable rehashes) showed up in
-   profiles. *)
-let create ?(seed = 0x5CADAL) ?(hint = 64) ?(backend = `Wheel) () =
-  let hint = max 16 hint in
-  let backend =
-    match backend with
-    | `Wheel -> Wheel_q (Wheel.create ~hint ())
-    | `Heap ->
-        Heap_q
-          {
-            queue = Heap.create ~capacity:hint ();
-            cancelled = Hashtbl.create hint;
-            pending_ids = Hashtbl.create hint;
-            next_id = 0;
-          }
-  in
-  { now = 0.0; backend; rng = Rng.create seed; executed = 0; stop_requested = false }
-
-let backend t = match t.backend with Heap_q _ -> `Heap | Wheel_q _ -> `Wheel
+(* [hint] pre-sizes the wheel's cell slab for the expected number of
+   in-flight events; long deployment runs hold tens of thousands of
+   pending events and the doubling churn showed up in profiles. *)
+let create ?(seed = 0x5CADAL) ?(hint = 64) () =
+  {
+    now = 0.0;
+    queue = Wheel.create ~hint:(max 16 hint) ();
+    rng = Rng.create seed;
+    executed = 0;
+    stop_requested = false;
+  }
 
 let now t = t.now
 
@@ -70,71 +46,33 @@ let schedule_at t ~time thunk =
   if time < t.now then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %.9f is in the past (now %.9f)" time t.now);
-  match t.backend with
-  | Wheel_q w -> Wheel.schedule w ~time thunk
-  | Heap_q h ->
-      let id = h.next_id in
-      h.next_id <- id + 1;
-      Heap.push h.queue ~key:time { id; thunk };
-      Hashtbl.replace h.pending_ids id ();
-      id
+  Wheel.schedule t.queue ~time thunk
 
 let schedule t ~delay thunk =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.now +. delay) thunk
 
-(* Heap backend: only ids still in the heap may enter [cancelled];
-   marking an already executed (or already cancelled-and-popped) id would
-   leak the entry forever. The wheel's packed stamps make the same
-   guarantee without the id tables. *)
-let cancel t id =
-  match t.backend with
-  | Wheel_q w -> Wheel.cancel w id
-  | Heap_q h -> if Hashtbl.mem h.pending_ids id then Hashtbl.replace h.cancelled id ()
+let cancel t id = Wheel.cancel t.queue id
 
-let cancelled_backlog t =
-  match t.backend with
-  | Wheel_q w -> Wheel.cancelled_backlog w
-  | Heap_q h -> Hashtbl.length h.cancelled
+let cancelled_backlog t = Wheel.cancelled_backlog t.queue
 
-let pending t =
-  match t.backend with Wheel_q w -> Wheel.length w | Heap_q h -> Heap.length h.queue
+let pending t = Wheel.length t.queue
 
-let queue_capacity t =
-  match t.backend with Wheel_q w -> Wheel.capacity w | Heap_q h -> Heap.capacity h.queue
+let queue_capacity t = Wheel.capacity t.queue
 
 let stop t = t.stop_requested <- true
 
 let step t =
-  match t.backend with
-  | Wheel_q w -> (
-      match Wheel.pop w with
-      | Wheel.Empty -> false
-      | Wheel.Cancelled time ->
-          t.now <- time;
-          true
-      | Wheel.Event (time, thunk) ->
-          t.now <- time;
-          t.executed <- t.executed + 1;
-          thunk ();
-          true)
-  | Heap_q h -> (
-      match Heap.pop h.queue with
-      | None -> false
-      | Some (time, event) ->
-          t.now <- time;
-          Hashtbl.remove h.pending_ids event.id;
-          (match Hashtbl.find_opt h.cancelled event.id with
-          | Some () -> Hashtbl.remove h.cancelled event.id
-          | None ->
-              t.executed <- t.executed + 1;
-              event.thunk ());
-          true)
-
-let peek_time t =
-  match t.backend with
-  | Wheel_q w -> Wheel.peek w
-  | Heap_q h -> ( match Heap.peek h.queue with Some (time, _) -> Some time | None -> None)
+  match Wheel.pop t.queue with
+  | Wheel.Empty -> false
+  | Wheel.Cancelled time ->
+      t.now <- time;
+      true
+  | Wheel.Event (time, thunk) ->
+      t.now <- time;
+      t.executed <- t.executed + 1;
+      thunk ();
+      true
 
 let run ?until ?(max_events = max_int) t =
   t.stop_requested <- false;
@@ -143,7 +81,7 @@ let run ?until ?(max_events = max_int) t =
     (not t.stop_requested)
     && !budget > 0
     &&
-    match (peek_time t, until) with
+    match (Wheel.peek t.queue, until) with
     | None, _ -> false
     | Some _, None -> true
     | Some time, Some limit -> time <= limit

@@ -10,19 +10,12 @@ type event_id
 
 type timer
 
-(** [create ?seed ?hint ?backend ()] makes an engine at time 0 with a
-    deterministic RNG. [hint] pre-sizes the event queue and its
-    bookkeeping tables for the expected number of in-flight events,
-    avoiding doubling churn in long runs. [backend] selects the queue
-    implementation: the hierarchical timer wheel (default; O(1)
-    schedule/cancel, slab-allocated cells) or the original binary heap
-    kept as the determinism baseline. Both pop in exactly
-    (time, schedule-order) order, so same-seed runs are byte-identical
-    across backends. *)
-val create : ?seed:int64 -> ?hint:int -> ?backend:[ `Wheel | `Heap ] -> unit -> t
-
-(** Which queue backend this engine was created with. *)
-val backend : t -> [ `Wheel | `Heap ]
+(** [create ?seed ?hint ()] makes an engine at time 0 with a
+    deterministic RNG. [hint] pre-sizes the event queue for the expected
+    number of in-flight events, avoiding doubling churn in long runs.
+    Events pop in exactly (time, schedule-order) order, so same-seed runs
+    are byte-identical. *)
+val create : ?seed:int64 -> ?hint:int -> unit -> t
 
 (** Current virtual time in seconds. *)
 val now : t -> float

@@ -1,9 +1,8 @@
-(* Array-backed binary min-heap.
+(* Array-backed binary min-heap: the timer wheel's far-future overflow.
 
-   The simulator's event queue is the hottest data structure in the system;
-   a flat array heap keeps it allocation-light. Ties on the primary key are
-   broken by insertion order (the [seq] field) so event delivery is stable
-   and runs are deterministic. *)
+   Ties on the primary key are broken by insertion order (the [seq]
+   field), so events parked here keep their schedule order and runs stay
+   deterministic. *)
 
 type 'a entry = { key : float; seq : int; value : 'a }
 
@@ -24,8 +23,6 @@ let create ?(capacity = 16) () =
 let length t = t.size
 
 let capacity t = Array.length t.data
-
-let is_empty t = t.size = 0
 
 let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
 

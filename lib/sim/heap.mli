@@ -12,10 +12,8 @@ val create : ?capacity:int -> unit -> 'a t
 val length : 'a t -> int
 
 (** Current allocated capacity of the backing array (0 before the first
-    push). Exposed so the engine can surface queue sizing. *)
+    push). *)
 val capacity : 'a t -> int
-
-val is_empty : 'a t -> bool
 
 (** [push t ~key v] inserts [v] with priority [key]. *)
 val push : 'a t -> key:float -> 'a -> unit

@@ -10,9 +10,8 @@
    when the cursor approaches. The bucket that is currently due is
    materialized into a small "active" binary heap ordered by
    (time, stamp), so pop order is exactly the (key, insertion-seq) order
-   of the plain binary-heap backend: same-seed runs are byte-identical
-   across backends — the tie-break contract PR 6's observation-passivity
-   guarantee depends on.
+   of a plain binary heap — the tie-break contract the observation-
+   passivity guarantee depends on.
 
    Allocation. Events live in a slab: parallel arrays of time/stamp/
    thunk/next indexed by cell. A free list threads through [next], so a
@@ -233,9 +232,9 @@ let schedule t ~time thunk =
 
 (* --- cancellation -------------------------------------------------------- *)
 
-(* Lazy, like the heap backend: the cell stays where it is and is
-   skipped when popped. The packed stamp makes cancels of already-
-   executed (recycled or still-free) cells no-ops. *)
+(* Lazy: the cell stays where it is and is skipped when popped. The
+   packed stamp makes cancels of already-executed (recycled or
+   still-free) cells no-ops. *)
 let cancel t id =
   let c = id land (max_cells - 1) in
   if

@@ -1,13 +1,13 @@
-(** Hierarchical timer wheel: the engine's default event queue.
+(** Hierarchical timer wheel: the engine's event queue.
 
     O(1) schedule/cancel for the dominant short-horizon timers, with a
     small overflow heap for far-future events. Events pop in exactly
     (time, schedule-order) order — the same tie-break as {!Heap} keyed
     by insertion sequence — so same-seed simulation runs are
-    byte-identical across queue backends. Event cells live in a slab
-    (parallel arrays threaded by an intrusive free list), so a steady
-    schedule→execute cycle touches no allocator once the slab has grown
-    to the working-set size. *)
+    byte-identical. Event cells live in a slab (parallel arrays threaded
+    by an intrusive free list), so a steady schedule→execute cycle
+    touches no allocator once the slab has grown to the working-set
+    size. *)
 
 type t
 

@@ -114,25 +114,6 @@ let test_flight_replay_byte_identical () =
         (String.split_on_char '\n' (String.trim ja))
   | _ -> Alcotest.fail "observing runs must return a flight dump")
 
-let test_flight_identical_across_queue_backends () =
-  (* The timer wheel preserves the heap's (time, schedule-order) pop
-     order exactly, so a same-seed campaign must produce a byte-identical
-     flight dump — and identical core results — on either backend. *)
-  let w = Chaos.Runner.run ~duration:30.0 ~seed:42 ~backend:`Wheel () in
-  let h = Chaos.Runner.run ~duration:30.0 ~seed:42 ~backend:`Heap () in
-  (match (w.Chaos.Runner.flight_jsonl, h.Chaos.Runner.flight_jsonl) with
-  | Some jw, Some jh ->
-      check "flight log non-empty" true (w.Chaos.Runner.flight_events > 0);
-      check_str "wheel and heap backends byte-identical flight JSONL" jh jw
-  | _ -> Alcotest.fail "observing runs must return a flight dump");
-  check_int "same final exec seq" h.Chaos.Runner.final_exec_seq
-    w.Chaos.Runner.final_exec_seq;
-  check "same view transitions" true
-    (h.Chaos.Runner.view_transitions = w.Chaos.Runner.view_transitions);
-  check_str "same result JSON"
-    (Obs.Json.to_string (Chaos.Runner.result_to_json h))
-    (Obs.Json.to_string (Chaos.Runner.result_to_json w))
-
 let test_observation_is_passive () =
   (* Flipping the recorder/probes/alerts on must not move one protocol
      event: the observed run and the dark run agree on every core result. *)
@@ -185,7 +166,6 @@ let suite =
     ("replay byte-identical", `Slow, test_replay_byte_identical);
     ("recovery overlapping leader crash", `Slow, test_recovery_overlapping_leader_crash);
     ("flight replay byte-identical", `Slow, test_flight_replay_byte_identical);
-    ("flight identical across queue backends", `Slow, test_flight_identical_across_queue_backends);
     ("observation is passive", `Slow, test_observation_is_passive);
     ("violation dumps flight log", `Slow, test_violation_dumps_flight_log);
   ]

@@ -1,4 +1,4 @@
-(* Grid-physics co-simulation tests: DC-flow conservation, backend
+(* Grid-physics co-simulation tests: DC-flow conservation, same-seed
    determinism, islanding, inverse-time protection, and the chi-square
    bad-data loop (false-positive control plus FDIA detection). *)
 
@@ -62,10 +62,10 @@ let prop_solution_deterministic =
       in
       String.equal (run ()) (run ()))
 
-(* Co-simulate the two-corridor cascade on one engine backend and render
-   every observable byte: trip log, shed log, analog image, end state. *)
-let cascade_run backend =
-  let engine = Sim.Engine.create ~seed:4242L ~backend () in
+(* Co-simulate the two-corridor cascade and render every observable
+   byte: trip log, shed log, analog image, end state. *)
+let cascade_run () =
+  let engine = Sim.Engine.create ~seed:4242L () in
   let model = Power.Model.of_scenario (Plc.Power.synthetic ~devices:1000 ()) in
   let net = Power.Net.create ~engine model in
   let open_site s =
@@ -91,15 +91,13 @@ let cascade_run backend =
        (Power.Net.frequency_hz net) (Power.Net.tripped_lines net));
   Buffer.contents b
 
-let test_cascade_deterministic_across_backends () =
-  let heap = cascade_run `Heap in
-  let wheel = cascade_run `Wheel in
-  check "heap run is non-trivial" true (String.length heap > 100);
+let test_cascade_deterministic () =
+  let run = cascade_run () in
+  check "run is non-trivial" true (String.length run > 100);
   check "at least four trips" true
-    (List.length (String.split_on_char '\n' heap |> List.filter (fun l ->
+    (List.length (String.split_on_char '\n' run |> List.filter (fun l ->
          String.length l > 4 && String.sub l 0 4 = "trip")) >= 4);
-  check_str "heap and wheel runs byte-identical" heap wheel;
-  check_str "same-seed rerun byte-identical" heap (cascade_run `Heap)
+  check_str "same-seed rerun byte-identical" run (cascade_run ())
 
 let test_islanding_sheds_load () =
   let model = Power.Model.of_scenario (Plc.Power.synthetic ~devices:60 ()) in
@@ -298,7 +296,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_conservation;
     QCheck_alcotest.to_alcotest prop_solution_deterministic;
-    ("cascade deterministic across backends", `Quick, test_cascade_deterministic_across_backends);
+    ("cascade same-seed rerun byte-identical", `Quick, test_cascade_deterministic);
     ("islanding sheds exactly the dark load", `Quick, test_islanding_sheds_load);
     ("inverse-time trip delay follows formula", `Quick, test_inverse_time_trip_delay);
     ("pending trip cancelled on recovery", `Quick, test_trip_cancelled_on_recovery);

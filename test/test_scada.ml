@@ -92,7 +92,13 @@ let test_op_rejects_garbage () =
   check "empty" true (Scada.Op.decode "" = None);
   check "unknown kind" true (Scada.Op.decode "weird:B1:1" = None);
   check "bad flag" true (Scada.Op.decode "status:B1:2" = None);
-  check "missing fields" true (Scada.Op.decode "cmd:B1" = None)
+  check "missing fields" true (Scada.Op.decode "cmd:B1" = None);
+  List.iter
+    (fun s -> check ("non-canonical " ^ s) true (Scada.Op.decode s = None))
+    [
+      "batch:o:05:a=1"; "batch:o:0x5:a=1"; "batch:o:+5:a=1"; "batch:o:1_0:a=1";
+      "batch:o:-0:a=1"; "batch:o:5"; "telem:o:1:p=0b11"; "telem:o:1:p=+3"; "telem:o:1";
+    ]
 
 let test_op_batch_roundtrip () =
   let cases =
@@ -131,6 +137,48 @@ let prop_op_roundtrip =
         else Scada.Op.Command { breaker = name; close = flag }
       in
       Scada.Op.decode (Scada.Op.encode op) = Some op)
+
+(* Encodings are what clients sign, so [decode] must accept exactly one
+   spelling per op: every accepted string re-encodes to itself. Inputs
+   are honest encodings put through a few byte edits drawn from the
+   characters that matter to the grammar (digits, signs, radix and
+   separator marks, field delimiters). *)
+let prop_op_decode_canonical =
+  let open QCheck.Gen in
+  let name = string_size ~gen:(oneofl [ 'a'; 'B'; '1'; '/'; '.'; '-' ]) (int_range 1 6) in
+  let op =
+    oneof
+      [
+        map2 (fun breaker closed -> Scada.Op.Status { breaker; closed }) name bool;
+        map2 (fun breaker close -> Scada.Op.Command { breaker; close }) name bool;
+        map3
+          (fun origin cursor reports -> Scada.Op.Batch { origin; cursor; reports })
+          name (int_range 0 120) (list_size (int_range 0 3) (pair name bool));
+        map3
+          (fun origin cursor readings -> Scada.Op.Telemetry { origin; cursor; readings })
+          name (int_range 0 120)
+          (list_size (int_range 0 3) (pair name (int_range (-300) 300)));
+      ]
+  in
+  let edit s (kind, pos, c) =
+    let n = String.length s in
+    match kind with
+    | 0 -> let i = pos mod (n + 1) in String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    | 1 when n > 0 -> let i = pos mod n in String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | 2 when n > 0 -> String.mapi (fun j x -> if j = pos mod n then c else x) s
+    | _ -> String.sub s 0 (pos mod (n + 1))
+  in
+  let edits =
+    list_size (int_range 0 3)
+      (triple (int_range 0 3) nat (oneofl [ '0'; '1'; '5'; '+'; '-'; '_'; 'x'; 'b'; 'o'; ':'; ','; '=' ]))
+  in
+  let input = map2 (fun op es -> List.fold_left edit (Scada.Op.encode op) es) op edits in
+  QCheck.Test.make ~count:2000 ~name:"op decode accepts only canonical encodings"
+    (QCheck.make ~print:(Printf.sprintf "%S") input)
+    (fun s ->
+      match Scada.Op.decode s with
+      | None -> true
+      | Some op -> String.equal (Scada.Op.encode op) s)
 
 (* --- State -------------------------------------------------------------- *)
 
@@ -520,6 +568,7 @@ let suite =
     ("historian matches list semantics", `Quick, test_historian_matches_list_semantics);
     ("historian store-backed wipe", `Quick, test_historian_store_backed_wipe_keeps_synced_prefix);
     QCheck_alcotest.to_alcotest prop_op_roundtrip;
+    QCheck_alcotest.to_alcotest prop_op_decode_canonical;
     QCheck_alcotest.to_alcotest prop_state_digest_deterministic;
     QCheck_alcotest.to_alcotest prop_state_incremental_matches_recompute;
   ]

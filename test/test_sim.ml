@@ -235,17 +235,108 @@ let test_engine_past_rejected () =
     (Invalid_argument "Engine.schedule_at: time 0.500000000 is in the past (now 1.000000000)")
     (fun () -> ignore (Sim.Engine.schedule_at e ~time:0.5 (fun () -> ())))
 
-(* --- Wheel vs Heap backend equivalence -------------------------------- *)
+(* --- Wheel vs the reference queue -------------------------------------- *)
 
-(* The timer wheel must pop in exactly (time, schedule-order) order — the
-   heap backend's (key, insertion-seq) — so same-seed runs are
-   byte-identical across backends. These tests drive both backends
-   through identical schedules and compare the full observable firing
-   sequence. Cancels are expressed by schedule-order index because raw
-   event ids differ between backends. *)
+(* The slice of the engine surface the scripts below drive. *)
+module type QUEUE = sig
+  type t
+  type id
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> delay:float -> (unit -> unit) -> id
+  val cancel : t -> id -> unit
+  val run : ?until:float -> t -> unit
+  val pending : t -> int
+  val cancelled_backlog : t -> int
+  val executed_events : t -> int
+end
 
-let run_backend_script ~backend ~seed ~events ~horizon () =
-  let e = Sim.Engine.create ~backend () in
+(* The order the timer wheel must reproduce: a plain binary heap
+   ({!Sim.Heap}, whose ties break by insertion order) popping events by
+   (time, schedule-seq), with lazy cancellation through id tables. *)
+module Ref_queue : QUEUE = struct
+  type id = int
+
+  type t = {
+    queue : (id * (unit -> unit)) Sim.Heap.t;
+    queued : (id, unit) Hashtbl.t;
+    cancelled : (id, unit) Hashtbl.t;
+    mutable next_id : id;
+    mutable now : float;
+    mutable executed : int;
+  }
+
+  let create () =
+    {
+      queue = Sim.Heap.create ();
+      queued = Hashtbl.create 64;
+      cancelled = Hashtbl.create 64;
+      next_id = 0;
+      now = 0.0;
+      executed = 0;
+    }
+
+  let now t = t.now
+
+  let schedule t ~delay thunk =
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    Sim.Heap.push t.queue ~key:(t.now +. delay) (id, thunk);
+    Hashtbl.replace t.queued id ();
+    id
+
+  (* Only queued ids may be marked: a cancel after the event popped must
+     leave nothing behind. *)
+  let cancel t id = if Hashtbl.mem t.queued id then Hashtbl.replace t.cancelled id ()
+
+  let cancelled_backlog t = Hashtbl.length t.cancelled
+
+  let pending t = Sim.Heap.length t.queue
+
+  let executed_events t = t.executed
+
+  let run ?until t =
+    let due () =
+      match (Sim.Heap.peek t.queue, until) with
+      | None, _ -> false
+      | Some _, None -> true
+      | Some (time, _), Some limit -> time <= limit
+    in
+    while due () do
+      match Sim.Heap.pop t.queue with
+      | None -> ()
+      | Some (time, (id, thunk)) ->
+          t.now <- time;
+          Hashtbl.remove t.queued id;
+          if Hashtbl.mem t.cancelled id then Hashtbl.remove t.cancelled id
+          else begin
+            t.executed <- t.executed + 1;
+            thunk ()
+          end
+    done;
+    match until with Some limit when limit > t.now -> t.now <- limit | _ -> ()
+end
+
+module Wheel_engine : QUEUE = struct
+  include Sim.Engine
+
+  type id = event_id
+
+  let create () = create ()
+
+  let run ?until t = run ?until t
+end
+
+let both_queues : (string * (module QUEUE)) list =
+  [ ("wheel", (module Wheel_engine)); ("reference", (module Ref_queue)) ]
+
+(* These tests drive the wheel and the reference queue through identical
+   schedules and compare the full observable firing sequence. Cancels
+   are expressed by schedule-order index because raw event ids differ
+   between the two. *)
+
+let run_queue_script (module Q : QUEUE) ~seed ~events ~horizon () =
+  let e = Q.create () in
   let rng = Sim.Rng.create (Int64.of_int seed) in
   let log = Buffer.create 4096 in
   let ids = ref [] in
@@ -267,70 +358,70 @@ let run_backend_script ~backend ~seed ~events ~horizon () =
       | _ -> 65.0 +. Sim.Rng.float rng 300.0
     in
     remember
-      (Sim.Engine.schedule e ~delay (fun () ->
+      (Q.schedule e ~delay (fun () ->
            Buffer.add_string log
-             (Printf.sprintf "%s@%.9f;" tag (Sim.Engine.now e));
+             (Printf.sprintf "%s@%.9f;" tag (Q.now e));
            if depth < 3 && Sim.Rng.int rng 3 = 0 then
              spawn (tag ^ "+") (depth + 1);
            (* Occasionally cancel a random earlier schedule (may already
               have fired or been cancelled — both must be no-op-equal
-              across backends). *)
+              on the two queues). *)
            if Sim.Rng.int rng 4 = 0 then
-             Sim.Engine.cancel e (nth_id (Sim.Rng.int rng !n_scheduled))))
+             Q.cancel e (nth_id (Sim.Rng.int rng !n_scheduled))))
   in
   for i = 1 to events do
     spawn (string_of_int i) 0
   done;
-  Sim.Engine.run ~until:horizon e;
+  Q.run ~until:horizon e;
   Buffer.add_string log
     (Printf.sprintf "|pending=%d backlog=%d executed=%d now=%.9f"
-       (Sim.Engine.pending e)
-       (Sim.Engine.cancelled_backlog e)
-       (Sim.Engine.executed_events e)
-       (Sim.Engine.now e));
+       (Q.pending e)
+       (Q.cancelled_backlog e)
+       (Q.executed_events e)
+       (Q.now e));
   Buffer.contents log
 
 let test_wheel_heap_identical_schedules () =
   List.iter
     (fun seed ->
-      let w = run_backend_script ~backend:`Wheel ~seed ~events:60 ~horizon:500.0 () in
-      let h = run_backend_script ~backend:`Heap ~seed ~events:60 ~horizon:500.0 () in
+      let script q = run_queue_script q ~seed ~events:60 ~horizon:500.0 () in
+      let w = script (module Wheel_engine) and h = script (module Ref_queue) in
       check "script produced events" true (String.length w > 100);
       Alcotest.(check string) (Printf.sprintf "seed %d identical" seed) h w)
     [ 1; 2; 3; 42; 1337 ]
 
 let test_wheel_tie_break_insertion_order () =
   (* Many events at the same instant interleaved with other instants:
-     ties must fire in schedule order on both backends. *)
+     ties must fire in schedule order on the wheel and the reference. *)
   List.iter
-    (fun backend ->
-      let e = Sim.Engine.create ~backend () in
+    (fun (name, (module Q : QUEUE)) ->
+      let e = Q.create () in
       let order = ref [] in
       for i = 0 to 99 do
         let delay = if i mod 3 = 0 then 1.0 else if i mod 3 = 1 then 2.0 else 1.0 in
-        ignore (Sim.Engine.schedule e ~delay (fun () -> order := i :: !order))
+        ignore (Q.schedule e ~delay (fun () -> order := i :: !order))
       done;
-      Sim.Engine.run e;
+      Q.run e;
       let fired = List.rev !order in
       let at_1 = List.filter (fun i -> i mod 3 <> 1) fired
       and at_2 = List.filter (fun i -> i mod 3 = 1) fired in
-      check "ties in insertion order (t=1)" true (List.sort compare at_1 = at_1);
-      check "ties in insertion order (t=2)" true (List.sort compare at_2 = at_2);
+      check (name ^ ": ties in insertion order (t=1)") true (List.sort compare at_1 = at_1);
+      check (name ^ ": ties in insertion order (t=2)") true (List.sort compare at_2 = at_2);
       (* All t=1 events precede all t=2 events. *)
       let rec split_ok = function
         | a :: (b :: _ as rest) ->
             ((a mod 3 <> 1) || b mod 3 = 1) && split_ok rest
         | _ -> true
       in
-      check "time order across ties" true (split_ok fired))
-    [ `Wheel; `Heap ]
+      check (name ^ ": time order across ties") true (split_ok fired))
+    both_queues
 
 let test_wheel_overflow_migration () =
   (* Far-future events park in the overflow heap and must migrate inward
      as the cursor approaches — including events that become due while
      the clock advances through intermediate wheel levels, and new near
      events scheduled from thunks after the far ones were parked. *)
-  let e = Sim.Engine.create ~backend:`Wheel ~hint:16 () in
+  let e = Sim.Engine.create ~hint:16 () in
   let log = ref [] in
   let note tag () = log := (tag, Sim.Engine.now e) :: !log in
   ignore (Sim.Engine.schedule e ~delay:3600.0 (note "far2"));
@@ -350,62 +441,70 @@ let test_wheel_overflow_migration () =
   check_float "clock at last event" 3600.0 (Sim.Engine.now e);
   check_int "queue drained" 0 (Sim.Engine.pending e)
 
-let test_wheel_cancel_parity_both_backends () =
+let test_wheel_cancel_parity () =
   (* The cancel-bookkeeping contract (no leak on cancel-after-execute,
      double cancel counted once, backlog drained on pop, late cancel of
-     a consumed slot ignored) must hold identically on both backends. *)
+     a consumed slot ignored) must hold identically on the wheel and the
+     reference. *)
   List.iter
-    (fun backend ->
-      let e = Sim.Engine.create ~backend () in
+    (fun (name, (module Q : QUEUE)) ->
+      let check_int msg = check_int (name ^ ": " ^ msg) in
+      let e = Q.create () in
       let fired = ref false in
-      let id = Sim.Engine.schedule e ~delay:1.0 (fun () -> fired := true) in
-      Sim.Engine.cancel e id;
-      Sim.Engine.cancel e id;
-      check_int "double cancel counted once" 1 (Sim.Engine.cancelled_backlog e);
-      Sim.Engine.run e;
-      check "cancelled event did not fire" false !fired;
-      check_int "backlog drained when popped" 0 (Sim.Engine.cancelled_backlog e);
-      Sim.Engine.cancel e id;
-      check_int "late cancel is a no-op" 0 (Sim.Engine.cancelled_backlog e);
-      let id2 = Sim.Engine.schedule e ~delay:1.0 (fun () -> ()) in
-      Sim.Engine.run e;
-      Sim.Engine.cancel e id2;
-      check_int "cancel after execution no leak" 0 (Sim.Engine.cancelled_backlog e))
-    [ `Wheel; `Heap ]
+      let id = Q.schedule e ~delay:1.0 (fun () -> fired := true) in
+      Q.cancel e id;
+      Q.cancel e id;
+      check_int "double cancel counted once" 1 (Q.cancelled_backlog e);
+      Q.run e;
+      check (name ^ ": cancelled event did not fire") false !fired;
+      check_int "backlog drained when popped" 0 (Q.cancelled_backlog e);
+      Q.cancel e id;
+      check_int "late cancel is a no-op" 0 (Q.cancelled_backlog e);
+      let id2 = Q.schedule e ~delay:1.0 (fun () -> ()) in
+      Q.run e;
+      Q.cancel e id2;
+      check_int "cancel after execution no leak" 0 (Q.cancelled_backlog e))
+    both_queues
 
-let prop_wheel_matches_heap =
-  QCheck.Test.make ~count:100 ~name:"wheel and heap backends fire identically"
+let prop_wheel_matches_reference =
+  (* Half the delays are whole seconds in [0, 3], so same-time ties are
+     common and their order is checked, not just distinct times. *)
+  let delay =
+    QCheck.Gen.(
+      oneof [ float_bound_exclusive 200.0; map float_of_int (int_bound 3) ])
+  in
+  QCheck.Test.make ~count:100 ~name:"wheel fires identically to the reference queue"
     QCheck.(
       list_of_size Gen.(int_range 1 40)
-        (pair (float_bound_exclusive 200.0) (option (int_bound 39))))
+        (pair (make ~print:string_of_float delay) (option (int_bound 39))))
     (fun script ->
       (* Each entry schedules an event at the given delay; the optional
          int cancels the schedule with that index (if it exists) right
          after all schedules are placed. *)
-      let run backend =
-        let e = Sim.Engine.create ~backend () in
+      let run (module Q : QUEUE) =
+        let e = Q.create () in
         let log = Buffer.create 256 in
         let ids =
           List.mapi
             (fun i (d, _) ->
-              Sim.Engine.schedule e ~delay:d (fun () ->
+              Q.schedule e ~delay:d (fun () ->
                   Buffer.add_string log
-                    (Printf.sprintf "%d@%.9f;" i (Sim.Engine.now e))))
+                    (Printf.sprintf "%d@%.9f;" i (Q.now e))))
             script
         in
         let ids = Array.of_list ids in
         List.iter
           (fun (_, cancel) ->
             match cancel with
-            | Some j when j < Array.length ids -> Sim.Engine.cancel e ids.(j)
+            | Some j when j < Array.length ids -> Q.cancel e ids.(j)
             | _ -> ())
           script;
-        Sim.Engine.run e;
+        Q.run e;
         Printf.sprintf "%s|%d|%d" (Buffer.contents log)
-          (Sim.Engine.executed_events e)
-          (Sim.Engine.cancelled_backlog e)
+          (Q.executed_events e)
+          (Q.cancelled_backlog e)
       in
-      String.equal (run `Wheel) (run `Heap))
+      String.equal (run (module Wheel_engine)) (run (module Ref_queue)))
 
 let prop_engine_event_times_monotone =
   QCheck.Test.make ~count:100 ~name:"engine executes events in non-decreasing time order"
@@ -593,7 +692,7 @@ let suite =
     ("wheel/heap identical schedules", `Quick, test_wheel_heap_identical_schedules);
     ("wheel tie-break insertion order", `Quick, test_wheel_tie_break_insertion_order);
     ("wheel overflow migration", `Quick, test_wheel_overflow_migration);
-    ("wheel/heap cancel parity", `Quick, test_wheel_cancel_parity_both_backends);
+    ("wheel/heap cancel parity", `Quick, test_wheel_cancel_parity);
     ("stats summary", `Quick, test_stats_summary);
     ("stats percentile small", `Quick, test_stats_percentile_small);
     ("stats percentile edges", `Quick, test_stats_percentile_edges);
@@ -604,7 +703,7 @@ let suite =
     ("trace ring buffer", `Quick, test_trace_ring_buffer);
     ("strx basics", `Quick, test_strx_basics);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
-    QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+    QCheck_alcotest.to_alcotest prop_wheel_matches_reference;
     QCheck_alcotest.to_alcotest prop_engine_event_times_monotone;
     QCheck_alcotest.to_alcotest prop_stats_mean_matches_naive;
     QCheck_alcotest.to_alcotest prop_strx_contains_matches_naive;
