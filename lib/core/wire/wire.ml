@@ -11,8 +11,8 @@
    encoding the same logical message must produce identical bytes, or
    signatures made by one would not verify at the other. Everything here
    is therefore canonical, and has no optional padding. The one variable-width
-   field, [w_varint], is canonical too: its reader rejects every encoding
-   [w_varint] would not produce. *)
+   field, [w_varint], is canonical too: minimal LEB128, one encoding per
+   int. It has no reader; its one user compares encoded bytes. *)
 
 exception Truncated
 
@@ -137,28 +137,6 @@ let r_int r =
   done;
   r.pos <- r.pos + 8;
   !v
-
-(* The 9th byte carries bits 56-62 and must end the number; a last byte
-   of 0 after the first is a padded (non-minimal) encoding. Rejecting
-   both leaves exactly one encoding per int. *)
-let max_varint_bytes = 9
-
-let r_varint r =
-  let u = ref 0 in
-  let shift = ref 0 in
-  let fin = ref false in
-  while not !fin do
-    if !shift = 7 * max_varint_bytes || r.pos >= String.length r.data then raise Truncated;
-    let byte = Char.code (String.unsafe_get r.data r.pos) in
-    r.pos <- r.pos + 1;
-    if byte land 0x80 = 0 then begin
-      if byte = 0 && !shift > 0 then raise Truncated;
-      fin := true
-    end;
-    u := !u lor ((byte land 0x7F) lsl !shift);
-    shift := !shift + 7
-  done;
-  (!u lsr 1) lxor (- (!u land 1))
 
 let r_f64 r =
   need r 8;

@@ -1,7 +1,8 @@
 (** Binary wire codec for canonical (signed) message encodings.
 
-    Writers append fixed-width big-endian fields (and one canonical
-    varint) to a [Buffer.t]; the reader walks the same layout back.
+    Writers append fixed-width big-endian fields (and one canonical,
+    write-only varint) to a [Buffer.t]; the reader walks the fixed-width
+    layout back.
     Encodings are canonical by construction — the same logical message
     always produces the same bytes, the property signatures need
     (signature compatibility across deployments). *)
@@ -34,7 +35,9 @@ val w_digest : Buffer.t -> string -> unit
 val w_int_array : Buffer.t -> int array -> unit
 
 (** Full native int as a zigzag LEB128 varint: 1 byte for [-64..63], at
-    most 9 bytes. The only variable-width field; see {!r_varint}. *)
+    most 9 bytes. The only variable-width field. Canonical: each int has
+    exactly one encoding, so encoded bytes can be compared in place of
+    decoded values. There is no reader. *)
 val w_varint : Buffer.t -> int -> unit
 
 (** Bytes {!w_varint} writes for this int. *)
@@ -60,11 +63,6 @@ val r_u32 : reader -> int
 (** Rejects (raises {!Truncated}) non-canonical sign-extension patterns
     no {!w_int} produces, so a decoded blob re-encodes byte-identically. *)
 val r_int : reader -> int
-
-(** Canonical: rejects (raises {!Truncated}) padded encodings and ones
-    longer than 9 bytes, so every accepted input re-encodes to itself.
-    Allocates nothing. *)
-val r_varint : reader -> int
 
 val r_bool : reader -> bool
 

@@ -21,6 +21,10 @@ module Mac = struct
 
   let compare = Int.compare
 
+  let to_int mac = mac
+
+  let of_int mac = mac
+
   let to_string mac =
     Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x" ((mac lsr 40) land 0xFF)
       ((mac lsr 32) land 0xFF) ((mac lsr 24) land 0xFF) ((mac lsr 16) land 0xFF)
@@ -44,6 +48,10 @@ module Ip = struct
   let compare = Int.compare
 
   let hash = Hashtbl.hash
+
+  let to_int ip = ip
+
+  let of_int ip = ip
 
   let to_string ip =
     Printf.sprintf "%d.%d.%d.%d" ((ip lsr 24) land 0xFF) ((ip lsr 16) land 0xFF)

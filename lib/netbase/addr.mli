@@ -14,6 +14,11 @@ module Mac : sig
 
   val compare : t -> t -> int
 
+  (** The 48-bit address as an int, and back: for compact stores. *)
+  val to_int : t -> int
+
+  val of_int : int -> t
+
   val to_string : t -> string
 
   val pp : Format.formatter -> t -> unit
@@ -33,6 +38,11 @@ module Ip : sig
   val compare : t -> t -> int
 
   val hash : t -> int
+
+  (** The 32-bit address as an int, and back: for compact stores. *)
+  val to_int : t -> int
+
+  val of_int : int -> t
 
   val to_string : t -> string
 

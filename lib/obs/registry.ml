@@ -53,9 +53,9 @@ let set_enabled t on = t.enabled <- on
 
 let incr ?(by = 1) t name =
   if t.enabled then
-    match Hashtbl.find_opt t.counters name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.replace t.counters name (ref by)
+    match Hashtbl.find t.counters name with
+    | r -> r := !r + by
+    | exception Not_found -> Hashtbl.replace t.counters name (ref by)
 
 let set_gauge t name value =
   if t.enabled then

@@ -91,11 +91,14 @@ module Counter = struct
 
   let create () : t = Hashtbl.create 16
 
+  (* [find] rather than [find_opt]: counters sit on every hop, and this
+     way a bump allocates nothing. *)
   let incr ?(by = 1) t key =
-    let current = Option.value ~default:0 (Hashtbl.find_opt t key) in
-    Hashtbl.replace t key (current + by)
+    match Hashtbl.find t key with
+    | current -> Hashtbl.replace t key (current + by)
+    | exception Not_found -> Hashtbl.replace t key by
 
-  let get t key = Option.value ~default:0 (Hashtbl.find_opt t key)
+  let get t key = match Hashtbl.find t key with n -> n | exception Not_found -> 0
 
   let to_sorted_list t =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []

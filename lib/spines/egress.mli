@@ -5,7 +5,10 @@
     Pure data structure — the node drives flushes off the sim clock and
     applies fault injection at drain time. All ordering (serve order,
     eviction victims) is canonical so same-seed chaos runs replay
-    byte-identically. *)
+    byte-identically. Memory is O(capacity) whatever mix of origins and
+    priorities passes through: once more than [capacity] origins or
+    priority bands sit empty, they are forgotten, and a forgotten band's
+    round-robin cursor starts again from the lowest origin. *)
 
 type 'a t
 
@@ -30,13 +33,15 @@ val drops : 'a t -> int
     capacity; then the lowest-priority message in the queue goes — the
     arrival itself if nothing queued is strictly lower-priority,
     otherwise the oldest message of the most-backlogged origin in the
-    lowest band (ties toward the higher origin id). *)
+    lowest band (ties toward the higher origin id). Allocates only the
+    first time an origin or priority band is seen. *)
 val enqueue : 'a t -> prio:int -> origin:int -> 'a -> 'a outcome
 
-(** Dequeues up to [max] messages (default: everything) in send order:
-    priority bands highest-first; within a band one message per origin,
-    round-robin in sorted origin order, with the fairness cursor
-    persisting across drains. Returns [(prio, origin, msg)] triples. *)
-val drain : ?max:int -> 'a t -> (int * int * 'a) list
+(** Dequeues everything in send order: priority bands highest-first;
+    within a band, each step serves the first non-empty origin above the
+    band's cursor (wrapping around), the cursor persisting across
+    drains. Allocates nothing but the returned list. *)
+val drain : 'a t -> 'a list
 
+(** Empties the queue as if freshly created; {!drops} keeps counting. *)
 val clear : 'a t -> unit

@@ -1,13 +1,14 @@
-(** Coalesced link-frame header codec: a Wire-encoded manifest of the
+(** Coalesced link-frame manifest: a Wire-encoded list of the
     sub-messages packed into one link frame.
 
-    Each manifest entry is length-prefixed, with its integers as
-    {!Wire.w_varint}s (format version 2; there is no decoder for any other
-    version). An entry that does not parse to exactly its length rejects
-    the whole header, and {!decode_header} is total — malformed or
-    truncated input yields [None], never an exception. The daemon drops
-    (and counts) any frame whose manifest fails to decode or disagrees
-    with the carried payloads. *)
+    Each message's manifest entry is encoded once, by {!entry}, where the
+    message is created; a header is the entries of its messages behind a
+    fixed prefix (format version 2: length-prefixed entries with
+    {!Wire.w_varint} integers). There is no decoder: the receiver checks
+    a header by comparing its bytes with the carried messages' entries.
+    The encoding is canonical, so that comparison accepts exactly the
+    headers a total decoder plus a field-by-field comparison would. The
+    daemon drops (and counts) any frame whose header does not match. *)
 
 type dst_meta =
   | M_client of { node : int; client : int }
@@ -26,11 +27,16 @@ type meta =
       app_size : int;
     }
 
-(** Raises [Invalid_argument] on an empty list or more than 65535
-    entries. *)
-val encode_header : meta list -> string
+(** The message's manifest entry, length prefix included. Injective:
+    distinct metas give distinct entries. *)
+val entry : meta -> string
 
-(** Total decoder: [None] on any malformed, truncated, wrong-magic/version
-    or unknown-entry-kind input. Canonical: any header it accepts is
-    exactly what {!encode_header} makes of the result. *)
-val decode_header : string -> meta list option
+(** [encode_header entry_of msgs] is the header of a frame carrying
+    [msgs], each with the entry [entry_of m]. Raises [Invalid_argument]
+    on an empty list or more than 65535 messages. *)
+val encode_header : ('a -> string) -> 'a list -> string
+
+(** [header_matches entry_of header msgs] is [true] iff [header] is
+    byte-equal to [encode_header entry_of msgs]. Total and
+    allocation-free: any bytes yield a verdict, never an exception. *)
+val header_matches : ('a -> string) -> string -> 'a list -> bool

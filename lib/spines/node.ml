@@ -35,6 +35,7 @@ type data = {
   priority : int;
   app_size : int;
   app_payload : Netbase.Packet.payload;
+  entry : string; (* manifest entry ({!Frame.entry}), encoded once at the origin *)
 }
 
 (* Link-level liveness probes: the only messages sent on their own, one
@@ -49,8 +50,8 @@ type Netbase.Packet.payload +=
 (* A coalesced frame: several data messages for the same neighbor under
    one HMAC. Data always leaves through the per-neighbor egress queue in
    such a frame. [fr_header] is the Wire-encoded manifest ({!Frame}); the
-   receiver authenticates the frame, decodes the manifest, and checks it
-   against [fr_msgs] before handling anything. *)
+   receiver authenticates the frame and checks the manifest against
+   [fr_msgs] before handling anything. *)
 type Netbase.Packet.payload +=
   | Link_frame of { fr_auth : string; fr_header : string; fr_msgs : data list }
 
@@ -116,8 +117,6 @@ type client = {
   groups : string list;
 }
 
-type neighbor_state = { mutable last_ack : float; mutable up : bool }
-
 type bucket = { mutable tokens : float; mutable updated : float }
 
 (* Fault-injection verdict for one outgoing link message. Consulted by
@@ -127,9 +126,18 @@ type fault_decision = { fd_drop : bool; fd_duplicate : bool; fd_delay : float }
 
 let no_fault = { fd_drop = false; fd_duplicate = false; fd_delay = 0.0 }
 
-(* Per-neighbor egress: the bounded priority queue plus the pending
-   flush event for the current coalesce window, if any. *)
-type egress_state = { eq : data Egress.t; mutable flush_event : Sim.Engine.event_id option }
+(* One overlay link, seen from this daemon: the neighbor's liveness, and
+   its egress — the bounded priority queue plus the pending flush event
+   for the current coalesce window, if any. [flush] is that event's
+   thunk, built once per link. *)
+type link = {
+  peer : node_id;
+  mutable last_ack : float;
+  mutable up : bool;
+  eq : data Egress.t;
+  mutable flush_event : Sim.Engine.event_id option;
+  mutable flush : unit -> unit;
+}
 
 type t = {
   id : node_id;
@@ -140,16 +148,15 @@ type t = {
   trace : Sim.Trace.t;
   peer_addrs : (node_id, Netbase.Addr.Ip.t) Hashtbl.t;
   peer_by_ip : (Netbase.Addr.Ip.t, node_id) Hashtbl.t; (* inverse of [peer_addrs] *)
-  neighbors : node_id array; (* sorted; shared with the topology *)
+  links : link array; (* one per neighbor, sorted by peer id *)
+  link_of_peer : (node_id, link) Hashtbl.t;
   clients : (int, client) Hashtbl.t;
   mutable seq : int;
   mutable hello_seq : int;
   dedup : Window.t;
-  neighbor_states : (node_id, neighbor_state) Hashtbl.t;
   buckets : (node_id, bucket) Hashtbl.t;
   counters : Sim.Stats.Counter.t;
   sessions : (string, session_entry) Hashtbl.t; (* attached remote clients *)
-  egress : (node_id, egress_state) Hashtbl.t;
   mutable running : bool;
   mutable timers : Sim.Engine.timer list;
   mutable exploit : string option;
@@ -166,54 +173,6 @@ and session_entry = {
   mutable sess_port : int;
   mutable sess_last_seen : float;
 }
-
-let create ~engine ~trace ~host ~id config =
-  let t =
-    {
-      id;
-      config;
-      auth_sched = Option.map (fun key -> Crypto.Hmac.schedule ~key) config.group_key;
-      host;
-      engine;
-      trace;
-      peer_addrs = Hashtbl.create 16;
-      peer_by_ip = Hashtbl.create 16;
-      neighbors = Topology.neighbors config.topology id;
-      clients = Hashtbl.create 8;
-      seq = 0;
-      hello_seq = 0;
-      dedup = Window.create ~span:config.dedup_window ();
-      neighbor_states = Hashtbl.create 16;
-      buckets = Hashtbl.create 16;
-      counters = Sim.Stats.Counter.create ();
-      sessions = Hashtbl.create 16;
-      egress = Hashtbl.create 16;
-      running = false;
-      timers = [];
-      exploit = None;
-      fault_injector = None;
-      last_header = "";
-      last_tag = "";
-    }
-  in
-  Array.iter
-    (fun n -> Hashtbl.replace t.neighbor_states n { last_ack = 0.0; up = true })
-    t.neighbors;
-  (* Health probe; the port disambiguates internal/external daemons that
-     share node ids. No-op unless a harness enabled the registry. *)
-  Obs.Probe.register Obs.Probe.default
-    ~name:(Printf.sprintf "spines.node.%d.%d" id config.port)
-    (fun () ->
-      let c name = Sim.Stats.Counter.get t.counters name in
-      [
-        ("chaos_dropped", float_of_int (c "chaos.dropped"));
-        ("drops_total", float_of_int (c "egress.drop" + c "chaos.dropped"));
-        ( "egress_len",
-          float_of_int
-            (Hashtbl.fold (fun _ es acc -> acc + Egress.length es.eq) t.egress 0) );
-        ("running", if t.running then 1.0 else 0.0);
-      ]);
-  t
 
 let id t = t.id
 
@@ -340,42 +299,24 @@ let meta_of_dst = function
   | To_group g -> Frame.M_group g
   | To_session s -> Frame.M_session s
 
-let meta_of_data d =
-  Frame.M_data
-    {
-      origin = d.origin;
-      origin_client = d.origin_client;
-      data_seq = d.data_seq;
-      dst = meta_of_dst d.dst;
-      priority = d.priority;
-      app_size = d.app_size;
-    }
+(* The only way a [data] is made: its entry always encodes its own fields,
+   so comparing a header with the carried entries is comparing it with
+   the carried messages. *)
+let make_data ~origin ~origin_client ~data_seq ~dst ~priority ~app_size app_payload =
+  let entry =
+    Frame.entry
+      (M_data
+         { origin; origin_client; data_seq; dst = meta_of_dst dst; priority; app_size })
+  in
+  { origin; origin_client; data_seq; dst; priority; app_size; app_payload; entry }
 
-let dst_matches (m : Frame.dst_meta) (dst : dst) =
-  match (m, dst) with
-  | M_client { node; client }, To_client c -> Int.equal node c.node && Int.equal client c.client
-  | M_group g, To_group g' | M_session g, To_session g' -> String.equal g g'
-  | (M_client _ | M_group _ | M_session _), _ -> false
-
-(* Field by field: no [meta_of_data] record per message. *)
-let rec metas_match metas msgs =
-  match (metas, msgs) with
-  | [], [] -> true
-  | Frame.M_data m :: ms, d :: ds ->
-      Int.equal m.origin d.origin
-      && Int.equal m.origin_client d.origin_client
-      && Int.equal m.data_seq d.data_seq
-      && Int.equal m.priority d.priority
-      && Int.equal m.app_size d.app_size
-      && dst_matches m.dst d.dst
-      && metas_match ms ds
-  | _, _ -> false
+let data_entry d = d.entry
 
 let send_frame t ~to_ msgs =
-  let header = Frame.encode_header (List.map meta_of_data msgs) in
+  let header = Frame.encode_header data_entry msgs in
   (* The red team's corrupt-frames exploit: ship a frame whose HMAC
      covers a truncated manifest, so it passes authentication and must
-     be caught by the decode path. *)
+     be caught by the manifest check. *)
   let header =
     match t.exploit with
     | Some "corrupt-frames" -> String.sub header 0 (String.length header - 1)
@@ -389,43 +330,87 @@ let send_frame t ~to_ msgs =
 
 (* --- egress scheduling ----------------------------------------------------- *)
 
-let egress_for t peer =
-  match Hashtbl.find_opt t.egress peer with
-  | Some es -> es
-  | None ->
-      let es = { eq = Egress.create ~capacity:egress_bound (); flush_event = None } in
-      Hashtbl.replace t.egress peer es;
-      es
-
-let flush_egress t to_ es =
-  es.flush_event <- None;
-  match Egress.drain es.eq with
+let flush_egress t l =
+  l.flush_event <- None;
+  match Egress.drain l.eq with
   | [] -> ()
-  | batch -> send_frame t ~to_ (List.map (fun (_, _, d) -> d) batch)
+  | batch -> send_frame t ~to_:l.peer batch
 
-let schedule_flush t to_ es =
-  match es.flush_event with
+let schedule_flush t l =
+  match l.flush_event with
   | Some _ -> () (* a flush for the current window is already pending *)
-  | None ->
-      es.flush_event <-
-        Some
-          (Sim.Engine.schedule t.engine ~delay:flush_window (fun () ->
-               flush_egress t to_ es))
+  | None -> l.flush_event <- Some (Sim.Engine.schedule t.engine ~delay:flush_window l.flush)
 
-let enqueue_link t ~to_ (d : data) =
-  let es = egress_for t to_ in
-  let before = Egress.drops es.eq in
-  ignore (Egress.enqueue es.eq ~prio:d.priority ~origin:d.origin d);
-  let dropped = Egress.drops es.eq - before in
+let enqueue_link t l (d : data) =
+  let before = Egress.drops l.eq in
+  ignore (Egress.enqueue l.eq ~prio:d.priority ~origin:d.origin d);
+  let dropped = Egress.drops l.eq - before in
   if dropped > 0 then begin
     Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
     Obs.Registry.incr ~by:dropped Obs.Registry.default "spines.egress.drop";
     if Obs.Flight.recording Obs.Flight.default then
       Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
         ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"egress.drop"
-        (Printf.sprintf "node %d dropped %d toward %d (queue full)" t.id dropped to_)
+        (Printf.sprintf "node %d dropped %d toward %d (queue full)" t.id dropped l.peer)
   end;
-  schedule_flush t to_ es
+  schedule_flush t l
+
+(* --- construction ------------------------------------------------------------ *)
+
+let create ~engine ~trace ~host ~id config =
+  let links =
+    Array.map
+      (fun peer ->
+        { peer; last_ack = 0.0; up = true; eq = Egress.create ~capacity:egress_bound ();
+          flush_event = None; flush = ignore })
+      (Topology.neighbors config.topology id)
+  in
+  let t =
+    {
+      id;
+      config;
+      auth_sched = Option.map (fun key -> Crypto.Hmac.schedule ~key) config.group_key;
+      host;
+      engine;
+      trace;
+      peer_addrs = Hashtbl.create 16;
+      peer_by_ip = Hashtbl.create 16;
+      links;
+      link_of_peer = Hashtbl.create 16;
+      clients = Hashtbl.create 8;
+      seq = 0;
+      hello_seq = 0;
+      dedup = Window.create ~span:config.dedup_window ();
+      buckets = Hashtbl.create 16;
+      counters = Sim.Stats.Counter.create ();
+      sessions = Hashtbl.create 16;
+      running = false;
+      timers = [];
+      exploit = None;
+      fault_injector = None;
+      last_header = "";
+      last_tag = "";
+    }
+  in
+  Array.iter
+    (fun l ->
+      l.flush <- (fun () -> flush_egress t l);
+      Hashtbl.replace t.link_of_peer l.peer l)
+    links;
+  (* Health probe; the port disambiguates internal/external daemons that
+     share node ids. No-op unless a harness enabled the registry. *)
+  Obs.Probe.register Obs.Probe.default
+    ~name:(Printf.sprintf "spines.node.%d.%d" id config.port)
+    (fun () ->
+      let c name = Sim.Stats.Counter.get t.counters name in
+      [
+        ("chaos_dropped", float_of_int (c "chaos.dropped"));
+        ("drops_total", float_of_int (c "egress.drop" + c "chaos.dropped"));
+        ( "egress_len",
+          float_of_int (Array.fold_left (fun acc l -> acc + Egress.length l.eq) 0 t.links) );
+        ("running", if t.running then 1.0 else 0.0);
+      ]);
+  t
 
 (* --- local delivery ------------------------------------------------------ *)
 
@@ -487,14 +472,13 @@ let within_rate t origin =
 (* --- dissemination -------------------------------------------------------- *)
 
 (* Hands [d] to every live neighbor except the one it came from, in
-   sorted neighbor order. Walks the topology's precomputed array: nothing
-   is allocated per neighbor. *)
+   sorted neighbor order. Walks the link array: no lookup and nothing
+   allocated per neighbor. *)
 let flood t ~from (d : data) =
-  let nbrs = t.neighbors in
-  for i = 0 to Array.length nbrs - 1 do
-    let n = nbrs.(i) in
-    let is_sender = match from with Some f -> f = n | None -> false in
-    if (not is_sender) && (Hashtbl.find t.neighbor_states n).up then enqueue_link t ~to_:n d
+  for i = 0 to Array.length t.links - 1 do
+    let l = t.links.(i) in
+    let is_sender = match from with Some f -> f = l.peer | None -> false in
+    if (not is_sender) && l.up then enqueue_link t l d
   done
 
 let forward_data t ~from (d : data) =
@@ -519,7 +503,7 @@ let forward_data t ~from (d : data) =
 (* --- link liveness ----------------------------------------------------------- *)
 
 let mark_neighbor t n ~up =
-  match Hashtbl.find_opt t.neighbor_states n with
+  match Hashtbl.find_opt t.link_of_peer n with
   | None -> ()
   | Some s ->
       if s.up <> up then begin
@@ -540,15 +524,17 @@ let hello_tick t =
     (fun n state ->
       if state.up && now -. state.last_ack > t.config.hello_timeout then
         mark_neighbor t n ~up:false)
-    t.neighbor_states;
+    t.link_of_peer;
   t.hello_seq <- t.hello_seq + 1;
-  Array.iter (fun n -> send_link t ~to_:n (Hello { hfrom = t.id; hseq = t.hello_seq })) t.neighbors
+  Array.iter
+    (fun l -> send_link t ~to_:l.peer (Hello { hfrom = t.id; hseq = t.hello_seq }))
+    t.links
 
 let handle_hello_ack t ~afrom =
-  (match Hashtbl.find_opt t.neighbor_states afrom with
+  (match Hashtbl.find_opt t.link_of_peer afrom with
   | Some s -> s.last_ack <- Sim.Engine.now t.engine
   | None -> ());
-  match Hashtbl.find_opt t.neighbor_states afrom with
+  match Hashtbl.find_opt t.link_of_peer afrom with
   | Some s when not s.up -> mark_neighbor t afrom ~up:true
   | _ -> ()
 
@@ -595,24 +581,24 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
           match peer_of_ip t src.Netbase.Addr.ip with
           | None -> Sim.Stats.Counter.incr t.counters "link.unknown_peer"
           | Some from -> (
-              (* The manifest must decode and agree with the carried
-                 payloads; otherwise the whole frame is dropped — a
+              (* The manifest must be exactly the carried payloads'
+                 entries; otherwise the whole frame is dropped — a
                  corrupted frame must never crash the daemon or deliver a
                  payload its manifest does not vouch for. *)
-              match Frame.decode_header fr_header with
-              | Some metas when metas_match metas fr_msgs ->
-                  let from = Some from in
-                  List.iter (fun d -> forward_data t ~from d) fr_msgs
-              | Some _ | None ->
-                  Sim.Stats.Counter.incr t.counters "frame.malformed";
-                  Obs.Registry.incr Obs.Registry.default "spines.frame.malformed";
-                  if Obs.Flight.recording Obs.Flight.default then
-                    Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
-                      ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"frame.malformed"
-                      (Printf.sprintf "node %d dropped malformed frame from %d" t.id from);
-                  Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine)
-                    ~category:"spines" "node %d dropped malformed coalesced frame from %d"
-                    t.id from))
+              if Frame.header_matches data_entry fr_header fr_msgs then begin
+                let from = Some from in
+                List.iter (fun d -> forward_data t ~from d) fr_msgs
+              end
+              else begin
+                Sim.Stats.Counter.incr t.counters "frame.malformed";
+                Obs.Registry.incr Obs.Registry.default "spines.frame.malformed";
+                if Obs.Flight.recording Obs.Flight.default then
+                  Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
+                    ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"frame.malformed"
+                    (Printf.sprintf "node %d dropped malformed frame from %d" t.id from);
+                Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"spines"
+                  "node %d dropped malformed coalesced frame from %d" t.id from
+              end))
     | _ -> Sim.Stats.Counter.incr t.counters "link.garbage"
 
 (* --- lifecycle ---------------------------------------------------------------- *)
@@ -653,15 +639,8 @@ let receive_session t ~src payload =
                 t.seq <- t.seq + 1;
                 Sim.Stats.Counter.incr t.counters "session.send";
                 forward_data t ~from:None
-                  {
-                    origin = t.id;
-                    origin_client = 0;
-                    data_seq = t.seq;
-                    dst = ss_dst;
-                    priority = ss_priority;
-                    app_size = ss_size;
-                    app_payload = ss_payload;
-                  }
+                  (make_data ~origin:t.id ~origin_client:0 ~data_seq:t.seq ~dst:ss_dst
+                     ~priority:ss_priority ~app_size:ss_size ss_payload)
             | Some _ | None -> Sim.Stats.Counter.incr t.counters "session.not_attached")
         | Sess_attach_ack _ | Sess_deliver _ -> ()
       end
@@ -676,7 +655,7 @@ let start t =
   Netbase.Host.udp_bind t.host ~port:t.config.session_port
     (fun ~src ~dst_port:_ ~size:_ payload -> if t.running then receive_session t ~src payload);
   let now = Sim.Engine.now t.engine in
-  Hashtbl.iter (fun _ s -> s.last_ack <- now) t.neighbor_states;
+  Hashtbl.iter (fun _ s -> s.last_ack <- now) t.link_of_peer;
   let hello = Sim.Engine.every t.engine ~period:t.config.hello_period (fun () -> hello_tick t) in
   t.timers <- [ hello ]
 
@@ -688,13 +667,14 @@ let stop t =
     Hashtbl.reset t.sessions;
     (* Queued egress dies with the daemon: cancel pending flushes and
        drop whatever was waiting for a coalesce window. *)
-    Hashtbl.iter
-      (fun _ es ->
-        match es.flush_event with
+    Array.iter
+      (fun l ->
+        (match l.flush_event with
         | Some ev -> Sim.Engine.cancel t.engine ev
-        | None -> ())
-      t.egress;
-    Hashtbl.reset t.egress;
+        | None -> ());
+        l.flush_event <- None;
+        Egress.clear l.eq)
+      t.links;
     List.iter (Sim.Engine.cancel_timer t.engine) t.timers;
     t.timers <- []
   end
@@ -711,15 +691,8 @@ let send t ~client ?(priority = 1) ~size dst payload =
   else begin
     t.seq <- t.seq + 1;
     let d =
-      {
-        origin = t.id;
-        origin_client = client;
-        data_seq = t.seq;
-        dst;
-        priority;
-        app_size = size;
-        app_payload = payload;
-      }
+      make_data ~origin:t.id ~origin_client:client ~data_seq:t.seq ~dst ~priority
+        ~app_size:size payload
     in
     Sim.Stats.Counter.incr t.counters "send";
     forward_data t ~from:None d

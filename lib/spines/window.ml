@@ -52,15 +52,31 @@ let mark t ~origin ~seq =
     Hashtbl.replace s.seen seq ();
     if seq > s.highest then s.highest <- seq;
     let target_floor = s.highest - t.span in
-    (* The floor only ever advances, so total eviction work is bounded by
-       the sequence range: amortised O(1) per message. *)
-    while s.floor < target_floor do
-      s.floor <- s.floor + 1;
-      if Hashtbl.mem s.seen s.floor then begin
-        Hashtbl.remove s.seen s.floor;
-        t.evictions <- t.evictions + 1
-      end
-    done;
+    (* Every retained sequence is above the floor. A short advance steps
+       the floor one sequence at a time; one that passes more sequences
+       than the origin retains (a jump: sequence numbers come off the
+       wire) evicts in one pass over [seen] instead. Either way the
+       eviction work is O(min (advance, retained)): at most O(span) per
+       mark, whatever the jump. *)
+    if target_floor - s.floor > Hashtbl.length s.seen then begin
+      Hashtbl.filter_map_inplace
+        (fun seq () ->
+          if seq <= target_floor then begin
+            t.evictions <- t.evictions + 1;
+            None
+          end
+          else Some ())
+        s.seen;
+      s.floor <- target_floor
+    end
+    else
+      while s.floor < target_floor do
+        s.floor <- s.floor + 1;
+        if Hashtbl.mem s.seen s.floor then begin
+          Hashtbl.remove s.seen s.floor;
+          t.evictions <- t.evictions + 1
+        end
+      done;
     true
   end
 

@@ -1,7 +1,8 @@
 (* Tests for the Spines overlay: topology, intrusion-tolerant flooding,
    authentication, replay rejection, hello-driven failure detection,
-   source fairness, egress and frame codec, the unauthenticated
-   all-duplicate drop, and the patched-binary exploit model. *)
+   source fairness, the egress queue against its reference, the frame
+   manifest check, the unauthenticated all-duplicate drop, and the
+   patched-binary exploit model. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -321,6 +322,20 @@ let test_window_dedup_and_eviction () =
   check "retained bounded" true (Spines.Window.retained w <= 5);
   check "seen in-window seq rejected" false (Spines.Window.mark w ~origin:1 ~seq:18)
 
+let test_window_sequence_jump () =
+  (* Sequence numbers come off the wire: a jump to max_int must evict in
+     one pass, not step the floor through every sequence in between. *)
+  let w = Spines.Window.create () in
+  check "seq 1 fresh" true (Spines.Window.mark w ~origin:1 ~seq:1);
+  check "seq max_int fresh" true (Spines.Window.mark w ~origin:1 ~seq:max_int);
+  check_int "seq 1 evicted" 1 (Spines.Window.evictions w);
+  check_int "only max_int retained" 1 (Spines.Window.retained w);
+  check "seq 1 now stale" false (Spines.Window.mark w ~origin:1 ~seq:1);
+  check "just below the horizon stale" false
+    (Spines.Window.mark w ~origin:1 ~seq:(max_int - 4096));
+  check "just above the horizon fresh" true
+    (Spines.Window.mark w ~origin:1 ~seq:(max_int - 4095))
+
 let test_window_bounds_node_dedup () =
   (* Regression: the node's dedup table grew without bound. With a small
      configured window, sustained traffic must keep it clipped. *)
@@ -352,18 +367,22 @@ let test_duplicate_link_rejected () =
         (Spines.Topology.create ~nodes:[ 0; 1 ]
            ~links:[ Spines.Topology.link 0 1; Spines.Topology.link 1 0 ]))
 
+(* Test messages carry their own (priority, origin), so a drain reads as
+   (priority, origin, message) triples. *)
+let enqueue q ~prio ~origin m = Spines.Egress.enqueue q ~prio ~origin (prio, origin, m)
+
 let test_egress_overflow_drops_lowest_priority () =
   let q = Spines.Egress.create ~capacity:4 () in
-  ignore (Spines.Egress.enqueue q ~prio:1 ~origin:1 "a1");
-  ignore (Spines.Egress.enqueue q ~prio:1 ~origin:1 "a2");
-  ignore (Spines.Egress.enqueue q ~prio:2 ~origin:2 "b1");
-  ignore (Spines.Egress.enqueue q ~prio:2 ~origin:2 "b2");
+  ignore (enqueue q ~prio:1 ~origin:1 "a1");
+  ignore (enqueue q ~prio:1 ~origin:1 "a2");
+  ignore (enqueue q ~prio:2 ~origin:2 "b1");
+  ignore (enqueue q ~prio:2 ~origin:2 "b2");
   (* Full. A higher-priority arrival evicts from the lowest band... *)
-  (match Spines.Egress.enqueue q ~prio:3 ~origin:3 "c1" with
-  | Spines.Egress.Evicted "a1" -> ()
+  (match enqueue q ~prio:3 ~origin:3 "c1" with
+  | Spines.Egress.Evicted (_, _, "a1") -> ()
   | _ -> Alcotest.fail "expected eviction of the oldest lowest-priority message");
   (* ...while a lowest-priority arrival is itself refused. *)
-  (match Spines.Egress.enqueue q ~prio:0 ~origin:4 "d1" with
+  (match enqueue q ~prio:0 ~origin:4 "d1" with
   | Spines.Egress.Rejected -> ()
   | _ -> Alcotest.fail "expected lowest-priority arrival to be rejected");
   check_int "both drops counted" 2 (Spines.Egress.drops q);
@@ -375,15 +394,15 @@ let test_egress_overflow_drops_lowest_priority () =
 let test_egress_round_robin_across_origins () =
   let q = Spines.Egress.create ~capacity:16 () in
   List.iter
-    (fun (origin, m) -> ignore (Spines.Egress.enqueue q ~prio:1 ~origin m))
+    (fun (origin, m) -> ignore (enqueue q ~prio:1 ~origin m))
     [ (5, "x1"); (5, "x2"); (5, "x3"); (7, "y1"); (7, "y2"); (7, "y3") ];
   let order = List.map (fun (_, o, m) -> (o, m)) (Spines.Egress.drain q) in
   check "origins alternate within a band" true
     (order = [ (5, "x1"); (7, "y1"); (5, "x2"); (7, "y2"); (5, "x3"); (7, "y3") ]);
   (* The fairness cursor persists: after serving origin 7 last, a fresh
      round starts above 7 (wrapping to the smallest origin). *)
-  ignore (Spines.Egress.enqueue q ~prio:1 ~origin:5 "x4");
-  ignore (Spines.Egress.enqueue q ~prio:1 ~origin:7 "y4");
+  ignore (enqueue q ~prio:1 ~origin:5 "x4");
+  ignore (enqueue q ~prio:1 ~origin:7 "y4");
   let order2 = List.map (fun (_, o, _) -> o) (Spines.Egress.drain q) in
   check "cursor wraps past the last origin served" true (order2 = [ 5; 7 ])
 
@@ -396,7 +415,7 @@ let test_egress_fairness_many_origins () =
   let q = Spines.Egress.create ~capacity:1024 () in
   for o = 0 to n_origins - 1 do
     for k = 0 to o mod 3 do
-      ignore (Spines.Egress.enqueue q ~prio:1 ~origin:o (Printf.sprintf "m%d.%d" o k))
+      ignore (enqueue q ~prio:1 ~origin:o (Printf.sprintf "m%d.%d" o k))
     done
   done;
   let served = Spines.Egress.drain q in
@@ -440,12 +459,12 @@ let test_egress_overflow_eviction_many_origins () =
      id) — with equal backlogs that walks victims from origin 99 down. *)
   let q = Spines.Egress.create ~capacity:100 () in
   for o = 0 to 99 do
-    ignore (Spines.Egress.enqueue q ~prio:1 ~origin:o (Printf.sprintf "low%d" o))
+    ignore (enqueue q ~prio:1 ~origin:o (Printf.sprintf "low%d" o))
   done;
   check_int "full" 100 (Spines.Egress.length q);
   for k = 0 to 49 do
-    match Spines.Egress.enqueue q ~prio:5 ~origin:100 (Printf.sprintf "hi%d" k) with
-    | Spines.Egress.Evicted victim ->
+    match enqueue q ~prio:5 ~origin:100 (Printf.sprintf "hi%d" k) with
+    | Spines.Egress.Evicted (_, _, victim) ->
         let expect = Printf.sprintf "low%d" (99 - k) in
         if victim <> expect then
           Alcotest.failf "arrival %d evicted %s, expected %s" k victim expect
@@ -456,7 +475,7 @@ let test_egress_overflow_eviction_many_origins () =
   check_int "fifty evictions counted" 50 (Spines.Egress.drops q);
   (* A same-priority arrival against an all-lowest-band queue is itself
      refused once nothing queued is strictly lower-priority. *)
-  (match Spines.Egress.enqueue q ~prio:1 ~origin:7 "late" with
+  (match enqueue q ~prio:1 ~origin:7 "late" with
   | Spines.Egress.Rejected -> ()
   | _ -> Alcotest.fail "expected same-priority arrival to be rejected");
   (* Drain order: the 50 high-priority messages first (single origin, in
@@ -475,7 +494,7 @@ let test_egress_drain_order_deterministic () =
   let fill () =
     let q = Spines.Egress.create ~capacity:5 () in
     List.iter
-      (fun (prio, origin, m) -> ignore (Spines.Egress.enqueue q ~prio ~origin m))
+      (fun (prio, origin, m) -> ignore (enqueue q ~prio ~origin m))
       [
         (1, 9, "a"); (2, 3, "b"); (1, 4, "c"); (3, 9, "d"); (2, 3, "e");
         (2, 8, "f"); (1, 4, "g"); (3, 1, "h");
@@ -484,93 +503,275 @@ let test_egress_drain_order_deterministic () =
   in
   check "two identical fills drain identically" true (fill () = fill ())
 
-let test_frame_header_roundtrip () =
-  let metas =
-    [
-      Spines.Frame.M_data
-        {
-          origin = 3; origin_client = 7; data_seq = 42;
-          dst = Spines.Frame.M_client { node = 1; client = 2 };
-          priority = 5; app_size = 128;
-        };
-      Spines.Frame.M_data
-        {
-          origin = 1; origin_client = 0; data_seq = 7;
-          dst = Spines.Frame.M_group "replicas"; priority = 1; app_size = 64;
-        };
-      Spines.Frame.M_data
-        {
-          origin = 2; origin_client = 3; data_seq = 9;
-          dst = Spines.Frame.M_client { node = 0; client = 4 };
-          priority = 0; app_size = 0;
-        };
-      Spines.Frame.M_data
-        {
-          origin = 0; origin_client = 1; data_seq = 1;
-          dst = Spines.Frame.M_session "hmi-1"; priority = 2; app_size = 32;
-        };
-    ]
-  in
-  match Spines.Frame.decode_header (Spines.Frame.encode_header metas) with
-  | Some decoded -> check "round-trips" true (decoded = metas)
-  | None -> Alcotest.fail "well-formed header failed to decode"
+(* --- reference egress queue -------------------------------------------------- *)
 
-let test_frame_decode_total_on_garbage () =
-  let metas =
-    [
-      Spines.Frame.M_data
-        {
-          origin = 2; origin_client = 1; data_seq = 9;
-          dst = Spines.Frame.M_client { node = 1; client = 4 }; priority = 3; app_size = 16;
-        };
-      Spines.Frame.M_data
-        {
-          origin = 0; origin_client = 2; data_seq = 10;
-          dst = Spines.Frame.M_group "g"; priority = 1; app_size = 8;
-        };
-      Spines.Frame.M_data
-        {
-          origin = 1; origin_client = 0; data_seq = 11;
-          dst = Spines.Frame.M_session "hmi"; priority = 2; app_size = 4;
-        };
-    ]
-  in
-  let good = Spines.Frame.encode_header metas in
-  (* Every truncation of a valid header must decode to None, not raise. *)
-  for len = 0 to String.length good - 1 do
-    match Spines.Frame.decode_header (String.sub good 0 len) with
-    | None -> ()
-    | Some _ -> Alcotest.failf "truncated header of length %d decoded" len
+(* The queue Spines used before its flat scheduler, kept as the reference
+   the scheduler must agree with: bands in a hash table of priorities,
+   origins in a hash table of FIFOs per band, and each drain round a
+   sorted, partitioned list of the band's origins. Plus the one rule the
+   flat queue adds: once more than [capacity] bands are empty, after a
+   drain or an eviction, every empty band is dropped and so forgets its
+   cursor. *)
+module Ref_egress = struct
+  type 'a band = {
+    queues : (int, 'a Queue.t) Hashtbl.t;
+    mutable b_len : int;
+    mutable cursor : int;
+  }
+
+  type 'a t = {
+    capacity : int;
+    bands : (int, 'a band) Hashtbl.t;
+    mutable length : int;
+    mutable drops : int;
+  }
+
+  let create ~capacity = { capacity; bands = Hashtbl.create 4; length = 0; drops = 0 }
+
+  let band_for t prio =
+    match Hashtbl.find_opt t.bands prio with
+    | Some b -> b
+    | None ->
+        let b = { queues = Hashtbl.create 8; b_len = 0; cursor = min_int } in
+        Hashtbl.replace t.bands prio b;
+        b
+
+  let lowest_band t =
+    Hashtbl.fold
+      (fun prio band acc ->
+        if band.b_len = 0 then acc
+        else match acc with Some (p, _) when p <= prio -> acc | _ -> Some (prio, band))
+      t.bands None
+
+  let victim_origin band =
+    Hashtbl.fold
+      (fun origin q acc ->
+        let len = Queue.length q in
+        if len = 0 then acc
+        else
+          match acc with
+          | Some (o, l) when l > len || (l = len && o > origin) -> acc
+          | _ -> Some (origin, len))
+      band.queues None
+
+  let push_into t prio origin msg =
+    let band = band_for t prio in
+    let q =
+      match Hashtbl.find_opt band.queues origin with
+      | Some q -> q
+      | None ->
+          let q = Queue.create () in
+          Hashtbl.replace band.queues origin q;
+          q
+    in
+    Queue.push msg q;
+    band.b_len <- band.b_len + 1;
+    t.length <- t.length + 1
+
+  let reclaim t =
+    let empty = Hashtbl.fold (fun p b acc -> if b.b_len = 0 then p :: acc else acc) t.bands [] in
+    if List.length empty > t.capacity then List.iter (Hashtbl.remove t.bands) empty
+
+  let enqueue t ~prio ~origin msg =
+    if t.length < t.capacity then begin
+      push_into t prio origin msg;
+      Spines.Egress.Enqueued
+    end
+    else
+      match lowest_band t with
+      | Some (low_prio, _) when prio <= low_prio ->
+          t.drops <- t.drops + 1;
+          Spines.Egress.Rejected
+      | Some (_, band) ->
+          let o, _ = Option.get (victim_origin band) in
+          let q = Hashtbl.find band.queues o in
+          let v = Queue.pop q in
+          if Queue.is_empty q then Hashtbl.remove band.queues o;
+          band.b_len <- band.b_len - 1;
+          t.length <- t.length - 1;
+          t.drops <- t.drops + 1;
+          push_into t prio origin msg;
+          reclaim t;
+          Spines.Egress.Evicted v
+      | None -> assert false
+
+  let serve_order band =
+    let origins =
+      Hashtbl.fold (fun o q acc -> if Queue.is_empty q then acc else o :: acc) band.queues []
+    in
+    let after, upto = List.partition (fun o -> o > band.cursor) (List.sort compare origins) in
+    after @ upto
+
+  let drain t =
+    let out = ref [] in
+    let prios =
+      Hashtbl.fold (fun p band acc -> if band.b_len > 0 then p :: acc else acc) t.bands []
+      |> List.sort (fun a b -> compare b a)
+    in
+    List.iter
+      (fun prio ->
+        let band = Hashtbl.find t.bands prio in
+        while band.b_len > 0 do
+          List.iter
+            (fun origin ->
+              let q = Hashtbl.find band.queues origin in
+              out := Queue.pop q :: !out;
+              if Queue.is_empty q then Hashtbl.remove band.queues origin;
+              band.cursor <- origin;
+              band.b_len <- band.b_len - 1;
+              t.length <- t.length - 1)
+            (serve_order band)
+        done)
+      prios;
+    reclaim t;
+    List.rev !out
+
+  let clear t =
+    Hashtbl.reset t.bands;
+    t.length <- 0
+end
+
+type egress_op = Enq of int * int | Drain | Clear
+
+(* Priorities and origins from a small pool, so bands and origins collide
+   and round-robin, eviction and reclaim all come up, plus the extremes. *)
+let gen_egress_key =
+  QCheck.Gen.(
+    oneof [ int_range (-3) 3; oneofl [ min_int; max_int; -1_000_000; 1 lsl 40 ]; int ])
+
+let gen_egress_ops =
+  QCheck.Gen.(
+    pair (int_range 1 8)
+      (list_size (int_range 0 120)
+         (frequency
+            [
+              (12, map2 (fun p o -> Enq (p, o)) gen_egress_key gen_egress_key);
+              (3, return Drain);
+              (1, return Clear);
+            ])))
+
+let print_egress_ops (capacity, ops) =
+  Printf.sprintf "capacity %d: %s" capacity
+    (String.concat "; "
+       (List.map
+          (function
+            | Enq (p, o) -> Printf.sprintf "enq %d %d" p o
+            | Drain -> "drain"
+            | Clear -> "clear")
+          ops))
+
+let prop_egress_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"egress drains like the reference queue"
+    (QCheck.make ~print:print_egress_ops gen_egress_ops)
+    (fun (capacity, ops) ->
+      let q = Spines.Egress.create ~capacity () and r = Ref_egress.create ~capacity in
+      let agree () = Spines.Egress.length q = r.length && Spines.Egress.drops q = r.drops in
+      List.for_all Fun.id
+        (List.mapi
+           (fun k op ->
+             (match op with
+             | Enq (prio, origin) ->
+                 Spines.Egress.enqueue q ~prio ~origin k = Ref_egress.enqueue r ~prio ~origin k
+             | Drain -> Spines.Egress.drain q = Ref_egress.drain r
+             | Clear ->
+                 Spines.Egress.clear q;
+                 Ref_egress.clear r;
+                 true)
+             && agree ())
+           (ops @ [ Drain ])))
+
+let test_egress_memory_bounded () =
+  (* Every priority or origin ever seen used to keep a band or a FIFO
+     alive. Distinct ones, each enqueued and drained, must leave the
+     queue's memory bounded by its capacity. *)
+  let q = Spines.Egress.create ~capacity:16 () in
+  for prio = 1 to 20_000 do
+    ignore (Spines.Egress.enqueue q ~prio ~origin:0 "m");
+    ignore (Spines.Egress.drain q)
   done;
-  check "wrong magic rejected" true
-    (Spines.Frame.decode_header ("\x00" ^ String.sub good 1 (String.length good - 1)) = None);
-  check "garbage rejected" true
-    (Spines.Frame.decode_header (String.make 64 '\xff') = None);
-  (* A header whose count exceeds its entries must also be rejected. *)
-  let doctored = good ^ "trailing-junk" in
-  check "trailing bytes rejected" true (Spines.Frame.decode_header doctored = None);
-  (* A well-formed header whose one entry carries kind byte 1 (the
-     retired link-state kind) instead of 0 (data) must be rejected. The
-     kind byte follows the header's 4 fixed bytes and the entry's varint
-     length. *)
-  let one = Spines.Frame.encode_header [ List.hd metas ] in
-  let r = Wire.reader one in
-  let (_ : int) = Wire.r_u8 r in
-  let (_ : int) = Wire.r_u8 r in
-  let (_ : int) = Wire.r_u16 r in
-  let (_ : int) = Wire.r_varint r in
-  let kind_at = String.length one - Wire.remaining r in
-  let patch at v =
-    let e = Bytes.of_string one in
+  for origin = 1 to 20_000 do
+    ignore (Spines.Egress.enqueue q ~prio:1 ~origin "m");
+    ignore (Spines.Egress.drain q)
+  done;
+  let words = Obj.reachable_words (Obj.repr q) in
+  if words > 2_000 then Alcotest.failf "queue holds %d words after draining" words
+
+let frame_metas =
+  [
+    Spines.Frame.M_data
+      {
+        origin = 3; origin_client = 7; data_seq = 42;
+        dst = Spines.Frame.M_client { node = 1; client = 2 };
+        priority = 5; app_size = 128;
+      };
+    Spines.Frame.M_data
+      {
+        origin = 1; origin_client = 0; data_seq = 7;
+        dst = Spines.Frame.M_group "replicas"; priority = 1; app_size = 64;
+      };
+    Spines.Frame.M_data
+      {
+        origin = 2; origin_client = 3; data_seq = 9;
+        dst = Spines.Frame.M_client { node = 0; client = 4 };
+        priority = 0; app_size = 0;
+      };
+    Spines.Frame.M_data
+      {
+        origin = 0; origin_client = 1; data_seq = 1;
+        dst = Spines.Frame.M_session "hmi-1"; priority = 2; app_size = 32;
+      };
+  ]
+
+let entry = Spines.Frame.entry
+
+let matches = Spines.Frame.header_matches entry
+
+let test_frame_header_roundtrip () =
+  (* Version-2 bytes of the first entry: varint length 10, kind 0, then
+     zigzag varints 3, 7, 42, 5, 128 (two bytes), dst tag 0, node 1,
+     client 2. *)
+  Alcotest.(check string) "known entry" "\x14\x00\x06\x0e\x54\x0a\x80\x02\x00\x02\x04"
+    (entry (List.hd frame_metas));
+  let header = Spines.Frame.encode_header entry frame_metas in
+  Alcotest.(check string) "header is the prefix, then the entries"
+    ("\xf5\x02\x00\x04" ^ String.concat "" (List.map entry frame_metas))
+    header;
+  check "header matches its own messages" true (matches header frame_metas);
+  check "reordered messages rejected" false (matches header (List.rev frame_metas));
+  check "a subset rejected" false (matches header (List.tl frame_metas));
+  check "no messages rejected" false (matches header []);
+  Alcotest.check_raises "empty frame"
+    (Invalid_argument "Frame.encode_header: sub-message count out of range") (fun () ->
+      ignore (Spines.Frame.encode_header entry []))
+
+let test_frame_header_rejects_garbage () =
+  let metas = List.filteri (fun i _ -> i < 3) frame_metas in
+  let good = Spines.Frame.encode_header entry metas in
+  let rejected what bytes = check what false (matches bytes metas) in
+  (* Every truncation of a valid header is rejected, not raised on. *)
+  for len = 0 to String.length good - 1 do
+    rejected (Printf.sprintf "truncated to %d" len) (String.sub good 0 len)
+  done;
+  let patch s at v =
+    let e = Bytes.of_string s in
     Bytes.set_uint8 e at v;
     Bytes.to_string e
   in
-  check "rebuilt kind-0 header decodes" true
-    (Spines.Frame.decode_header (patch kind_at 0) = Some [ List.hd metas ]);
-  check "entry kind 1 rejected" true (Spines.Frame.decode_header (patch kind_at 1) = None);
-  (* Version 1 (fixed-width 8-byte ints, u32 lengths) has no decoder:
-     neither its own layout nor a version-2 body relabelled 1 decodes. *)
-  check "version byte 1 rejected" true (Spines.Frame.decode_header (patch 1 1) = None);
+  rejected "wrong magic" (patch good 0 0);
+  rejected "garbage" (String.make 64 '\xff');
+  rejected "trailing bytes" (good ^ "trailing-junk");
+  rejected "count above the entries" (patch good 3 4);
+  rejected "count below the entries" (patch good 3 2);
+  (* The entry kind byte follows the header's 4 fixed bytes and the
+     entry's one-byte length: kind 1 (the retired link-state kind) is
+     not data. *)
+  check "one-byte entry length" true (Char.code good.[4] < 0x80);
+  rejected "entry kind 1" (patch good 5 1);
+  check "kind 0 restored matches" true (matches (patch (patch good 5 1) 5 0) metas);
+  (* Version 1 (fixed-width 8-byte ints, u32 lengths) is not accepted:
+     neither its own layout nor a version-2 body relabelled 1. *)
+  rejected "version byte 1" (patch good 1 1);
+  let one = [ List.hd metas ] in
   let v1 =
     Wire.encode (fun b ->
         Wire.w_u8 b 0xF5;
@@ -579,14 +780,14 @@ let test_frame_decode_total_on_garbage () =
         Wire.w_str b
           (Wire.encode (fun e ->
                Wire.w_u8 e 0;
-               List.iter (Wire.w_int e) [ 2; 1; 9; 3; 16 ];
+               List.iter (Wire.w_int e) [ 3; 7; 42; 5; 128 ];
                Wire.w_u8 e 0;
                Wire.w_int e 1;
-               Wire.w_int e 4)))
+               Wire.w_int e 2)))
   in
-  check "version-1 header rejected" true (Spines.Frame.decode_header v1 = None)
+  check "version-1 header rejected" false (matches v1 one)
 
-(* --- frame codec properties ---------------------------------------------------- *)
+(* --- frame manifest properties ------------------------------------------------- *)
 
 let gen_meta =
   let open QCheck.Gen in
@@ -607,18 +808,44 @@ let gen_meta =
        (triple any_int any_int (oneof [ any_int; return max_int ]))
        (triple any_int any_int dst))
 
-let prop_frame_roundtrip =
-  QCheck.Test.make ~count:300 ~name:"frame header round-trips random metas"
-    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 8) gen_meta))
-    (fun metas -> Spines.Frame.decode_header (Spines.Frame.encode_header metas) = Some metas)
-
-(* Random bytes, and valid headers with one byte changed, inserted or
-   removed: whatever decodes must re-encode to exactly those bytes. *)
-let gen_header_bytes =
+(* A meta and a neighbor of it: one field nudged, the destination's kind
+   swapped, or nothing changed at all. *)
+let gen_meta_pair =
   let open QCheck.Gen in
-  let valid = map Spines.Frame.encode_header (list_size (int_range 1 4) gen_meta) in
+  gen_meta >>= fun (Spines.Frame.M_data d as m) ->
+  let nudge v = oneofl [ v + 1; v - 1; -v; v lxor 64 ] in
+  let dst_twin =
+    match d.dst with
+    | Spines.Frame.M_group g -> Spines.Frame.M_session g
+    | Spines.Frame.M_session s -> Spines.Frame.M_group s
+    | Spines.Frame.M_client { node; client } -> Spines.Frame.M_client { node = client; client = node }
+  in
+  let near =
+    oneof
+      [
+        return m;
+        map (fun origin -> Spines.Frame.M_data { d with origin }) (nudge d.origin);
+        map (fun data_seq -> Spines.Frame.M_data { d with data_seq }) (nudge d.data_seq);
+        map (fun priority -> Spines.Frame.M_data { d with priority }) (nudge d.priority);
+        map (fun app_size -> Spines.Frame.M_data { d with app_size }) (nudge d.app_size);
+        return (Spines.Frame.M_data { d with dst = dst_twin });
+        gen_meta;
+      ]
+  in
+  map (fun m' -> (m, m')) near
+
+let prop_entry_injective =
+  QCheck.Test.make ~count:1000 ~name:"distinct metas give distinct entries"
+    (QCheck.make gen_meta_pair)
+    (fun (a, b) -> a = b = String.equal (entry a) (entry b))
+
+(* An honest header, and candidates for it: itself, random bytes, or the
+   honest bytes with one byte changed, inserted or removed. *)
+let gen_header_candidate =
+  let open QCheck.Gen in
+  list_size (int_range 1 4) gen_meta >>= fun metas ->
+  let h = Spines.Frame.encode_header entry metas in
   let mutate =
-    valid >>= fun h ->
     int_range 0 (String.length h - 1) >>= fun i ->
     char >>= fun c ->
     oneofl
@@ -628,15 +855,14 @@ let gen_header_bytes =
         String.sub h 0 i ^ String.sub h (i + 1) (String.length h - i - 1);
       ]
   in
-  oneof [ string_size ~gen:char (int_range 0 64); mutate ]
+  map
+    (fun candidate -> (metas, h, candidate))
+    (oneof [ return h; string_size ~gen:char (int_range 0 64); mutate ])
 
-let prop_frame_canonical =
-  QCheck.Test.make ~count:1000 ~name:"every decoded frame header re-encodes to itself"
-    (QCheck.make ~print:String.escaped gen_header_bytes)
-    (fun s ->
-      match Spines.Frame.decode_header s with
-      | None -> true
-      | Some metas -> String.equal (Spines.Frame.encode_header metas) s)
+let prop_header_matches_only_honest =
+  QCheck.Test.make ~count:1000 ~name:"frame header matches only its bytes"
+    (QCheck.make ~print:(fun (_, _, c) -> String.escaped c) gen_header_candidate)
+    (fun (metas, honest, candidate) -> matches candidate metas = String.equal candidate honest)
 
 let test_corrupt_frames_dropped_not_crashing () =
   (* A keyed-but-patched daemon ships frames whose HMAC covers a corrupted
@@ -810,16 +1036,19 @@ let suite =
     ("egress fairness at 120 origins", `Quick, test_egress_fairness_many_origins);
     ("egress overflow eviction at 100 origins", `Quick, test_egress_overflow_eviction_many_origins);
     ("egress drain order deterministic", `Quick, test_egress_drain_order_deterministic);
+    QCheck_alcotest.to_alcotest prop_egress_matches_reference;
+    ("egress memory bounded", `Quick, test_egress_memory_bounded);
     ("frame header roundtrip", `Quick, test_frame_header_roundtrip);
-    ("frame decode total on garbage", `Quick, test_frame_decode_total_on_garbage);
+    ("frame header rejects garbage", `Quick, test_frame_header_rejects_garbage);
     ("corrupt frames dropped not crashing", `Quick, test_corrupt_frames_dropped_not_crashing);
     ("node egress overflow counted", `Quick, test_node_egress_overflow_counted);
-    QCheck_alcotest.to_alcotest prop_frame_roundtrip;
-    QCheck_alcotest.to_alcotest prop_frame_canonical;
+    QCheck_alcotest.to_alcotest prop_entry_injective;
+    QCheck_alcotest.to_alcotest prop_header_matches_only_honest;
     ("forged duplicate frame changes nothing", `Quick, test_forged_duplicate_frame_changes_nothing);
     ("forged mixed frame rejected whole", `Quick, test_forged_mixed_frame_rejected_whole);
     ("re-addressed peer's old ip unknown", `Quick, test_readdressed_peer_old_ip_unknown);
     QCheck_alcotest.to_alcotest prop_window_seen_matches_mark;
+    ("window sequence jump", `Quick, test_window_sequence_jump);
   ]
 
 let () = Alcotest.run "spines" [ ("spines", suite) ]

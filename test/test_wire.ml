@@ -92,11 +92,23 @@ let prop_int_roundtrip =
 
 let varint v = Wire.encode (fun b -> Wire.w_varint b v)
 
+(* The canonical reading of a varint, as a reference: the library has no
+   varint reader (Spines compares encoded bytes instead). It rejects
+   padded encodings and ones longer than 9 bytes, so "every accepted
+   varint re-encodes to itself" says each int has exactly one encoding,
+   the property that byte comparison rests on. Returns the value and the
+   bytes used. *)
 let read_varint s =
-  let r = Wire.reader s in
-  match Wire.r_varint r with
-  | v -> Some (v, String.length s - Wire.remaining r)
-  | exception Wire.Truncated -> None
+  let rec go u shift pos =
+    if shift = 7 * 9 || pos >= String.length s then None
+    else
+      let byte = Char.code s.[pos] in
+      let u = u lor ((byte land 0x7F) lsl shift) in
+      if byte land 0x80 <> 0 then go u (shift + 7) (pos + 1)
+      else if byte = 0 && shift > 0 then None
+      else Some ((u lsr 1) lxor -(u land 1), pos + 1)
+  in
+  go 0 0 0
 
 let test_varint_known_answers () =
   check_str "0" "\x00" (varint 0);
@@ -113,14 +125,7 @@ let test_varint_known_answers () =
     (read_varint (String.make 9 '\x80' ^ "\x01") = None);
   check "9th byte may not continue" true (read_varint (String.make 9 '\xff') = None);
   check "truncated" true (read_varint "\x80" = None);
-  check "empty" true (read_varint "" = None);
-  (* The decoder allocates nothing: 10 000 reads of a 9-byte varint. *)
-  let r = Wire.reader (String.concat "" (List.init 10_000 (fun _ -> varint min_int))) in
-  let before = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    ignore (Sys.opaque_identity (Wire.r_varint r))
-  done;
-  check "r_varint allocation-free" true (Gc.minor_words () -. before < 100.0)
+  check "empty" true (read_varint "" = None)
 
 let varint_edges =
   List.concat_map
