@@ -1,93 +1,12 @@
-(* Telemetry export.
-
-   Two formats:
-
-   - JSONL: one self-describing JSON object per line ("counter", "gauge",
-     "histogram", "span", "pipeline"), the raw-dump format for offline
-     analysis — van-der-Velde-style continuous process monitoring wants
-     an append-only event stream, not a report.
-
-   - Summary JSON: the `--json` bench output — per-experiment objects in
-     which every latency summary carries {count, mean, p50, p99, ...},
-     built from Sim.Stats.Summary via its own to_json. *)
+(* Telemetry export: the `--json` bench output, in which every latency
+   summary carries {count, mean, p50, p99, ...} built from
+   Sim.Stats.Summary via its own to_json, and the Section-V reaction-time
+   decomposition over the registry's pipeline marks. *)
 
 let summary_to_json (s : Sim.Stats.Summary.t) : Json.t =
   (* Stats prints its own JSON (no dependency on us); parse it back into
      the AST rather than duplicating the field logic here. *)
   Json.parse (Sim.Stats.Summary.to_json s)
-
-let jsonl_of_registry reg =
-  let open Json in
-  let line kind fields = to_string (Obj (("type", Str kind) :: fields)) in
-  let counters =
-    List.map
-      (fun (name, v) -> line "counter" [ ("name", Str name); ("value", Num (float_of_int v)) ])
-      (Registry.counters reg)
-  in
-  let gauges =
-    List.map
-      (fun (name, v) -> line "gauge" [ ("name", Str name); ("value", Num v) ])
-      (Registry.gauges reg)
-  in
-  let histograms =
-    List.map
-      (fun (name, h) ->
-        line "histogram"
-          [ ("name", Str name); ("data", Histogram.to_json h) ])
-      (Registry.histograms reg)
-  in
-  let store = Registry.spans reg in
-  let spans =
-    List.map
-      (fun (s : Span.span) ->
-        line "span"
-          [
-            ("id", Num (float_of_int s.Span.id));
-            ("name", Str s.Span.name);
-            ( "parent",
-              match s.Span.parent with Some p -> Num (float_of_int p) | None -> Null );
-            ("start", Num s.Span.start_time);
-            ("end", match s.Span.end_time with Some e -> Num e | None -> Null);
-          ])
-      (Span.all_spans store)
-  in
-  let pipelines =
-    List.map
-      (fun (inst : Span.instance) ->
-        line "pipeline"
-          [
-            ("trace", Str inst.Span.trace);
-            ( "marks",
-              List
-                (List.map
-                   (fun (stage, time) -> Obj [ ("stage", Str stage); ("time", Num time) ])
-                   (Span.marks inst)) );
-            ("complete", Bool inst.Span.complete);
-          ])
-      (Span.completed store)
-  in
-  counters @ gauges @ histograms @ spans @ pipelines
-
-let write_jsonl oc reg =
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    (jsonl_of_registry reg)
-
-let jsonl_to_string reg = String.concat "" (List.map (fun l -> l ^ "\n") (jsonl_of_registry reg))
-
-(* Parse a JSONL dump back into (type, json) rows — the round-trip side
-   used by tests and any offline reader. *)
-let parse_jsonl s =
-  String.split_on_char '\n' s
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun l ->
-         let j = Json.parse l in
-         let kind =
-           match Json.member "type" j with Some (Json.Str k) -> k | _ -> "unknown"
-         in
-         (kind, j))
 
 (* The Section-V reaction-time decomposition: label, from-stage,
    to-stage. Sums telescope to flip -> repaint exactly (each stage ends
@@ -105,7 +24,3 @@ let end_to_end_stage = ("end-to-end", Registry.stage_flip, Registry.stage_repain
 
 let reaction_breakdown reg =
   Span.stage_breakdown (Registry.spans reg) ~stages:(reaction_stages @ [ end_to_end_stage ])
-
-(* Per-stage summaries as a JSON object keyed by stage label. *)
-let breakdown_json breakdown =
-  Json.Obj (List.map (fun (label, s) -> (label, summary_to_json s)) breakdown)

@@ -1,21 +1,9 @@
-(** Telemetry export: JSONL event/metric dump plus helpers for the
-    [--json] machine-readable bench output. *)
+(** Telemetry export: the Section-V reaction-time decomposition and the
+    summary helper behind the [--json] machine-readable bench output. *)
 
 (** A [Sim.Stats.Summary] as a JSON object with [count] and, when
     non-empty, [mean]/[stddev]/[min]/[p50]/[p99]/[max]. *)
 val summary_to_json : Sim.Stats.Summary.t -> Json.t
-
-(** One self-describing JSON line per counter, gauge, histogram, span,
-    and completed pipeline instance. *)
-val jsonl_of_registry : Registry.t -> string list
-
-val write_jsonl : out_channel -> Registry.t -> unit
-
-val jsonl_to_string : Registry.t -> string
-
-(** Parse a JSONL dump into [(type, json)] rows; raises
-    [Json.Parse_error] on malformed lines. *)
-val parse_jsonl : string -> (string * Json.t) list
 
 (** The Section-V reaction-time decomposition as
     [(label, from_stage, to_stage)]; consecutive stages telescope, so
@@ -27,6 +15,3 @@ val end_to_end_stage : string * string * string
 (** [reaction_stages] plus the end-to-end pair, evaluated over a
     registry's completed pipeline instances. *)
 val reaction_breakdown : Registry.t -> (string * Sim.Stats.Summary.t) list
-
-(** Breakdown as a JSON object keyed by stage label. *)
-val breakdown_json : (string * Sim.Stats.Summary.t) list -> Json.t

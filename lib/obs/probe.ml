@@ -83,29 +83,9 @@ let sample t =
       (name, List.sort (fun (a, _) (b, _) -> String.compare a b) (f ())))
     (sorted_probes t)
 
-(* Publish a sample as registry gauges named [health.<probe>.<metric>] —
-   the timeseries face of the snapshots. No-op while [registry] has
-   telemetry off. *)
-let publish ?(prefix = "health") ~registry sample =
-  List.iter
-    (fun (name, metrics) ->
-      List.iter
-        (fun (metric, value) ->
-          Registry.set_gauge registry (String.concat "." [ prefix; name; metric ]) value)
-        metrics)
-    sample
-
 let sample_json sample =
   Json.Obj
     (List.map
        (fun (name, metrics) ->
          (name, Json.Obj (List.map (fun (m, v) -> (m, Json.Num v)) metrics)))
        sample)
-
-(* Periodic sampler: polls every probe and publishes gauges. Only
-   opt-in harnesses may start one — it schedules engine events, so it is
-   never armed by default instrumentation. *)
-let start_sampler ?registry ~engine ~period t =
-  Sim.Engine.every engine ~period (fun () ->
-      let s = sample t in
-      match registry with Some r -> publish ~registry:r s | None -> ())

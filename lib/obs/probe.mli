@@ -42,14 +42,4 @@ val reset : t -> unit
     metrics sorted by metric name. *)
 val sample : t -> (string * snapshot) list
 
-(** Publish a sample as gauges named [<prefix>.<probe>.<metric>]
-    (default prefix ["health"]). No-op while [registry] is disabled. *)
-val publish : ?prefix:string -> registry:Registry.t -> (string * snapshot) list -> unit
-
 val sample_json : (string * snapshot) list -> Json.t
-
-(** Start a periodic sampler that polls the probes (and publishes into
-    [registry] when given). Schedules engine events — opt-in harnesses
-    only, never default instrumentation. *)
-val start_sampler :
-  ?registry:Registry.t -> engine:Sim.Engine.t -> period:float -> t -> Sim.Engine.timer

@@ -1,8 +1,8 @@
-(** Telemetry registry: counters, gauges, histograms, and the span store
-    behind one default-off [enabled] switch. Recording functions cost a
-    load and a branch when disabled, and instrumentation is purely
-    passive, so telemetry off leaves the deterministic simulation
-    schedule bit-identical. *)
+(** Telemetry registry: the SCADA pipeline-stage marks behind one
+    default-off [enabled] switch. A mark costs a load and a branch when
+    disabled — no allocation, not even of its trace key — and
+    instrumentation is purely passive, so telemetry off leaves the
+    deterministic simulation schedule bit-identical. *)
 
 type t
 
@@ -18,14 +18,8 @@ val stage_repaint : string
 val stage_command : string
 val stage_actuate : string
 
-val pipeline_opens : string list
-val pipeline_closes : string list
-
-(** Fresh registry, disabled, with the standard pipeline stage
-    configuration unless overridden. [?span_capacity] bounds the span
-    store's retained completed instances (see
-    {!Span.create_store}). *)
-val create : ?span_capacity:int -> ?opens:string list -> ?closes:string list -> unit -> t
+(** Fresh registry, disabled, with the standard pipeline stages. *)
+val create : unit -> t
 
 (** The global registry the stack's instrumentation records into. *)
 val default : t
@@ -36,40 +30,21 @@ val set_enabled : t -> bool -> unit
 
 (** {2 Recording — no-ops while disabled} *)
 
-val incr : ?by:int -> t -> string -> unit
-
-val set_gauge : t -> string -> float -> unit
-
-(** Observe into a named histogram, created on first use (with [edges]
-    if given, default edges otherwise). *)
-val observe : ?edges:float array -> t -> string -> float -> unit
-
-(** Record a pipeline stage mark (see {!Span.mark}). *)
+(** Record a pipeline stage mark (see {!Span.mark}) under a trace key
+    the caller already holds. *)
 val mark : t -> trace:string -> stage:string -> time:float -> unit
 
-(** Open a generic span; returns 0 when disabled. *)
-val span_start : t -> name:string -> ?parent:int -> time:float -> unit -> int
+(** [mark] under {!Span.status_key}, built only when enabled. *)
+val mark_status : t -> breaker:string -> closed:bool -> stage:string -> time:float -> unit
 
-val span_finish : t -> int -> time:float -> unit
+(** [mark] under {!Span.command_key}, built only when enabled. *)
+val mark_command : t -> breaker:string -> close:bool -> stage:string -> time:float -> unit
 
 (** {2 Reading} *)
 
-val counter : t -> string -> int
-
-val gauge : t -> string -> float option
-
-val histogram : t -> string -> Histogram.t option
-
-(** Sorted by name. *)
-val counters : t -> (string * int) list
-
-val gauges : t -> (string * float) list
-
-val histograms : t -> (string * Histogram.t) list
-
 val spans : t -> Span.store
 
-(** Drop all recorded data (keeps the enabled flag and stage config). *)
+(** Drop all recorded marks (keeps the enabled flag). *)
 val reset : t -> unit
 
 (** [with_enabled t f]: reset [t], enable it, run [f], restore the

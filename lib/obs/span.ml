@@ -1,39 +1,20 @@
-(* Causal span tracing.
+(* Pipeline tracing.
 
-   Two layers:
+   The SCADA data path is a fixed stage sequence (flip -> proxy.report ->
+   prime.accept -> prime.preorder -> prime.execute -> hmi.repaint)
+   correlated by an out-of-band trace key — the canonical Scada.Op
+   encoding, which already flows end to end unchanged. Embedding ids in
+   messages would perturb the deterministic schedule (different sizes,
+   different dedup), so instrumentation points instead call [mark] with
+   the key they already have.
 
-   - Generic spans: named intervals with an optional parent, opened with
-     [start] and closed with [finish]. These model nested work (a view
-     change containing its retransmissions, a bench experiment containing
-     its runs).
-
-   - Pipeline instances: the SCADA data path is a fixed stage sequence
-     (flip -> proxy.report -> prime.accept -> prime.preorder ->
-     prime.execute -> hmi.repaint) correlated by an out-of-band trace key
-     — the canonical Scada.Op encoding, which already flows end to end
-     unchanged. Embedding ids in messages would perturb the deterministic
-     schedule (different sizes, different dedup), so instrumentation
-     points instead call [mark] with the key they already have.
-
-     An *opening* stage begins a new instance for its key (abandoning any
-     still-open one — a flip that never reached the HMI); a *closing*
-     stage completes it. Every stage records only its first occurrence
-     per instance: replicas re-broadcast and retransmit, but causally the
-     stage happened when it first happened. Marks with no open instance
-     (e.g. periodic status polls that aren't part of a watched flip) are
-     counted and dropped. *)
-
-(* --- Generic parent/child spans ------------------------------------- *)
-
-type span = {
-  id : int;
-  name : string;
-  parent : int option;
-  start_time : float;
-  mutable end_time : float option;
-}
-
-(* --- Pipeline instances --------------------------------------------- *)
+   An *opening* stage begins a new instance for its key (abandoning any
+   still-open one — a flip that never reached the HMI); a *closing*
+   stage completes it. Every stage records only its first occurrence
+   per instance: replicas re-broadcast and retransmit, but causally the
+   stage happened when it first happened. Marks with no open instance
+   (e.g. periodic status polls that aren't part of a watched flip) are
+   counted and dropped. *)
 
 type instance = {
   trace : string;
@@ -45,23 +26,12 @@ type store = {
   opens : (string, unit) Hashtbl.t;
   closes : (string, unit) Hashtbl.t;
   active : (string, instance) Hashtbl.t; (* open instance per trace key *)
-  capacity : int option; (* retention cap on completed instances *)
-  mutable completed_buf : instance array; (* ring, mirrors Sim.Trace *)
-  mutable completed_len : int;
-  mutable completed_start : int;
-  mutable completed_n : int; (* instances ever completed *)
+  mutable completed : instance list; (* newest first *)
   mutable abandoned : int; (* re-opened before closing *)
   mutable orphans : int; (* marks with no open instance *)
-  spans : (int, span) Hashtbl.t;
-  mutable next_span : int;
 }
 
-let dummy_instance = { trace = ""; marks = []; complete = false }
-
-let create_store ?capacity ?(opens = []) ?(closes = []) () =
-  (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Span.create_store: capacity must be positive"
-  | _ -> ());
+let create_store ?(opens = []) ?(closes = []) () =
   let table keys =
     let h = Hashtbl.create 8 in
     List.iter (fun k -> Hashtbl.replace h k ()) keys;
@@ -71,67 +41,10 @@ let create_store ?capacity ?(opens = []) ?(closes = []) () =
     opens = table opens;
     closes = table closes;
     active = Hashtbl.create 64;
-    capacity;
-    completed_buf = Array.make (match capacity with Some c -> Stdlib.min c 64 | None -> 64) dummy_instance;
-    completed_len = 0;
-    completed_start = 0;
-    completed_n = 0;
+    completed = [];
     abandoned = 0;
     orphans = 0;
-    spans = Hashtbl.create 64;
-    next_span = 0;
   }
-
-(* Append a completed instance, overwriting the oldest once the
-   retention cap is reached; an uncapped store just keeps growing. *)
-let push_completed store inst =
-  let cap_reached = match store.capacity with Some c -> store.completed_len = c | None -> false in
-  if cap_reached then begin
-    store.completed_buf.(store.completed_start) <- inst;
-    store.completed_start <- (store.completed_start + 1) mod store.completed_len
-  end
-  else begin
-    if store.completed_len = Array.length store.completed_buf then begin
-      let target =
-        match store.capacity with
-        | Some c -> Stdlib.min c (store.completed_len * 2)
-        | None -> store.completed_len * 2
-      in
-      let buf = Array.make target dummy_instance in
-      Array.blit store.completed_buf 0 buf 0 store.completed_len;
-      store.completed_buf <- buf
-    end;
-    store.completed_buf.((store.completed_start + store.completed_len) mod Array.length store.completed_buf) <- inst;
-    store.completed_len <- store.completed_len + 1
-  end;
-  store.completed_n <- store.completed_n + 1
-
-(* Generic spans *)
-
-let start store ~name ?parent ~time () =
-  store.next_span <- store.next_span + 1;
-  let id = store.next_span in
-  Hashtbl.replace store.spans id { id; name; parent; start_time = time; end_time = None };
-  id
-
-let finish store id ~time =
-  match Hashtbl.find_opt store.spans id with
-  | Some s when s.end_time = None -> s.end_time <- Some time
-  | Some _ | None -> ()
-
-let span store id = Hashtbl.find_opt store.spans id
-
-let duration s = Option.map (fun e -> e -. s.start_time) s.end_time
-
-let children store id =
-  Hashtbl.fold (fun _ s acc -> if s.parent = Some id then s :: acc else acc) store.spans []
-  |> List.sort (fun a b -> Float.compare a.start_time b.start_time)
-
-let all_spans store =
-  Hashtbl.fold (fun _ s acc -> s :: acc) store.spans []
-  |> List.sort (fun a b -> Stdlib.compare a.id b.id)
-
-(* Pipeline instances *)
 
 let mark store ~trace ~stage ~time =
   if Hashtbl.mem store.opens stage then begin
@@ -151,21 +64,13 @@ let mark store ~trace ~stage ~time =
             inst.complete <- true;
             inst.marks <- List.rev inst.marks; (* freeze in causal order *)
             Hashtbl.remove store.active trace;
-            push_completed store inst
+            store.completed <- inst :: store.completed
           end
         end
 
-let completed store =
-  let cap = Array.length store.completed_buf in
-  let acc = ref [] in
-  for i = store.completed_len - 1 downto 0 do
-    acc := store.completed_buf.((store.completed_start + i) mod cap) :: !acc
-  done;
-  !acc
+let completed store = List.rev store.completed
 
-let completed_count store = store.completed_n
-
-let completed_retained store = store.completed_len
+let completed_count store = List.length store.completed
 
 let active_count store = Hashtbl.length store.active
 
@@ -195,14 +100,9 @@ let stage_breakdown store ~stages =
 
 let reset store =
   Hashtbl.reset store.active;
-  Array.fill store.completed_buf 0 (Array.length store.completed_buf) dummy_instance;
-  store.completed_len <- 0;
-  store.completed_start <- 0;
-  store.completed_n <- 0;
+  store.completed <- [];
   store.abandoned <- 0;
-  store.orphans <- 0;
-  Hashtbl.reset store.spans;
-  store.next_span <- 0
+  store.orphans <- 0
 
 (* Trace keys: the canonical Scada.Op encodings. Building them here (not
    via Scada.Op) keeps obs below scada in the dependency order. *)

@@ -1,15 +1,6 @@
-(** Causal span tracing: generic parent/child spans plus pipeline
-    instances — fixed stage sequences correlated by an out-of-band trace
-    key (the canonical [Scada.Op] encoding), so instrumentation never
-    changes message contents or the deterministic schedule. *)
-
-type span = {
-  id : int;
-  name : string;
-  parent : int option;
-  start_time : float;
-  mutable end_time : float option;
-}
+(** Pipeline tracing: fixed stage sequences correlated by an out-of-band
+    trace key (the canonical [Scada.Op] encoding), so instrumentation
+    never changes message contents or the deterministic schedule. *)
 
 type instance = {
   trace : string;
@@ -20,32 +11,9 @@ type instance = {
 type store
 
 (** [create_store ~opens ~closes ()]: stages in [opens] begin a new
-    instance for their trace key; stages in [closes] complete it. With
-    [?capacity] the store retains at most that many completed instances
-    (oldest evicted first — [completed_count] stays exact); raises
-    [Invalid_argument] on [capacity <= 0]. *)
-val create_store : ?capacity:int -> ?opens:string list -> ?closes:string list -> unit -> store
-
-(** {2 Generic spans} *)
-
-(** Open a named span; returns its id. *)
-val start : store -> name:string -> ?parent:int -> time:float -> unit -> int
-
-(** Close a span (idempotent; unknown ids ignored). *)
-val finish : store -> int -> time:float -> unit
-
-val span : store -> int -> span option
-
-(** [end - start] once finished. *)
-val duration : span -> float option
-
-(** Direct children, ordered by start time. *)
-val children : store -> int -> span list
-
-(** Every span, ordered by id (creation order). *)
-val all_spans : store -> span list
-
-(** {2 Pipeline instances} *)
+    instance for their trace key; stages in [closes] complete it. The
+    store keeps every completed instance. *)
+val create_store : ?opens:string list -> ?closes:string list -> unit -> store
 
 (** Record stage [stage] for trace key [trace] at [time]. Opening stages
     begin a fresh instance (abandoning any still-open one for the key);
@@ -54,14 +22,10 @@ val all_spans : store -> span list
     as orphans and dropped. *)
 val mark : store -> trace:string -> stage:string -> time:float -> unit
 
-(** Retained completed instances, oldest first, marks in causal order. *)
+(** Completed instances, oldest first, marks in causal order. *)
 val completed : store -> instance list
 
-(** Instances ever completed (a capped store may retain fewer). *)
 val completed_count : store -> int
-
-(** Completed instances currently retained. *)
-val completed_retained : store -> int
 
 val active_count : store -> int
 

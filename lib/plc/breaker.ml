@@ -45,10 +45,8 @@ let notify t = List.iter (fun f -> f t) t.listeners
 (* Every physical position change opens a pipeline trace: the status
    update it will cause carries the same key all the way to the HMI. *)
 let mark_flip t =
-  Obs.Registry.mark Obs.Registry.default
-    ~trace:(Obs.Span.status_key ~breaker:t.name ~closed:(t.actual = Closed))
-    ~stage:Obs.Registry.stage_flip
-    ~time:(Sim.Engine.now t.engine)
+  Obs.Registry.mark_status Obs.Registry.default ~breaker:t.name ~closed:(t.actual = Closed)
+    ~stage:Obs.Registry.stage_flip ~time:(Sim.Engine.now t.engine)
 
 (* Drive the breaker toward the commanded position after the mechanical
    delay. A newer command supersedes an in-flight one: the check against

@@ -173,7 +173,7 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
             Obs.Registry.mark Obs.Registry.default ~trace:u.Msg.Update.op
               ~stage:Obs.Registry.stage_preorder ~time:(Sim.Engine.now engine)
         | None -> ());
-  (* Health probes: no-ops unless a harness enabled the registry before
+  (* Health probes: no-ops unless a harness enabled [Obs.Probe] before
      building the deployment (ordinary tests never accumulate these). *)
   Obs.Probe.register Obs.Probe.default ~name:(Printf.sprintf "prime.replica.%d" id)
     (fun () ->
@@ -236,21 +236,17 @@ let broadcast t msg = if not (silent t) then t.transport.broadcast msg
 (* --- signing and verification ------------------------------------------ *)
 
 let count_sign t =
-  Sim.Stats.Counter.incr t.counters "crypto.sign";
-  Obs.Registry.incr Obs.Registry.default "crypto.sign"
+  Sim.Stats.Counter.incr t.counters "crypto.sign"
 
 let count_check t = function
   | `Hit ->
       Sim.Stats.Counter.incr t.counters "crypto.cache_hit";
-      Obs.Registry.incr Obs.Registry.default "crypto.cache_hit";
       true
   | `Valid ->
       Sim.Stats.Counter.incr t.counters "crypto.verify";
-      Obs.Registry.incr Obs.Registry.default "crypto.verify";
       true
   | `Invalid ->
       Sim.Stats.Counter.incr t.counters "crypto.verify";
-      Obs.Registry.incr Obs.Registry.default "crypto.verify";
       false
 
 (* Every outbound protocol message is signed directly when it is sent. *)
@@ -335,7 +331,6 @@ let handle_client_update t (u : Msg.Update.t) =
   else begin
     Obs.Registry.mark Obs.Registry.default ~trace:u.Msg.Update.op
       ~stage:Obs.Registry.stage_accept ~time:(now t);
-    Obs.Registry.incr Obs.Registry.default "prime.update.accepted";
     let po_seq = Preorder.assign t.preorder u in
     Sim.Stats.Counter.incr t.counters "update.accepted";
     let po_sig = sign t (Msg.encode_po_request ~origin:t.id ~po_seq u) in
@@ -460,7 +455,6 @@ let execute_ready t =
         if not (Hashtbl.mem t.executed_clients (Msg.Update.key u)) then begin
           Hashtbl.replace t.executed_clients (Msg.Update.key u) exec_seq;
           Sim.Stats.Counter.incr t.counters "executed";
-          Obs.Registry.incr Obs.Registry.default "prime.executed";
           Obs.Registry.mark Obs.Registry.default ~trace:u.Msg.Update.op
             ~stage:Obs.Registry.stage_execute ~time:(now t);
           t.app.apply ~exec_seq u;

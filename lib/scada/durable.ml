@@ -123,7 +123,6 @@ let persist_checkpoint t ck =
      checkpoint now on disk. *)
   ignore (Store.Wal.gc_before t.wal ~segment:(Store.Wal.current_segment t.wal));
   Sim.Stats.Counter.incr t.counters "durable.checkpoint";
-  Obs.Registry.incr Obs.Registry.default "store.checkpoint";
   if flight_on () then
     flight ~severity:Obs.Flight.Info ~kind:"checkpoint.persist"
       (Printf.sprintf "replica %d checkpointed exec %d"
@@ -378,7 +377,6 @@ let install_from_peer t ck =
       persist_checkpoint t ck;
       t.transfer_bytes <- t.transfer_bytes + Store.Checkpoint.size ck;
       Sim.Stats.Counter.incr t.counters "durable.peer_install";
-      Obs.Registry.incr Obs.Registry.default "store.transfer";
       if flight_on () then
         flight ~severity:Obs.Flight.Warn ~kind:"checkpoint.install"
           (Printf.sprintf "replica %d adopted peer checkpoint at exec %d (%d bytes)"
@@ -430,7 +428,7 @@ let create ~keystore ~keypair ~config ~replica ~state ~media =
   in
   Prime.Replica.set_on_execute replica (fun ~exec_seq u -> on_execute t ~exec_seq u);
   Prime.Replica.set_on_batch_end replica (fun () -> on_batch_end t);
-  (* Health probe; no-op unless a harness enabled the registry. *)
+  (* Health probe; no-op unless a harness enabled [Obs.Probe]. *)
   Obs.Probe.register Obs.Probe.default
     ~name:(Printf.sprintf "store.durable.%d" (Prime.Replica.id replica))
     (fun () ->

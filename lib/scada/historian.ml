@@ -111,10 +111,7 @@ let attach_store t media =
   (* A device that already holds history (process restart) repopulates
      the in-memory archive. *)
   let replayed = Store.Wal.replay wal ~f:(fun payload -> push t (decode_event payload)) in
-  if replayed > 0 then begin
-    t.recovered <- t.recovered + replayed;
-    Obs.Registry.incr ~by:replayed Obs.Registry.default "historian.recovered"
-  end
+  t.recovered <- t.recovered + replayed
 
 (* Assumption breach. Plain historian: archived history is unrecoverable,
    in contrast to the masters' ground-truth-rebuildable state. Store-backed
@@ -135,8 +132,7 @@ let wipe t =
       Store.Media.crash media;
       let replayed = Store.Wal.replay wal ~f:(fun payload -> push t (decode_event payload)) in
       t.lost <- t.lost + max 0 (before - replayed);
-      t.recovered <- t.recovered + replayed;
-      Obs.Registry.incr ~by:replayed Obs.Registry.default "historian.recovered"
+      t.recovered <- t.recovered + replayed
 
 let lost_events t = t.lost
 

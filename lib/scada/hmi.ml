@@ -63,9 +63,7 @@ let energized_loads t =
 (* Operator action: open or close a breaker from the screen. *)
 let command t ~breaker ~close =
   Sim.Stats.Counter.incr t.counters "command.issued";
-  Obs.Registry.incr Obs.Registry.default "hmi.command.issued";
-  Obs.Registry.mark Obs.Registry.default
-    ~trace:(Obs.Span.command_key ~breaker ~close)
+  Obs.Registry.mark_command Obs.Registry.default ~breaker ~close
     ~stage:Obs.Registry.stage_command ~time:(Sim.Engine.now t.engine);
   Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"hmi"
     "%s: operator commands %s -> %s" t.name breaker (if close then "close" else "open");
@@ -80,11 +78,9 @@ let apply_display_update t ~exec_seq ~breaker ~closed =
         if cell.closed <> closed then begin
           cell.closed <- closed;
           Sim.Stats.Counter.incr t.counters "display.changed";
-          Obs.Registry.incr Obs.Registry.default "hmi.display.changed";
           (* The Section V measurement point: the repaint closes the
              status pipeline opened by the physical flip. *)
-          Obs.Registry.mark Obs.Registry.default
-            ~trace:(Obs.Span.status_key ~breaker ~closed)
+          Obs.Registry.mark_status Obs.Registry.default ~breaker ~closed
             ~stage:Obs.Registry.stage_repaint ~time:(Sim.Engine.now t.engine);
           List.iter (fun f -> f ~breaker ~closed) t.on_display_change
         end

@@ -105,7 +105,6 @@ let apply_update t ~exec_seq (u : Prime.Msg.Update.t) =
       (match op with
       | Op.Status { breaker; closed } ->
           Sim.Stats.Counter.incr t.counters "apply.status";
-          Obs.Registry.incr Obs.Registry.default "master.apply.status";
           if changes <> [] then begin
             Obs.Registry.mark Obs.Registry.default ~trace:u.Prime.Msg.Update.op
               ~stage:Obs.Registry.stage_push ~time:(Sim.Engine.now t.engine);
@@ -113,19 +112,16 @@ let apply_update t ~exec_seq (u : Prime.Msg.Update.t) =
           end
       | Op.Command { breaker; close } ->
           Sim.Stats.Counter.incr t.counters "apply.command";
-          Obs.Registry.incr Obs.Registry.default "master.apply.command";
           send_breaker_command t ~exec_seq ~breaker ~close
       | Op.Batch _ ->
           Sim.Stats.Counter.incr t.counters "apply.batch";
           Sim.Stats.Counter.incr ~by:(Op.updates op) t.counters "apply.batch_updates";
-          Obs.Registry.incr Obs.Registry.default "master.apply.batch";
           if changes <> [] then begin
             (* Per-breaker push marks keep the span pipeline seeing one
                report per device even though the wire carried one op. *)
             List.iter
               (fun (name, closed) ->
-                Obs.Registry.mark Obs.Registry.default
-                  ~trace:(Op.encode (Op.Status { breaker = name; closed }))
+                Obs.Registry.mark_status Obs.Registry.default ~breaker:name ~closed
                   ~stage:Obs.Registry.stage_push ~time:(Sim.Engine.now t.engine))
               changes;
             push_hmi_batch t ~exec_seq ~changes
@@ -134,8 +130,7 @@ let apply_update t ~exec_seq (u : Prime.Msg.Update.t) =
           (* Measurements update the replicated state (and therefore the
              digest) but carry no position changes, so nothing is pushed
              to HMIs — operators read them via the grid overview path. *)
-          Sim.Stats.Counter.incr t.counters "apply.telemetry";
-          Obs.Registry.incr Obs.Registry.default "master.apply.telemetry")
+          Sim.Stats.Counter.incr t.counters "apply.telemetry")
 
 (* --- application-level state transfer -------------------------------------- *)
 

@@ -94,9 +94,7 @@ let submit_changes t changes =
   List.iter
     (fun (name, closed) ->
       Sim.Stats.Counter.incr t.counters "status.reported";
-      Obs.Registry.incr Obs.Registry.default "proxy.status.reported";
-      Obs.Registry.mark Obs.Registry.default
-        ~trace:(Op.encode (Op.Status { breaker = name; closed }))
+      Obs.Registry.mark_status Obs.Registry.default ~breaker:name ~closed
         ~stage:Obs.Registry.stage_report ~time:now)
     changes;
   match changes with
@@ -106,7 +104,6 @@ let submit_changes t changes =
   | reports ->
       t.batch_cursor <- t.batch_cursor + 1;
       Sim.Stats.Counter.incr t.counters "status.batched";
-      Obs.Registry.incr Obs.Registry.default "proxy.status.batched";
       let op = Op.Batch { origin = t.name; cursor = t.batch_cursor; reports } in
       ignore (Prime.Client.submit t.client ~op:(Op.encode op))
 
@@ -158,9 +155,7 @@ let handle_breaker_command t ~rep ~exec_seq ~breaker ~close signature =
       match coil_of_breaker t breaker with
       | Some coil ->
           Sim.Stats.Counter.incr t.counters "command.actuated";
-          Obs.Registry.incr Obs.Registry.default "proxy.command.actuated";
-          Obs.Registry.mark Obs.Registry.default
-            ~trace:(Obs.Span.command_key ~breaker ~close)
+          Obs.Registry.mark_command Obs.Registry.default ~breaker ~close
             ~stage:Obs.Registry.stage_actuate ~time:(Sim.Engine.now t.engine);
           Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"proxy"
             "%s: actuating %s -> %s" t.name breaker (if close then "closed" else "open");

@@ -48,7 +48,7 @@ type t = {
   mutable root_hex : string option; (* lazy hex rendering of [root] *)
   mutable blob : string option; (* memoized canonical serialization *)
   mutable ops_applied : int;
-  (* perf counters, mirrored into Obs.Registry when a harness enabled it *)
+  (* perf counters, read through the scada.state probe *)
   mutable n_digest_cached : int;
   mutable n_digest_recompute : int;
   mutable n_serialize : int;
@@ -157,8 +157,7 @@ let rebuild t =
   t.ttree <- build_ttree t;
   refresh_root t;
   t.blob <- None;
-  t.n_digest_recompute <- t.n_digest_recompute + 1;
-  Obs.Registry.incr Obs.Registry.default "scada.digest.recompute"
+  t.n_digest_recompute <- t.n_digest_recompute + 1
 
 (* --- incremental updates ---------------------------------------------------- *)
 
@@ -377,12 +376,10 @@ let telemetry_points t =
 
 let digest_root t =
   t.n_digest_cached <- t.n_digest_cached + 1;
-  Obs.Registry.incr Obs.Registry.default "scada.digest.cached";
   t.root
 
 let digest t =
   t.n_digest_cached <- t.n_digest_cached + 1;
-  Obs.Registry.incr Obs.Registry.default "scada.digest.cached";
   match t.root_hex with
   | Some h -> h
   | None ->
@@ -398,7 +395,6 @@ let recompute_digest t =
   let ctree = build_ctree t in
   let ttree = build_ttree t in
   t.n_digest_recompute <- t.n_digest_recompute + 1;
-  Obs.Registry.incr Obs.Registry.default "scada.digest.recompute";
   Crypto.Sha256.to_hex
     (combine_roots (Crypto.Merkle.tree_root btree) (Crypto.Merkle.tree_root ctree)
        (Crypto.Merkle.tree_root ttree))
@@ -416,7 +412,6 @@ let serialize t =
   | Some s -> s
   | None ->
       t.n_serialize <- t.n_serialize + 1;
-      Obs.Registry.incr Obs.Registry.default "scada.serialize";
       let cursors =
         Hashtbl.fold (fun origin c acc -> (origin, c) :: acc) t.batch_cursors []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)

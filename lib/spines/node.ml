@@ -233,12 +233,6 @@ let session_auth_valid sched ~auth inner =
 
 let transmit t ~ip ~size payload =
   Sim.Stats.Counter.incr t.counters "link.tx";
-  Obs.Registry.incr Obs.Registry.default "spines.link.tx";
-  (match payload with
-  | Link_frame { fr_msgs; _ } ->
-      Obs.Registry.observe Obs.Registry.default "spines.frame.msgs"
-        (float_of_int (List.length fr_msgs))
-  | _ -> ());
   Netbase.Host.udp_send t.host ~dst_ip:ip ~dst_port:t.config.port ~src_port:t.config.port ~size
     payload
 
@@ -347,7 +341,6 @@ let enqueue_link t l (d : data) =
   let dropped = Egress.drops l.eq - before in
   if dropped > 0 then begin
     Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
-    Obs.Registry.incr ~by:dropped Obs.Registry.default "spines.egress.drop";
     if Obs.Flight.recording Obs.Flight.default then
       Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
         ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"egress.drop"
@@ -398,7 +391,7 @@ let create ~engine ~trace ~host ~id config =
       Hashtbl.replace t.link_of_peer l.peer l)
     links;
   (* Health probe; the port disambiguates internal/external daemons that
-     share node ids. No-op unless a harness enabled the registry. *)
+     share node ids. No-op unless a harness enabled [Obs.Probe]. *)
   Obs.Probe.register Obs.Probe.default
     ~name:(Printf.sprintf "spines.node.%d.%d" id config.port)
     (fun () ->
@@ -417,7 +410,6 @@ let create ~engine ~trace ~host ~id config =
 let deliver_local t (d : data) =
   let deliver_to client_id client =
     Sim.Stats.Counter.incr t.counters "deliver";
-    Obs.Registry.incr Obs.Registry.default "spines.deliver";
     ignore client_id;
     client.handler ~src:(d.origin, d.origin_client) ~size:d.app_size d.app_payload
   in
@@ -488,7 +480,6 @@ let forward_data t ~from (d : data) =
   if evicted > 0 then Sim.Stats.Counter.incr ~by:evicted t.counters "dedup.evicted";
   if not fresh then Sim.Stats.Counter.incr t.counters "dedup.drop"
   else begin
-    Obs.Registry.incr Obs.Registry.default "spines.data.forwarded";
     (* Source fairness: a flooding origin is clipped at every honest hop. *)
     if d.origin <> t.id && not (within_rate t d.origin) then
       Sim.Stats.Counter.incr t.counters "fairness.clipped"
@@ -591,7 +582,6 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
               end
               else begin
                 Sim.Stats.Counter.incr t.counters "frame.malformed";
-                Obs.Registry.incr Obs.Registry.default "spines.frame.malformed";
                 if Obs.Flight.recording Obs.Flight.default then
                   Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
                     ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"frame.malformed"

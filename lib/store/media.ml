@@ -89,8 +89,7 @@ let fsync t ~file =
      control flow stays synchronous, while benchmarks still see the
      device-time cost of each durability point. *)
   t.io_stall <- t.io_stall +. (t.fsync_latency *. (0.5 +. Sim.Rng.float t.rng 1.0));
-  Sim.Stats.Counter.incr t.counters "media.fsync";
-  Obs.Registry.incr Obs.Registry.default "store.fsync"
+  Sim.Stats.Counter.incr t.counters "media.fsync"
 
 let exists t ~file =
   match Hashtbl.find_opt t.files file with Some f -> f.len > 0 | None -> false

@@ -133,7 +133,6 @@ let append t payload =
   t.records <- t.records + 1;
   t.unsynced <- t.unsynced + 1;
   Sim.Stats.Counter.incr t.counters "wal.append";
-  Obs.Registry.incr Obs.Registry.default "store.append";
   if t.unsynced >= t.fsync_every then sync t
 
 (* Decode one frame; [Ok None] at a clean end-of-segment. *)
@@ -177,7 +176,6 @@ let replay t ~f =
               corrupt := true;
               stop := true;
               Sim.Stats.Counter.incr t.counters "wal.corrupt_record";
-              Obs.Registry.incr Obs.Registry.default "store.corrupt_record";
               Media.truncate t.media ~file !valid_end;
               for later = !seg + 1 to t.seg_hi do
                 Media.delete t.media ~file:(segment_file t later)
@@ -191,7 +189,6 @@ let replay t ~f =
   t.records_synced <- !applied;
   t.unsynced <- 0;
   Sim.Stats.Counter.incr t.counters "wal.replay";
-  Obs.Registry.incr Obs.Registry.default "store.replay";
   !applied
 
 (* Drop whole segments below [segment]: everything in them is covered by

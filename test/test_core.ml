@@ -226,6 +226,49 @@ let test_reaction_time_spire_vs_commercial () =
      commercial system. *)
   check "spire faster than commercial" true (spire_mean < comm_mean)
 
+(* Telemetry must only watch: one plant, twenty flips, run dark and then
+   with every pipeline mark recorded, must react identically. *)
+let test_registry_is_passive () =
+  let flips = 20 in
+  let run_once () =
+    let engine, d = make_spire () in
+    run engine ~until:3.0;
+    let repaints = ref [] in
+    Scada.Hmi.on_display_change (hmi d) (fun ~breaker ~closed ->
+        repaints := (Sim.Engine.now engine, breaker, closed) :: !repaints);
+    let stats, completed =
+      Spire.Measure.spire_reaction_time ~deployment:d ~breaker:"B57" ~samples:flips ~gap:2.0 ()
+    in
+    run engine ~until:50.0;
+    let exec_seqs =
+      Array.to_list
+        (Array.map
+           (fun r -> Prime.Replica.exec_seq r.Spire.Deployment.r_replica)
+           (Spire.Deployment.replicas d))
+    in
+    ( List.rev !repaints,
+      Sim.Stats.Summary.to_json stats,
+      Sim.Stats.Summary.mean stats,
+      exec_seqs,
+      !completed )
+  in
+  let reg = Obs.Registry.default in
+  let off = run_once () in
+  let on, traced =
+    Obs.Registry.with_enabled reg (fun () ->
+        let on = run_once () in
+        (on, Obs.Span.completed_count (Obs.Registry.spans reg)))
+  in
+  let repaints_off, json_off, mean_off, seqs_off, done_off = off in
+  let repaints_on, json_on, mean_on, seqs_on, done_on = on in
+  check_int "every flip reflected" flips done_off;
+  check "registry recorded the flips" true (traced >= flips);
+  check "repaint times identical" true (repaints_off = repaints_on);
+  Alcotest.(check string) "reaction samples identical" json_off json_on;
+  check "mean bit-identical" true (Float.equal mean_off mean_on);
+  Alcotest.(check (list int)) "final exec seqs identical" seqs_off seqs_on;
+  check_int "completed flips identical" done_off done_on
+
 (* --- commercial baseline ------------------------------------------------------- *)
 
 let test_commercial_basics () =
@@ -393,6 +436,7 @@ let suite =
     ("ground truth rebuild", `Quick, test_ground_truth_rebuild);
     ("breaker cycle driver", `Quick, test_breaker_cycle_driver);
     ("reaction time spire vs commercial", `Slow, test_reaction_time_spire_vs_commercial);
+    ("registry is passive", `Quick, test_registry_is_passive);
     ("commercial basics", `Quick, test_commercial_basics);
     ("commercial failover", `Quick, test_commercial_failover);
     ("power plant scenario shape", `Quick, test_power_plant_scenario_shape);
