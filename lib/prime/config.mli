@@ -7,8 +7,8 @@ type t = {
   k : int; (* simultaneous proactive recoveries *)
   n : int; (* 3f + 2k + 1 *)
   quorum : int; (* 2f + k + 1 *)
-  delta_pp : float; (* pre-prepare emission interval while updates flow *)
-  summary_period : float; (* PO-summary emission interval when aru changed *)
+  delta_pp : float; (* minimum spacing of the leader's pre-prepares; also its idle tick *)
+  summary_period : float; (* minimum spacing of a replica's PO-summaries *)
   heartbeat_period : float; (* idle-leader pre-prepare heartbeat *)
   tat_check_period : float; (* suspect-leader evaluation interval *)
   tat_allowance : float; (* acceptable turnaround beyond network delay *)

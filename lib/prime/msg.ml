@@ -134,9 +134,6 @@ let write_matrix b (m : matrix) =
           write_summary_body b ~sum_rep:s.sum_rep ~aru:s.aru)
     m
 
-let encode_matrix (m : matrix) =
-  Wire.encode ~size_hint:(8 + (Array.length m * 96)) (fun b -> write_matrix b m)
-
 let matrix_digest ~view ~pp_seq m =
   let ctx = Crypto.Sha256.init () in
   let b = Buffer.create (32 + (Array.length m * 96)) in

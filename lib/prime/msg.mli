@@ -49,8 +49,6 @@ val verify_summary : Crypto.Signature.keystore -> summary -> bool
     only on the proposed vectors. *)
 type matrix = summary option array
 
-val encode_matrix : matrix -> string
-
 val matrix_digest : view:int -> pp_seq:int -> matrix -> Crypto.Sha256.digest
 
 (** Prepared certificate carried in view-change reports. *)

@@ -29,6 +29,7 @@ type t = {
   acked : (int * int, unit) Hashtbl.t; (* slots I already acked *)
   seen_updates : (string * int, unit) Hashtbl.t; (* client update dedup *)
   mutable dirty : bool; (* aru changed since last summary emission *)
+  mutable on_dirty : unit -> unit; (* fires each time [dirty] is set *)
   mutable on_certified : (origin:int -> po_seq:int -> unit) option;
       (* telemetry hook: fires once per slot, whichever message completed
          the quorum (request, ack, or own assignment) *)
@@ -46,10 +47,17 @@ let create config ~my_id =
     acked = Hashtbl.create 4096;
     seen_updates = Hashtbl.create 4096;
     dirty = false;
+    on_dirty = ignore;
     on_certified = None;
   }
 
 let set_on_certified t f = t.on_certified <- Some f
+
+let set_on_dirty t f = t.on_dirty <- f
+
+let mark_dirty t =
+  t.dirty <- true;
+  t.on_dirty ()
 
 let slot_for t key =
   match Hashtbl.find_opt t.slots key with
@@ -71,7 +79,7 @@ let begin_reset t ~new_start =
   t.next_po_seq <- max t.next_po_seq (new_start - 1);
   t.floors.(t.my_id) <- max t.floors.(t.my_id) (new_start - 1);
   if t.aru.(t.my_id) < t.floors.(t.my_id) then t.aru.(t.my_id) <- t.floors.(t.my_id);
-  t.dirty <- true
+  mark_dirty t
 
 (* Adopt execution-cursor floors from a quorum-backed checkpoint: every
    slot at or below the cursor was executed by a quorum, so this replica
@@ -79,14 +87,16 @@ let begin_reset t ~new_start =
    them. Without this, a recovered replica's cumulative vector could
    never leave zero (historical slots cannot re-certify). *)
 let install_floors t ~cursor =
+  let moved = ref false in
   Array.iteri
     (fun origin v ->
       if v > t.floors.(origin) then begin
         t.floors.(origin) <- v;
         if t.aru.(origin) < v then t.aru.(origin) <- v;
-        t.dirty <- true
+        moved := true
       end)
-    cursor
+    cursor;
+  if !moved then mark_dirty t
 
 (* Apply a (verified) origin reset: void the gap below [new_start] and let
    the cumulative vector jump over it. *)
@@ -94,21 +104,19 @@ let apply_origin_reset t ~origin ~new_start =
   let floor = new_start - 1 in
   if floor > t.floors.(origin) then begin
     t.floors.(origin) <- floor;
-    if t.aru.(origin) < floor then begin
-      t.aru.(origin) <- floor;
-      t.dirty <- true
-    end;
+    let before = t.aru.(origin) in
+    if t.aru.(origin) < floor then t.aru.(origin) <- floor;
     (* Slots above the floor may already be certified. *)
     let rec advance () =
       let next = t.aru.(origin) + 1 in
       match Hashtbl.find_opt t.slots (origin, next) with
       | Some s when s.certified ->
           t.aru.(origin) <- next;
-          t.dirty <- true;
           advance ()
       | Some _ | None -> ()
     in
     advance ();
+    if t.aru.(origin) > before then mark_dirty t;
     true
   end
   else false
@@ -120,7 +128,7 @@ let clear_dirty t = t.dirty <- false
 (* Force a summary emission (used right after a recovery restart so that
    mutually-recovered replicas can exchange vectors and re-base even when
    nothing has certified yet). *)
-let force_dirty t = t.dirty <- true
+let force_dirty t = mark_dirty t
 
 let seen_update t u = Hashtbl.mem t.seen_updates (Msg.Update.key u)
 
@@ -128,16 +136,17 @@ let note_update t u = Hashtbl.replace t.seen_updates (Msg.Update.key u) ()
 
 (* Advance origin's cumulative counter over contiguously certified slots. *)
 let advance_aru t origin =
+  let before = t.aru.(origin) in
   let rec loop () =
     let next = t.aru.(origin) + 1 in
     match Hashtbl.find_opt t.slots (origin, next) with
     | Some s when s.certified ->
         t.aru.(origin) <- next;
-        t.dirty <- true;
         loop ()
     | Some _ | None -> ()
   in
-  loop ()
+  loop ();
+  if t.aru.(origin) > before then mark_dirty t
 
 let check_certified t ~origin key slot =
   if (not slot.certified) && Hashtbl.length slot.endorsers >= t.config.Config.quorum then begin
@@ -202,7 +211,8 @@ let receive_ack t ~acker ~origin ~po_seq ~digest =
       check_certified t ~origin key slot
 
 (* Keep the freshest summary per replica (component sums are monotone for
-   honest senders, so a larger sum means fresher). *)
+   honest senders, so a larger sum means fresher). Returns whether [s]
+   was stored. *)
 let receive_summary t (s : Msg.summary) =
   let sum a = Array.fold_left ( + ) 0 a in
   let fresher =
@@ -210,7 +220,8 @@ let receive_summary t (s : Msg.summary) =
     | None -> true
     | Some old -> sum s.Msg.aru > sum old.Msg.aru
   in
-  if fresher then t.summaries.(s.Msg.sum_rep) <- Some s
+  if fresher then t.summaries.(s.Msg.sum_rep) <- Some s;
+  fresher
 
 let stored_summary t rep = t.summaries.(rep)
 
@@ -223,14 +234,50 @@ let matrix t ~my_summary : Msg.matrix =
 
 (* Eligibility: update (origin, s) may be executed once at least
    2f + k + 1 summaries in the matrix report aru.(origin) >= s — i.e. the
-   quorum-th largest value in the origin's column. *)
+   quorum-th largest value in the origin's column: the largest entry that
+   a quorum of entries reach. Counted in place (n <= 11), with no list and
+   no sort. *)
+let column_entry (m : Msg.matrix) row ~origin =
+  match m.(row) with Some s -> s.Msg.aru.(origin) | None -> -1
+
 let eligible_up_to config (m : Msg.matrix) ~origin =
-  let column =
-    Array.to_list m
-    |> List.filter_map (fun s -> Option.map (fun s -> s.Msg.aru.(origin)) s)
-  in
-  let sorted = List.sort (fun a b -> compare b a) column in
-  match List.nth_opt sorted (config.Config.quorum - 1) with Some v -> v | None -> 0
+  let best = ref 0 in
+  for row = 0 to Array.length m - 1 do
+    let v = column_entry m row ~origin in
+    if v > !best then begin
+      let reach = ref 0 in
+      for other = 0 to Array.length m - 1 do
+        if column_entry m other ~origin >= v then incr reach
+      done;
+      if !reach >= config.Config.quorum then best := v
+    end
+  done;
+  !best
+
+(* Would the matrix I could propose now (stored summaries plus my own
+   vector) make more eligible than [eligible] records, for some origin?
+   True when a quorum of an origin's column entries exceed its mark. *)
+let advances t ~eligible =
+  let n = Array.length t.summaries in
+  let found = ref false and origin = ref 0 in
+  while (not !found) && !origin < n do
+    let o = !origin in
+    let above = ref 0 in
+    for row = 0 to n - 1 do
+      let v = if row = t.my_id then t.aru.(o) else column_entry t.summaries row ~origin:o in
+      if v > eligible.(o) then incr above
+    done;
+    found := !above >= t.config.Config.quorum;
+    incr origin
+  done;
+  !found
+
+let aru_equals t a =
+  let same = ref (Array.length a = Array.length t.aru) in
+  for i = 0 to Array.length a - 1 do
+    if !same && a.(i) <> t.aru.(i) then same := false
+  done;
+  !same
 
 (* Store an update body fetched through reconciliation. No endorsement is
    added: the body is only accepted if it matches the digest the slot was

@@ -11,6 +11,10 @@ val create : Config.t -> my_id:int -> t
     whichever message completed the quorum. *)
 val set_on_certified : t -> (origin:int -> po_seq:int -> unit) -> unit
 
+(** Called each time the vector changes or an emission is forced, i.e.
+    whenever {!dirty} is set. *)
+val set_on_dirty : t -> (unit -> unit) -> unit
+
 (** Copy of my cumulative certified vector. *)
 val aru : t -> int array
 
@@ -58,8 +62,8 @@ val receive_request :
 val receive_ack :
   t -> acker:int -> origin:int -> po_seq:int -> digest:Crypto.Sha256.digest -> unit
 
-(** Keep the freshest summary per replica. *)
-val receive_summary : t -> Msg.summary -> unit
+(** Keep the freshest summary per replica; [true] if [s] was stored. *)
+val receive_summary : t -> Msg.summary -> bool
 
 val stored_summary : t -> int -> Msg.summary option
 
@@ -70,6 +74,14 @@ val matrix : t -> my_summary:Msg.summary -> Msg.matrix
 (** Highest preorder sequence of [origin] that at least 2f + k + 1
     summaries in the matrix certify. *)
 val eligible_up_to : Config.t -> Msg.matrix -> origin:int -> int
+
+(** Whether the matrix I could propose now (stored summaries plus my own
+    vector) makes some origin eligible beyond [eligible.(origin)].
+    Allocation-free. *)
+val advances : t -> eligible:int array -> bool
+
+(** Whether my vector equals [a], without copying it. *)
+val aru_equals : t -> int array -> bool
 
 (** Store a reconciliation-fetched body. [`Mismatch] if it contradicts
     the digest the slot was certified under. *)

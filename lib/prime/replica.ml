@@ -1,10 +1,16 @@
 (* Prime replica: orchestrates pre-ordering, ordering, suspect-leader,
    view changes, reconciliation and catchup over an abstract transport.
 
-   The replica owns timers on the simulation engine:
-   - summary emission (when the preorder vector advanced);
-   - leader pre-prepare emission (every delta_pp while updates flow, a
-     slower heartbeat when idle);
+   Summaries and pre-prepares go out when they become useful, coalesced
+   for [emit_delay] and never closer together than [summary_period] and
+   [delta_pp]: a replica's summary once its preorder vector advanced, the
+   leader's pre-prepare once the matrix it could propose advances some
+   origin's eligibility. The replica also owns timers on the simulation
+   engine:
+   - the idle summary refresh (every heartbeat_period once anything
+     certified, so a lost summary cannot leave matrices stale);
+   - the leader's delta_pp tick, for matrix changes that advance no
+     eligibility and for the slower idle heartbeat;
    - suspect-leader evaluation (turnaround-time and matrix-freshness
      checks);
    - reconciliation re-requests and catchup probing.
@@ -70,8 +76,15 @@ type t = {
   mutable view_live : bool;
   mutable my_vc_report : Msg.t option;
   mutable next_pp_seq : int;
-  mutable last_pp_matrix_digest : string;
+  mutable last_pp_matrix : Msg.matrix; (* my last proposal; [||] = none in this view *)
   mutable last_pp_time : float;
+  (* Per origin, how far my last proposal made updates eligible. *)
+  proposed_eligible : int array;
+  (* The previous tick saw a change I have not proposed yet. *)
+  mutable change_waiting : bool;
+  (* Pending event-driven emissions (see [emit_delay]). *)
+  mutable summary_due : Sim.Engine.event_id option;
+  mutable pp_due : Sim.Engine.event_id option;
   (* suspect-leader state *)
   mutable last_summary_time : float;
   mutable tat_pending : tat_pending list;
@@ -138,8 +151,12 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     view_live = true;
     my_vc_report = None;
     next_pp_seq = 1;
-    last_pp_matrix_digest = "";
+    last_pp_matrix = [||];
     last_pp_time = 0.0;
+    proposed_eligible = Array.make config.Config.n 0;
+    change_waiting = false;
+    summary_due = None;
+    pp_due = None;
     last_summary_time = 0.0;
     tat_pending = [];
     origin_freshness = Hashtbl.create 8;
@@ -282,7 +299,7 @@ let aru_sum a = Array.fold_left ( + ) 0 a
 
 let emit_summary ?(arm_tat = true) t =
   let s = current_summary t in
-  Preorder.receive_summary t.preorder s;
+  ignore (Preorder.receive_summary t.preorder s);
   t.last_summary_time <- now t;
   (* Turnaround-time deadlines are armed only for summaries carrying new
      information: a periodic refresh of an unchanged vector does not force
@@ -292,6 +309,28 @@ let emit_summary ?(arm_tat = true) t =
     t.tat_pending <- { sent_at = now t; sent_sum = aru_sum s.Msg.aru } :: t.tat_pending;
   Sim.Stats.Counter.incr t.counters "summary.sent";
   broadcast t (Msg.Po_summary s)
+
+(* Coalescing delay of event-driven emissions. A client's f + 1 target
+   replicas introduce its update microseconds apart; waiting this long
+   lets one summary (and one pre-prepare) cover both introductions. *)
+let emit_delay = 0.001
+
+(* One summary, [emit_delay] after the vector advanced and at least
+   [summary_period] after the previous one. *)
+let schedule_summary t =
+  if t.running && t.summary_due = None then begin
+    let time =
+      Float.max (now t +. emit_delay) (t.last_summary_time +. t.config.Config.summary_period)
+    in
+    t.summary_due <-
+      Some
+        (Sim.Engine.schedule_at t.engine ~time (fun () ->
+             t.summary_due <- None;
+             if (not (silent t)) && Preorder.dirty t.preorder then begin
+               Preorder.clear_dirty t.preorder;
+               emit_summary t
+             end))
+  end
 
 (* --- client updates and preordering -------------------------------------- *)
 
@@ -394,38 +433,6 @@ let maybe_rebase_origin t (s : Msg.summary) =
     end
   end
 
-let handle_po_summary t (s : Msg.summary) =
-  if verify_summary t s then begin
-    maybe_rebase_origin t s;
-    Preorder.receive_summary t.preorder s;
-    (* Freshness bookkeeping for censorship detection: once I know origin
-       r reached sum S, the leader must cover S within the allowance.
-       A re-announcement of an already-known sum must not re-arm the
-       deadline (periodic refreshes would otherwise cause false alarms
-       whenever the leader has nothing new to propose). *)
-    let sum = aru_sum s.Msg.aru in
-    (match Hashtbl.find_opt t.origin_freshness s.Msg.sum_rep with
-    | Some f when sum > f.best_sum ->
-        f.best_sum <- sum;
-        (* Each announcement must be covered within the allowance of the
-           moment we learned it; while one deadline is pending, later
-           announcements queue behind it (they get their own deadline when
-           the pending one is covered). *)
-        if f.cover_deadline = None then begin
-          f.armed_sum <- sum;
-          f.cover_deadline <- Some (now t +. t.config.Config.tat_allowance)
-        end
-    | Some _ -> ()
-    | None ->
-        Hashtbl.replace t.origin_freshness s.Msg.sum_rep
-          {
-            best_sum = sum;
-            armed_sum = sum;
-            cover_deadline = Some (now t +. t.config.Config.tat_allowance);
-          })
-  end
-  else Sim.Stats.Counter.incr t.counters "summary.bad_sig"
-
 (* --- execution -------------------------------------------------------------- *)
 
 let request_missing t missing =
@@ -469,12 +476,16 @@ let execute_ready t =
 
 (* --- ordering ----------------------------------------------------------------- *)
 
+(* The row a censoring leader leaves out of its proposals. *)
+let censored t row =
+  match t.misbehavior with
+  | Censor_origin o -> o = row && o <> t.id
+  | Honest | Crash_silent | Slow_leader _ | Equivocate -> false
+
 let matrix_for_proposal t =
   let my_summary = current_summary t in
   let m = Preorder.matrix t.preorder ~my_summary in
-  (match t.misbehavior with
-  | Censor_origin o when o <> t.id -> m.(o) <- None
-  | Honest | Crash_silent | Slow_leader _ | Censor_origin _ | Equivocate -> ());
+  Array.iteri (fun row _ -> if censored t row then m.(row) <- None) m;
   m
 
 let matrix_valid t (m : Msg.matrix) =
@@ -531,13 +542,55 @@ let note_tat_covered t (m : Msg.matrix) =
       | _ -> ())
     m
 
-let rec emit_pre_prepare ?delay_broadcast t =
-  let matrix = matrix_for_proposal t in
-  let digest_now = Msg.encode_matrix matrix in
+(* Would [matrix_for_proposal] differ from my last proposal? Decided on
+   unsigned state: my own vector, and each stored summary by identity (a
+   stored summary is replaced only by a strictly fresher one). So an
+   unchanged proposal costs no signature. *)
+let proposal_changed t =
+  let last = t.last_pp_matrix in
+  let changed = ref (Array.length last = 0) in
+  for row = 0 to Array.length last - 1 do
+    if not !changed then
+      changed :=
+        if row = t.id then
+          match last.(row) with
+          | Some s -> not (Preorder.aru_equals t.preorder s.Msg.aru)
+          | None -> true
+        else
+          let now_row = if censored t row then None else Preorder.stored_summary t.preorder row in
+          match (last.(row), now_row) with
+          | None, None -> false
+          | Some a, Some b -> a != b
+          | Some _, None | None, Some _ -> true
+  done;
+  !changed
+
+let note_proposed t (m : Msg.matrix) =
+  t.last_pp_time <- now t;
+  t.change_waiting <- false;
+  for origin = 0 to t.config.Config.n - 1 do
+    t.proposed_eligible.(origin) <- Preorder.eligible_up_to t.config m ~origin
+  done
+
+(* A new view's leader, or a wiped replica, has proposed nothing yet. *)
+let forget_proposal t =
+  t.last_pp_matrix <- [||];
+  Array.fill t.proposed_eligible 0 t.config.Config.n 0;
+  t.change_waiting <- false
+
+(* On the tick, a change that advances no eligibility waits one period
+   first: it is usually a peer's summary or my own vector running a few
+   milliseconds ahead of the quorum, and proposing it would hold back the
+   pre-prepare that the quorum's summaries are about to make useful.
+   Turnaround and freshness coverage still come within two periods. *)
+let rec emit_pre_prepare ?delay_broadcast ?(tick = false) t =
   let heartbeat_due = now t -. t.last_pp_time >= t.config.Config.heartbeat_period in
-  if (not (String.equal digest_now t.last_pp_matrix_digest)) || heartbeat_due then begin
-    t.last_pp_matrix_digest <- digest_now;
-    t.last_pp_time <- now t;
+  let changed = heartbeat_due || proposal_changed t in
+  if tick && changed && (not heartbeat_due) && not t.change_waiting then t.change_waiting <- true
+  else if changed then begin
+    let matrix = matrix_for_proposal t in
+    t.last_pp_matrix <- matrix;
+    note_proposed t matrix;
     let pp_seq = t.next_pp_seq in
     t.next_pp_seq <- t.next_pp_seq + 1;
     let view = t.view in
@@ -561,11 +614,11 @@ let rec emit_pre_prepare ?delay_broadcast t =
         ignore (Sim.Engine.schedule t.engine ~delay:extra send)
   end
 
-and leader_tick t =
+and leader_tick ?tick t =
   if is_leader t && not (silent t) then
     match t.misbehavior with
-    | Slow_leader extra -> emit_pre_prepare ~delay_broadcast:extra t
-    | Honest | Censor_origin _ -> emit_pre_prepare t
+    | Slow_leader extra -> emit_pre_prepare ~delay_broadcast:extra ?tick t
+    | Honest | Censor_origin _ -> emit_pre_prepare ?tick t
     | Equivocate -> emit_equivocation t
     | Crash_silent -> ()
 
@@ -575,6 +628,7 @@ and leader_tick t =
    cost of liveness until the suspect-leader protocol evicts it. *)
 and emit_equivocation t =
   let matrix_a = matrix_for_proposal t in
+  note_proposed t matrix_a;
   let matrix_b = Array.copy matrix_a in
   (* The conflicting variant hides one honest summary. *)
   let victim = (t.id + 1) mod t.config.Config.n in
@@ -591,6 +645,28 @@ and emit_equivocation t =
   for dst = 0 to t.config.Config.n - 1 do
     if dst <> t.id then send t ~dst (if dst mod 2 = 0 then a else b)
   done
+
+(* One pre-prepare, [emit_delay] after the leader's would-be matrix
+   advanced some origin's eligibility and at least [delta_pp] after the
+   previous one. It goes through [leader_tick], so misbehaviour knobs
+   apply as on the tick. *)
+and schedule_pre_prepare t =
+  let time = Float.max (now t +. emit_delay) (t.last_pp_time +. t.config.Config.delta_pp) in
+  t.pp_due <-
+    Some
+      (Sim.Engine.schedule_at t.engine ~time (fun () ->
+           t.pp_due <- None;
+           leader_tick t))
+
+and check_eligibility t =
+  if
+    t.pp_due = None && is_leader t && (not (silent t))
+    && Preorder.advances t.preorder ~eligible:t.proposed_eligible
+  then schedule_pre_prepare t
+
+and store_summary t s =
+  maybe_rebase_origin t s;
+  if Preorder.receive_summary t.preorder s then check_eligibility t
 
 and handle_pre_prepare t ~pp_view ~pp_seq ~matrix pp_sig =
   let leader = Config.leader_of_view t.config pp_view in
@@ -611,13 +687,7 @@ and handle_pre_prepare t ~pp_view ~pp_seq ~matrix pp_sig =
     if pp_view = t.view then t.view_live <- true;
     (* Learn peers' summaries from the matrix: keeps followers' matrices
        converging even when individual summary broadcasts were lost. *)
-    Array.iter
-      (function
-        | Some s ->
-            maybe_rebase_origin t s;
-            Preorder.receive_summary t.preorder s
-        | None -> ())
-      matrix;
+    Array.iter (function Some s -> store_summary t s | None -> ()) matrix;
     note_tat_covered t matrix;
     match Order.accept_pre_prepare t.order ~view:pp_view ~pp_seq ~matrix ~pp_sig with
     | `Accept digest -> broadcast_prepare t ~view:pp_view ~pp_seq ~digest
@@ -778,7 +848,7 @@ and maybe_activate_leader t view =
           List.fold_left (fun acc c -> max acc c.Msg.pc_seq) max_ordered reproposals
         in
         t.next_pp_seq <- max (highest + 1) (Order.max_seen_pp t.order + 1);
-        t.last_pp_matrix_digest <- "";
+        forget_proposal t;
         List.iter
           (fun (c : Msg.prepared_cert) ->
             let body = Msg.encode_pre_prepare ~view ~pp_seq:c.Msg.pc_seq c.Msg.pc_matrix in
@@ -819,8 +889,40 @@ and maybe_activate_leader t view =
               (Msg.Pre_prepare { pp_view = view; pp_seq; pp_matrix = matrix; pp_sig });
             handle_pre_prepare t ~pp_view:view ~pp_seq ~matrix pp_sig
           end
-        done
+        done;
+        check_eligibility t
     | Some _ | None -> ()
+
+let handle_po_summary t (s : Msg.summary) =
+  if verify_summary t s then begin
+    store_summary t s;
+    (* Freshness bookkeeping for censorship detection: once I know origin
+       r reached sum S, the leader must cover S within the allowance.
+       A re-announcement of an already-known sum must not re-arm the
+       deadline (periodic refreshes would otherwise cause false alarms
+       whenever the leader has nothing new to propose). *)
+    let sum = aru_sum s.Msg.aru in
+    (match Hashtbl.find_opt t.origin_freshness s.Msg.sum_rep with
+    | Some f when sum > f.best_sum ->
+        f.best_sum <- sum;
+        (* Each announcement must be covered within the allowance of the
+           moment we learned it; while one deadline is pending, later
+           announcements queue behind it (they get their own deadline when
+           the pending one is covered). *)
+        if f.cover_deadline = None then begin
+          f.armed_sum <- sum;
+          f.cover_deadline <- Some (now t +. t.config.Config.tat_allowance)
+        end
+    | Some _ -> ()
+    | None ->
+        Hashtbl.replace t.origin_freshness s.Msg.sum_rep
+          {
+            best_sum = sum;
+            armed_sum = sum;
+            cover_deadline = Some (now t +. t.config.Config.tat_allowance);
+          })
+  end
+  else Sim.Stats.Counter.incr t.counters "summary.bad_sig"
 
 (* Suspect evaluation: any summary of mine that the leader failed to cover
    within the allowance, or any origin whose known-fresh summary the
@@ -1117,13 +1219,7 @@ let handle_order_cert t ~oc_seq ~oc_view ~oc_matrix ~oc_pp_sig ~oc_commits =
       else begin
         (* Learn the matrix's summaries exactly as a pre-prepare would:
            eligibility derivation needs the preorder state converging. *)
-        Array.iter
-          (function
-            | Some s ->
-                maybe_rebase_origin t s;
-                Preorder.receive_summary t.preorder s
-            | None -> ())
-          oc_matrix;
+        Array.iter (function Some s -> store_summary t s | None -> ()) oc_matrix;
         let commits = Hashtbl.fold (fun rep auth acc -> (rep, auth) :: acc) voters [] in
         if
           Order.install_cert t.order ~pp_seq:oc_seq ~view:oc_view ~matrix:oc_matrix ~digest
@@ -1221,27 +1317,42 @@ let submit_update t u = if t.running then handle_client_update t u
 
 (* --- lifecycle ----------------------------------------------------------------------------- *)
 
+(* Clock slack for "at least one period since": consecutive ticks of a
+   timer are one period apart up to float rounding. *)
+let period_slack = 1e-9
+
 let start t =
   if t.running then invalid_arg "Replica.start: already running";
   t.running <- true;
+  (* An advanced vector schedules my summary; for the leader it may also
+     advance eligibility. *)
+  Preorder.set_on_dirty t.preorder (fun () ->
+      schedule_summary t;
+      check_eligibility t);
   let summary_timer =
     Sim.Engine.every t.engine ~period:t.config.Config.summary_period (fun () ->
         if not (silent t) then begin
-          (* Emit when the vector advanced, and also refresh periodically:
-             a lost summary must not leave the leader's matrix stale
-             forever once traffic quiesces. *)
-          let refresh_due =
+          (* Refresh periodically: a lost summary must not leave the
+             leader's matrix stale forever once traffic quiesces. A vector
+             that advanced while I was down or silent is scheduled here. *)
+          if Preorder.dirty t.preorder then schedule_summary t
+          else if
             aru_sum (Preorder.aru t.preorder) > 0
             && now t -. t.last_summary_time >= t.config.Config.heartbeat_period
-          in
-          if Preorder.dirty t.preorder then begin
-            Preorder.clear_dirty t.preorder;
-            emit_summary t
-          end
-          else if refresh_due then emit_summary ~arm_tat:false t
+          then emit_summary ~arm_tat:false t
         end)
   in
-  let pp_timer = Sim.Engine.every t.engine ~period:t.config.Config.delta_pp (fun () -> leader_tick t) in
+  (* The tick covers what the event path does not: matrix changes that
+     advance no eligibility (turnaround and freshness coverage) and the
+     idle heartbeat. It stands aside while a pre-prepare is scheduled or
+     one went out less than [delta_pp] ago. *)
+  let pp_timer =
+    Sim.Engine.every t.engine ~period:t.config.Config.delta_pp (fun () ->
+        if
+          t.pp_due = None
+          && now t -. t.last_pp_time >= t.config.Config.delta_pp -. period_slack
+        then leader_tick ~tick:true t)
+  in
   let tat_timer =
     Sim.Engine.every t.engine ~period:t.config.Config.tat_check_period (fun () ->
         if not (silent t) then tat_check t)
@@ -1255,11 +1366,18 @@ let start t =
   in
   t.timers <- [ summary_timer; pp_timer; tat_timer; recon_timer; catchup_timer ]
 
+let cancel_due t =
+  Option.iter (Sim.Engine.cancel t.engine) t.summary_due;
+  Option.iter (Sim.Engine.cancel t.engine) t.pp_due;
+  t.summary_due <- None;
+  t.pp_due <- None
+
 let shutdown t =
   if t.running then begin
     t.running <- false;
     List.iter (Sim.Engine.cancel_timer t.engine) t.timers;
-    t.timers <- []
+    t.timers <- [];
+    cancel_due t
   end
 
 (* Proactive recovery: come back with protocol state wiped (the new
@@ -1278,7 +1396,7 @@ let restart_clean t =
   t.view_live <- true;
   t.my_vc_report <- None;
   t.next_pp_seq <- 1;
-  t.last_pp_matrix_digest <- "";
+  forget_proposal t;
   t.last_pp_time <- 0.0;
   t.tat_pending <- [];
   Hashtbl.reset t.origin_freshness;

@@ -562,6 +562,145 @@ let test_direct_signing_orders_with_cache_hits () =
   done;
   check "cache hits occurred" true (crypto_counter c "crypto.cache_hit" > 0)
 
+(* --- event-driven summaries and pre-prepares ------------------------------ *)
+
+let replica_counter c id name = Sim.Stats.Counter.get (Prime.Replica.counters c.replicas.(id)) name
+
+(* Updates arriving at an idle group, at phases scattered across the
+   summary and pre-prepare periods, execute without waiting for a tick:
+   certification, one summary round and one ordering round, each a few
+   1 ms hops. Fixed-phase ticks add up to 10 ms + 30 ms of waiting. *)
+let test_idle_group_reacts_without_ticks () =
+  let c = make_cluster () in
+  let client = add_client c "hmi" in
+  let submitted = Hashtbl.create 32 in
+  let worst = ref 0.0 in
+  Array.iter
+    (fun r ->
+      Prime.Replica.set_on_execute r (fun ~exec_seq:_ u ->
+          let lag = Sim.Engine.now c.engine -. Hashtbl.find submitted u.Prime.Msg.Update.op in
+          worst := Float.max !worst lag))
+    c.replicas;
+  for i = 1 to 20 do
+    let at = (0.6 *. float_of_int i) +. (float_of_int (i * 7919 mod 1000) *. 0.00003) in
+    ignore
+      (Sim.Engine.schedule c.engine ~delay:at (fun () ->
+           let op = Printf.sprintf "idle-%d" i in
+           Hashtbl.replace submitted op (Sim.Engine.now c.engine);
+           ignore (Prime.Client.submit ~targets:[ i mod 4 ] client ~op)))
+  done;
+  run c ~until:13.0;
+  Array.iteri
+    (fun id _ ->
+      check_int (Printf.sprintf "replica %d executed all" id) 20 (List.length (exec_history c id)))
+    c.replicas;
+  check (Printf.sprintf "every execution within 25 ms (worst %.1f ms)" (1000. *. !worst)) true
+    (!worst < 0.025)
+
+(* Two origins that certify 10 us apart are covered by one summary per
+   replica and one pre-prepare: the coalescing delay absorbs the gap. The
+   pair straddles a summary-period boundary (certification comes 2 ms
+   after submission, at 0.669995 and 0.670005 s), where a fixed-phase
+   tick would split them, and the window holds no heartbeat. *)
+let test_near_simultaneous_origins_coalesce () =
+  let c = make_cluster () in
+  let keypair = Crypto.Signature.generate c.keystore "proxy" in
+  run c ~until:0.6;
+  let summaries () = Array.init 4 (fun id -> replica_counter c id "summary.sent") in
+  let pre_prepares () = replica_counter c 0 "pre_prepare.sent" in
+  let summaries_before = summaries () and pre_prepares_before = pre_prepares () in
+  let u = Prime.Msg.Update.create ~keypair ~client_seq:1 ~op:"flip B57" in
+  List.iter
+    (fun (origin, at) ->
+      ignore
+        (Sim.Engine.schedule c.engine ~delay:(at -. 0.6) (fun () ->
+             Prime.Replica.submit_update c.replicas.(origin) u)))
+    [ (1, 0.667995); (2, 0.668005) ];
+  run c ~until:0.95;
+  let summaries_after = summaries () in
+  Array.iteri
+    (fun id before ->
+      check_int (Printf.sprintf "replica %d sent one summary" id) (before + 1) summaries_after.(id))
+    summaries_before;
+  check_int "leader sent one pre-prepare" (pre_prepares_before + 1) (pre_prepares ());
+  check_int "executed once everywhere" 1 (List.length (exec_history c 3))
+
+(* Under sustained load the event path never beats the old cadence: at
+   most one pre-prepare per delta_pp and one summary per summary_period. *)
+let test_emission_rate_capped_under_load () =
+  let c = make_cluster () in
+  let client = add_client c "scada" in
+  for i = 1 to 600 do
+    ignore
+      (Sim.Engine.schedule c.engine ~delay:(0.2 +. (0.002 *. float_of_int i)) (fun () ->
+           ignore (Prime.Client.submit ~targets:[ i mod 4; (i + 1) mod 4 ] client
+                     ~op:(Printf.sprintf "load-%d" i))))
+  done;
+  run c ~until:0.4;
+  let summaries = Array.init 4 (fun id -> replica_counter c id "summary.sent") in
+  let pre_prepares = replica_counter c 0 "pre_prepare.sent" in
+  run c ~until:1.4;
+  let cfg = c.config in
+  let pp_cap = int_of_float (1.0 /. cfg.Prime.Config.delta_pp) + 1 in
+  let sum_cap = int_of_float (1.0 /. cfg.Prime.Config.summary_period) + 1 in
+  let pp = replica_counter c 0 "pre_prepare.sent" - pre_prepares in
+  check (Printf.sprintf "leader: %d pre-prepares in 1 s, cap %d" pp pp_cap) true (pp <= pp_cap);
+  Array.iteri
+    (fun id before ->
+      let n = replica_counter c id "summary.sent" - before in
+      check (Printf.sprintf "replica %d: %d summaries in 1 s, cap %d" id n sum_cap) true
+        (n <= sum_cap))
+    summaries;
+  run c ~until:3.0;
+  check_int "all executed" 600 (List.length (exec_history c 0))
+
+(* An idle leader signs only for its heartbeat pre-prepares (its own
+   summary, the pre-prepare, its prepare and commit), not once per tick
+   for a proposal it then discards. *)
+let test_idle_leader_signs_only_heartbeats () =
+  let c = make_cluster () in
+  run c ~until:10.0;
+  let heartbeats = int_of_float (10.0 /. c.config.Prime.Config.heartbeat_period) in
+  let signs = replica_counter c 0 "crypto.sign" in
+  check (Printf.sprintf "%d signs, budget %d" signs (4 * heartbeats)) true (signs <= 4 * heartbeats)
+
+(* The in-place eligibility count agrees with the quorum-th largest entry
+   of the sorted column, over random matrices with missing rows. *)
+let prop_eligibility_matches_sorted_column =
+  QCheck.Test.make ~count:300 ~name:"in-place eligibility matches the sorted column"
+    QCheck.(pair (int_bound 3) (list_of_size Gen.(return 121) (int_range (-1) 6)))
+    (fun (size, cells) ->
+      let config =
+        match size with
+        | 0 -> Prime.Config.create ~f:1 ~k:0 ()
+        | 1 -> Prime.Config.create ~f:1 ~k:1 ()
+        | 2 -> Prime.Config.create ~f:2 ~k:0 ()
+        | _ -> Prime.Config.create ~f:2 ~k:2 ()
+      in
+      let n = config.Prime.Config.n and cells = Array.of_list cells in
+      let matrix =
+        Array.init n (fun row ->
+            if cells.(row * 11) < 0 then None
+            else
+              Some
+                {
+                  Prime.Msg.sum_rep = row;
+                  aru = Array.init n (fun o -> max 0 cells.((row * 11) + o));
+                  sum_sig = Crypto.Signature.forge ~signer:"replica" "summary";
+                })
+      in
+      let reference origin =
+        let column =
+          Array.to_list matrix
+          |> List.filter_map (Option.map (fun s -> s.Prime.Msg.aru.(origin)))
+          |> List.sort (fun a b -> compare b a)
+        in
+        match List.nth_opt column (config.Prime.Config.quorum - 1) with Some v -> v | None -> 0
+      in
+      List.for_all
+        (fun origin -> Prime.Preorder.eligible_up_to config matrix ~origin = reference origin)
+        (List.init n Fun.id))
+
 let suite =
   [
     ("single update executes everywhere", `Quick, test_single_update_executes_everywhere);
@@ -588,6 +727,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_replicas_agree_on_execution_order;
     QCheck_alcotest.to_alcotest prop_safety_under_lossy_network;
     QCheck_alcotest.to_alcotest prop_sigcache_matches_verify;
+    ("idle group reacts without ticks", `Quick, test_idle_group_reacts_without_ticks);
+    ("near-simultaneous origins coalesce", `Quick, test_near_simultaneous_origins_coalesce);
+    ("emission rate capped under load", `Quick, test_emission_rate_capped_under_load);
+    ("idle leader signs only heartbeats", `Quick, test_idle_leader_signs_only_heartbeats);
+    QCheck_alcotest.to_alcotest prop_eligibility_matches_sorted_column;
   ]
 
 let () = Alcotest.run "prime" [ ("prime", suite) ]
