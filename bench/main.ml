@@ -1403,8 +1403,9 @@ let exp_e18 () =
   print_endline "\n  The monolithic group funnels every poll report and all ordering traffic";
   print_endline "  through one set of replica ports; at a fixed per-port rate it saturates,";
   print_endline "  sheds frames and stalls the pipeline. Shards multiply aggregate port";
-  print_endline "  bandwidth and divide the HMI push fan-out, so throughput scales while";
-  print_endline "  per-shard BFT guarantees and blast-radius isolation are preserved.";
+  print_endline "  bandwidth and divide the HMIs each group's daemons serve (every replica";
+  print_endline "  pushes a display change once, to the HMI group), so throughput scales";
+  print_endline "  while per-shard BFT guarantees and blast-radius isolation are preserved.";
   let open Obs.Json in
   Obj
     [

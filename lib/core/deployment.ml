@@ -22,6 +22,10 @@ let prime_client = 1
 
 let scada_client = 2
 
+(* The Spines group every HMI session joins: a master's display push is
+   one overlay message that each daemon relays to its attached HMIs. *)
+let hmi_group = "hmi"
+
 type replica_bundle = {
   r_host : Netbase.Host.t;
   r_internal_nic : Netbase.Host.nic;
@@ -423,6 +427,11 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
                 if Hashtbl.mem endpoints endpoint then
                   Spines.Node.send external_node ~client:scada_client ~size
                     (Spines.Node.To_session endpoint) payload);
+            push_hmis =
+              (fun payload ~size ->
+                if n_hmis > 0 then
+                  Spines.Node.send external_node ~client:scada_client ~size
+                    (Spines.Node.To_group hmi_group) payload);
           }
         in
         (* Simulated durable device per replica machine: its RNG is a
@@ -435,9 +444,6 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
           Scada.Master.create ~engine ~trace ~keystore ~keypair:replica_keypairs.(i) ~config
             ~replica ~scenario ~media ~net
         in
-        for j = 0 to n_hmis - 1 do
-          Scada.Master.register_hmi master (Printf.sprintf "hmi-%d" j)
-        done;
         (* Internal overlay clients: Prime stream and master-to-master. *)
         Spines.Node.register_client internal_node ~client:prime_client ~groups:[ "prime" ]
           (fun ~src:_ ~size:_ payload ->
@@ -571,7 +577,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
         let keypair = Crypto.Signature.generate keystore hmi_name in
         let session =
           Spines.Node.Session.create ~local_port:Addressing.session_client_port ~engine ~trace
-            ~host ~key:group_key ~daemons:(daemons_rotated (j + 1))
+            ~host ~key:group_key ~daemons:(daemons_rotated (j + 1)) ~groups:[ hmi_group ]
             ~daemon_session_port:Addressing.spines_session_port ~name:hmi_name ()
         in
         let send_to_replica ~dst msg =

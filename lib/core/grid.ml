@@ -7,8 +7,9 @@
    engine and trace but nothing on the wire: their networks are disjoint,
    so per-shard addressing and keys never collide and a shard saturating
    its switches cannot slow its neighbours. That isolation is the whole
-   point of the scale-out: aggregate switch bandwidth and HMI push
-   fan-out both scale with the shard count.
+   point of the scale-out: aggregate switch bandwidth scales with the
+   shard count, and each shard's display pushes (one group message per
+   replica) reach only its own HMIs.
 
    Cross-shard reads go through [overview]: one aggregated query per
    shard — not one round trip per device — each answered under the same

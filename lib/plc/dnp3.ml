@@ -56,6 +56,17 @@ let get_u32 s off = get_u16 s off lor (get_u16 s (off + 2) lsl 16)
 
 let need s off n = if String.length s < off + n then raise (Decode_error "short frame")
 
+(* Decoding is canonical: bytes past a message's fields are rejected, as
+   is any field value the encoder never writes, so every accepted frame
+   is the encoding of what it decodes to. *)
+let exact s n = if String.length s <> n then raise (Decode_error "length mismatch")
+
+let get_flag s off =
+  match get_u8 s off with
+  | 0 -> false
+  | 1 -> true
+  | v -> raise (Decode_error (Printf.sprintf "bad flag byte 0x%02x" v))
+
 let checksum s =
   let acc = ref 0 in
   String.iter (fun c -> acc := (!acc + Char.code c) land 0xFFFF) s;
@@ -76,7 +87,7 @@ let unframe s =
   if get_u8 s 0 <> 0x05 || get_u8 s 1 <> 0x64 then raise (Decode_error "bad start bytes");
   let len = get_u16 s 2 in
   let sum = get_u16 s 4 in
-  need s 6 len;
+  exact s (6 + len);
   let payload = String.sub s 6 len in
   if checksum payload <> sum then raise (Decode_error "checksum mismatch");
   payload
@@ -111,23 +122,28 @@ let decode_request s =
     | 0x01 ->
         need p 2 1;
         let n = get_u8 p 2 in
-        need p 3 n;
+        exact p (3 + n);
         Read_class { classes = List.init n (fun i -> get_u8 p (3 + i)) }
-    | 0x02 -> Read_analogs
+    | 0x02 ->
+        exact p 2;
+        Read_analogs
     | 0x04 ->
-        need p 2 3;
+        exact p 5;
         let index = get_u16 p 2 in
         (match get_u8 p 4 with
         | 0x03 -> Operate { index; close = true }
         | 0x04 -> Operate { index; close = false }
         | code -> raise (Decode_error (Printf.sprintf "bad CROB code 0x%02x" code)))
-    | 0x7E -> Clear_events
+    | 0x7E ->
+        exact p 2;
+        Clear_events
     | code -> raise (Decode_error (Printf.sprintf "unsupported function 0x%02x" code))
   in
   { sequence; body }
 
 (* Event timestamps ride as milliseconds in a 32-bit field: ample for
-   simulated deployments. *)
+   simulated deployments. Rounding (not truncating) to the millisecond
+   makes a decoded timestamp re-encode to the same field. *)
 let encode_response { sequence; body } =
   let buf = Buffer.create 32 in
   u8 buf (sequence land 0xFF);
@@ -150,7 +166,7 @@ let encode_response { sequence; body } =
         (fun e ->
           u16 buf e.ev_index;
           u8 buf (if e.ev_closed then 1 else 0);
-          u32 buf (int_of_float (e.ev_time *. 1000.0)))
+          u32 buf (Float.to_int (Float.round (e.ev_time *. 1000.0))))
         events
   | Operate_ack { op_index; op_close; success } ->
       u8 buf 0x03;
@@ -171,13 +187,16 @@ let decode_response s =
         need p 3 2;
         let n = get_u16 p 3 in
         let nbytes = (n + 7) / 8 in
-        need p 5 nbytes;
+        exact p (5 + nbytes);
+        (* The last byte's padding bits are zero. *)
+        if n land 7 <> 0 && get_u8 p (4 + nbytes) lsr (n land 7) <> 0 then
+          raise (Decode_error "nonzero padding bits");
         Static_data
           (List.init n (fun i -> get_u8 p (5 + (i / 8)) land (1 lsl (i mod 8)) <> 0))
     | 0x05 ->
         need p 3 2;
         let n = get_u16 p 3 in
-        need p 5 (n * 4);
+        exact p (5 + (n * 4));
         Analog_data
           (List.init n (fun i ->
                let v = get_u32 p (5 + (i * 4)) in
@@ -186,20 +205,22 @@ let decode_response s =
     | 0x02 ->
         need p 3 2;
         let n = get_u16 p 3 in
-        need p 5 (n * 7);
+        exact p (5 + (n * 7));
         Events
           (List.init n (fun i ->
                let off = 5 + (i * 7) in
                {
                  ev_index = get_u16 p off;
-                 ev_closed = get_u8 p (off + 2) = 1;
+                 ev_closed = get_flag p (off + 2);
                  ev_time = float_of_int (get_u32 p (off + 3)) /. 1000.0;
                }))
     | 0x03 ->
-        need p 3 4;
+        exact p 7;
         Operate_ack
-          { op_index = get_u16 p 3; op_close = get_u8 p 5 = 1; success = get_u8 p 6 = 0 }
-    | 0x04 -> Events_cleared
+          { op_index = get_u16 p 3; op_close = get_flag p 5; success = not (get_flag p 6) }
+    | 0x04 ->
+        exact p 3;
+        Events_cleared
     | code -> raise (Decode_error (Printf.sprintf "unsupported response 0x%02x" code))
   in
   { sequence; body }

@@ -43,6 +43,18 @@ exception Decode_error of string
 let need s off n =
   if String.length s < off + n then raise (Decode_error "short frame")
 
+(* Decoding is canonical: a frame or PDU with bytes past its fields is
+   rejected, so every accepted frame is the encoding of what it decodes
+   to. *)
+let exact s n = if String.length s <> n then raise (Decode_error "length mismatch")
+
+(* Coil values on the wire are 0xFF00 (on) or 0x0000 (off), nothing else. *)
+let get_coil s off =
+  match get_u16 s off with
+  | 0xFF00 -> true
+  | 0x0000 -> false
+  | v -> raise (Decode_error (Printf.sprintf "bad coil value 0x%04x" v))
+
 (* --- PDU encoding -------------------------------------------------------- *)
 
 let encode_request_pdu buf = function
@@ -115,7 +127,10 @@ let decode_mbap s =
   let proto = get_u16 s 2 in
   if proto <> 0 then raise (Decode_error "bad protocol id");
   let len = get_u16 s 4 in
-  need s 6 len;
+  (* The length counts the unit id and the PDU and must cover the rest of
+     the frame exactly; with the 8 bytes checked above, that leaves room
+     for the unit id and a function code. *)
+  exact s (6 + len);
   let unit_id = get_u8 s 6 in
   (transaction, unit_id, String.sub s 7 (len - 1))
 
@@ -125,16 +140,16 @@ let decode_request s =
   let body =
     match get_u8 pdu 0 with
     | 0x01 ->
-        need pdu 1 4;
+        exact pdu 5;
         Read_coils { addr = get_u16 pdu 1; count = get_u16 pdu 3 }
     | 0x05 ->
-        need pdu 1 4;
-        Write_single_coil { addr = get_u16 pdu 1; value = get_u16 pdu 3 = 0xFF00 }
+        exact pdu 5;
+        Write_single_coil { addr = get_u16 pdu 1; value = get_coil pdu 3 }
     | 0x03 ->
-        need pdu 1 4;
+        exact pdu 5;
         Read_holding_registers { addr = get_u16 pdu 1; count = get_u16 pdu 3 }
     | 0x06 ->
-        need pdu 1 4;
+        exact pdu 5;
         Write_single_register { addr = get_u16 pdu 1; value = get_u16 pdu 3 }
     | code -> raise (Decode_error (Printf.sprintf "unsupported function 0x%02x" code))
   in
@@ -146,7 +161,7 @@ let decode_response s =
   let code = get_u8 pdu 0 in
   let body =
     if code land 0x80 <> 0 then begin
-      need pdu 1 1;
+      exact pdu 2;
       Exception_response { function_code = code land 0x7F; exception_code = get_u8 pdu 1 }
     end
     else
@@ -154,7 +169,7 @@ let decode_response s =
       | 0x01 ->
           need pdu 1 1;
           let nbytes = get_u8 pdu 1 in
-          need pdu 2 nbytes;
+          exact pdu (2 + nbytes);
           let bits = ref [] in
           for i = nbytes - 1 downto 0 do
             let b = get_u8 pdu (2 + i) in
@@ -164,19 +179,20 @@ let decode_response s =
           done;
           Coils !bits
       | 0x05 ->
-          need pdu 1 4;
-          Coil_written { addr = get_u16 pdu 1; value = get_u16 pdu 3 = 0xFF00 }
+          exact pdu 5;
+          Coil_written { addr = get_u16 pdu 1; value = get_coil pdu 3 }
       | 0x03 ->
           need pdu 1 1;
           let nbytes = get_u8 pdu 1 in
-          need pdu 2 nbytes;
+          if nbytes land 1 <> 0 then raise (Decode_error "odd register byte count");
+          exact pdu (2 + nbytes);
           let regs = ref [] in
           for i = (nbytes / 2) - 1 downto 0 do
             regs := get_u16 pdu (2 + (2 * i)) :: !regs
           done;
           Registers !regs
       | 0x06 ->
-          need pdu 1 4;
+          exact pdu 5;
           Register_written { addr = get_u16 pdu 1; value = get_u16 pdu 3 }
       | code -> raise (Decode_error (Printf.sprintf "unsupported function 0x%02x" code))
   in

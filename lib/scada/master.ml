@@ -10,6 +10,7 @@
 type net = {
   broadcast_masters : Netbase.Packet.payload -> size:int -> unit; (* internal network *)
   send_endpoint : endpoint:string -> Netbase.Packet.payload -> size:int -> unit; (* external *)
+  push_hmis : Netbase.Packet.payload -> size:int -> unit; (* external, every HMI at once *)
 }
 
 type t = {
@@ -21,7 +22,6 @@ type t = {
   replica : Prime.Replica.t;
   state : State.t;
   net : net;
-  mutable hmi_endpoints : string list;
   mutable awaiting_transfer : bool;
   transfer_votes : (string, int list * Messages.t) Hashtbl.t;
       (* vote key -> distinct authenticated voter ids, sample reply *)
@@ -36,10 +36,6 @@ let id t = Prime.Replica.id t.replica
 let state t = t.state
 
 let counters t = t.counters
-
-let register_hmi t endpoint =
-  if not (List.mem endpoint t.hmi_endpoints) then
-    t.hmi_endpoints <- endpoint :: t.hmi_endpoints
 
 let on_apply t f = t.on_apply <- f :: t.on_apply
 
@@ -65,23 +61,18 @@ let push_hmi_state t ~exec_seq ~breaker ~closed =
       { hs_rep = id t; hs_exec_seq = exec_seq; hs_breaker = breaker; hs_closed = closed;
         hs_sig = sign t body }
   in
-  List.iter
-    (fun endpoint ->
-      t.net.send_endpoint ~endpoint (Messages.Scada_msg msg) ~size:(Messages.size msg))
-    t.hmi_endpoints
+  t.net.push_hmis (Messages.Scada_msg msg) ~size:(Messages.size msg)
 
 (* One display push per applied batch op: the whole change set rides one
-   signed message per HMI endpoint instead of one message per breaker. *)
+   signed message, sent once for every HMI, instead of one message per
+   breaker. *)
 let push_hmi_batch t ~exec_seq ~changes =
   let body = Messages.encode_hmi_batch ~rep:(id t) ~exec_seq ~changes in
   let msg =
     Messages.Hmi_batch
       { hb_rep = id t; hb_exec_seq = exec_seq; hb_changes = changes; hb_sig = sign t body }
   in
-  List.iter
-    (fun endpoint ->
-      t.net.send_endpoint ~endpoint (Messages.Scada_msg msg) ~size:(Messages.size msg))
-    t.hmi_endpoints
+  t.net.push_hmis (Messages.Scada_msg msg) ~size:(Messages.size msg)
 
 let send_breaker_command t ~exec_seq ~breaker ~close =
   match proxy_endpoint_for_breaker t breaker with
@@ -338,7 +329,6 @@ let create ~engine ~trace ~keystore ~keypair ~config ~replica ~scenario ~media ~
       replica;
       state;
       net;
-      hmi_endpoints = [];
       awaiting_transfer = false;
       transfer_votes = Hashtbl.create 8;
       transfer_timer = None;

@@ -6,6 +6,8 @@
 type net = {
   broadcast_masters : Netbase.Packet.payload -> size:int -> unit; (* internal network *)
   send_endpoint : endpoint:string -> Netbase.Packet.payload -> size:int -> unit; (* external *)
+  push_hmis : Netbase.Packet.payload -> size:int -> unit;
+      (* external: one send that reaches every HMI (display pushes) *)
 }
 
 type t
@@ -29,9 +31,6 @@ val id : t -> int
 val state : t -> State.t
 
 val counters : t -> Sim.Stats.Counter.t
-
-(** Register an HMI endpoint to receive display updates. *)
-val register_hmi : t -> string -> unit
 
 (** Observer invoked on every applied operation (historian feed, tests). *)
 val on_apply : t -> (exec_seq:int -> Op.t -> unit) -> unit

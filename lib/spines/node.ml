@@ -61,7 +61,7 @@ type Netbase.Packet.payload +=
    machine without key material cannot attach or inject. Constructors are
    private to this module. *)
 type session_inner =
-  | Sess_attach of { sa_name : string }
+  | Sess_attach of { sa_name : string; sa_groups : string list }
   | Sess_attach_ack of { sk_name : string }
   | Sess_send of {
       ss_name : string;
@@ -172,6 +172,7 @@ and session_entry = {
   mutable sess_ip : Netbase.Addr.Ip.t;
   mutable sess_port : int;
   mutable sess_last_seen : float;
+  mutable sess_groups : string list; (* as of the latest attach *)
 }
 
 let id t = t.id
@@ -216,8 +217,12 @@ let auth_valid t ~auth inner =
   | None -> true (* an unkeyed daemon cannot check anything *)
   | Some sched -> Crypto.Hmac.verify_sched sched ~tag:auth (encode_link_inner inner)
 
+(* Length-prefixed, so no name or group list has a second spelling. *)
 let encode_session_inner = function
-  | Sess_attach { sa_name } -> Printf.sprintf "sess-attach:%s" sa_name
+  | Sess_attach { sa_name; sa_groups } ->
+      String.concat ""
+        (Printf.sprintf "sess-attach:%d:%s" (String.length sa_name) sa_name
+        :: List.map (fun g -> Printf.sprintf ":%d:%s" (String.length g) g) sa_groups)
   | Sess_attach_ack { sk_name } -> Printf.sprintf "sess-ack:%s" sk_name
   | Sess_send { ss_name; ss_dst; ss_priority; ss_size; _ } ->
       Printf.sprintf "sess-send:%s:%s:%d:%d" ss_name (encode_dst ss_dst) ss_priority ss_size
@@ -407,37 +412,45 @@ let create ~engine ~trace ~host ~id config =
 
 (* --- local delivery ------------------------------------------------------ *)
 
+(* Relays [d] to a remote session client, if its attachment is fresh. *)
+let deliver_session t entry (d : data) =
+  match t.auth_sched with
+  | Some sched
+    when Sim.Engine.now t.engine -. entry.sess_last_seen <= t.config.session_timeout ->
+      Sim.Stats.Counter.incr t.counters "session.delivered";
+      let inner =
+        Sess_deliver
+          { sd_origin = d.origin; sd_seq = d.data_seq; sd_size = d.app_size;
+            sd_payload = d.app_payload }
+      in
+      Netbase.Host.udp_send t.host ~dst_ip:entry.sess_ip ~dst_port:entry.sess_port
+        ~src_port:t.config.session_port ~size:(d.app_size + overhead_bytes)
+        (Session_wire { s_auth = session_auth sched inner; s_inner = inner })
+  | Some _ | None -> ()
+
 let deliver_local t (d : data) =
-  let deliver_to client_id client =
+  let deliver_to client =
     Sim.Stats.Counter.incr t.counters "deliver";
-    ignore client_id;
     client.handler ~src:(d.origin, d.origin_client) ~size:d.app_size d.app_payload
   in
   match d.dst with
   | To_client { node; client } ->
       if node = t.id then begin
         match Hashtbl.find_opt t.clients client with
-        | Some c -> deliver_to client c
+        | Some c -> deliver_to c
         | None -> Sim.Stats.Counter.incr t.counters "deliver.no_client"
       end
   | To_group g ->
-      Hashtbl.iter
-        (fun client_id c -> if List.mem g c.groups then deliver_to client_id c)
-        t.clients
+      Hashtbl.iter (fun _ c -> if List.mem g c.groups then deliver_to c) t.clients;
+      (* Most daemons host no sessions: skip the scan and its closure. *)
+      if Hashtbl.length t.sessions > 0 then
+        Hashtbl.iter
+          (fun _ entry -> if List.mem g entry.sess_groups then deliver_session t entry d)
+          t.sessions
   | To_session name -> (
-      match (Hashtbl.find_opt t.sessions name, t.auth_sched) with
-      | Some entry, Some sched
-        when Sim.Engine.now t.engine -. entry.sess_last_seen <= t.config.session_timeout ->
-          Sim.Stats.Counter.incr t.counters "session.delivered";
-          let inner =
-            Sess_deliver
-              { sd_origin = d.origin; sd_seq = d.data_seq; sd_size = d.app_size;
-                sd_payload = d.app_payload }
-          in
-          Netbase.Host.udp_send t.host ~dst_ip:entry.sess_ip ~dst_port:entry.sess_port
-            ~src_port:t.config.session_port ~size:(d.app_size + overhead_bytes)
-            (Session_wire { s_auth = session_auth sched inner; s_inner = inner })
-      | _ -> ())
+      match Hashtbl.find_opt t.sessions name with
+      | Some entry -> deliver_session t entry d
+      | None -> ())
 
 (* --- fairness (per-source rate limiting) ---------------------------------- *)
 
@@ -601,14 +614,14 @@ let receive_session t ~src payload =
         Sim.Stats.Counter.incr t.counters "session.auth_reject"
       else begin
         match s_inner with
-        | Sess_attach { sa_name } ->
+        | Sess_attach { sa_name; sa_groups } ->
             let entry =
               match Hashtbl.find_opt t.sessions sa_name with
               | Some e -> e
               | None ->
                   let e =
                     { sess_ip = src.Netbase.Addr.ip; sess_port = src.Netbase.Addr.port;
-                      sess_last_seen = 0.0 }
+                      sess_last_seen = 0.0; sess_groups = [] }
                   in
                   Hashtbl.replace t.sessions sa_name e;
                   e
@@ -616,6 +629,7 @@ let receive_session t ~src payload =
             entry.sess_ip <- src.Netbase.Addr.ip;
             entry.sess_port <- src.Netbase.Addr.port;
             entry.sess_last_seen <- Sim.Engine.now t.engine;
+            entry.sess_groups <- sa_groups;
             let ack = Sess_attach_ack { sk_name = sa_name } in
             Netbase.Host.udp_send t.host ~dst_ip:src.Netbase.Addr.ip
               ~dst_port:src.Netbase.Addr.port ~src_port:t.config.session_port
@@ -698,6 +712,7 @@ module Session = struct
 
   type session = {
     sess_name : string;
+    sess_groups : string list; (* sent with every attach *)
     engine : Sim.Engine.t;
     trace : Sim.Trace.t;
     host : Netbase.Host.t;
@@ -717,11 +732,12 @@ module Session = struct
   }
 
   let create ?(attach_period = 1.0) ?(failover_timeout = 3.0) ?(local_port = 9001)
-      ?(dedup_window = 4096) ~engine ~trace ~host ~key ~daemons ~daemon_session_port ~name
-      () =
+      ?(dedup_window = 4096) ?(groups = []) ~engine ~trace ~host ~key ~daemons
+      ~daemon_session_port ~name () =
     if daemons = [] then invalid_arg "Session.create: no daemons";
     {
       sess_name = name;
+      sess_groups = groups;
       engine;
       trace;
       host;
@@ -773,7 +789,7 @@ module Session = struct
           (fst s.daemons.(s.current))
       end
     end;
-    send_wire s (Sess_attach { sa_name = s.sess_name })
+    send_wire s (Sess_attach { sa_name = s.sess_name; sa_groups = s.sess_groups })
 
   let receive s payload =
     match payload with
@@ -806,7 +822,7 @@ module Session = struct
     Netbase.Host.udp_bind s.host ~port:s.local_port (fun ~src:_ ~dst_port:_ ~size:_ payload ->
         receive s payload);
     s.last_ack <- Sim.Engine.now s.engine;
-    send_wire s (Sess_attach { sa_name = s.sess_name });
+    send_wire s (Sess_attach { sa_name = s.sess_name; sa_groups = s.sess_groups });
     s.sess_timers <-
       [ Sim.Engine.every s.engine ~period:s.attach_period (fun () -> attach_tick s) ]
 

@@ -11,8 +11,8 @@
 type node_id = Topology.node_id
 
 (** Destination of a client message: a specific client on a specific
-    overlay node, every client subscribed to a group, or a named remote
-    session client attached to some daemon. *)
+    overlay node, every client and remote session subscribed to a group,
+    or a named remote session client attached to some daemon. *)
 type dst =
   | To_client of { node : node_id; client : int }
   | To_group of string
@@ -103,16 +103,22 @@ val send :
     session attaches by name to one daemon at a time (heartbeat
     re-attachment, automatic failover to the next daemon on silence) and
     exchanges authenticated messages with it; overlay traffic addressed
-    [To_session name] reaches the daemon currently hosting the session
-    and is relayed to the client machine. *)
+    [To_session name], or [To_group g] for a group [g] the session
+    joined, reaches the daemon currently hosting the session and is
+    relayed to the client machine, once per message. *)
 module Session : sig
   type session
 
+  (** [groups] (default none) are the groups the session joins, as
+      [register_client ?groups] does for a local client. Every attach
+      carries the list under the session MAC, and the hosting daemon
+      replaces its copy at each attach. *)
   val create :
     ?attach_period:float ->
     ?failover_timeout:float ->
     ?local_port:int ->
     ?dedup_window:int ->
+    ?groups:string list ->
     engine:Sim.Engine.t ->
     trace:Sim.Trace.t ->
     host:Netbase.Host.t ->

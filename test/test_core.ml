@@ -410,6 +410,48 @@ let test_grid_shard_crash_isolated () =
     (fun row -> check ("agreed " ^ row.Spire.Grid.o_label) true row.Spire.Grid.o_agreed)
     (Spire.Grid.overview g)
 
+(* A display change leaves each replica once, for the HMI group, however
+   many HMIs attach; every HMI still repaints from f + 1 signed pushes. *)
+let test_one_display_push_per_replica () =
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let config = Prime.Config.create ~f:1 ~k:0 () in
+  let d = Spire.Deployment.create ~n_hmis:3 ~engine ~trace ~config mini_scenario in
+  run engine ~until:3.0;
+  let counts () =
+    Array.map
+      (fun r ->
+        let get c name = Sim.Stats.Counter.get c name in
+        ( get (Spines.Node.counters r.Spire.Deployment.r_external_node) "send",
+          get (Prime.Replica.counters r.Spire.Deployment.r_replica) "executed",
+          get (Scada.Master.counters r.Spire.Deployment.r_master) "apply.batch" ))
+      (Spire.Deployment.replicas d)
+  in
+  let before = counts () in
+  (* Two breakers open before the next poll: one batch op, two changes. *)
+  Plc.Breaker.force (main_breaker d "B57") Plc.Breaker.Open;
+  Plc.Breaker.force (main_breaker d "B56") Plc.Breaker.Open;
+  run engine ~until:4.0;
+  Array.iteri
+    (fun i (sends, executed, batches) ->
+      let sends0, executed0, batches0 = before.(i) in
+      check_int (Printf.sprintf "replica %d applied one batch" i) 1 (batches - batches0);
+      (* Besides the one push, the external daemon originates only the
+         replica's reply to each update it executed. *)
+      check_int (Printf.sprintf "replica %d pushed once" i) 1
+        (sends - sends0 - (executed - executed0)))
+    (counts ());
+  Array.iter
+    (fun h ->
+      List.iter
+        (fun breaker ->
+          Alcotest.(check (option bool))
+            (Printf.sprintf "%s shows %s open" (Scada.Hmi.name h.Spire.Deployment.h_hmi) breaker)
+            (Some false)
+            (Scada.Hmi.displayed_closed h.Spire.Deployment.h_hmi breaker))
+        [ "B57"; "B56" ])
+    (Spire.Deployment.hmis d)
+
 let test_full_red_team_scenario_boots () =
   (* The complete red-team topology: 11 proxies, 37 breakers, 4 replicas. *)
   let engine, d = make_spire ~scenario:Plc.Power.red_team () in
@@ -443,6 +485,7 @@ let suite =
     ("full red team scenario boots", `Slow, test_full_red_team_scenario_boots);
     ("grid sharded end to end", `Quick, test_grid_sharded_end_to_end);
     ("grid shard crash isolated", `Quick, test_grid_shard_crash_isolated);
+    ("one display push per replica", `Quick, test_one_display_push_per_replica);
   ]
 
 let () = Alcotest.run "core" [ ("core", suite) ]

@@ -81,6 +81,138 @@ let prop_static_roundtrip =
       let framed = { Plc.Dnp3.sequence = 3; body = Plc.Dnp3.Static_data bits } in
       roundtrip_response framed = framed)
 
+let decode_error f = match f () with exception Plc.Dnp3.Decode_error _ -> true | _ -> false
+
+(* Link framing as the encoder writes it: start bytes, little-endian
+   length and additive checksum, payload. Lets a test hand the
+   application layer any payload behind a valid frame. *)
+let reframe payload =
+  let le16 v = String.init 2 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)) in
+  let sum = String.fold_left (fun acc c -> (acc + Char.code c) land 0xFFFF) 0 payload in
+  "\x05\x64" ^ le16 (String.length payload) ^ le16 sum ^ payload
+
+let payload_of frame = String.sub frame 6 (String.length frame - 6)
+
+(* Each of these once decoded to a value whose encoding differs from the
+   input: trailing bytes past the frame or past the fields, a flag byte
+   other than 0 or 1, and a millisecond timestamp that the encoder's
+   truncation (now rounding) turned into the one below it. *)
+let test_noncanonical_rejected () =
+  let clear = Plc.Dnp3.encode_request { Plc.Dnp3.sequence = 1; body = Plc.Dnp3.Clear_events } in
+  check "past the frame" true (decode_error (fun () -> Plc.Dnp3.decode_request (clear ^ "zz")));
+  check "past the fields" true
+    (decode_error (fun () -> Plc.Dnp3.decode_request (reframe (payload_of clear ^ "zz"))));
+  let ack =
+    Plc.Dnp3.encode_response
+      { Plc.Dnp3.sequence = 1;
+        body = Plc.Dnp3.Operate_ack { op_index = 2; op_close = true; success = true } }
+  in
+  let p = Bytes.of_string (payload_of ack) in
+  Bytes.set p 5 '\x07';
+  check "flag byte" true
+    (decode_error (fun () -> Plc.Dnp3.decode_response (reframe (Bytes.to_string p))));
+  let bits =
+    Plc.Dnp3.encode_response { Plc.Dnp3.sequence = 1; body = Plc.Dnp3.Static_data [ true ] }
+  in
+  let p = Bytes.of_string (payload_of bits) in
+  Bytes.set p 5 '\x03';
+  check "padding bits" true
+    (decode_error (fun () -> Plc.Dnp3.decode_response (reframe (Bytes.to_string p))));
+  let events =
+    Plc.Dnp3.encode_response
+      { Plc.Dnp3.sequence = 1;
+        body = Plc.Dnp3.Events [ { Plc.Dnp3.ev_index = 0; ev_closed = true; ev_time = 1.0011 } ] }
+  in
+  (* The field holds 1001 ms, which decodes to 1.001 s. *)
+  check "timestamp re-encodes" true
+    (String.equal events (Plc.Dnp3.encode_response (Plc.Dnp3.decode_response events)))
+
+(* Decoder fuzzing: on arbitrary bytes a decoder raises nothing but
+   [Decode_error], and every accepted input is exactly the encoding of
+   what it decodes to. Inputs mix raw random bytes with valid encodings
+   that are extended, truncated or bit-flipped, as frames and as
+   payloads reframed with a valid checksum, so the application-layer
+   checks are reached too. *)
+let u16 = QCheck.Gen.int_bound 0xFFFF
+
+let gen_request =
+  QCheck.Gen.(
+    map2
+      (fun sequence body -> Plc.Dnp3.encode_request { sequence; body })
+      (int_bound 0xFF)
+      (oneof
+         [
+           map (fun classes -> Plc.Dnp3.Read_class { classes })
+             (list_size (int_bound 5) (int_bound 0xFF));
+           return Plc.Dnp3.Read_analogs;
+           map2 (fun index close -> Plc.Dnp3.Operate { index; close }) u16 bool;
+           return Plc.Dnp3.Clear_events;
+         ]))
+
+let gen_response =
+  QCheck.Gen.(
+    let event =
+      map3
+        (fun ev_index ev_closed ms ->
+          { Plc.Dnp3.ev_index; ev_closed; ev_time = float_of_int ms /. 1000.0 })
+        u16 bool (int_bound 0x3FFFFFFF)
+    in
+    map2
+      (fun sequence body -> Plc.Dnp3.encode_response { sequence; body })
+      (int_bound 0xFF)
+      (oneof
+         [
+           map (fun bits -> Plc.Dnp3.Static_data bits) (list_size (int_bound 40) bool);
+           map (fun values -> Plc.Dnp3.Analog_data values)
+             (list_size (int_bound 8) (int_range (-0x80000000) 0x7FFFFFFF));
+           map (fun events -> Plc.Dnp3.Events events) (list_size (int_bound 5) event);
+           map3
+             (fun op_index op_close success -> Plc.Dnp3.Operate_ack { op_index; op_close; success })
+             u16 bool bool;
+           return Plc.Dnp3.Events_cleared;
+         ]))
+
+let mutate s =
+  QCheck.Gen.(
+    let n = String.length s in
+    oneof
+      [
+        return s;
+        map (fun junk -> s ^ junk) (string_size (int_range 1 8));
+        map (fun k -> String.sub s 0 k) (int_bound (n - 1));
+        map2
+          (fun i bit ->
+            let b = Bytes.of_string s in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+            Bytes.to_string b)
+          (int_bound (n - 1)) (int_bound 7);
+      ])
+
+let gen_fuzz_frame gen_valid =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      oneof
+        [
+          string_size (int_bound 24);
+          gen_valid >>= mutate;
+          map reframe (gen_valid >>= fun f -> mutate (payload_of f));
+        ])
+
+let decode_total_canonical decode encode s =
+  match decode s with
+  | exception Plc.Dnp3.Decode_error _ -> true
+  | framed -> String.equal (encode framed) s
+
+let prop_request_decode_canonical =
+  QCheck.Test.make ~count:2000 ~name:"dnp3 request decode is total and canonical"
+    (gen_fuzz_frame gen_request)
+    (decode_total_canonical Plc.Dnp3.decode_request Plc.Dnp3.encode_request)
+
+let prop_response_decode_canonical =
+  QCheck.Test.make ~count:2000 ~name:"dnp3 response decode is total and canonical"
+    (gen_fuzz_frame gen_response)
+    (decode_total_canonical Plc.Dnp3.decode_response Plc.Dnp3.encode_response)
+
 (* --- RTU outstation ------------------------------------------------------- *)
 
 let make_rtu () =
@@ -195,6 +327,7 @@ let suite =
     ("dnp3 response roundtrips", `Quick, test_response_roundtrips);
     ("dnp3 checksum rejected", `Quick, test_checksum_rejected);
     ("dnp3 bad start bytes rejected", `Quick, test_bad_start_bytes_rejected);
+    ("dnp3 noncanonical encodings rejected", `Quick, test_noncanonical_rejected);
     ("rtu static read", `Quick, test_rtu_static_read);
     ("rtu buffers events with timestamps", `Quick, test_rtu_buffers_events_with_timestamps);
     ("rtu event overflow", `Quick, test_rtu_event_overflow);
@@ -202,6 +335,8 @@ let suite =
     ("deployment with dnp3 rtu", `Quick, test_deployment_with_dnp3_rtu);
     QCheck_alcotest.to_alcotest prop_operate_roundtrip;
     QCheck_alcotest.to_alcotest prop_static_roundtrip;
+    QCheck_alcotest.to_alcotest prop_request_decode_canonical;
+    QCheck_alcotest.to_alcotest prop_response_decode_canonical;
   ]
 
 let () = Alcotest.run "dnp3" [ ("dnp3", suite) ]

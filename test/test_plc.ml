@@ -86,6 +86,144 @@ let prop_modbus_registers_roundtrip =
       in
       roundtrip_response framed = framed)
 
+(* A zero MBAP length once reached [String.sub] with length -1, so this
+   8-byte frame raised [Invalid_argument] out of both decoders and, since
+   every caller catches only [Decode_error], out of [Sim.Engine.run]. *)
+let zero_length_frame = "\x00\x01\x00\x00\x00\x00\x01\x01"
+
+let decode_error f = match f () with exception Plc.Modbus.Decode_error _ -> true | _ -> false
+
+let test_modbus_zero_length_rejected () =
+  check "request" true (decode_error (fun () -> Plc.Modbus.decode_request zero_length_frame));
+  check "response" true (decode_error (fun () -> Plc.Modbus.decode_response zero_length_frame));
+  (* End to end: the frame reaches a PLC over the network and is counted
+     as garbage, not raised. *)
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let d = Plc.Device.create ~engine ~trace ~name:"FUZZ" ~n_coils:1 in
+  let host = Netbase.Host.create ~engine ~trace "plc-host" in
+  let nic = Netbase.Host.add_nic host ~ip:(Netbase.Addr.Ip.v 10 9 9 2) in
+  let sender = Netbase.Host.create ~engine ~trace "sender" in
+  let s_nic = Netbase.Host.add_nic sender ~ip:(Netbase.Addr.Ip.v 10 9 9 3) in
+  let switch = Netbase.Switch.create ~engine ~trace "lan" in
+  let (_ : int) = Netbase.Host.plug_into_switch host nic switch in
+  let (_ : int) = Netbase.Host.plug_into_switch sender s_nic switch in
+  Plc.Device.serve_on d host;
+  Netbase.Host.udp_send sender ~dst_ip:(Netbase.Addr.Ip.v 10 9 9 2) ~dst_port:Plc.Modbus.tcp_port
+    ~src_port:5000 ~size:8 (Plc.Modbus.Frame zero_length_frame);
+  Sim.Engine.run ~until:1.0 engine;
+  check_int "counted as garbage" 1 (Sim.Stats.Counter.get (Plc.Device.counters d) "modbus.garbage")
+
+(* Rewrite the MBAP length field to cover the frame as it now is. *)
+let relength frame =
+  if String.length frame < 6 then frame
+  else begin
+    let b = Bytes.of_string frame in
+    let len = (String.length frame - 6) land 0xFFFF in
+    Bytes.set b 4 (Char.chr (len lsr 8));
+    Bytes.set b 5 (Char.chr (len land 0xFF));
+    Bytes.to_string b
+  end
+
+(* Bytes past the MBAP length, or past a PDU's fields, were once ignored,
+   so a second spelling of the same request decoded. *)
+let test_modbus_trailing_bytes_rejected () =
+  let read =
+    Plc.Modbus.encode_request
+      { Plc.Modbus.transaction = 1; unit_id = 1; body = Plc.Modbus.Read_coils { addr = 0; count = 3 } }
+  in
+  check "past the MBAP length" true
+    (decode_error (fun () -> Plc.Modbus.decode_request (read ^ "zz")));
+  check "inside the MBAP length" true
+    (decode_error (fun () -> Plc.Modbus.decode_request (relength (read ^ "zz"))));
+  (* A coil value other than 0xFF00 or 0x0000 would re-encode as off. *)
+  let write =
+    Plc.Modbus.encode_request
+      { Plc.Modbus.transaction = 1; unit_id = 1;
+        body = Plc.Modbus.Write_single_coil { addr = 0; value = false } }
+  in
+  check "odd coil value" true
+    (decode_error (fun () ->
+         Plc.Modbus.decode_request (String.sub write 0 (String.length write - 1) ^ "\x01")))
+
+(* Decoder fuzzing: on arbitrary bytes a decoder raises nothing but
+   [Decode_error], and every accepted input is exactly the encoding of
+   what it decodes to. Inputs mix raw random bytes with valid encodings
+   that are extended, truncated or bit-flipped, before or after the MBAP
+   length is made to match again, so the PDU checks are reached too. *)
+let u16 = QCheck.Gen.int_bound 0xFFFF
+
+let gen_modbus_request =
+  QCheck.Gen.(
+    map3
+      (fun transaction unit_id body -> Plc.Modbus.encode_request { transaction; unit_id; body })
+      u16 (int_bound 0xFF)
+      (oneof
+         [
+           map2 (fun addr count -> Plc.Modbus.Read_coils { addr; count }) u16 u16;
+           map2 (fun addr value -> Plc.Modbus.Write_single_coil { addr; value }) u16 bool;
+           map2 (fun addr count -> Plc.Modbus.Read_holding_registers { addr; count }) u16 u16;
+           map2 (fun addr value -> Plc.Modbus.Write_single_register { addr; value }) u16 u16;
+         ]))
+
+let gen_modbus_response =
+  QCheck.Gen.(
+    map3
+      (fun transaction unit_id body -> Plc.Modbus.encode_response { transaction; unit_id; body })
+      u16 (int_bound 0xFF)
+      (oneof
+         [
+           map (fun bits -> Plc.Modbus.Coils bits) (list_size (int_bound 40) bool);
+           map2 (fun addr value -> Plc.Modbus.Coil_written { addr; value }) u16 bool;
+           map (fun regs -> Plc.Modbus.Registers regs) (list_size (int_bound 20) u16);
+           map2 (fun addr value -> Plc.Modbus.Register_written { addr; value }) u16 u16;
+           map2
+             (fun function_code exception_code ->
+               Plc.Modbus.Exception_response { function_code; exception_code })
+             (int_bound 0x7F) (int_bound 0xFF);
+         ]))
+
+let mutate frame =
+  QCheck.Gen.(
+    let n = String.length frame in
+    oneof
+      [
+        return frame;
+        map (fun junk -> frame ^ junk) (string_size (int_range 1 8));
+        map (fun k -> String.sub frame 0 k) (int_bound (n - 1));
+        map2
+          (fun i bit ->
+            let b = Bytes.of_string frame in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+            Bytes.to_string b)
+          (int_bound (n - 1)) (int_bound 7);
+      ])
+
+let gen_fuzz_frame gen_valid =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      oneof
+        [
+          string_size (int_bound 24);
+          gen_valid >>= mutate;
+          map relength (gen_valid >>= mutate);
+        ])
+
+let decode_total_canonical decode encode s =
+  match decode s with
+  | exception Plc.Modbus.Decode_error _ -> true
+  | framed -> String.equal (encode framed) s
+
+let prop_modbus_request_decode_canonical =
+  QCheck.Test.make ~count:2000 ~name:"modbus request decode is total and canonical"
+    (gen_fuzz_frame gen_modbus_request)
+    (decode_total_canonical Plc.Modbus.decode_request Plc.Modbus.encode_request)
+
+let prop_modbus_response_decode_canonical =
+  QCheck.Test.make ~count:2000 ~name:"modbus response decode is total and canonical"
+    (gen_fuzz_frame gen_modbus_response)
+    (decode_total_canonical Plc.Modbus.decode_response Plc.Modbus.encode_response)
+
 (* --- Breaker ------------------------------------------------------------------ *)
 
 let test_breaker_actuation_delay () =
@@ -247,6 +385,8 @@ let suite =
     ("modbus response roundtrips", `Quick, test_modbus_response_roundtrips);
     ("modbus coils padding", `Quick, test_modbus_coils_roundtrip_with_padding);
     ("modbus decode errors", `Quick, test_modbus_decode_errors);
+    ("modbus zero mbap length rejected", `Quick, test_modbus_zero_length_rejected);
+    ("modbus trailing bytes rejected", `Quick, test_modbus_trailing_bytes_rejected);
     ("breaker actuation delay", `Quick, test_breaker_actuation_delay);
     ("breaker superseded command", `Quick, test_breaker_superseded_command);
     ("breaker force immediate", `Quick, test_breaker_force_immediate);
@@ -259,6 +399,8 @@ let suite =
     ("power find plc", `Quick, test_power_find_plc);
     QCheck_alcotest.to_alcotest prop_modbus_write_coil_roundtrip;
     QCheck_alcotest.to_alcotest prop_modbus_registers_roundtrip;
+    QCheck_alcotest.to_alcotest prop_modbus_request_decode_canonical;
+    QCheck_alcotest.to_alcotest prop_modbus_response_decode_canonical;
   ]
 
 let () = Alcotest.run "plc" [ ("plc", suite) ]

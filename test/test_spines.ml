@@ -120,6 +120,79 @@ let test_sender_in_group_gets_local_copy () =
   Sim.Engine.run ~until:0.5 o.engine;
   check_int "local subscriber got it" 1 (List.length !self_sink)
 
+(* --- Session groups ---------------------------------------------------------- *)
+
+(* A remote session client on its own machine, on the overlay's LAN,
+   attached first to daemon [home] and failing over round the others. *)
+let session_client o ~name ~host_octet ?groups ?(home = 0) () =
+  let host = Netbase.Host.create ~engine:o.engine ~trace:o.trace name in
+  let nic = Netbase.Host.add_nic host ~ip:(ip 10 0 0 host_octet) in
+  let (_ : int) = Netbase.Host.plug_into_switch host nic o.switch in
+  let n = Array.length o.nodes in
+  let daemons = List.init n (fun j -> let i = (home + j) mod n in (i, ip 10 0 0 (i + 1))) in
+  let session =
+    Spines.Node.Session.create ?groups ~engine:o.engine ~trace:o.trace ~host ~key:"group-key"
+      ~daemons ~daemon_session_port:8101 ~name ()
+  in
+  let got = ref [] in
+  Spines.Node.Session.set_handler session (fun ~size:_ payload -> got := payload :: !got);
+  Spines.Node.Session.start session;
+  (host, session, got)
+
+let session_deliveries o =
+  Array.fold_left
+    (fun acc node -> acc + Sim.Stats.Counter.get (Spines.Node.counters node) "session.delivered")
+    0 o.nodes
+
+let test_session_group_delivery () =
+  let o = make_overlay (Spines.Topology.full_mesh [ 0; 1; 2 ]) in
+  let _, _, member = session_client o ~name:"member" ~host_octet:50 ~groups:[ "g" ] () in
+  let _, _, outsider = session_client o ~name:"outsider" ~host_octet:51 ~groups:[ "h" ] () in
+  Sim.Engine.run ~until:0.5 o.engine;
+  Spines.Node.send o.nodes.(1) ~client:1 ~size:40 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "push");
+  Sim.Engine.run ~until:1.0 o.engine;
+  check_int "member in g got it once" 1 (List.length !member);
+  check_int "session outside g got nothing" 0 (List.length !outsider);
+  check_int "only the hosting daemon relayed it" 1 (session_deliveries o)
+
+let test_session_reattach_replaces_groups () =
+  let o = make_overlay (Spines.Topology.full_mesh [ 0; 1; 2 ]) in
+  let _, first, got_first = session_client o ~name:"hmi" ~host_octet:50 ~groups:[ "g" ] () in
+  Sim.Engine.run ~until:0.5 o.engine;
+  Spines.Node.send o.nodes.(1) ~client:1 ~size:40 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "before");
+  Sim.Engine.run ~until:1.0 o.engine;
+  check_int "joined g" 1 (List.length !got_first);
+  (* The client moves to a new machine and re-attaches under the same
+     name with another list. *)
+  Spines.Node.Session.stop first;
+  let _, _, got = session_client o ~name:"hmi" ~host_octet:51 ~groups:[ "h" ] () in
+  Sim.Engine.run ~until:1.5 o.engine;
+  Spines.Node.send o.nodes.(2) ~client:1 ~size:40 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "old group");
+  Spines.Node.send o.nodes.(2) ~client:1 ~size:40 (Spines.Node.To_group "h")
+    (Netbase.Packet.Raw "new group");
+  Sim.Engine.run ~until:2.0 o.engine;
+  check "left g, joined h" true (!got = [ Netbase.Packet.Raw "new group" ]);
+  check_int "the daemon relayed only h" 2 (session_deliveries o)
+
+let test_session_group_after_failover () =
+  let o = make_overlay (Spines.Topology.full_mesh [ 0; 1; 2 ]) in
+  let _, session, got = session_client o ~name:"hmi" ~host_octet:50 ~groups:[ "g" ] () in
+  Sim.Engine.run ~until:0.5 o.engine;
+  check_int "attached to daemon 0" 0 (Spines.Node.Session.current_daemon session);
+  Spines.Node.stop o.nodes.(0);
+  Sim.Engine.run ~until:6.0 o.engine;
+  check "failed over" true (Spines.Node.Session.current_daemon session <> 0);
+  for i = 1 to 3 do
+    Spines.Node.send o.nodes.(2) ~client:1 ~size:40 (Spines.Node.To_group "g")
+      (Netbase.Packet.Raw (string_of_int i))
+  done;
+  Sim.Engine.run ~until:7.0 o.engine;
+  check "each message once, in order" true
+    (List.rev !got = [ Netbase.Packet.Raw "1"; Netbase.Packet.Raw "2"; Netbase.Packet.Raw "3" ])
+
 (* --- Authentication -------------------------------------------------------- *)
 
 let test_unkeyed_daemon_rejected () =
@@ -1049,6 +1122,9 @@ let suite =
     ("re-addressed peer's old ip unknown", `Quick, test_readdressed_peer_old_ip_unknown);
     QCheck_alcotest.to_alcotest prop_window_seen_matches_mark;
     ("window sequence jump", `Quick, test_window_sequence_jump);
+    ("session group delivery exactly once", `Quick, test_session_group_delivery);
+    ("session re-attach replaces groups", `Quick, test_session_reattach_replaces_groups);
+    ("session group delivery after failover", `Quick, test_session_group_after_failover);
   ]
 
 let () = Alcotest.run "spines" [ ("spines", suite) ]
