@@ -384,12 +384,16 @@ let exp_e6 () =
     [
       run_e6_case ~config:(Prime.Config.power_plant ()) ~with_recovery:false
         ~with_intrusion:false ~label:"6 replicas (f=1,k=1), quiet";
+      run_e6_case ~config:(Prime.Config.power_plant ()) ~with_recovery:false
+        ~with_intrusion:true ~label:"6 replicas, intrusion";
       run_e6_case ~config:(Prime.Config.power_plant ()) ~with_recovery:true
         ~with_intrusion:false ~label:"6 replicas, recovery";
       run_e6_case ~config:(Prime.Config.power_plant ()) ~with_recovery:true
         ~with_intrusion:true ~label:"6 replicas, recovery+intrusion";
       run_e6_case ~config:(Prime.Config.red_team ()) ~with_recovery:false
         ~with_intrusion:false ~label:"4 replicas (f=1,k=0), quiet";
+      run_e6_case ~config:(Prime.Config.red_team ()) ~with_recovery:false
+        ~with_intrusion:true ~label:"4 replicas, intrusion";
       run_e6_case ~config:(Prime.Config.red_team ()) ~with_recovery:true
         ~with_intrusion:false ~label:"4 replicas, recovery";
       run_e6_case ~config:(Prime.Config.red_team ()) ~with_recovery:true
@@ -406,7 +410,9 @@ let exp_e6 () =
   print_endline "\n  n = 3f + 2k + 1: the 6-replica plant configuration keeps bounded delay";
   print_endline "  through a proactive recovery plus a simultaneous intrusion; the 4-replica";
   print_endline "  red-team configuration loses quorum whenever a recovery coincides with the";
-  print_endline "  intrusion (confirmed stalls until the recovering replica returns).";
+  print_endline "  intrusion (confirmed stalls until the recovering replica returns). An";
+  print_endline "  intrusion alone leaves exactly a quorum in the 4-replica group: it orders";
+  print_endline "  on every remaining vote, including votes that overtake their pre-prepare.";
   let open Obs.Json in
   Obj
     (List.map

@@ -7,7 +7,17 @@
    eligible, and every replica derives the same execution order from it
    (origins in ascending order, each origin's updates in preorder
    sequence). Execution stalls on updates whose bodies are still missing;
-   the replica fetches them via reconciliation and retries. *)
+   the replica fetches them via reconciliation and retries.
+
+   A verified prepare or commit can overtake its pre-prepare (the leader's
+   copy travels a slower path, or is lost and relayed later). Such an
+   early vote is kept in one table keyed by (pp_seq, voter) and counted
+   when the matching pre-prepare is accepted: with exactly a quorum of
+   live replicas, every vote is needed, and dropping one would leave the
+   instance waiting for the reconciliation tick's relay. Only instances up
+   to one past the highest pre-prepare seen are buffered, so a vote far
+   ahead creates no state. A buffered vote counts only against the
+   accepted (view, digest), exactly like a vote arriving on time. *)
 
 type instance = {
   pp_seq : int;
@@ -24,6 +34,15 @@ type instance = {
   commit_auths : (int, Crypto.Signature.t) Hashtbl.t;
   mutable prepared : bool;
   mutable ordered : bool;
+  mutable accepted_at : float; (* when the current pre-prepare was accepted *)
+}
+
+(* The votes a voter sent for an instance whose pre-prepare is not
+   accepted yet: its latest prepare (view, digest) and commit
+   (view, digest, authenticator). *)
+type early = {
+  mutable early_prepare : (int * Crypto.Sha256.digest) option;
+  mutable early_commit : (int * Crypto.Sha256.digest * Crypto.Signature.t) option;
 }
 
 type t = {
@@ -34,6 +53,7 @@ type t = {
   exec_cursor : int array; (* per-origin: preorder seq executed through *)
   mutable exec_seq : int; (* global execution counter *)
   mutable max_seen_pp : int;
+  early : (int, early) Hashtbl.t; (* by pp_seq * n + voter *)
 }
 
 let create config ~my_id =
@@ -45,6 +65,7 @@ let create config ~my_id =
     exec_cursor = Array.make config.Config.n 0;
     exec_seq = 0;
     max_seen_pp = 0;
+    early = Hashtbl.create 16;
   }
 
 let instance_for t pp_seq =
@@ -63,6 +84,7 @@ let instance_for t pp_seq =
           commit_auths = Hashtbl.create 8;
           prepared = false;
           ordered = false;
+          accepted_at = neg_infinity;
         }
       in
       Hashtbl.replace t.instances pp_seq i;
@@ -76,12 +98,90 @@ let exec_seq t = t.exec_seq
 
 let exec_cursor t = Array.copy t.exec_cursor
 
+let early_votes t = Hashtbl.length t.early
+
 let note_pp_seq t pp_seq = if pp_seq > t.max_seen_pp then t.max_seen_pp <- pp_seq
+
+let early_key t ~pp_seq ~voter = (pp_seq * t.config.Config.n) + voter
+
+(* Where a vote for [pp_seq] in [view] goes: counted against the accepted
+   instance, kept as an early vote, or dropped (older view, executed, or
+   beyond the buffer window). *)
+let classify t ~view ~pp_seq =
+  match Hashtbl.find_opt t.instances pp_seq with
+  | Some inst when inst.inst_view = view -> `Count inst
+  | Some inst when view > inst.inst_view && not inst.ordered -> `Early
+  | Some _ -> `Drop
+  | None when pp_seq >= t.next_exec_pp && pp_seq <= t.max_seen_pp + 1 -> `Early
+  | None -> `Drop
+
+let early_entry t ~pp_seq ~voter =
+  let key = early_key t ~pp_seq ~voter in
+  match Hashtbl.find_opt t.early key with
+  | Some e -> e
+  | None ->
+      let e = { early_prepare = None; early_commit = None } in
+      Hashtbl.replace t.early key e;
+      e
+
+let valid_voter t voter = voter >= 0 && voter < t.config.Config.n
+
+(* A voter's latest view wins: an honest replica only moves forward, and
+   a faulty one can only spoil its own entry. *)
+let keep_early_prepare t ~rep ~view ~pp_seq ~digest =
+  if valid_voter t rep then begin
+    let e = early_entry t ~pp_seq ~voter:rep in
+    match e.early_prepare with
+    | Some (v, _) when v > view -> ()
+    | Some _ | None -> e.early_prepare <- Some (view, digest)
+  end
+
+let keep_early_commit t ~rep ~view ~pp_seq ~digest auth =
+  if valid_voter t rep then begin
+    let e = early_entry t ~pp_seq ~voter:rep in
+    match e.early_commit with
+    | Some (v, _, _) when v > view -> ()
+    | Some _ | None -> e.early_commit <- Some (view, digest, auth)
+  end
+
+(* Count the early votes that match the just-accepted (view, digest) and
+   forget every entry that can no longer count (this view or older). *)
+let fold_early t inst ~view ~digest =
+  if Hashtbl.length t.early > 0 then
+    for voter = 0 to t.config.Config.n - 1 do
+      let key = early_key t ~pp_seq:inst.pp_seq ~voter in
+      match Hashtbl.find_opt t.early key with
+      | None -> ()
+      | Some e ->
+          (match e.early_prepare with
+          | Some (v, d) when v <= view ->
+              if v = view && String.equal d digest then Hashtbl.replace inst.prepares voter ();
+              e.early_prepare <- None
+          | Some _ | None -> ());
+          (match e.early_commit with
+          | Some (v, d, auth) when v <= view ->
+              if v = view && String.equal d digest then begin
+                Hashtbl.replace inst.commits voter ();
+                Hashtbl.replace inst.commit_auths voter auth
+              end;
+              e.early_commit <- None
+          | Some _ | None -> ());
+          if Option.is_none e.early_prepare && Option.is_none e.early_commit then
+            Hashtbl.remove t.early key
+    done
+
+let drop_early t pp_seq =
+  if Hashtbl.length t.early > 0 then
+    for voter = 0 to t.config.Config.n - 1 do
+      Hashtbl.remove t.early (early_key t ~pp_seq ~voter)
+    done
 
 (* Accept a pre-prepare for (view, pp_seq). A later view overrides an
    earlier one (view change re-proposal); counters reset because prepares
-   and commits are only meaningful within one view. *)
-let accept_pre_prepare t ~view ~pp_seq ~matrix ~pp_sig =
+   and commits are only meaningful within one view. Early votes for this
+   (view, digest) are counted at once; if their commits already form a
+   quorum the instance is ordered on return. *)
+let accept_pre_prepare t ~now ~view ~pp_seq ~matrix ~pp_sig =
   note_pp_seq t pp_seq;
   let inst = instance_for t pp_seq in
   if inst.ordered then `Already_ordered
@@ -98,24 +198,28 @@ let accept_pre_prepare t ~view ~pp_seq ~matrix ~pp_sig =
       inst.matrix <- Some matrix;
       inst.digest <- Some digest;
       inst.pp_sig <- Some pp_sig;
+      inst.accepted_at <- now;
       Hashtbl.reset inst.prepares;
       Hashtbl.reset inst.commits;
       Hashtbl.reset inst.commit_auths;
       inst.prepared <- false;
+      fold_early t inst ~view ~digest;
+      if Hashtbl.length inst.commits >= t.config.Config.quorum then inst.ordered <- true;
       `Accept digest
     end
   end
 
 (* The oldest instances that block execution: have an accepted pre-prepare
-   but are not ordered yet. Used for ordering-message retransmission so a
-   recovered replica can still complete them. *)
-let stalled_instances t ~limit =
+   (at or before [accepted_by]) but are not ordered yet. Used for
+   ordering-message retransmission so a recovered replica can still
+   complete them. *)
+let stalled_instances t ~accepted_by ~limit =
   let rec collect pp acc remaining =
     if remaining = 0 || pp > t.max_seen_pp then List.rev acc
     else
       match Hashtbl.find_opt t.instances pp with
       | Some ({ ordered = false; matrix = Some m; digest = Some d; pp_sig = Some s; _ } as inst)
-        ->
+        when inst.accepted_at <= accepted_by ->
           collect (pp + 1)
             ((pp, inst.inst_view, m, d, s, inst.prepared) :: acc)
             (remaining - 1)
@@ -128,9 +232,8 @@ let stalled_instances t ~limit =
    the pre-prepare, so prepared requires a full quorum of distinct
    prepares. *)
 let add_prepare t ~rep ~view ~pp_seq ~digest =
-  let inst = instance_for t pp_seq in
-  match inst.digest with
-  | Some d when inst.inst_view = view && String.equal d digest && not inst.ordered ->
+  match classify t ~view ~pp_seq with
+  | `Count ({ digest = Some d; _ } as inst) when String.equal d digest && not inst.ordered ->
       Hashtbl.replace inst.prepares rep ();
       if (not inst.prepared) && Hashtbl.length inst.prepares >= t.config.Config.quorum
       then begin
@@ -138,32 +241,33 @@ let add_prepare t ~rep ~view ~pp_seq ~digest =
         true
       end
       else false
-  | _ -> false
+  | `Early ->
+      keep_early_prepare t ~rep ~view ~pp_seq ~digest;
+      false
+  | `Count _ | `Drop -> false
 
-let add_commit t ~rep ~view ~pp_seq ~digest =
-  let inst = instance_for t pp_seq in
-  match inst.digest with
-  | Some d when inst.inst_view = view && String.equal d digest && not inst.ordered ->
-      Hashtbl.replace inst.commits rep ();
-      if Hashtbl.length inst.commits >= t.config.Config.quorum then begin
-        inst.ordered <- true;
-        true
+(* Count a commit and retain its authenticator for certificate serving;
+   returns [true] when the instance just became ordered. The
+   authenticator is kept even for an instance that is already ordered:
+   those are exactly the ones whose quorum a lagging replica can no
+   longer complete from live traffic. *)
+let add_commit t ~rep ~view ~pp_seq ~digest auth =
+  match classify t ~view ~pp_seq with
+  | `Count ({ digest = Some d; _ } as inst) when String.equal d digest ->
+      Hashtbl.replace inst.commit_auths rep auth;
+      if inst.ordered then false
+      else begin
+        Hashtbl.replace inst.commits rep ();
+        if Hashtbl.length inst.commits >= t.config.Config.quorum then begin
+          inst.ordered <- true;
+          true
+        end
+        else false
       end
-      else false
-  | _ -> false
-
-(* Retain a commit authenticator for certificate serving. Unlike
-   [add_commit] this accepts authenticators for instances that are
-   already ordered — those are exactly the ones whose quorum a lagging
-   replica can no longer complete from live traffic. *)
-let record_commit_auth t ~rep ~view ~pp_seq ~digest auth =
-  match Hashtbl.find_opt t.instances pp_seq with
-  | Some inst -> (
-      match inst.digest with
-      | Some d when inst.inst_view = view && String.equal d digest ->
-          Hashtbl.replace inst.commit_auths rep auth
-      | _ -> ())
-  | None -> ()
+  | `Early ->
+      keep_early_commit t ~rep ~view ~pp_seq ~digest auth;
+      false
+  | `Count _ | `Drop -> false
 
 (* The self-certifying commit certificate for an ordered instance, once
    enough authenticators have been retained. *)
@@ -204,12 +308,17 @@ let install_cert t ~pp_seq ~view ~matrix ~digest ~pp_sig ~commits =
   end
 
 (* Highest ordered instance at or above the execution cursor — the upper
-   bound of what we can serve commit certificates for. *)
+   bound of what we can serve commit certificates for. Instances are
+   ordered only once accepted or certified, never above [max_seen_pp]. *)
 let max_ordered_seen t =
-  let best = ref (t.next_exec_pp - 1) in
-  Hashtbl.iter (fun pp_seq inst -> if inst.ordered && pp_seq > !best then best := pp_seq)
-    t.instances;
-  !best
+  let rec down pp =
+    if pp < t.next_exec_pp then t.next_exec_pp - 1
+    else
+      match Hashtbl.find_opt t.instances pp with
+      | Some { ordered = true; _ } -> pp
+      | Some _ | None -> down (pp - 1)
+  in
+  down t.max_seen_pp
 
 let is_ordered t pp_seq =
   match Hashtbl.find_opt t.instances pp_seq with Some i -> i.ordered | None -> false
@@ -259,6 +368,7 @@ let try_execute t ~update_for ~floor_for =
                   executed := (t.exec_seq, origin, po_seq, u) :: !executed
               | None -> assert false)
             plan;
+          drop_early t t.next_exec_pp;
           t.next_exec_pp <- t.next_exec_pp + 1;
           walk ()
         end
@@ -269,15 +379,18 @@ let try_execute t ~update_for ~floor_for =
 
 (* Prepared-but-not-yet-executed certificates for view-change reports. *)
 let prepared_certs t =
-  Hashtbl.fold
-    (fun pp_seq inst acc ->
-      if inst.prepared && pp_seq >= t.next_exec_pp then
-        match inst.matrix with
-        | Some m -> { Msg.pc_seq = pp_seq; pc_view = inst.inst_view; pc_matrix = m } :: acc
-        | None -> acc
-      else acc)
-    t.instances []
-  |> List.sort (fun a b -> compare a.Msg.pc_seq b.Msg.pc_seq)
+  let rec collect pp acc =
+    if pp < t.next_exec_pp then acc
+    else
+      let acc =
+        match Hashtbl.find_opt t.instances pp with
+        | Some { prepared = true; matrix = Some m; inst_view; _ } ->
+            { Msg.pc_seq = pp; pc_view = inst_view; pc_matrix = m } :: acc
+        | Some _ | None -> acc
+      in
+      collect (pp - 1) acc
+  in
+  collect t.max_seen_pp []
 
 (* Highest pp_seq executed (everything below is reflected in state). *)
 let max_executed t = t.next_exec_pp - 1
@@ -287,5 +400,9 @@ let max_executed t = t.next_exec_pp - 1
    peer's cursors, so executing those updates again would corrupt it. *)
 let install_checkpoint t ~next_exec_pp ~exec_seq ~cursor =
   t.next_exec_pp <- next_exec_pp;
+  if Hashtbl.length t.early > 0 then
+    Hashtbl.filter_map_inplace
+      (fun key e -> if key / t.config.Config.n < next_exec_pp then None else Some e)
+      t.early;
   t.exec_seq <- exec_seq;
   Array.blit cursor 0 t.exec_cursor 0 (Array.length t.exec_cursor)

@@ -1,6 +1,7 @@
 (** Prime ordering state: pre-prepare/prepare/commit instances keyed by
-    sequence, deterministic execution of newly-eligible preordered
-    updates, and prepared certificates for view changes. *)
+    sequence, votes that arrived before their pre-prepare, deterministic
+    execution of newly-eligible preordered updates, and prepared
+    certificates for view changes. *)
 
 type t
 
@@ -18,10 +19,19 @@ val exec_seq : t -> int
 (** Copy of the per-origin executed-through cursor. *)
 val exec_cursor : t -> int array
 
-(** Accept a pre-prepare. A higher view overrides (view-change
-    re-proposal) and resets the quorum counters. *)
+(** Number of (pp_seq, voter) keys holding early votes
+    (see {!add_prepare}). *)
+val early_votes : t -> int
+
+(** Accept a pre-prepare at time [now]. A higher view overrides
+    (view-change re-proposal) and resets the quorum counters. Early votes
+    (see {!add_prepare}) for the accepted view and digest are counted at
+    once, and dropped with every other early vote of this view or older;
+    if their commits already form a quorum the instance is ordered on
+    return ({!is_ordered}). *)
 val accept_pre_prepare :
   t ->
+  now:float ->
   view:int ->
   pp_seq:int ->
   matrix:Msg.matrix ->
@@ -32,35 +42,42 @@ val accept_pre_prepare :
   | `Duplicate
   | `Stale ]
 
-(** Oldest unordered instances with an accepted pre-prepare, for
-    ordering-message retransmission: (pp_seq, view, matrix, digest,
-    leader authenticator, prepared?). *)
+(** Oldest unordered instances whose pre-prepare was accepted at or
+    before [accepted_by], for ordering-message retransmission: (pp_seq,
+    view, matrix, digest, leader authenticator, prepared?). At most
+    [limit] instances, from the execution cursor up. *)
 val stalled_instances :
   t ->
+  accepted_by:float ->
   limit:int ->
   (int * int * Msg.matrix * Crypto.Sha256.digest * Crypto.Signature.t * bool) list
 
-(** Count a prepare; [true] when the instance just became prepared (a
-    full quorum of distinct prepares — every replica, leader included,
-    broadcasts one). *)
+(** Count a verified prepare; [true] when the instance just became
+    prepared (a full quorum of distinct prepares — every replica, leader
+    included, broadcasts one).
+
+    A vote whose pre-prepare is not accepted yet (none, or only one from
+    an older view) is an {e early vote}: it is kept, one prepare and one
+    commit per (pp_seq, voter), if the instance is not executed and lies
+    no higher than {!max_seen_pp} + 1, and counted by
+    {!accept_pre_prepare} only if its view and digest match. A vote
+    outside that window creates no state; the entries of an instance
+    are deleted once it executes. *)
 val add_prepare :
   t -> rep:int -> view:int -> pp_seq:int -> digest:Crypto.Sha256.digest -> bool
 
-(** Count a commit; [true] when the instance just became ordered. *)
+(** Count a verified commit and retain its authenticator for
+    certificate serving; [true] when the instance just became ordered.
+    The authenticator is retained even for an already-ordered instance.
+    Early commits are kept like early prepares ({!add_prepare}). *)
 val add_commit :
-  t -> rep:int -> view:int -> pp_seq:int -> digest:Crypto.Sha256.digest -> bool
-
-(** Retain a verified commit authenticator for later certificate
-    serving — accepted even for already-ordered instances, unlike
-    {!add_commit}. *)
-val record_commit_auth :
   t ->
   rep:int ->
   view:int ->
   pp_seq:int ->
   digest:Crypto.Sha256.digest ->
   Crypto.Signature.t ->
-  unit
+  bool
 
 (** Self-certifying commit certificate for an ordered instance:
     (view, matrix, leader authenticator, quorum of commit

@@ -13,7 +13,12 @@
      eligibility and for the slower idle heartbeat;
    - suspect-leader evaluation (turnaround-time and matrix-freshness
      checks);
-   - reconciliation re-requests and catchup probing.
+   - reconciliation: re-requests of missing bodies, and retransmission
+     of what has waited a full [reconcile_period] (instances accepted
+     at least one period ago, PO-requests assigned before the previous
+     tick; younger traffic is still in flight, and votes that overtake
+     their pre-prepare are counted by [Order], not dropped);
+   - catchup probing.
 
    Misbehaviour knobs ([set_misbehavior]) model the attacks the
    benchmarks measure: a silently crashed leader, a leader delaying
@@ -98,6 +103,9 @@ type t = {
   mutable catchup_votes : (string, int * Msg.t) Hashtbl.t; (* digest -> count, sample *)
   (* reconciliation *)
   outstanding_recon : (int * int, float) Hashtbl.t;
+  (* My highest assigned preorder sequence at the previous reconcile
+     tick: only requests up to it are old enough to retransmit. *)
+  mutable po_assigned_by_last_tick : int;
   (* origin resets after proactive recovery *)
   mutable origin_synced : bool; (* my own sequence is safely above any prior use *)
   stored_resets : (int, int * Crypto.Signature.t) Hashtbl.t; (* origin -> new_start, sig *)
@@ -165,6 +173,7 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     awaiting_app_transfer = false;
     catchup_votes = Hashtbl.create 8;
     outstanding_recon = Hashtbl.create 64;
+    po_assigned_by_last_tick = 0;
     origin_synced = true;
     stored_resets = Hashtbl.create 8;
     rebase_reports = Hashtbl.create 8;
@@ -493,12 +502,11 @@ let matrix_valid t (m : Msg.matrix) =
 
 let broadcast_commit t ~view ~pp_seq ~digest =
   let com_sig = sign t (Msg.encode_commit ~rep:t.id ~view ~pp_seq ~digest) in
-  (* Retain our own signature for commit-certificate serving. *)
-  Order.record_commit_auth t.order ~rep:t.id ~view ~pp_seq ~digest com_sig;
   broadcast t
     (Msg.Commit
        { com_rep = t.id; com_view = view; com_seq = pp_seq; com_digest = digest; com_sig });
-  if Order.add_commit t.order ~rep:t.id ~view ~pp_seq ~digest then execute_ready t
+  (* Also retains our own signature for commit-certificate serving. *)
+  if Order.add_commit t.order ~rep:t.id ~view ~pp_seq ~digest com_sig then execute_ready t
 
 let broadcast_prepare t ~view ~pp_seq ~digest =
   let prep_sig = sign t (Msg.encode_prepare ~rep:t.id ~view ~pp_seq ~digest) in
@@ -689,8 +697,15 @@ and handle_pre_prepare t ~pp_view ~pp_seq ~matrix pp_sig =
        converging even when individual summary broadcasts were lost. *)
     Array.iter (function Some s -> store_summary t s | None -> ()) matrix;
     note_tat_covered t matrix;
-    match Order.accept_pre_prepare t.order ~view:pp_view ~pp_seq ~matrix ~pp_sig with
-    | `Accept digest -> broadcast_prepare t ~view:pp_view ~pp_seq ~digest
+    match Order.accept_pre_prepare t.order ~now:(now t) ~view:pp_view ~pp_seq ~matrix ~pp_sig with
+    | `Accept digest ->
+        (* Early commits may have completed the quorum on acceptance. *)
+        let ordered_early = Order.is_ordered t.order pp_seq in
+        broadcast_prepare t ~view:pp_view ~pp_seq ~digest;
+        if ordered_early then begin
+          Sim.Stats.Counter.incr t.counters "ordered";
+          execute_ready t
+        end
     | `Conflicting_leader ->
         Sim.Stats.Counter.incr t.counters "pre_prepare.equivocation";
         suspect_leader t pp_view
@@ -708,8 +723,7 @@ and handle_prepare t ~rep ~view ~pp_seq ~digest sig_ =
 and handle_commit t ~rep ~view ~pp_seq ~digest sig_ =
   let body = Msg.encode_commit ~rep ~view ~pp_seq ~digest in
   if verify_from t ~rep body sig_ then begin
-    Order.record_commit_auth t.order ~rep ~view ~pp_seq ~digest sig_;
-    if Order.add_commit t.order ~rep ~view ~pp_seq ~digest then begin
+    if Order.add_commit t.order ~rep ~view ~pp_seq ~digest sig_ then begin
       Sim.Stats.Counter.incr t.counters "ordered";
       execute_ready t
     end
@@ -985,6 +999,16 @@ let handle_recon_reply t ~rp_origin ~rp_po_seq ~rp_update =
     | `Mismatch -> Sim.Stats.Counter.incr t.counters "recon.digest_mismatch"
   end
 
+(* Clock slack for "at least one period since": consecutive ticks of a
+   timer are one period apart up to float rounding. *)
+let period_slack = 1e-9
+
+(* Retransmission covers what the live path lost, so it sends only what
+   has waited a full tick: an instance accepted at least one
+   [reconcile_period] ago, a PO-request assigned before the previous tick.
+   Anything younger is still in flight; early votes ([Order.add_prepare])
+   mean a replica that saw the votes before the pre-prepare needs no
+   relay either. *)
 let reconcile_tick t =
   let horizon = now t -. t.config.Config.reconcile_period in
   Hashtbl.iter
@@ -996,8 +1020,8 @@ let reconcile_tick t =
     t.outstanding_recon;
   (* Ordering-message retransmission: relay the (leader-signed)
      pre-prepare and our own prepare/commit for the oldest instances still
-     blocking execution, so replicas that missed them can complete the
-     quorum. *)
+     blocking execution a full period after we accepted them, so replicas
+     that missed them can complete the quorum. *)
   List.iter
     (fun (pp_seq, view, matrix, digest, pp_sig, prepared) ->
       if view = t.view then begin
@@ -1010,14 +1034,13 @@ let reconcile_tick t =
                prep_sig });
         if prepared then begin
           let com_sig = sign t (Msg.encode_commit ~rep:t.id ~view ~pp_seq ~digest) in
-          Order.record_commit_auth t.order ~rep:t.id ~view ~pp_seq ~digest com_sig;
           broadcast t
             (Msg.Commit
                { com_rep = t.id; com_view = view; com_seq = pp_seq; com_digest = digest;
                  com_sig })
         end
       end)
-    (Order.stalled_instances t.order ~limit:5);
+    (Order.stalled_instances t.order ~accepted_by:(horizon +. period_slack) ~limit:5);
   (* View-change liveness: suspicion and reports are sent once on the
      transition, so on a lossy network a dropped copy can leave the
      cluster split across views (or the new leader one report short of
@@ -1037,14 +1060,15 @@ let reconcile_tick t =
     | None -> ()
   end;
   (* Origin-side retransmission: rebroadcast our own PO-Requests that are
-     not *executed* yet. Resending until execution (not merely until our
-     own certification) matters: we may hold a certificate while peers
-     are still missing acknowledgements that were lost, and only a
-     retransmitted request makes them re-ack. *)
+     not *executed* yet, once they were assigned before the previous tick.
+     Resending until execution (not merely until our own certification)
+     matters: we may hold a certificate while peers are still missing
+     acknowledgements that were lost, and only a retransmitted request
+     makes them re-ack. *)
   let my_floor = Preorder.floor_of t.preorder ~origin:t.id in
   let my_done = max (Order.exec_cursor t.order).(t.id) my_floor in
-  let next = Preorder.next_po_seq t.preorder in
-  let limit = min next (my_done + 20) (* resend a bounded window per tick *) in
+  let limit = min t.po_assigned_by_last_tick (my_done + 20) (* a bounded window *) in
+  t.po_assigned_by_last_tick <- Preorder.next_po_seq t.preorder;
   for po_seq = my_done + 1 to limit do
     match Preorder.update_for t.preorder ~origin:t.id ~po_seq with
     | Some u ->
@@ -1317,10 +1341,6 @@ let submit_update t u = if t.running then handle_client_update t u
 
 (* --- lifecycle ----------------------------------------------------------------------------- *)
 
-(* Clock slack for "at least one period since": consecutive ticks of a
-   timer are one period apart up to float rounding. *)
-let period_slack = 1e-9
-
 let start t =
   if t.running then invalid_arg "Replica.start: already running";
   t.running <- true;
@@ -1406,6 +1426,7 @@ let restart_clean t =
   t.cursors_settled <- true;
   Hashtbl.reset t.catchup_votes;
   Hashtbl.reset t.outstanding_recon;
+  t.po_assigned_by_last_tick <- 0;
   Hashtbl.reset t.stored_resets;
   Hashtbl.reset t.rebase_reports;
   (* Forget cached verifications: they reference pre-wipe state. *)

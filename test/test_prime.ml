@@ -14,6 +14,8 @@ type cluster = {
   replicas : Prime.Replica.t array;
   clients : (string, Prime.Client.t) Hashtbl.t;
   mutable drop : src:int -> dst:int -> Prime.Msg.t -> bool;
+  (* Added to the link latency of one message. *)
+  mutable extra_delay : dst:int -> Prime.Msg.t -> float;
   applied : (int * Prime.Msg.Update.t) list ref array; (* per-replica exec log *)
 }
 
@@ -29,7 +31,7 @@ let make_cluster ?(config = Prime.Config.create ~f:1 ~k:0 ()) ?(latency = 0.001)
     let c = Option.get !cluster_ref in
     if not (c.drop ~src ~dst msg) then
       ignore
-        (Sim.Engine.schedule engine ~delay:latency (fun () ->
+        (Sim.Engine.schedule engine ~delay:(latency +. c.extra_delay ~dst msg) (fun () ->
              Prime.Replica.handle_message c.replicas.(dst) msg))
   in
   let transport_for id =
@@ -69,6 +71,7 @@ let make_cluster ?(config = Prime.Config.create ~f:1 ~k:0 ()) ?(latency = 0.001)
       replicas;
       clients;
       drop = (fun ~src:_ ~dst:_ _ -> false);
+      extra_delay = (fun ~dst:_ _ -> 0.0);
       applied;
     }
   in
@@ -664,6 +667,147 @@ let test_idle_leader_signs_only_heartbeats () =
   let signs = replica_counter c 0 "crypto.sign" in
   check (Printf.sprintf "%d signs, budget %d" signs (4 * heartbeats)) true (signs <= 4 * heartbeats)
 
+(* --- early votes and aged retransmission -------------------------------- *)
+
+(* Pre-prepares reach replica 2 5 ms late, after the other replicas'
+   prepares and commits. Counting those early votes on acceptance orders
+   at once (worst 12 ms, 14 ms with replica 3 silent). Dropping them left
+   replica 2 to the reconciliation tick's relay: with every replica live
+   it had still not executed one update 7 s in (worst 1.8 s); with
+   replica 3 silent, when everyone needs replica 2's commit, the worst
+   was 102 ms. *)
+let late_pre_prepare_worst ~silent =
+  let c = make_cluster () in
+  c.extra_delay <-
+    (fun ~dst msg ->
+      match msg with Prime.Msg.Pre_prepare _ when dst = 2 -> 0.005 | _ -> 0.0);
+  Option.iter
+    (fun id -> Prime.Replica.set_misbehavior c.replicas.(id) Prime.Replica.Crash_silent)
+    silent;
+  let client = add_client c "hmi" in
+  let submitted = Hashtbl.create 32 in
+  let worst = ref 0.0 in
+  Array.iter
+    (fun r ->
+      Prime.Replica.set_on_execute r (fun ~exec_seq:_ u ->
+          let lag = Sim.Engine.now c.engine -. Hashtbl.find submitted u.Prime.Msg.Update.op in
+          worst := Float.max !worst lag))
+    c.replicas;
+  for i = 1 to 20 do
+    ignore
+      (Sim.Engine.schedule c.engine ~delay:(0.3 *. float_of_int i) (fun () ->
+           let op = Printf.sprintf "late-%d" i in
+           Hashtbl.replace submitted op (Sim.Engine.now c.engine);
+           ignore (Prime.Client.submit ~targets:[ i mod 3 ] client ~op)))
+  done;
+  run c ~until:7.0;
+  (c, !worst)
+
+let test_early_votes_counted () =
+  List.iter
+    (fun silent ->
+      let c, worst = late_pre_prepare_worst ~silent in
+      let name = match silent with None -> "all live" | Some _ -> "replica 3 silent" in
+      for id = 0 to 2 do
+        check_int (Printf.sprintf "%s: replica %d executed all" name id) 20
+          (List.length (exec_history c id))
+      done;
+      check (Printf.sprintf "%s: every execution within 25 ms (worst %.1f ms)" name (1000. *. worst))
+        true (worst < 0.025))
+    [ None; Some 3 ]
+
+(* On a lossless mesh whose ordering round (about 120 ms over 20 ms links)
+   outlasts a reconciliation period, nothing is retransmitted before it
+   has waited a full period: no instance is relayed, and a PO-request is
+   re-sent only if it was assigned before the previous tick and is still
+   unexecuted, so at most once. Resending everything unexecuted at each
+   tick sent 32 relays and 27 requests here. *)
+let test_no_retransmission_when_lossless () =
+  let c = make_cluster ~latency:0.02 () in
+  let client = add_client c "hmi" in
+  for i = 1 to 20 do
+    ignore
+      (Sim.Engine.schedule c.engine ~delay:(0.02 *. float_of_int i) (fun () ->
+           ignore (Prime.Client.submit ~targets:[ i mod 4 ] client ~op:(Printf.sprintf "far-%d" i))))
+  done;
+  run c ~until:3.0;
+  check_int "all executed" 20 (List.length (exec_history c 3));
+  let total name = Array.fold_left ( + ) 0 (Array.init 4 (fun id -> replica_counter c id name)) in
+  check_int "no ordering relay" 0 (total "order.retransmit");
+  let po = total "po_request.retransmit" in
+  check (Printf.sprintf "%d PO-request retransmissions, at most one per update" po) true (po <= 20)
+
+(* Order-level early-vote buffer, driven directly. *)
+let order_fixture () =
+  let config = Prime.Config.create ~f:1 ~k:0 () in
+  let o = Prime.Order.create config ~my_id:0 in
+  let matrix = Array.make config.Prime.Config.n None in
+  let pp_sig = Crypto.Signature.forge ~signer:"replica-0" "pre-prepare" in
+  let auth = Crypto.Signature.forge ~signer:"replica" "commit" in
+  let digest ~view ~pp_seq = Prime.Msg.matrix_digest ~view ~pp_seq matrix in
+  let accept ~view ~pp_seq =
+    match Prime.Order.accept_pre_prepare o ~now:0.0 ~view ~pp_seq ~matrix ~pp_sig with
+    | `Accept _ -> ()
+    | _ -> Alcotest.fail "pre-prepare not accepted"
+  in
+  let commits ~view ~pp_seq ~digest =
+    List.iter
+      (fun rep -> ignore (Prime.Order.add_commit o ~rep ~view ~pp_seq ~digest auth))
+      [ 1; 2; 3 ]
+  in
+  (o, digest, accept, commits)
+
+let test_order_early_votes_match_view_and_digest () =
+  let o, digest, accept, commits = order_fixture () in
+  (* Matching early commits order the instance on acceptance. *)
+  commits ~view:0 ~pp_seq:1 ~digest:(digest ~view:0 ~pp_seq:1);
+  check_int "three keys buffered" 3 (Prime.Order.early_votes o);
+  accept ~view:0 ~pp_seq:1;
+  check "ordered on acceptance" true (Prime.Order.is_ordered o 1);
+  check_int "folded entries deleted" 0 (Prime.Order.early_votes o);
+  (* Another digest: buffered, never counted. *)
+  commits ~view:0 ~pp_seq:2 ~digest:(digest ~view:0 ~pp_seq:99);
+  accept ~view:0 ~pp_seq:2;
+  check "other digest not counted" false (Prime.Order.is_ordered o 2);
+  (* An older view: votes of view 0 do not count for view 1's proposal. *)
+  commits ~view:0 ~pp_seq:3 ~digest:(digest ~view:1 ~pp_seq:3);
+  accept ~view:1 ~pp_seq:3;
+  check "older view not counted" false (Prime.Order.is_ordered o 3);
+  (* Votes for a newer view wait out the older view's proposal. *)
+  commits ~view:1 ~pp_seq:4 ~digest:(digest ~view:1 ~pp_seq:4);
+  accept ~view:0 ~pp_seq:4;
+  check "newer-view votes not counted for view 0" false (Prime.Order.is_ordered o 4);
+  accept ~view:1 ~pp_seq:4;
+  check "newer-view votes counted once proposed" true (Prime.Order.is_ordered o 4);
+  check_int "nothing left buffered" 0 (Prime.Order.early_votes o)
+
+let test_order_early_window () =
+  let o, digest, accept, commits = order_fixture () in
+  (* Nothing seen yet: only pp_seq 1 is within max_seen_pp + 1. *)
+  commits ~view:0 ~pp_seq:2 ~digest:(digest ~view:0 ~pp_seq:2);
+  check_int "vote above the window creates no state" 0 (Prime.Order.early_votes o);
+  accept ~view:0 ~pp_seq:1;
+  accept ~view:0 ~pp_seq:2;
+  check "never counted" false (Prime.Order.is_ordered o 2)
+
+let test_order_executed_instance_entries_gone () =
+  let o, digest, accept, commits = order_fixture () in
+  accept ~view:0 ~pp_seq:1;
+  (* Votes of a later view for the same instance wait as early votes... *)
+  ignore (Prime.Order.add_prepare o ~rep:2 ~view:1 ~pp_seq:1 ~digest:(digest ~view:1 ~pp_seq:1));
+  check_int "later-view vote buffered" 1 (Prime.Order.early_votes o);
+  (* ...until view 0 orders the instance and it executes. *)
+  commits ~view:0 ~pp_seq:1 ~digest:(digest ~view:0 ~pp_seq:1);
+  check "ordered" true (Prime.Order.is_ordered o 1);
+  let executed, missing =
+    Prime.Order.try_execute o
+      ~update_for:(fun ~origin:_ ~po_seq:_ -> None)
+      ~floor_for:(fun ~origin:_ -> 0)
+  in
+  check "nothing to execute or fetch" true (executed = [] && missing = []);
+  check_int "instance executed" 1 (Prime.Order.max_executed o);
+  check_int "its entries are gone" 0 (Prime.Order.early_votes o)
+
 (* The in-place eligibility count agrees with the quorum-th largest entry
    of the sorted column, over random matrices with missing rows. *)
 let prop_eligibility_matches_sorted_column =
@@ -732,6 +876,11 @@ let suite =
     ("emission rate capped under load", `Quick, test_emission_rate_capped_under_load);
     ("idle leader signs only heartbeats", `Quick, test_idle_leader_signs_only_heartbeats);
     QCheck_alcotest.to_alcotest prop_eligibility_matches_sorted_column;
+    ("early votes counted on acceptance", `Quick, test_early_votes_counted);
+    ("no retransmission when lossless", `Quick, test_no_retransmission_when_lossless);
+    ("order: early votes match view and digest", `Quick, test_order_early_votes_match_view_and_digest);
+    ("order: early-vote window", `Quick, test_order_early_window);
+    ("order: executed instance's entries gone", `Quick, test_order_executed_instance_entries_gone);
   ]
 
 let () = Alcotest.run "prime" [ ("prime", suite) ]
