@@ -2,7 +2,7 @@
    the paper's evaluation (see the DESIGN.md experiment index;
    EXPERIMENTS.md records paper-vs-measured).
 
-     dune exec bench/main.exe            # everything (E1-E9, E10, micro)
+     dune exec bench/main.exe            # every experiment
      dune exec bench/main.exe -- --exp e4
      dune exec bench/main.exe -- --exp e4 --json out.json
      dune exec bench/main.exe -- --list
@@ -785,105 +785,6 @@ let exp_e12 () =
   print_endline "  attached: agreement safety, at-most-once actuation, bounded-delay";
   print_endline "  liveness while at most f replicas are faulty, and recovery liveness.";
   Obs.Json.Obj rows
-
-(* --- E11: micro benches (Bechamel) ----------------------------------------------------------- *)
-
-let exp_micro () =
-  section "E11" "Micro-benchmarks (Bechamel, substrate sanity)";
-  let open Bechamel in
-  let payload_1k = String.init 1024 (fun i -> Char.chr (i land 0xFF)) in
-  let keystore = Crypto.Signature.create_keystore () in
-  let keypair = Crypto.Signature.generate keystore "bench" in
-  let signature = Crypto.Signature.sign keypair payload_1k in
-  let leaves = List.init 64 (fun i -> Printf.sprintf "state-chunk-%d" i) in
-  let modbus_frame =
-    Plc.Modbus.encode_request
-      { Plc.Modbus.transaction = 7; unit_id = 1;
-        body = Plc.Modbus.Read_holding_registers { addr = 0; count = 16 } }
-  in
-  let update = Prime.Msg.Update.create ~keypair ~client_seq:1 ~op:"status:B57:1" in
-  let digest32 = Crypto.Sha256.digest "bench-digest" in
-  (* Built once, as every long-lived key is (Spines' group key, replica
-     signing keys): the entry measures the per-message MAC. *)
-  let hmac_sched = Crypto.Hmac.schedule ~key:"bench-key" in
-  (* 1 000-device state for the incremental-digest entries: each call
-     flips one breaker (rotating) so digest measures the O(log n)
-     leaf-path rehash and serialize the full blob re-encode — the memo
-     never shortcuts either. *)
-  let state1000 = Scada.State.create (Plc.Power.synthetic ~devices:1_000 ()) in
-  let state_names =
-    Array.of_list (Plc.Power.all_breakers (Scada.State.scenario state1000))
-  in
-  let state_step = ref 0 in
-  let state_flip () =
-    let i = !state_step in
-    incr state_step;
-    let breaker = state_names.(i mod Array.length state_names) in
-    ignore
-      (Scada.State.apply state1000 ~exec_seq:(i + 1)
-         (Scada.Op.Status
-            { breaker; closed = not (Scada.State.reported_closed state1000 breaker) }))
-  in
-  let tests =
-    Test.make_grouped ~name:"spire"
-      [
-        Test.make ~name:"sha256-1KiB" (Staged.stage (fun () -> Crypto.Sha256.digest payload_1k));
-        Test.make ~name:"hmac-sha256-1KiB"
-          (Staged.stage (fun () -> Crypto.Hmac.mac_sched hmac_sched payload_1k));
-        Test.make ~name:"sign-1KiB"
-          (Staged.stage (fun () -> Crypto.Signature.sign keypair payload_1k));
-        Test.make ~name:"verify-1KiB"
-          (Staged.stage (fun () ->
-               Crypto.Signature.verify keystore ~signer:"bench" payload_1k signature));
-        Test.make ~name:"merkle-root-64" (Staged.stage (fun () -> Crypto.Merkle.root leaves));
-        Test.make ~name:"modbus-decode"
-          (Staged.stage (fun () -> Plc.Modbus.decode_request modbus_frame));
-        Test.make ~name:"prime-update-verify"
-          (Staged.stage (fun () -> Prime.Msg.Update.verify keystore update));
-        Test.make ~name:"wire-encode-po-ack"
-          (Staged.stage (fun () ->
-               Prime.Msg.encode_po_ack ~acker:2 ~origin:1 ~po_seq:4242 ~digest:digest32));
-        Test.make ~name:"state-digest-1000"
-          (Staged.stage (fun () ->
-               state_flip ();
-               Scada.State.digest_root state1000));
-        Test.make ~name:"state-serialize-1000"
-          (Staged.stage (fun () ->
-               state_flip ();
-               Scada.State.serialize state1000));
-        Test.make ~name:"engine-schedule-cancel-64"
-          (Staged.stage (fun () ->
-               let e = Sim.Engine.create ~hint:64 () in
-               let ids =
-                 Array.init 64 (fun i ->
-                     Sim.Engine.schedule e ~delay:(float_of_int i *. 0.001) (fun () -> ()))
-               in
-               Array.iteri (fun i id -> if i land 1 = 0 then Sim.Engine.cancel e id) ids;
-               Sim.Engine.run e));
-      ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  Printf.printf "  %-32s %14s %10s\n" "operation" "ns/op" "r2";
-  let printed =
-    List.map
-      (fun (name, ols) ->
-        let estimate = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> nan in
-        let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> nan in
-        Printf.printf "  %-32s %14.1f %10.4f\n" name estimate r2;
-        (name, estimate, r2))
-      (List.sort compare rows)
-  in
-  let open Obs.Json in
-  Obj
-    (List.map
-       (fun (name, estimate, r2) ->
-         (name, Obj [ ("ns_per_op", Num estimate); ("r_square", Num r2) ]))
-       printed)
 
 let exp_throughput () =
   section "E11b" "Prime ordering under load vs cluster size (loopback transport)";
@@ -1855,7 +1756,6 @@ let experiments =
     ("e18", exp_e18);
     ("e19", exp_e19);
     ("e20", exp_e20);
-    ("micro", exp_micro);
     ("throughput", exp_throughput);
   ]
 
@@ -1900,7 +1800,7 @@ let () =
   let results =
     match selected with
     | Some ids when ids <> "all" ->
-        (* Comma-separated selection: --exp e4,micro runs both in order. *)
+        (* Comma-separated selection: --exp e4,e10 runs both in order. *)
         String.split_on_char ',' ids
         |> List.filter_map (fun id ->
                match String.trim id with

@@ -19,7 +19,7 @@
 
 type t = {
   fdia_site : string;
-  fdia_proxy : Scada.Rtu_proxy.t;
+  fdia_proxy : Scada.Proxy.t;
   mutable fdia_frozen : (string * int) list option; (* snapshot replayed *)
   mutable fdia_launched_at : float option;
   mutable fdia_forced : (string * float) list; (* breaker, time; newest first *)
@@ -39,30 +39,26 @@ let find_site deployment site =
 let launch deployment ~site =
   match find_site deployment site with
   | None -> Error (Printf.sprintf "unknown site %s" site)
-  | Some bundle -> (
-      match bundle.Spire.Deployment.p_frontend with
-      | Spire.Deployment.Modbus_plc _ ->
-          Error (Printf.sprintf "site %s is Modbus: no analog image to rewrite" site)
-      | Spire.Deployment.Dnp3_rtu { fe_proxy; _ } ->
-          let t =
-            {
-              fdia_site = site;
-              fdia_proxy = fe_proxy;
-              fdia_frozen = None;
-              fdia_launched_at =
-                Some (Sim.Engine.now (Spire.Deployment.engine deployment));
-              fdia_forced = [];
-            }
-          in
-          Scada.Rtu_proxy.set_analog_rewrite fe_proxy
-            (Some
-               (fun readings ->
-                 match t.fdia_frozen with
-                 | Some snapshot -> snapshot
-                 | None ->
-                     t.fdia_frozen <- Some readings;
-                     readings));
-          Ok t)
+  | Some bundle ->
+      let proxy = bundle.Spire.Deployment.p_proxy in
+      let t =
+        {
+          fdia_site = site;
+          fdia_proxy = proxy;
+          fdia_frozen = None;
+          fdia_launched_at = Some (Sim.Engine.now (Spire.Deployment.engine deployment));
+          fdia_forced = [];
+        }
+      in
+      let freeze readings =
+        match t.fdia_frozen with
+        | Some snapshot -> snapshot
+        | None ->
+            t.fdia_frozen <- Some readings;
+            readings
+      in
+      if Scada.Proxy.set_analog_rewrite proxy (Some freeze) then Ok t
+      else Error (Printf.sprintf "site %s is Modbus: no analog image to rewrite" site)
 
 (* The physical half: flip a breaker at the substation, bypassing the
    supervisory path (an insider or a maintenance-channel actuation).
@@ -77,7 +73,7 @@ let force_open t deployment ~breaker =
       Ok ()
 
 (* Lose the foothold: the proxy polls honestly again. *)
-let release t = Scada.Rtu_proxy.set_analog_rewrite t.fdia_proxy None
+let release t = ignore (Scada.Proxy.set_analog_rewrite t.fdia_proxy None : bool)
 
 let site t = t.fdia_site
 

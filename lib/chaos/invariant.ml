@@ -321,15 +321,10 @@ let attach t deployment =
     (Spire.Deployment.replicas deployment);
   Array.iter
     (fun p ->
-      match p.Spire.Deployment.p_frontend with
-      | Spire.Deployment.Modbus_plc { fe_proxy; _ } ->
-          let name = Scada.Proxy.name fe_proxy in
-          Scada.Proxy.set_on_actuate fe_proxy (fun ~key ~breaker:_ ~close:_ ->
-              note_actuation t ~proxy:name ~key)
-      | Spire.Deployment.Dnp3_rtu { fe_proxy; _ } ->
-          let name = Scada.Rtu_proxy.name fe_proxy in
-          Scada.Rtu_proxy.set_on_actuate fe_proxy (fun ~key ~breaker:_ ~close:_ ->
-              note_actuation t ~proxy:name ~key))
+      let proxy = p.Spire.Deployment.p_proxy in
+      let name = Scada.Proxy.name proxy in
+      Scada.Proxy.set_on_actuate proxy (fun ~key ~breaker:_ ~close:_ ->
+          note_actuation t ~proxy:name ~key))
     (Spire.Deployment.proxies deployment);
   t.poll <-
     Some

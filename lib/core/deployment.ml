@@ -38,38 +38,16 @@ type replica_bundle = {
   r_durable : Scada.Durable.t option; (* always [Some]: every replica has a store *)
 }
 
-(* A field site speaks either Modbus (PLC) or DNP3 (RTU); the proxy
-   facing it differs accordingly. *)
-type field_frontend =
-  | Modbus_plc of { fe_device : Plc.Device.t; fe_proxy : Scada.Proxy.t }
-  | Dnp3_rtu of { fe_rtu : Plc.Rtu.t; fe_proxy : Scada.Rtu_proxy.t }
-
 type proxy_bundle = {
   p_index : int;
   p_spec : Plc.Power.plc_spec;
   p_host : Netbase.Host.t;
   p_session : Spines.Node.Session.session;
-  p_frontend : field_frontend;
+  p_proxy : Scada.Proxy.t;
   p_client : Prime.Client.t;
   p_plc_host : Netbase.Host.t;
   p_breakers : Plc.Breaker.t array;
 }
-
-let proxy_handle_payload bundle payload =
-  match bundle.p_frontend with
-  | Modbus_plc { fe_proxy; _ } -> Scada.Proxy.handle_payload fe_proxy payload
-  | Dnp3_rtu { fe_proxy; _ } -> Scada.Rtu_proxy.handle_payload fe_proxy payload
-
-let proxy_reset_reporting bundle =
-  match bundle.p_frontend with
-  | Modbus_plc { fe_proxy; _ } -> Scada.Proxy.reset_reporting fe_proxy
-  | Dnp3_rtu { fe_proxy; _ } -> Scada.Rtu_proxy.reset_reporting fe_proxy
-
-(* The Modbus device behind a bundle, when it is one (unit-test access). *)
-let modbus_device bundle =
-  match bundle.p_frontend with
-  | Modbus_plc { fe_device; _ } -> Some fe_device
-  | Dnp3_rtu _ -> None
 
 type hmi_bundle = {
   h_index : int;
@@ -192,6 +170,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
   in
   let plc_specs = Array.of_list scenario.Plc.Power.plcs in
   let n_proxies = Array.length plc_specs in
+  let uses_dnp3 spec = List.mem spec.Plc.Power.plc_name dnp3_plcs in
   (* External overlay daemons run on the replica machines only; proxies
      and HMIs attach as remote session clients. *)
   let internal_topology = Spines.Topology.full_mesh (List.init n (fun i -> i)) in
@@ -330,22 +309,18 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
                ~remote_port:Addressing.spines_session_port ~description:"session uplink"
                Netbase.Firewall.Egress)
         done;
-        (* Field protocols over the dedicated cable: asymmetric
-           client/server ports, for both Modbus and DNP3. *)
+        (* The site's own field protocol over the dedicated cable:
+           asymmetric client/server ports, and nothing else. *)
+        let device_port, local_port, protocol =
+          if uses_dnp3 plc_specs.(k) then (Plc.Dnp3.tcp_port, Scada.Proxy.dnp3_local_port, "dnp3")
+          else (Plc.Modbus.tcp_port, Scada.Proxy.modbus_local_port, "modbus")
+        in
         Netbase.Firewall.add fw
-          (Netbase.Firewall.rule ~remote_ip:(Addressing.cable_plc k) ~remote_port:Plc.Modbus.tcp_port
-             ~description:"modbus to plc" Netbase.Firewall.Egress);
+          (Netbase.Firewall.rule ~remote_ip:(Addressing.cable_plc k) ~remote_port:device_port
+             ~description:(protocol ^ " to field device") Netbase.Firewall.Egress);
         Netbase.Firewall.add fw
-          (Netbase.Firewall.rule ~remote_ip:(Addressing.cable_plc k)
-             ~local_port:Scada.Proxy.modbus_local_port ~description:"modbus replies"
-             Netbase.Firewall.Ingress);
-        Netbase.Firewall.add fw
-          (Netbase.Firewall.rule ~remote_ip:(Addressing.cable_plc k) ~remote_port:Plc.Dnp3.tcp_port
-             ~description:"dnp3 to rtu" Netbase.Firewall.Egress);
-        Netbase.Firewall.add fw
-          (Netbase.Firewall.rule ~remote_ip:(Addressing.cable_plc k)
-             ~local_port:Scada.Rtu_proxy.dnp3_local_port ~description:"dnp3 replies"
-             Netbase.Firewall.Ingress);
+          (Netbase.Firewall.rule ~remote_ip:(Addressing.cable_plc k) ~local_port
+             ~description:(protocol ^ " replies") Netbase.Firewall.Ingress);
         (* The PLC itself only ever talks to its proxy. *)
         let plc_fw = Netbase.Host.firewall plc_host in
         Netbase.Firewall.set_default plc_fw Netbase.Firewall.Ingress Netbase.Firewall.Deny;
@@ -481,7 +456,6 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
     Array.init n_proxies (fun k ->
         let spec = plc_specs.(k) in
         let host, _, plc_host = proxy_hosts.(k) in
-        let use_dnp3 = List.mem spec.Plc.Power.plc_name dnp3_plcs in
         let proxy_name = "proxy-" ^ spec.Plc.Power.plc_name in
         let keypair = Crypto.Signature.generate keystore proxy_name in
         let session =
@@ -496,78 +470,57 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
         in
         let client = Prime.Client.create ~engine ~keystore ~keypair ~send_to_replica config in
         Prime.Client.enable_retransmit client ~period:2.0;
-        let frontend, breakers =
-          if use_dnp3 then begin
-            let rtu =
-              Plc.Rtu.create ~engine ~trace ~name:spec.Plc.Power.plc_name
-                ~n_points:(List.length spec.Plc.Power.breaker_names) ()
-            in
-            let breakers =
-              Array.of_list
-                (List.mapi
-                   (fun index breaker_name ->
-                     let b = Plc.Breaker.create ~engine breaker_name in
-                     Plc.Rtu.wire_breaker rtu ~index b;
-                     Power.Net.bind_breaker power_net b;
-                     b)
-                   spec.Plc.Power.breaker_names)
-            in
+        let make_breakers wire =
+          Array.of_list
+            (List.mapi
+               (fun index breaker_name ->
+                 let b = Plc.Breaker.create ~engine breaker_name in
+                 wire index b;
+                 Power.Net.bind_breaker power_net b;
+                 b)
+               spec.Plc.Power.breaker_names)
+        in
+        let n_points = List.length spec.Plc.Power.breaker_names in
+        let plc = spec.Plc.Power.plc_name in
+        let protocol, breakers =
+          if uses_dnp3 spec then begin
+            let rtu = Plc.Rtu.create ~engine ~trace ~name:plc ~n_points () in
+            let breakers = make_breakers (fun index b -> Plc.Rtu.wire_breaker rtu ~index b) in
             (* The RTU's analog image samples the site's measurement
                points (line flows, injections, frequency) from the
                electrical overlay at poll time. *)
-            let analog_names = Power.Net.analog_names_for power_net ~plc:spec.Plc.Power.plc_name in
+            let analog_names = Power.Net.analog_names_for power_net ~plc in
             Plc.Rtu.set_analog_source rtu (fun () ->
-                List.map snd (Power.Net.analogs_for power_net ~plc:spec.Plc.Power.plc_name));
+                List.map snd (Power.Net.analogs_for power_net ~plc));
             Plc.Rtu.serve_on rtu plc_host;
-            let proxy =
-              Scada.Rtu_proxy.create ~analog_names ~engine ~trace ~keystore ~config ~host
-                ~rtu_ip:(Addressing.cable_plc k) ~breaker_names:spec.Plc.Power.breaker_names
-                ~client proxy_name
-            in
-            Scada.Rtu_proxy.start proxy ~poll_period:proxy_poll_period;
-            (Dnp3_rtu { fe_rtu = rtu; fe_proxy = proxy }, breakers)
+            (Scada.Proxy.Dnp3 { analog_names }, breakers)
           end
           else begin
-            let device =
-              Plc.Device.create ~engine ~trace ~name:spec.Plc.Power.plc_name
-                ~n_coils:(List.length spec.Plc.Power.breaker_names)
-            in
-            let breakers =
-              Array.of_list
-                (List.mapi
-                   (fun coil breaker_name ->
-                     let b = Plc.Breaker.create ~engine breaker_name in
-                     Plc.Device.wire_breaker device ~coil b;
-                     Power.Net.bind_breaker power_net b;
-                     b)
-                   spec.Plc.Power.breaker_names)
-            in
+            let device = Plc.Device.create ~engine ~trace ~name:plc ~n_coils:n_points in
+            let breakers = make_breakers (fun coil b -> Plc.Device.wire_breaker device ~coil b) in
             Plc.Device.serve_on device plc_host;
-            let proxy =
-              Scada.Proxy.create ~engine ~trace ~keystore ~config ~host
-                ~plc_ip:(Addressing.cable_plc k) ~breaker_names:spec.Plc.Power.breaker_names
-                ~client proxy_name
-            in
-            Scada.Proxy.start proxy ~poll_period:proxy_poll_period;
-            (Modbus_plc { fe_device = device; fe_proxy = proxy }, breakers)
+            (Scada.Proxy.Modbus, breakers)
           end
         in
-        let bundle =
-          {
-            p_index = k;
-            p_spec = spec;
-            p_host = host;
-            p_session = session;
-            p_frontend = frontend;
-            p_client = client;
-            p_plc_host = plc_host;
-            p_breakers = breakers;
-          }
+        let proxy =
+          Scada.Proxy.create ~engine ~trace ~keystore ~config ~host
+            ~device_ip:(Addressing.cable_plc k) ~breaker_names:spec.Plc.Power.breaker_names
+            ~client protocol proxy_name
         in
+        Scada.Proxy.start proxy ~poll_period:proxy_poll_period;
         Spines.Node.Session.set_handler session (fun ~size:_ payload ->
-            proxy_handle_payload bundle payload);
+            Scada.Proxy.handle_payload proxy payload);
         Spines.Node.Session.start session;
-        bundle)
+        {
+          p_index = k;
+          p_spec = spec;
+          p_host = host;
+          p_session = session;
+          p_proxy = proxy;
+          p_client = client;
+          p_plc_host = plc_host;
+          p_breakers = breakers;
+        })
   in
   (* --- HMIs --- *)
   let hmi_bundles =
@@ -684,4 +637,4 @@ let ground_truth_reset t =
       Prime.Replica.restart_clean r.r_replica)
     t.replicas;
   (* Force proxies to re-report everything on their next poll. *)
-  Array.iter proxy_reset_reporting t.proxies
+  Array.iter (fun p -> Scada.Proxy.reset_reporting p.p_proxy) t.proxies

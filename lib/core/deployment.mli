@@ -15,11 +15,6 @@ val prime_client : int
 (** Spines client-session id used for master-to-master SCADA traffic. *)
 val scada_client : int
 
-(** A field site speaks either Modbus (PLC) or DNP3 (RTU). *)
-type field_frontend =
-  | Modbus_plc of { fe_device : Plc.Device.t; fe_proxy : Scada.Proxy.t }
-  | Dnp3_rtu of { fe_rtu : Plc.Rtu.t; fe_proxy : Scada.Rtu_proxy.t }
-
 type replica_bundle = {
   r_host : Netbase.Host.t;
   r_internal_nic : Netbase.Host.nic;
@@ -37,7 +32,7 @@ type proxy_bundle = {
   p_spec : Plc.Power.plc_spec;
   p_host : Netbase.Host.t;
   p_session : Spines.Node.Session.session;
-  p_frontend : field_frontend;
+  p_proxy : Scada.Proxy.t;  (** Modbus or DNP3 toward the site's device *)
   p_client : Prime.Client.t;
   p_plc_host : Netbase.Host.t;
   p_breakers : Plc.Breaker.t array;
@@ -115,14 +110,6 @@ val external_switch : t -> Netbase.Switch.t
 val internal_pcap : t -> Netbase.Pcap.t
 
 val external_pcap : t -> Netbase.Pcap.t
-
-(** Dispatch a SCADA payload to a site's proxy, whatever its protocol. *)
-val proxy_handle_payload : proxy_bundle -> Netbase.Packet.payload -> unit
-
-val proxy_reset_reporting : proxy_bundle -> unit
-
-(** The Modbus device behind a bundle, when it is one. *)
-val modbus_device : proxy_bundle -> Plc.Device.t option
 
 (** Locate a breaker by name across all sites. *)
 val find_breaker : t -> string -> (proxy_bundle * Plc.Breaker.t) option

@@ -459,14 +459,17 @@ let serialize t =
 
 exception Bad of string
 
-(* Total parse: every structural defect — wrong version, unknown
-   breaker, unsorted entries, cursor < 1, trailing bytes, truncation —
-   rejects the whole blob before any state is touched. *)
+(* Total parse: every structural defect — wrong version, a breaker
+   missing or unknown, unsorted entries, cursor < 1, trailing bytes,
+   truncation — rejects the whole blob before any state is touched.
+   [serialize] writes one entry per breaker, so a blob that omits some
+   has no canonical spelling and is rejected too. *)
 let parse_blob t blob =
   match
     let r = Wire.reader blob in
     if Wire.r_u8 r <> format_version then raise (Bad "unsupported version");
     let nb = Wire.r_u32 r in
+    if nb <> Array.length t.ordered then raise (Bad "breaker count");
     let entries = ref [] in
     let prev = ref "" in
     for i = 1 to nb do
@@ -478,7 +481,7 @@ let parse_blob t blob =
       if i > 1 && String.compare !prev name >= 0 then raise (Bad "breakers not sorted");
       if not (Hashtbl.mem t.breakers name) then raise (Bad ("unknown breaker " ^ name));
       prev := name;
-      entries := (name, flags land 1 <> 0, flags land 2 <> 0, exec) :: !entries
+      entries := (name, flags, exec) :: !entries
     done;
     let nc = Wire.r_u32 r in
     let cursors = ref [] in
@@ -511,26 +514,19 @@ let parse_blob t blob =
   | exception Bad e -> Error e
   | exception Wire.Truncated -> Error "truncated state blob"
 
-(* Install a serialized state with full-replacement semantics: breakers
-   absent from the blob revert to defaults and the cursor table is
-   rebuilt from scratch, so a snapshot install can never leave stale
-   local values behind (the old text loader merged instead, and a
-   smaller blob silently kept whatever it did not mention). *)
+(* Install a serialized state with full-replacement semantics: every
+   breaker takes the blob's entry, and the cursor table and telemetry are
+   rebuilt from the blob alone (points it omits revert to defaults), so
+   a snapshot install can never leave stale local values behind. *)
 let load t blob =
   match parse_blob t blob with
   | Error _ as e -> e
   | Ok (entries, cursors, telems) ->
-      Array.iter
-        (fun b ->
-          b.reported_closed <- true;
-          b.commanded_close <- true;
-          b.last_change_exec <- 0)
-        t.ordered;
       List.iter
-        (fun (name, reported, commanded, exec) ->
+        (fun (name, flags, exec) ->
           let b = Hashtbl.find t.breakers name in
-          b.reported_closed <- reported;
-          b.commanded_close <- commanded;
+          b.reported_closed <- flags land 1 <> 0;
+          b.commanded_close <- flags land 2 <> 0;
           b.last_change_exec <- exec)
         entries;
       Hashtbl.reset t.batch_cursors;
@@ -557,21 +553,15 @@ let root_of_blob t blob =
   match parse_blob t blob with
   | Error _ as e -> e
   | Ok (entries, cursors, telems) ->
-      let n = Array.length t.ordered in
-      let flags = Array.make n 3 (* defaults: reported + commanded closed *) in
-      let execs = Array.make n 0 in
-      List.iter
-        (fun (name, reported, commanded, exec) ->
-          let b = Hashtbl.find t.breakers name in
-          flags.(b.b_index) <- (if reported then 1 else 0) lor (if commanded then 2 else 0);
-          execs.(b.b_index) <- exec)
-        entries;
+      (* One entry per breaker, in the frozen (sorted) leaf order. *)
       let bl =
-        if n = 0 then [| Crypto.Merkle.leaf_hash "no-breakers" |]
+        if entries = [] then [| Crypto.Merkle.leaf_hash "no-breakers" |]
         else
-          Array.mapi
-            (fun i b -> Crypto.Merkle.leaf_hash (encode_breaker_leaf b.b_name flags.(i) execs.(i)))
-            t.ordered
+          Array.of_list
+            (List.map
+               (fun (name, flags, exec) ->
+                 Crypto.Merkle.leaf_hash (encode_breaker_leaf name flags exec))
+               entries)
       in
       let ctbl = Hashtbl.create 16 in
       List.iter (fun (o, c) -> Hashtbl.replace ctbl o c) cursors;

@@ -69,11 +69,12 @@ val recompute_digest : t -> string
     health probes and benches. *)
 val stats : t -> int * int * int
 
-(** Install a serialized state with full-replacement semantics: breakers
-    absent from the blob revert to defaults and the cursor table is
-    rebuilt from the blob alone. [Error] on malformed blobs (bad
-    version, unknown breaker names, unsorted entries, cursors < 1,
-    trailing or truncated bytes) — nothing is mutated on error. *)
+(** Install a serialized state with full-replacement semantics: every
+    breaker takes the blob's entry, and the cursor table and telemetry
+    are rebuilt from the blob alone. [Error] on malformed or
+    non-canonical blobs (bad version, not exactly one entry per breaker,
+    unsorted entries, cursors < 1, trailing or truncated bytes) —
+    nothing is mutated on error. *)
 val load : t -> string -> (unit, string) result
 
 (** The digest root [load t blob] would leave in place, computed without

@@ -15,10 +15,10 @@ let mini_scenario =
   }
 
 let make_spire ?(config = Prime.Config.create ~f:1 ~k:0 ()) ?(hardened = true)
-    ?(scenario = mini_scenario) () =
+    ?(scenario = mini_scenario) ?dnp3_plcs () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
-  let d = Spire.Deployment.create ~hardened ~engine ~trace ~config scenario in
+  let d = Spire.Deployment.create ~hardened ?dnp3_plcs ~engine ~trace ~config scenario in
   (engine, d)
 
 let run engine ~until = Sim.Engine.run ~until engine
@@ -70,30 +70,36 @@ let test_command_actuates_breaker () =
 
 let test_single_master_cannot_actuate () =
   (* A compromised master alone sends a forged command directly to the
-     proxy; the f + 1 threshold must hold the line. *)
-  let engine, d = make_spire () in
-  run engine ~until:3.0;
-  let r0 = (Spire.Deployment.replicas d).(0) in
-  let proxy_bundle = (Spire.Deployment.proxies d).(0) in
-  let body =
-    Scada.Messages.encode_breaker_command ~rep:0 ~exec_seq:9999 ~breaker:"B57" ~close:false
-  in
-  let forged =
-    Scada.Messages.Breaker_command
-      {
-        bc_rep = 0;
-        bc_exec_seq = 9999;
-        bc_breaker = "B57";
-        bc_close = false;
-        bc_sig = Crypto.Signature.sign r0.Spire.Deployment.r_keypair body;
-      }
-  in
-  (* Deliver it straight to the proxy several times (replay included). *)
-  for _ = 1 to 5 do
-    Spire.Deployment.proxy_handle_payload proxy_bundle (Scada.Messages.Scada_msg forged)
-  done;
-  run engine ~until:6.0;
-  check "breaker still closed" true (Plc.Breaker.is_closed (main_breaker d "B57"))
+     proxy; the f + 1 threshold must hold the line, whichever field
+     protocol the site speaks. *)
+  List.iter
+    (fun dnp3_plcs ->
+      let engine, d = make_spire ~dnp3_plcs () in
+      run engine ~until:3.0;
+      let r0 = (Spire.Deployment.replicas d).(0) in
+      let proxy = (Spire.Deployment.proxies d).(0).Spire.Deployment.p_proxy in
+      let body =
+        Scada.Messages.encode_breaker_command ~rep:0 ~exec_seq:9999 ~breaker:"B57" ~close:false
+      in
+      let forged =
+        Scada.Messages.Breaker_command
+          {
+            bc_rep = 0;
+            bc_exec_seq = 9999;
+            bc_breaker = "B57";
+            bc_close = false;
+            bc_sig = Crypto.Signature.sign r0.Spire.Deployment.r_keypair body;
+          }
+      in
+      (* Deliver it straight to the proxy several times (replay included). *)
+      for _ = 1 to 5 do
+        Scada.Proxy.handle_payload proxy (Scada.Messages.Scada_msg forged)
+      done;
+      run engine ~until:6.0;
+      check "breaker still closed" true (Plc.Breaker.is_closed (main_breaker d "B57"));
+      check_int "gate never crossed" 0
+        (Sim.Stats.Counter.get (Scada.Proxy.counters proxy) "command.actuated"))
+    [ []; [ "MAIN" ] ]
 
 let test_replica_crash_transparent () =
   let engine, d = make_spire () in

@@ -315,11 +315,13 @@ let test_deployment_with_dnp3_rtu () =
   (match Spire.Deployment.find_breaker d "R2" with
   | Some (_, b) -> check "operate actuated breaker" false (Plc.Breaker.is_closed b)
   | None -> Alcotest.fail "breaker missing");
-  (* And it really is the DNP3 frontend doing the work. *)
-  check_int "frontend is dnp3" 1
-    (match (Spire.Deployment.proxies d).(0).Spire.Deployment.p_frontend with
-    | Spire.Deployment.Dnp3_rtu _ -> 1
-    | Spire.Deployment.Modbus_plc _ -> 0)
+  (* And it really is the DNP3 path doing the work: integrity and event
+     polls went out, no Modbus poll did, and the RTU acked one operate. *)
+  let proxy = (Spire.Deployment.proxies d).(0).Spire.Deployment.p_proxy in
+  let count = Sim.Stats.Counter.get (Scada.Proxy.counters proxy) in
+  check "frontend is dnp3" true
+    (count "poll.integrity" > 0 && count "poll.event" > 0 && count "poll" = 0);
+  check_int "operate acked by the rtu" 1 (count "operate.acked")
 
 let suite =
   [

@@ -204,6 +204,33 @@ let test_state_unknown_breaker_is_noop () =
   check "no change" false changed;
   check_int "op still counted" 1 (Scada.State.ops_applied s)
 
+(* Hand-built state blob (format version 3): breaker entries (name,
+   flags, last-change exec), cursors (origin, cursor) and reported
+   telemetry (name, value, exec), each written in the order given. *)
+let state_blob ?(cursors = []) ?(telemetry = []) breakers =
+  Wire.encode (fun b ->
+      Wire.w_u8 b 3;
+      Wire.w_u32 b (List.length breakers);
+      List.iter
+        (fun (name, flags, exec) ->
+          Wire.w_str b name;
+          Wire.w_u8 b flags;
+          Wire.w_int b exec)
+        breakers;
+      Wire.w_u32 b (List.length cursors);
+      List.iter
+        (fun (origin, c) ->
+          Wire.w_str b origin;
+          Wire.w_int b c)
+        cursors;
+      Wire.w_u32 b (List.length telemetry);
+      List.iter
+        (fun (name, v, exec) ->
+          Wire.w_str b name;
+          Wire.w_int b v;
+          Wire.w_int b exec)
+        telemetry)
+
 let test_state_serialize_load_digest () =
   let s1 = Scada.State.create mini in
   ignore (Scada.State.apply s1 ~exec_seq:5 (Scada.Op.Status { breaker = "A"; closed = false }));
@@ -226,24 +253,9 @@ let test_state_load_rejects_malformed () =
   let blob = Scada.State.serialize s in
   check "truncated blob rejected" true
     (Scada.State.load s (String.sub blob 0 (String.length blob - 3)) |> Result.is_error);
-  let unknown_breaker =
-    Wire.encode (fun b ->
-        Wire.w_u8 b 2;
-        Wire.w_u32 b 1;
-        Wire.w_str b "GHOST";
-        Wire.w_u8 b 3;
-        Wire.w_int b 0;
-        Wire.w_u32 b 0)
-  in
+  let unknown_breaker = state_blob [ ("A", 3, 0); ("GHOST", 3, 0) ] in
   check "unknown breaker rejected" true (Scada.State.load s unknown_breaker |> Result.is_error);
-  let zero_cursor =
-    Wire.encode (fun b ->
-        Wire.w_u8 b 2;
-        Wire.w_u32 b 0;
-        Wire.w_u32 b 1;
-        Wire.w_str b "proxy-M";
-        Wire.w_int b 0)
-  in
+  let zero_cursor = state_blob ~cursors:[ ("proxy-M", 0) ] [ ("A", 3, 0); ("B", 3, 0) ] in
   check "cursor below 1 rejected" true (Scada.State.load s zero_cursor |> Result.is_error);
   (* A rejected load leaves the live state untouched. *)
   check_str "state untouched by rejected loads" before (Scada.State.digest s)
@@ -315,28 +327,19 @@ let test_state_unknown_origin_batch_rides_digest () =
   check_str "digest matches after load" (Scada.State.digest s1) (Scada.State.digest s2);
   check_int "unknown-origin cursor restored" 4 (Scada.State.batch_cursor s2 "rogue-origin")
 
-(* Regression for the old text loader's merge semantics: a blob that
-   mentions fewer breakers/cursors than the live state must fully
-   replace it — unmentioned entries revert to defaults instead of
-   surviving with stale values. *)
+(* Regression for the old text loader's merge semantics: a blob whose
+   breaker entries hold defaults, and that mentions fewer cursors than
+   the live state, must fully replace it — nothing survives with stale
+   values. *)
 let test_state_load_full_replacement () =
   let s = Scada.State.create mini in
   ignore (Scada.State.apply s ~exec_seq:2 (Scada.Op.Status { breaker = "B"; closed = false }));
   ignore
     (Scada.State.apply_changes s ~exec_seq:3
        (Scada.Op.Batch { origin = "proxy-M"; cursor = 5; reports = [] }));
-  (* Hand-built smaller blob: version, one breaker entry (A open at exec
-     7), no cursors, no reported telemetry. *)
-  let small =
-    Wire.encode (fun b ->
-        Wire.w_u8 b 3;
-        Wire.w_u32 b 1;
-        Wire.w_str b "A";
-        Wire.w_u8 b 2 (* reported open, commanded closed *);
-        Wire.w_int b 7;
-        Wire.w_u32 b 0;
-        Wire.w_u32 b 0)
-  in
+  (* A open at exec 7 (reported open, commanded closed), B at its
+     defaults, no cursors, no reported telemetry. *)
+  let small = state_blob [ ("A", 2, 7); ("B", 3, 0) ] in
   (match Scada.State.load s small with
   | Ok () -> ()
   | Error e -> Alcotest.failf "load failed: %s" e);
@@ -369,6 +372,88 @@ let test_state_reset () =
   Scada.State.reset s;
   check "back to default" true (Scada.State.reported_closed s "A");
   check_int "ops cleared" 0 (Scada.State.ops_applied s)
+
+(* [serialize] writes one entry per breaker, so a blob that lists fewer
+   has no canonical spelling and must be rejected: the 13-byte blob with
+   no breakers, cursors or telemetry must not load as an all-default
+   state that re-serializes to a different (2-breaker) blob. *)
+let test_state_rejects_missing_breakers () =
+  let s = Scada.State.create mini in
+  ignore (Scada.State.apply s ~exec_seq:1 (Scada.Op.Status { breaker = "A"; closed = false }));
+  let before = Scada.State.digest s in
+  let empty = state_blob [] in
+  check_int "13-byte blob" 13 (String.length empty);
+  check "load rejects it" true (Scada.State.load s empty |> Result.is_error);
+  check "root_of_blob rejects it" true (Scada.State.root_of_blob s empty |> Result.is_error);
+  check "one of two breakers rejected" true
+    (Scada.State.load s (state_blob [ ("A", 3, 0) ]) |> Result.is_error);
+  check_str "state untouched" before (Scada.State.digest s)
+
+(* Decoding a state blob is total on arbitrary bytes; an accepted blob
+   loads, re-serializes to exactly its own bytes, and [root_of_blob]
+   predicts the digest the load leaves. Inputs mix raw bytes, real
+   serializations and hand-built blobs over random subsets of the
+   breakers, cursors and telemetry points, each possibly extended,
+   truncated or bit-flipped. *)
+let prop_state_blob_canonical =
+  let points = Power.Model.point_names (Power.Model.of_scenario mini) in
+  let open QCheck.Gen in
+  let subset xs =
+    map
+      (fun keep -> List.filteri (fun i _ -> List.nth keep i) xs)
+      (list_repeat (List.length xs) bool)
+  in
+  let built =
+    map3
+      (fun breakers cursors telemetry -> state_blob ~cursors ~telemetry breakers)
+      (subset [ "A"; "B" ] >>= fun names ->
+       flatten_l (List.map (fun n -> map2 (fun f e -> (n, f, e)) (int_bound 3) small_nat) names))
+      (subset [ "ghost"; "proxy-M"; "proxy-N" ] >>= fun origins ->
+       flatten_l (List.map (fun o -> map (fun c -> (o, c)) (int_range 1 50)) origins))
+      (subset points >>= fun names ->
+       flatten_l (List.map (fun n -> map2 (fun v e -> (n, v, e)) int (int_range 1 50)) names))
+  in
+  let serialized =
+    map
+      (fun ops ->
+        let s = Scada.State.create mini in
+        List.iteri
+          (fun i (which, closed) ->
+            let breaker = if which then "A" else "B" in
+            let reports = [ (breaker, closed) ] in
+            ignore
+              (Scada.State.apply_changes s ~exec_seq:(i + 1)
+                 (Scada.Op.Batch { origin = "proxy-M"; cursor = i + 1; reports })))
+          ops;
+        Scada.State.serialize s)
+      (list_size (int_bound 6) (pair bool bool))
+  in
+  let mutate blob =
+    let n = String.length blob in
+    oneof
+      [
+        return blob;
+        map (fun junk -> blob ^ junk) (string_size (int_range 1 8));
+        map (fun k -> String.sub blob 0 k) (int_bound (n - 1));
+        map2
+          (fun i bit ->
+            let b = Bytes.of_string blob in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+            Bytes.to_string b)
+          (int_bound (n - 1)) (int_bound 7);
+      ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"state blob decode is total and canonical"
+    (QCheck.make ~print:String.escaped
+       (oneof [ string_size (int_bound 80); built >>= mutate; serialized >>= mutate ]))
+    (fun blob ->
+      let s = Scada.State.create mini in
+      match (Scada.State.root_of_blob s blob, Scada.State.load s blob) with
+      | Error _, Error _ -> true
+      | Ok root, Ok () ->
+          String.equal (Scada.State.serialize s) blob
+          && String.equal root (Scada.State.digest_root s)
+      | Ok _, Error _ | Error _, Ok () -> false)
 
 (* Differential property for the incremental digest: any interleaving of
    status/command/batch applies, snapshot loads, and resets leaves the
@@ -560,6 +645,7 @@ let suite =
     ("state unknown-origin batch rides digest", `Quick, test_state_unknown_origin_batch_rides_digest);
     ("state serialize memoized", `Quick, test_state_serialize_memoized);
     ("state reset", `Quick, test_state_reset);
+    ("state rejects missing breakers", `Quick, test_state_rejects_missing_breakers);
     ("threshold fires once", `Quick, test_threshold_fires_once);
     ("threshold retention bounds decided", `Quick, test_threshold_retention_bounds_decided);
     ("threshold prunes stale votes", `Quick, test_threshold_prunes_stale_votes);
@@ -571,6 +657,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_op_decode_canonical;
     QCheck_alcotest.to_alcotest prop_state_digest_deterministic;
     QCheck_alcotest.to_alcotest prop_state_incremental_matches_recompute;
+    QCheck_alcotest.to_alcotest prop_state_blob_canonical;
   ]
 
 let () = Alcotest.run "scada" [ ("scada", suite) ]
