@@ -8,27 +8,30 @@
    check is dropped whole and counted; it must never crash the daemon
    (the red team gets to put arbitrary bytes on the wire).
 
-   A message's manifest entry never changes as it floods, so it is
+   A message's manifest entry never changes as it is relayed, so it is
    encoded once, where the message is created, and travels with it: a hop
    builds a header by concatenating its messages' entries. Every frame
    header is hashed by the HMAC on both ends, so its size is CPU: entries
    use {!Wire.w_varint} for their integers (origins, client ids,
    priorities and sizes are small; sequence numbers take 2-3 bytes), so a
-   plant frame of ~4 messages has a ~67-byte header and its HMAC costs 3
-   SHA-256 compressions, against 5 for fixed 8-byte ints. Layout (format
-   version 2):
+   plant frame of ~4 messages has a ~70-byte header and its HMAC costs 3
+   SHA-256 compressions, against 5 for fixed 8-byte ints. The entry ends
+   with the origin's stamp, its neighbors it could not reach (usually
+   none). Layout (format version 3):
 
      u8 magic · u8 version · u16 count · count × entry
      entry = varint len · u8 kind · varint origin · varint origin_client
              · varint data_seq · varint priority · varint app_size
              · u8 dst-tag · (varint node · varint client | varint len · bytes)
+             · varint n · n × varint unreached   (strictly ascending)
 
    The receiver does not decode the header: it compares its bytes with
    the carried messages' entries, in place. The encoding is canonical —
-   one byte string per manifest, as the varints are minimal and each
-   entry's length prefix is exact — so byte equality accepts exactly the
-   headers that a total decoder followed by a field-by-field comparison
-   with the carried messages would accept, and nothing else. *)
+   one byte string per manifest, as the varints are minimal, each
+   entry's length prefix is exact and {!entry} refuses an unsorted stamp
+   — so byte equality accepts exactly the headers that a total decoder
+   followed by a field-by-field comparison with the carried messages
+   would accept, and nothing else. *)
 
 type dst_meta =
   | M_client of { node : int; client : int }
@@ -43,11 +46,12 @@ type meta =
       dst : dst_meta;
       priority : int;
       app_size : int;
+      unreached : int list;
     }
 
 let magic = 0xF5
 
-let version = 2
+let version = 3
 
 (* Bytes before the first entry: magic, version and the u16 count. *)
 let prefix_size = 4
@@ -61,20 +65,24 @@ let kind_data = 0
 let name_size s = Wire.varint_size (String.length s) + String.length s
 
 (* Bytes after the entry's length prefix: kind and dst-tag bytes, five
-   varints and the destination. *)
+   varints, the destination and the stamp. *)
 let body_size (M_data d) =
   2 + Wire.varint_size d.origin + Wire.varint_size d.origin_client
   + Wire.varint_size d.data_seq + Wire.varint_size d.priority + Wire.varint_size d.app_size
-  +
-  match d.dst with
-  | M_client { node; client } -> Wire.varint_size node + Wire.varint_size client
-  | M_group s | M_session s -> name_size s
+  + (match d.dst with
+    | M_client { node; client } -> Wire.varint_size node + Wire.varint_size client
+    | M_group s | M_session s -> name_size s)
+  + List.fold_left (fun acc id -> acc + Wire.varint_size id)
+      (Wire.varint_size (List.length d.unreached)) d.unreached
+
+let rec ascending = function a :: (b :: _ as rest) -> a < b && ascending rest | [ _ ] | [] -> true
 
 let w_name b s =
   Wire.w_varint b (String.length s);
   Buffer.add_string b s
 
 let entry (M_data d as m) =
+  if not (ascending d.unreached) then invalid_arg "Frame.entry: stamp not strictly ascending";
   let len = body_size m in
   Wire.encode ~size_hint:(Wire.varint_size len + len) (fun b ->
       Wire.w_varint b len;
@@ -84,7 +92,7 @@ let entry (M_data d as m) =
       Wire.w_varint b d.data_seq;
       Wire.w_varint b d.priority;
       Wire.w_varint b d.app_size;
-      match d.dst with
+      (match d.dst with
       | M_client { node; client } ->
           Wire.w_u8 b 0;
           Wire.w_varint b node;
@@ -94,7 +102,9 @@ let entry (M_data d as m) =
           w_name b g
       | M_session s ->
           Wire.w_u8 b 2;
-          w_name b s)
+          w_name b s);
+      Wire.w_varint b (List.length d.unreached);
+      List.iter (Wire.w_varint b) d.unreached)
 
 let rec entries_size entry_of acc = function
   | [] -> acc

@@ -3,8 +3,9 @@
 
     Each message's manifest entry is encoded once, by {!entry}, where the
     message is created; a header is the entries of its messages behind a
-    fixed prefix (format version 2: length-prefixed entries with
-    {!Wire.w_varint} integers). There is no decoder: the receiver checks
+    fixed prefix (format version 3: length-prefixed entries with
+    {!Wire.w_varint} integers, ending with the origin's stamp of
+    unreached neighbors). There is no decoder: the receiver checks
     a header by comparing its bytes with the carried messages' entries.
     The encoding is canonical, so that comparison accepts exactly the
     headers a total decoder plus a field-by-field comparison would. The
@@ -16,7 +17,9 @@ type dst_meta =
   | M_session of string
 
 (** Wire-relevant fields of one coalesced sub-message (the payload
-    itself travels alongside; hellos are never coalesced). *)
+    itself travels alongside; hellos are never coalesced). [unreached]
+    is the origin's stamp: the neighbors whose links it saw down when it
+    sent the message, in strictly ascending order. *)
 type meta =
   | M_data of {
       origin : int;
@@ -25,10 +28,13 @@ type meta =
       dst : dst_meta;
       priority : int;
       app_size : int;
+      unreached : int list;
     }
 
 (** The message's manifest entry, length prefix included. Injective:
-    distinct metas give distinct entries. *)
+    distinct metas give distinct entries. Raises [Invalid_argument] if
+    [unreached] is not strictly ascending, so each meta has exactly one
+    spelling. *)
 val entry : meta -> string
 
 (** [encode_header entry_of msgs] is the header of a frame carrying

@@ -10,7 +10,8 @@
      message, unicast included, is priority-flooded with per-source rate
      limiting (source fairness), so a compromised insider daemon cannot
      starve other sources. The code path the red team's patched-binary
-     exploit targeted does not exist here.
+     exploit targeted does not exist here. Relays skip the origin's
+     neighbors that the origin reached itself (see [flood]).
    - hello-based liveness: each daemon tracks which of its own links are
      up, and flooding skips the dead ones.
 
@@ -35,6 +36,7 @@ type data = {
   priority : int;
   app_size : int;
   app_payload : Netbase.Packet.payload;
+  unreached : node_id list; (* the origin's stamp: its neighbors down at send, ascending *)
   entry : string; (* manifest entry ({!Frame.entry}), encoded once at the origin *)
 }
 
@@ -301,13 +303,13 @@ let meta_of_dst = function
 (* The only way a [data] is made: its entry always encodes its own fields,
    so comparing a header with the carried entries is comparing it with
    the carried messages. *)
-let make_data ~origin ~origin_client ~data_seq ~dst ~priority ~app_size app_payload =
+let make_data ~origin ~origin_client ~data_seq ~dst ~priority ~app_size ~unreached app_payload =
   let entry =
     Frame.entry
       (M_data
-         { origin; origin_client; data_seq; dst = meta_of_dst dst; priority; app_size })
+         { origin; origin_client; data_seq; dst = meta_of_dst dst; priority; app_size; unreached })
   in
-  { origin; origin_client; data_seq; dst; priority; app_size; app_payload; entry }
+  { origin; origin_client; data_seq; dst; priority; app_size; app_payload; unreached; entry }
 
 let data_entry d = d.entry
 
@@ -476,14 +478,28 @@ let within_rate t origin =
 
 (* --- dissemination -------------------------------------------------------- *)
 
-(* Hands [d] to every live neighbor except the one it came from, in
-   sorted neighbor order. Walks the link array: no lookup and nothing
-   allocated per neighbor. *)
+(* The origin's stamp: its neighbors whose links are down now, ascending
+   as [links] is; usually empty, and then nothing is allocated. *)
+let unreached t = Array.fold_right (fun l acc -> if l.up then acc else l.peer :: acc) t.links []
+
+(* Hands [d] to every live neighbor that may lack it, in sorted neighbor
+   order. The origin ([from = None]) sends to all of them; a relay skips
+   the sender, the origin, and each neighbor of the origin that the stamp
+   does not name, since the origin reached those itself. Every daemon
+   reachable over live links still gets [d] (DESIGN.md "Spines data
+   plane"); a copy lost on a lossy link is no longer masked by a relay. *)
 let flood t ~from (d : data) =
   for i = 0 to Array.length t.links - 1 do
     let l = t.links.(i) in
-    let is_sender = match from with Some f -> f = l.peer | None -> false in
-    if (not is_sender) && l.up then enqueue_link t l d
+    let reached =
+      match from with
+      | None -> false
+      | Some f ->
+          f = l.peer || l.peer = d.origin
+          || (Topology.adjacent t.config.topology d.origin l.peer
+             && not (List.mem l.peer d.unreached))
+    in
+    if l.up && not reached then enqueue_link t l d
   done
 
 let forward_data t ~from (d : data) =
@@ -644,7 +660,8 @@ let receive_session t ~src payload =
                 Sim.Stats.Counter.incr t.counters "session.send";
                 forward_data t ~from:None
                   (make_data ~origin:t.id ~origin_client:0 ~data_seq:t.seq ~dst:ss_dst
-                     ~priority:ss_priority ~app_size:ss_size ss_payload)
+                     ~priority:ss_priority ~app_size:ss_size ~unreached:(unreached t)
+                     ss_payload)
             | Some _ | None -> Sim.Stats.Counter.incr t.counters "session.not_attached")
         | Sess_attach_ack _ | Sess_deliver _ -> ()
       end
@@ -696,7 +713,7 @@ let send t ~client ?(priority = 1) ~size dst payload =
     t.seq <- t.seq + 1;
     let d =
       make_data ~origin:t.id ~origin_client:client ~data_seq:t.seq ~dst ~priority
-        ~app_size:size payload
+        ~app_size:size ~unreached:(unreached t) payload
     in
     Sim.Stats.Counter.incr t.counters "send";
     forward_data t ~from:None d

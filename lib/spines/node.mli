@@ -1,6 +1,7 @@
 (** Spines overlay daemon: authenticated/encrypted links, intrusion-
     tolerant priority flooding with source fairness (the only data
-    plane; hellos tell flooding which links are dead), and client
+    plane; hellos tell flooding which links are dead, and a relay skips
+    the origin's neighbors that the origin reached itself), and client
     sessions.
 
     The link-message payload constructor is private to the implementation:
@@ -95,7 +96,8 @@ val register_client :
   unit
 
 (** Send from a local client. Local destinations are delivered directly;
-    remote ones are flooded to every live neighbor. *)
+    remote ones go to every live neighbor, stamped with the neighbors
+    whose links are down, which relays then serve. *)
 val send :
   t -> client:int -> ?priority:int -> size:int -> dst -> Netbase.Packet.payload -> unit
 

@@ -62,4 +62,12 @@ let full_mesh nodes =
   in
   create ~nodes ~links:(pairs nodes)
 
-let neighbors t id = match Hashtbl.find_opt t.adjacency id with Some a -> a | None -> [||]
+let neighbors t id = match Hashtbl.find t.adjacency id with a -> a | exception Not_found -> [||]
+
+(* Binary search of the sorted neighbor array: no list, no allocation. *)
+let rec mem_sorted (nb : node_id array) x lo hi =
+  let mid = (lo + hi) / 2 in
+  lo < hi
+  && (nb.(mid) = x || if nb.(mid) < x then mem_sorted nb x (mid + 1) hi else mem_sorted nb x lo mid)
+
+let adjacent t a b = let nb = neighbors t a in mem_sorted nb b 0 (Array.length nb)

@@ -1,6 +1,6 @@
 (** Static overlay topology: the nodes, the undirected links between
     them, and each node's neighbor set, precomputed once at construction
-    so flooding walks a ready array instead of building a list per
+    so dissemination walks a ready array instead of building a list per
     message. *)
 
 type node_id = int
@@ -25,3 +25,7 @@ val full_mesh : node_id list -> t
 (** A node's neighbors, sorted by id ([| |] for unknown nodes). The
     array is precomputed and shared: callers must not mutate it. *)
 val neighbors : t -> node_id -> node_id array
+
+(** [adjacent t a b] is [true] iff a link joins [a] and [b]: a binary
+    search of [a]'s precomputed neighbor array, allocation-free. *)
+val adjacent : t -> node_id -> node_id -> bool

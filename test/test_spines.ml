@@ -1,8 +1,8 @@
-(* Tests for the Spines overlay: topology, intrusion-tolerant flooding,
-   authentication, replay rejection, hello-driven failure detection,
-   source fairness, the egress queue against its reference, the frame
-   manifest check, the unauthenticated all-duplicate drop, and the
-   patched-binary exploit model. *)
+(* Tests for the Spines overlay: topology, intrusion-tolerant flooding
+   and its neighbor elimination, authentication, replay rejection,
+   hello-driven failure detection, source fairness, the egress queue
+   against its reference, the frame manifest check, the unauthenticated
+   all-duplicate drop, and the patched-binary exploit model. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -59,7 +59,19 @@ let test_full_mesh () =
   let t = Spines.Topology.full_mesh [ 0; 1; 2; 3 ] in
   check_int "links" 6 (List.length (Spines.Topology.links t));
   check "neighbors sorted" true (Spines.Topology.neighbors t 2 = [| 0; 1; 3 |]);
-  check "unknown node has none" true (Spines.Topology.neighbors t 9 = [||])
+  check "unknown node has none" true (Spines.Topology.neighbors t 9 = [||]);
+  check "adjacent" true (Spines.Topology.adjacent t 2 3 && Spines.Topology.adjacent t 3 2);
+  check "not adjacent to itself" false (Spines.Topology.adjacent t 2 2);
+  check "unknown node adjacent to none" false
+    (Spines.Topology.adjacent t 9 0 || Spines.Topology.adjacent t 0 9);
+  let r = Spines.Topology.create ~nodes:[ 0; 1; 2; 3 ]
+      ~links:Spines.Topology.[ link 0 1; link 1 2; link 2 3; link 3 0 ] in
+  check "ring neighbors adjacent" true
+    (List.for_all
+       (fun (a, b) -> Spines.Topology.adjacent r a b)
+       [ (0, 1); (1, 2); (2, 3); (0, 3) ]);
+  check "ring diagonals not adjacent" false
+    (Spines.Topology.adjacent r 0 2 || Spines.Topology.adjacent r 1 3)
 
 let test_topology_validation () =
   Alcotest.check_raises "self link" (Invalid_argument "Topology.create: self-link") (fun () ->
@@ -775,23 +787,23 @@ let frame_metas =
       {
         origin = 3; origin_client = 7; data_seq = 42;
         dst = Spines.Frame.M_client { node = 1; client = 2 };
-        priority = 5; app_size = 128;
+        priority = 5; app_size = 128; unreached = [ 0; 2 ];
       };
     Spines.Frame.M_data
       {
         origin = 1; origin_client = 0; data_seq = 7;
-        dst = Spines.Frame.M_group "replicas"; priority = 1; app_size = 64;
+        dst = Spines.Frame.M_group "replicas"; priority = 1; app_size = 64; unreached = [];
       };
     Spines.Frame.M_data
       {
         origin = 2; origin_client = 3; data_seq = 9;
         dst = Spines.Frame.M_client { node = 0; client = 4 };
-        priority = 0; app_size = 0;
+        priority = 0; app_size = 0; unreached = [ 5 ];
       };
     Spines.Frame.M_data
       {
         origin = 0; origin_client = 1; data_seq = 1;
-        dst = Spines.Frame.M_session "hmi-1"; priority = 2; app_size = 32;
+        dst = Spines.Frame.M_session "hmi-1"; priority = 2; app_size = 32; unreached = [];
       };
   ]
 
@@ -800,14 +812,15 @@ let entry = Spines.Frame.entry
 let matches = Spines.Frame.header_matches entry
 
 let test_frame_header_roundtrip () =
-  (* Version-2 bytes of the first entry: varint length 10, kind 0, then
+  (* Version-3 bytes of the first entry: varint length 13, kind 0, then
      zigzag varints 3, 7, 42, 5, 128 (two bytes), dst tag 0, node 1,
-     client 2. *)
-  Alcotest.(check string) "known entry" "\x14\x00\x06\x0e\x54\x0a\x80\x02\x00\x02\x04"
+     client 2, and the stamp: count 2, ids 0 and 2. *)
+  Alcotest.(check string) "known entry"
+    "\x1a\x00\x06\x0e\x54\x0a\x80\x02\x00\x02\x04\x04\x00\x04"
     (entry (List.hd frame_metas));
   let header = Spines.Frame.encode_header entry frame_metas in
   Alcotest.(check string) "header is the prefix, then the entries"
-    ("\xf5\x02\x00\x04" ^ String.concat "" (List.map entry frame_metas))
+    ("\xf5\x03\x00\x04" ^ String.concat "" (List.map entry frame_metas))
     header;
   check "header matches its own messages" true (matches header frame_metas);
   check "reordered messages rejected" false (matches header (List.rev frame_metas));
@@ -841,9 +854,22 @@ let test_frame_header_rejects_garbage () =
   check "one-byte entry length" true (Char.code good.[4] < 0x80);
   rejected "entry kind 1" (patch good 5 1);
   check "kind 0 restored matches" true (matches (patch (patch good 5 1) 5 0) metas);
-  (* Version 1 (fixed-width 8-byte ints, u32 lengths) is not accepted:
-     neither its own layout nor a version-2 body relabelled 1. *)
+  (* Version 1 (fixed-width 8-byte ints, u32 lengths) and version 2
+     (varint entries without the stamp) are not accepted: neither their
+     own layouts nor a version-3 body relabelled. *)
   rejected "version byte 1" (patch good 1 1);
+  rejected "version byte 2" (patch good 1 2);
+  let m = List.hd metas in
+  let unstamped =
+    match m with Spines.Frame.M_data d -> Spines.Frame.M_data { d with unreached = [] }
+  in
+  let e = entry unstamped in
+  (* A version-2 entry is a version-3 one without its stamp's count byte. *)
+  let v2_entry =
+    String.make 1 (Char.chr (Char.code e.[0] - 2)) ^ String.sub e 1 (String.length e - 2)
+  in
+  check "version-2 header rejected for an unstamped message" false
+    (matches ("\xf5\x02\x00\x01" ^ v2_entry) [ unstamped ]);
   let one = [ List.hd metas ] in
   let v1 =
     Wire.encode (fun b ->
@@ -860,6 +886,48 @@ let test_frame_header_rejects_garbage () =
   in
   check "version-1 header rejected" false (matches v1 one)
 
+(* A version-3 entry for [d] with [ids] spelled as the stamp, in the
+   given order: how a forger would write a stamp [Frame.entry] refuses. *)
+let entry_with_stamp (Spines.Frame.M_data d) ids =
+  let e = entry (Spines.Frame.M_data { d with unreached = [] }) in
+  (* One-byte length prefix, and a trailing count byte of zero. *)
+  let body_head = String.sub e 1 (String.length e - 2) in
+  let stamp =
+    Wire.encode (fun b ->
+        Wire.w_varint b (List.length ids);
+        List.iter (Wire.w_varint b) ids)
+  in
+  let body = body_head ^ stamp in
+  Wire.encode (fun b -> Wire.w_varint b (String.length body)) ^ body
+
+let test_frame_stamp_nudges_rejected () =
+  let m =
+    Spines.Frame.M_data
+      {
+        origin = 0; origin_client = 1; data_seq = 9; dst = Spines.Frame.M_group "g";
+        priority = 1; app_size = 40; unreached = [ 1; 3 ];
+      }
+  in
+  let header ids = "\xf5\x03\x00\x01" ^ entry_with_stamp m ids in
+  Alcotest.(check string) "the forger's spelling of the honest stamp is the entry" (entry m)
+    (entry_with_stamp m [ 1; 3 ]);
+  check "honest stamp matches" true (matches (header [ 1; 3 ]) [ m ]);
+  List.iter
+    (fun (what, ids) -> check what false (matches (header ids) [ m ]))
+    [
+      ("changed id", [ 1; 4 ]); ("unsorted", [ 3; 1 ]); ("duplicated id", [ 1; 1; 3 ]);
+      ("id dropped", [ 1 ]); ("id added", [ 1; 3; 5 ]); ("empty", []);
+    ];
+  let with_stamp unreached =
+    match m with Spines.Frame.M_data d -> Spines.Frame.M_data { d with unreached }
+  in
+  Alcotest.check_raises "unsorted stamp has no entry"
+    (Invalid_argument "Frame.entry: stamp not strictly ascending") (fun () ->
+      ignore (entry (with_stamp [ 3; 1 ])));
+  Alcotest.check_raises "duplicated id has no entry"
+    (Invalid_argument "Frame.entry: stamp not strictly ascending") (fun () ->
+      ignore (entry (with_stamp [ 1; 1; 3 ])))
+
 (* --- frame manifest properties ------------------------------------------------- *)
 
 let gen_meta =
@@ -874,15 +942,17 @@ let gen_meta =
         map (fun s -> Spines.Frame.M_session s) name;
       ]
   in
+  let stamp = map (List.sort_uniq compare) (list_size (int_range 0 4) any_int) in
   map
-    (fun ((origin, origin_client, data_seq), (priority, app_size, dst)) ->
-      Spines.Frame.M_data { origin; origin_client; data_seq; dst; priority; app_size })
-    (pair
+    (fun ((origin, origin_client, data_seq), (priority, app_size, dst), unreached) ->
+      Spines.Frame.M_data { origin; origin_client; data_seq; dst; priority; app_size; unreached })
+    (triple
        (triple any_int any_int (oneof [ any_int; return max_int ]))
-       (triple any_int any_int dst))
+       (triple any_int any_int dst) stamp)
 
-(* A meta and a neighbor of it: one field nudged, the destination's kind
-   swapped, or nothing changed at all. *)
+(* A meta and a neighbor of it: one field nudged, one stamp id nudged,
+   added or dropped, the destination's kind swapped, or nothing changed
+   at all. *)
 let gen_meta_pair =
   let open QCheck.Gen in
   gen_meta >>= fun (Spines.Frame.M_data d as m) ->
@@ -902,6 +972,20 @@ let gen_meta_pair =
         map (fun priority -> Spines.Frame.M_data { d with priority }) (nudge d.priority);
         map (fun app_size -> Spines.Frame.M_data { d with app_size }) (nudge d.app_size);
         return (Spines.Frame.M_data { d with dst = dst_twin });
+        map
+          (fun v ->
+            let u = List.sort_uniq compare (v :: d.unreached) in
+            Spines.Frame.M_data { d with unreached = u })
+          (oneof [ small_signed_int; map (fun x -> x + 1) (oneofl (0 :: d.unreached)) ]);
+        map
+          (fun k ->
+            Spines.Frame.M_data { d with unreached = List.filteri (fun i _ -> i <> k) d.unreached })
+          (int_range 0 4);
+        map
+          (fun k ->
+            let u = List.mapi (fun i x -> if i = k then x + 1 else x) d.unreached in
+            Spines.Frame.M_data { d with unreached = List.sort_uniq compare u })
+          (int_range 0 4);
         gen_meta;
       ]
   in
@@ -997,14 +1081,18 @@ let count_frames o ~a ~b =
       | _ -> ());
   n
 
-(* Daemon 2 has no key, so each frame it sends carries a bad tag. Daemon 1
-   sees 0's message first from 0, then again inside 2's forgery. *)
-let forged_mesh () =
+(* Daemon 2 has no key, so each frame it sends carries a bad tag. Origin
+   0's one neighbor, 3, relays to both 1 and 2; neither is a neighbor of
+   0, so 2 relays 0's message on to 1 as well. Daemon 1 sees the message
+   first from 3, then again inside 2's forgery, one hop later. *)
+let forged_overlay () =
   let keyed i = if i = 2 then None else Some "group-key" in
-  make_overlay ~keyed (Spines.Topology.full_mesh [ 0; 1; 2 ])
+  make_overlay ~keyed
+    (Spines.Topology.create ~nodes:[ 0; 1; 2; 3 ]
+       ~links:Spines.Topology.[ link 0 3; link 3 1; link 3 2; link 2 1 ])
 
 let test_forged_duplicate_frame_changes_nothing () =
-  let o = forged_mesh () in
+  let o = forged_overlay () in
   let sink = collect_client o.nodes.(1) ~client:9 ~groups:[ "g" ] () in
   let forged = count_frames o ~a:2 ~b:1 in
   let start, stop = quiet_window in
@@ -1021,7 +1109,7 @@ let test_forged_duplicate_frame_changes_nothing () =
   check_int "dedup window holds only 0's message" 1 (Spines.Node.dedup_retained o.nodes.(1))
 
 let test_forged_mixed_frame_rejected_whole () =
-  let o = forged_mesh () in
+  let o = forged_overlay () in
   let sink = collect_client o.nodes.(1) ~client:9 ~groups:[ "g" ] () in
   (* Daemon 2 answers 0's message with its own, inside the same delivery,
      so both leave 2 for daemon 1 in one coalesced frame. *)
@@ -1068,6 +1156,152 @@ let test_readdressed_peer_old_ip_unknown () =
   Sim.Engine.run ~until:1.0 o.engine;
   check_int "delivered from the real IP" 1 (List.length !sink)
 
+(* --- neighbor elimination ---------------------------------------------------- *)
+
+let total o name =
+  Array.fold_left
+    (fun acc node -> acc + Sim.Stats.Counter.get (Spines.Node.counters node) name)
+    0 o.nodes
+
+let group_sinks o = Array.map (fun node -> collect_client node ~client:9 ~groups:[ "g" ] ()) o.nodes
+
+(* A group message on a full mesh with every link up crosses each of the
+   origin's links once and no other: relays skip the origin's neighbors,
+   which are everyone. *)
+let test_full_mesh_one_copy_per_link () =
+  let o = make_overlay (Spines.Topology.full_mesh [ 0; 1; 2; 3; 4; 5 ]) in
+  let sinks = group_sinks o in
+  let start, stop = quiet_window in
+  Sim.Engine.run ~until:start o.engine;
+  let tx = total o "link.tx" and drops = total o "dedup.drop" in
+  Spines.Node.send o.nodes.(0) ~client:1 ~size:50 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "once");
+  Sim.Engine.run ~until:stop o.engine;
+  check_int "5 link frames" 5 (total o "link.tx" - tx);
+  check_int "no duplicates" 0 (total o "dedup.drop" - drops);
+  Array.iteri
+    (fun i sink -> check_int (Printf.sprintf "daemon %d once" i) 1 (List.length !sink))
+    sinks
+
+(* Cuts the links in [cut] (pairs, either orientation) in both
+   directions: every frame and hello across them is dropped. *)
+let cut_links o cut =
+  let is_cut a b = List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) cut in
+  Array.iter
+    (fun node ->
+      let me = Spines.Node.id node in
+      Spines.Node.set_fault_injector node
+        (Some
+           (fun ~peer ->
+             if is_cut me peer then
+               { Spines.Node.fd_drop = true; fd_duplicate = false; fd_delay = 0.0 }
+             else { Spines.Node.fd_drop = false; fd_duplicate = false; fd_delay = 0.0 })))
+    o.nodes
+
+(* After the cut links time out: a window between two hello rounds past
+   [hello_timeout], so every cut link is marked down at both ends. *)
+let after_timeout =
+  let c = Spines.Node.default_config (Spines.Topology.full_mesh [ 0 ]) in
+  let down = (Float.ceil (c.hello_timeout /. c.hello_period) +. 1.0) *. c.hello_period in
+  (down +. (0.25 *. c.hello_period), down +. (0.75 *. c.hello_period))
+
+(* The origin's link to daemon 3 is down, so its stamp names 3, and the
+   relays that would otherwise skip 3 (a neighbor of the origin) send it
+   the message. *)
+let test_cut_link_reached_through_relays () =
+  let o = make_overlay (Spines.Topology.full_mesh [ 0; 1; 2; 3; 4; 5 ]) in
+  let sinks = group_sinks o in
+  cut_links o [ (0, 3) ];
+  let to_3 = Array.init 6 (fun a -> count_frames o ~a ~b:3) in
+  let start, stop = after_timeout in
+  Sim.Engine.run ~until:start o.engine;
+  check "hellos marked 0-3 down" true
+    (Sim.Trace.find o.trace ~category:"spines" ~contains:"node 0: link to 3 down" <> None);
+  Array.iter (fun n -> n := 0) to_3;
+  Spines.Node.send o.nodes.(0) ~client:1 ~size:50 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "around");
+  Sim.Engine.run ~until:stop o.engine;
+  check_int "0 sent nothing toward 3" 0 !(to_3.(0));
+  check_int "the four relays each sent 3 a copy" 4
+    (Array.fold_left (fun acc n -> acc + !n) 0 to_3);
+  Array.iteri
+    (fun i sink -> check_int (Printf.sprintf "daemon %d once" i) 1 (List.length !sink))
+    sinks
+
+(* Random connected topologies of 2-8 daemons (lines, rings, random
+   graphs), some links cut: the daemons reachable from the origin over
+   live links each get the message exactly once, and no other daemon
+   gets it. The reference is a breadth-first search over the live links. *)
+let gen_cut_case =
+  let open QCheck.Gen in
+  int_range 2 8 >>= fun n ->
+  let tree =
+    (* A random spanning tree: node i joins a random earlier node. *)
+    flatten_l (List.init (n - 1) (fun i -> map (fun p -> (p, i + 1)) (int_range 0 i)))
+  in
+  let chords =
+    list_size (int_range 0 n) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+  in
+  let links =
+    oneof
+      [
+        return (List.init (n - 1) (fun i -> (i, i + 1)));
+        return (List.init n (fun i -> (i, (i + 1) mod n)));
+        map2 ( @ ) tree chords;
+      ]
+  in
+  links >>= fun links ->
+  let links =
+    List.sort_uniq compare
+      (List.filter_map (fun (a, b) -> if a = b then None else Some (min a b, max a b)) links)
+  in
+  map2
+    (fun keep origin -> (n, links, List.filteri (fun i _ -> not (List.nth keep i)) links, origin))
+    (list_repeat (List.length links) (frequency [ (3, return true); (1, return false) ]))
+    (int_range 0 (n - 1))
+
+let print_cut_case (n, links, cut, origin) =
+  let show l = String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) l) in
+  Printf.sprintf "n=%d links=[%s] cut=[%s] origin=%d" n (show links) (show cut) origin
+
+let prop_reachable_get_it_once =
+  QCheck.Test.make ~count:150 ~name:"live-reachable daemons get each message once"
+    (QCheck.make ~print:print_cut_case gen_cut_case)
+    (fun (n, links, cut, origin) ->
+      let topology =
+        Spines.Topology.create ~nodes:(List.init n Fun.id)
+          ~links:(List.map (fun (a, b) -> Spines.Topology.link a b) links)
+      in
+      let o = make_overlay topology in
+      let sinks = group_sinks o in
+      cut_links o cut;
+      let start, stop = after_timeout in
+      Sim.Engine.run ~until:start o.engine;
+      Spines.Node.send o.nodes.(origin) ~client:1 ~size:50 (Spines.Node.To_group "g")
+        (Netbase.Packet.Raw "probe");
+      Sim.Engine.run ~until:stop o.engine;
+      let live = List.filter (fun l -> not (List.mem l cut)) links in
+      let reached = Array.make n false in
+      let rec bfs = function
+        | [] -> ()
+        | v :: rest ->
+            let next =
+              List.filter_map
+                (fun (a, b) ->
+                  let w = if a = v then b else if b = v then a else -1 in
+                  if w >= 0 && not reached.(w) then begin
+                    reached.(w) <- true;
+                    Some w
+                  end
+                  else None)
+                live
+            in
+            bfs (rest @ next)
+      in
+      reached.(origin) <- true;
+      bfs [ origin ];
+      Array.for_all2 (fun r sink -> List.length !sink = if r then 1 else 0) reached sinks)
+
 (* [seen] is [mark]'s duplicate verdict, read without marking. *)
 let prop_window_seen_matches_mark =
   QCheck.Test.make ~count:200 ~name:"window seen predicts mark"
@@ -1113,6 +1347,7 @@ let suite =
     ("egress memory bounded", `Quick, test_egress_memory_bounded);
     ("frame header roundtrip", `Quick, test_frame_header_roundtrip);
     ("frame header rejects garbage", `Quick, test_frame_header_rejects_garbage);
+    ("frame stamp nudges rejected", `Quick, test_frame_stamp_nudges_rejected);
     ("corrupt frames dropped not crashing", `Quick, test_corrupt_frames_dropped_not_crashing);
     ("node egress overflow counted", `Quick, test_node_egress_overflow_counted);
     QCheck_alcotest.to_alcotest prop_entry_injective;
@@ -1120,6 +1355,9 @@ let suite =
     ("forged duplicate frame changes nothing", `Quick, test_forged_duplicate_frame_changes_nothing);
     ("forged mixed frame rejected whole", `Quick, test_forged_mixed_frame_rejected_whole);
     ("re-addressed peer's old ip unknown", `Quick, test_readdressed_peer_old_ip_unknown);
+    ("full mesh: one copy per link", `Quick, test_full_mesh_one_copy_per_link);
+    ("cut link reached through relays", `Quick, test_cut_link_reached_through_relays);
+    QCheck_alcotest.to_alcotest prop_reachable_get_it_once;
     QCheck_alcotest.to_alcotest prop_window_seen_matches_mark;
     ("window sequence jump", `Quick, test_window_sequence_jump);
     ("session group delivery exactly once", `Quick, test_session_group_delivery);
