@@ -1327,7 +1327,7 @@ let exp_e18 () =
       ("chaos", Obj chaos);
     ]
 
-(* --- E19: incremental state digests — O(1) votes and binary snapshots ------------------------- *)
+(* --- E19: incremental state digests — hashed on read, binary snapshots ------------------------- *)
 
 (* CPU nanoseconds per call of [f] over [iters] calls. *)
 let e19_ns_per_call iters f =
@@ -1340,16 +1340,16 @@ let e19_ns_per_call iters f =
 let e19_devices = 1_000
 
 let exp_e19 () =
-  section "E19" "Incremental state digests: O(1) digest votes and binary snapshots (1 000 devices)";
+  section "E19" "Incremental state digests: hashed on read, binary snapshots (1 000 devices)";
   let scenario = Plc.Power.synthetic ~devices:e19_devices () in
   let names = Array.of_list (List.sort String.compare (Plc.Power.all_breakers scenario)) in
   let n = Array.length names in
   let state = Scada.State.create scenario in
-  (* Digest-after-update cost: flip one breaker, then ask for the digest
-     — the shape of every f+1 vote, invariant sweep and checkpoint root:
-     an O(log n) leaf-path rehash and a cached-root read. Negating the
-     reported position guarantees every apply is a real change — never
-     the no-change fast path or a still-valid memo. *)
+  (* Digest-after-update cost: flip one breaker, then read the digest.
+     The flip only marks one leaf stale; the read hashes that leaf, its
+     path to the root and the combined root. Negating the reported
+     position guarantees every apply is a real change — never the
+     no-change fast path or a still-valid memo. *)
   let flip st name ~exec_seq =
     ignore
       (Scada.State.apply st ~exec_seq
@@ -1363,7 +1363,8 @@ let exp_e19 () =
   let cached_ns =
     e19_ns_per_call 1_000_000 (fun _ -> Scada.State.digest_root state)
   in
-  Printf.printf "  digest after 1 update  : %10.0f ns\n" digest_ns;
+  Printf.printf "  digest after 1 update  : %10.0f ns (a read that flushes one stale leaf)\n"
+    digest_ns;
   Printf.printf "  digest, no mutation    : %10.0f ns (cached root read)\n" cached_ns;
   (* Snapshot encoding: the canonical binary blob (memo invalidated by
      the flip, so each call re-encodes). *)
@@ -1374,44 +1375,47 @@ let exp_e19 () =
   in
   let blob_bytes = String.length (Scada.State.serialize state) in
   Printf.printf "  serialize after 1 flip : %10.0f ns (%d B binary)\n" serialize_ns blob_bytes;
-  (* Differential equivalence: a mixed op/snapshot/reset walk where the
-     incrementally maintained digest must equal a from-scratch recompute
-     after every step. *)
+  (* Differential equivalence: a mixed op/snapshot/load walk where the
+     digest, read at random steps (about one in four, and after the last
+     step), must equal a from-scratch recompute. A read that follows
+     several unread steps flushes many stale leaves at once. *)
   let diff_state = Scada.State.create (Plc.Power.synthetic ~devices:100 ()) in
-  let diff_names = Array.of_list (Plc.Power.all_breakers (Scada.State.scenario diff_state)) in
+  let diff_scenario = Scada.State.scenario diff_state in
+  let diff_names = Array.of_list (Plc.Power.all_breakers diff_scenario) in
+  let diff_points =
+    Array.of_list (Power.Model.point_names (Power.Model.of_scenario diff_scenario))
+  in
   let rng = ref 0x2545F491 in
   (* 48-bit LCG — enough state for a 400-step walk, fits a native int. *)
   let rand m =
     rng := ((!rng * 25214903917) + 11) land 0xFFFFFFFFFFFF;
     (!rng lsr 16) mod m
   in
+  let pick a = a.(rand (Array.length a)) in
+  let origin () = if rand 4 = 0 then "proxy-ghost" else Printf.sprintf "proxy-SUB-%03d" (rand 5) in
   let snapshot = ref (Scada.State.serialize diff_state) in
   let diff_steps = 400 in
   let equivalent = ref true in
   for step = 1 to diff_steps do
-    (match rand 6 with
-    | 0 | 1 ->
-        let name = diff_names.(rand (Array.length diff_names)) in
-        ignore
-          (Scada.State.apply diff_state ~exec_seq:step
-             (Scada.Op.Status { breaker = name; closed = rand 2 = 0 }))
-    | 2 ->
-        let name = diff_names.(rand (Array.length diff_names)) in
-        ignore
-          (Scada.State.apply diff_state ~exec_seq:step
-             (Scada.Op.Command { breaker = name; close = rand 2 = 0 }))
-    | 3 ->
-        let name = diff_names.(rand (Array.length diff_names)) in
-        let origin = if rand 4 = 0 then "proxy-ghost" else "proxy-SUB-000" in
-        ignore
-          (Scada.State.apply diff_state ~exec_seq:step
-             (Scada.Op.Batch { origin; cursor = step; reports = [ (name, rand 2 = 0) ] }))
-    | 4 -> snapshot := Scada.State.serialize diff_state
+    let apply op = ignore (Scada.State.apply_changes diff_state ~exec_seq:step op) in
+    (match rand 8 with
+    | 0 | 1 -> apply (Scada.Op.Status { breaker = pick diff_names; closed = rand 2 = 0 })
+    | 2 -> apply (Scada.Op.Command { breaker = pick diff_names; close = rand 2 = 0 })
+    | 3 | 4 ->
+        let reports = List.init (1 + rand 5) (fun _ -> (pick diff_names, rand 2 = 0)) in
+        apply (Scada.Op.Batch { origin = origin (); cursor = step; reports })
+    | 5 when diff_points <> [||] ->
+        let readings = List.init (1 + rand 4) (fun _ -> (pick diff_points, rand 10_000 - 5_000)) in
+        apply (Scada.Op.Telemetry { origin = origin (); cursor = step; readings })
+    | 5 | 6 -> snapshot := Scada.State.serialize diff_state
     | _ -> (
         match Scada.State.load diff_state !snapshot with
         | Ok () -> ()
         | Error _ -> equivalent := false));
-    if not (String.equal (Scada.State.digest diff_state) (Scada.State.recompute_digest diff_state))
+    if
+      (rand 4 = 0 || step = diff_steps)
+      && not
+           (String.equal (Scada.State.digest diff_state) (Scada.State.recompute_digest diff_state))
     then equivalent := false
   done;
   Printf.printf "  incremental = from-scratch recompute over %d mixed steps: %b\n" diff_steps
@@ -1462,10 +1466,11 @@ let exp_e19 () =
   in
   Printf.printf "  same-seed chaos runs byte-identical (flight JSONL + result JSON): %b\n"
     same_seed_identical;
-  print_endline "\n  The digest is a cached Merkle root updated O(log n) per applied op, so";
-  print_endline "  f+1 digest votes, invariant sweeps and checkpoint roots read a field";
-  print_endline "  instead of re-hashing every entry; snapshots are canonical Wire blobs";
-  print_endline "  with total parsing and full-replacement install semantics.";
+  print_endline "\n  An applied op only marks its Merkle leaves stale; the first digest read";
+  print_endline "  after a change hashes each stale leaf and each dirty ancestor once, and";
+  print_endline "  later reads are field reads. f+1 digest votes, invariant sweeps and";
+  print_endline "  checkpoint roots never re-hash the whole state; snapshots are canonical";
+  print_endline "  Wire blobs with total parsing and full-replacement install semantics.";
   let open Obs.Json in
   Obj
     [

@@ -155,9 +155,9 @@ let check_state_digests t =
   match t.deployment with
   | None -> ()
   | Some deployment ->
-      (* Raw 32-byte roots, O(1) cached reads — no hex rendering and no
-         per-sweep table allocation on this every-tick path; hex appears
-         only in a violation message. *)
+      (* Raw 32-byte roots, which hash only what changed since the last
+         read — no hex rendering and no per-sweep table allocation on
+         this every-tick path; hex appears only in a violation message. *)
       Hashtbl.reset t.digest_seen;
       Array.iteri
         (fun i r ->

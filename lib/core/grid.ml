@@ -83,9 +83,10 @@ type shard_overview = {
 }
 
 (* One aggregated query against one shard's master group. Every running
-   replica votes with its application-state digest root — an O(1)
-   cached read off the state's incremental Merkle trees, compared as
-   raw 32-byte digests; hex is rendered once for the winner only. The
+   replica votes with its application-state digest root — read off the
+   state's incremental Merkle trees, which hash only what changed since
+   the last read, and compared as raw 32-byte digests; hex is rendered
+   once for the winner only. The
    answer is rendered from a replica inside the f + 1 majority, so it
    reflects a state at least one correct replica holds. *)
 let query_shard t s =

@@ -1,27 +1,35 @@
 (** Merkle hash trees, used for the SCADA state's incremental digests
     and for checkpoint identity.
 
-    Trees are built bottom-up into arrays, so replacing one leaf rehashes
-    only its path to the root. *)
+    Trees are built bottom-up into arrays. A changed leaf is only marked;
+    reading the root hashes each marked leaf once and then only the
+    nodes above them, each once. *)
 
 (** A built tree, kept to update leaves in place. *)
 type tree
+
+(** [init n leaf] builds a tree over the leaf hashes [leaf 0] …
+    [leaf (n - 1)], and keeps [leaf] to rehash marked leaves. Raises
+    [Invalid_argument] if [n < 1]. *)
+val init : int -> (int -> Sha256.digest) -> tree
 
 (** [build leaves] hashes the leaf data and builds all levels. Raises
     [Invalid_argument] on an empty array. *)
 val build : string array -> tree
 
 (** [build_of_leaf_hashes hashes] builds a tree over already-hashed
-    leaves (pair with {!leaf_hash}). Raises [Invalid_argument] on an
-    empty array. *)
+    leaves (pair with {!leaf_hash}); a marked leaf [i] is reread from
+    [hashes.(i)]. Raises [Invalid_argument] on an empty array. *)
 val build_of_leaf_hashes : Sha256.digest array -> tree
 
-(** [set_leaf_hash t index h] replaces leaf [index]'s hash and rehashes
-    only the path to the root — O(log n). The result is identical to
-    rebuilding the tree with the new leaf set. Raises
-    [Invalid_argument] if [index] is out of range. *)
-val set_leaf_hash : tree -> int -> Sha256.digest -> unit
+(** [mark t i] records leaf [i] as stale: the next {!tree_root} asks the
+    tree's leaf function for its hash again. It hashes nothing. Raises
+    [Invalid_argument] if [i] is out of range. *)
+val mark : tree -> int -> unit
 
+(** The root, identical to rebuilding the tree over the current leaf
+    hashes. Rehashes the stale leaves and their ancestors first, each
+    once; with nothing stale it is a field read. *)
 val tree_root : tree -> Sha256.digest
 
 (** Root hash over the leaf data list. Raises [Invalid_argument] on an

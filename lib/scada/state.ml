@@ -5,15 +5,17 @@
    keeps every replica's copy identical; the canonical serialization and
    digest support the application-level state transfer of Section III-A.
 
-   The digest is maintained incrementally. Two Merkle trees — one over
-   the breakers in a canonical name order frozen at [create], one over
-   the per-origin batch cursors (one slot per scenario proxy plus a
-   spill leaf for origins outside the topology) — are updated O(log n)
-   as each operation lands, and the state digest is a domain-separated
-   combine of the two roots. [digest] is therefore an O(1) cached read:
-   f + 1 digest voting on the grid overview path, the continuous chaos
-   invariant sweep, and checkpoint roots all stop re-hashing the whole
-   state per call. The canonical blob is a Wire binary encoding,
+   The digest is maintained incrementally and hashed when it is read.
+   Three Merkle trees cover the state: one over the breakers in a
+   canonical name order frozen at [create], one over the per-origin
+   batch cursors (one slot per scenario proxy plus a spill leaf for
+   origins outside the topology), and one over the telemetry points.
+   Applying an operation only marks the leaves it changed. A read
+   ([digest], [digest_root]) hashes each stale leaf once, then their
+   ancestors once each, then combines the three roots under a domain
+   separator; with nothing stale it is a field read. Checkpoints, f + 1
+   digest votes and invariant sweeps read far less often than batches
+   change leaves. The canonical blob is a Wire binary encoding,
    memoized behind a dirty flag so repeated state-transfer replies at
    the same execution point serialize once. *)
 
@@ -44,7 +46,7 @@ type t = {
   mutable btree : Crypto.Merkle.tree;
   mutable ctree : Crypto.Merkle.tree;
   mutable ttree : Crypto.Merkle.tree;
-  mutable root : Crypto.Sha256.digest; (* cached combined root *)
+  mutable root : Crypto.Sha256.digest option; (* combined root; [None] once a leaf is marked *)
   mutable root_hex : string option; (* lazy hex rendering of [root] *)
   mutable blob : string option; (* memoized canonical serialization *)
   mutable ops_applied : int;
@@ -101,7 +103,8 @@ let cursor_value t origin = Option.value ~default:0 (Hashtbl.find_opt t.batch_cu
 
 (* Cursors from origins outside the frozen topology (a faulty client may
    invent any origin string) share one spill leaf: their sorted table.
-   Normal runs never populate it, so its upkeep cost is an empty encode. *)
+   It is encoded only when the leaf is stale at a read, so an origin-
+   inventing client costs one sort per read, not one per op. *)
 let extras_blob t =
   let extras =
     Hashtbl.fold
@@ -111,76 +114,61 @@ let extras_blob t =
   in
   encode_extras extras
 
+(* The live trees and [recompute_digest]'s throwaway ones share these
+   builders; a live tree rereads a marked leaf through the same closure. *)
 let build_btree t =
-  let n = Array.length t.ordered in
-  let hashes =
-    if n = 0 then [| Crypto.Merkle.leaf_hash "no-breakers" |]
-    else Array.map (fun b -> Crypto.Merkle.leaf_hash (breaker_leaf b)) t.ordered
-  in
-  Crypto.Merkle.build_of_leaf_hashes hashes
+  if Array.length t.ordered = 0 then Crypto.Merkle.build [| "no-breakers" |]
+  else
+    Crypto.Merkle.init (Array.length t.ordered) (fun i ->
+        Crypto.Merkle.leaf_hash (breaker_leaf t.ordered.(i)))
 
 let build_ctree t =
   let ns = Array.length t.cursor_slots in
-  let hashes =
-    Array.init (ns + 1) (fun i ->
-        if i < ns then
-          let o = t.cursor_slots.(i) in
-          Crypto.Merkle.leaf_hash (cursor_leaf o (cursor_value t o))
-        else Crypto.Merkle.leaf_hash (extras_blob t))
-  in
-  Crypto.Merkle.build_of_leaf_hashes hashes
+  Crypto.Merkle.init (ns + 1) (fun i ->
+      if i < ns then
+        let o = t.cursor_slots.(i) in
+        Crypto.Merkle.leaf_hash (cursor_leaf o (cursor_value t o))
+      else Crypto.Merkle.leaf_hash (extras_blob t))
 
 let build_ttree t =
-  let n = Array.length t.telem_ordered in
-  let hashes =
-    if n = 0 then [| Crypto.Merkle.leaf_hash "no-telemetry" |]
-    else Array.map (fun p -> Crypto.Merkle.leaf_hash (telem_leaf p)) t.telem_ordered
-  in
-  Crypto.Merkle.build_of_leaf_hashes hashes
+  if Array.length t.telem_ordered = 0 then Crypto.Merkle.build [| "no-telemetry" |]
+  else
+    Crypto.Merkle.init (Array.length t.telem_ordered) (fun i ->
+        Crypto.Merkle.leaf_hash (telem_leaf t.telem_ordered.(i)))
 
 (* The subtree roots combine under their own domain separator, so a
    state root can never be confused with a bare Merkle root or a leaf. *)
 let combine_roots broot croot troot =
   Crypto.Sha256.digest_list [ "\x04state-root"; broot; croot; troot ]
 
-let refresh_root t =
-  t.root <-
-    combine_roots (Crypto.Merkle.tree_root t.btree) (Crypto.Merkle.tree_root t.ctree)
-      (Crypto.Merkle.tree_root t.ttree);
-  t.root_hex <- None
-
-(* Full O(n) rebuild: create, load, reset. The steady-state path never
-   comes through here. *)
+(* Full O(n) rebuild: create, load, reset. Fresh trees, nothing stale. *)
 let rebuild t =
   t.btree <- build_btree t;
   t.ctree <- build_ctree t;
   t.ttree <- build_ttree t;
-  refresh_root t;
+  t.root <- None;
+  t.root_hex <- None;
   t.blob <- None;
   t.n_digest_recompute <- t.n_digest_recompute + 1
 
-(* --- incremental updates ---------------------------------------------------- *)
+(* --- incremental updates ----------------------------------------------------
 
-let touch_breaker t b =
-  Crypto.Merkle.set_leaf_hash t.btree b.b_index (Crypto.Merkle.leaf_hash (breaker_leaf b));
-  refresh_root t;
+   A touch only marks the changed leaf; the next read hashes it. *)
+
+let touch t tree i =
+  Crypto.Merkle.mark tree i;
+  t.root <- None;
+  t.root_hex <- None;
   t.blob <- None
 
+let touch_breaker t b = touch t t.btree b.b_index
+
+(* Origins outside the topology all land on the spill leaf, the last. *)
 let touch_cursor t origin =
-  (match Hashtbl.find_opt t.cursor_index origin with
-  | Some i ->
-      Crypto.Merkle.set_leaf_hash t.ctree i
-        (Crypto.Merkle.leaf_hash (cursor_leaf origin (cursor_value t origin)))
-  | None ->
-      Crypto.Merkle.set_leaf_hash t.ctree (Array.length t.cursor_slots)
-        (Crypto.Merkle.leaf_hash (extras_blob t)));
-  refresh_root t;
-  t.blob <- None
+  touch t t.ctree
+    (Option.value ~default:(Array.length t.cursor_slots) (Hashtbl.find_opt t.cursor_index origin))
 
-let touch_telem t p =
-  Crypto.Merkle.set_leaf_hash t.ttree p.t_index (Crypto.Merkle.leaf_hash (telem_leaf p));
-  refresh_root t;
-  t.blob <- None
+let touch_telem t p = touch t t.ttree p.t_index
 
 (* --- construction ----------------------------------------------------------- *)
 
@@ -238,7 +226,7 @@ let create scenario =
       btree = placeholder;
       ctree = placeholder;
       ttree = placeholder;
-      root = Crypto.Sha256.digest "";
+      root = None;
       root_hex = None;
       blob = None;
       ops_applied = 0;
@@ -374,22 +362,35 @@ let telemetry_points t =
 
 (* --- digest ----------------------------------------------------------------- *)
 
+(* Hashes what is stale (see [Crypto.Merkle.tree_root]) and combines the
+   subtree roots once per read that follows a change. *)
+let root t =
+  match t.root with
+  | Some r -> r
+  | None ->
+      let r =
+        combine_roots (Crypto.Merkle.tree_root t.btree) (Crypto.Merkle.tree_root t.ctree)
+          (Crypto.Merkle.tree_root t.ttree)
+      in
+      t.root <- Some r;
+      r
+
 let digest_root t =
   t.n_digest_cached <- t.n_digest_cached + 1;
-  t.root
+  root t
 
 let digest t =
   t.n_digest_cached <- t.n_digest_cached + 1;
   match t.root_hex with
   | Some h -> h
   | None ->
-      let h = Crypto.Sha256.to_hex t.root in
+      let h = Crypto.Sha256.to_hex (root t) in
       t.root_hex <- Some h;
       h
 
-(* From-scratch recompute that deliberately bypasses the incremental
-   trees: differential tests and benches compare it against [digest] to
-   prove the O(log n) path never drifts. *)
+(* From-scratch recompute that deliberately bypasses the live trees:
+   differential tests and benches compare it against [digest] to prove
+   the mark-and-flush path never drifts. *)
 let recompute_digest t =
   let btree = build_btree t in
   let ctree = build_ctree t in

@@ -2,11 +2,12 @@
     last supervisory command, with canonical serialization and digest for
     the application-level state transfer (Section III-A).
 
-    The digest is maintained incrementally: Merkle trees over the
-    breakers (canonical order frozen at {!create}) and the per-origin
-    batch cursors are updated O(log n) per applied operation, so
-    {!digest} and {!digest_root} are O(1) cached reads — digest-voted
-    grid queries and invariant sweeps stop re-hashing the whole state. *)
+    The digest is maintained incrementally and hashed when it is read:
+    Merkle trees over the breakers (canonical order frozen at {!create}),
+    the per-origin batch cursors and the telemetry points. An applied
+    operation only marks the leaves it changed; {!digest} and
+    {!digest_root} hash those leaves and their ancestors, each once, and
+    are field reads when nothing changed since the last read. *)
 
 type t
 
@@ -53,16 +54,17 @@ val telemetry_points : t -> (string * int) list
     string without re-encoding. *)
 val serialize : t -> string
 
-(** Hex rendering of {!digest_root} — O(1), cached. *)
+(** Hex rendering of {!digest_root}, cached until the next change. *)
 val digest : t -> string
 
-(** The raw 32-byte state root — O(1) cached read, the preferred form
-    for digest voting and cross-replica comparison (no hex rendering). *)
+(** The raw 32-byte state root, the preferred form for digest voting and
+    cross-replica comparison (no hex rendering). Hashes only the leaves
+    changed since the last read. *)
 val digest_root : t -> Crypto.Sha256.digest
 
-(** From-scratch digest recompute that bypasses the incremental trees;
-    differential tests compare it with {!digest}. Does not mutate the
-    cached root. *)
+(** From-scratch digest recompute that bypasses the live trees;
+    differential tests compare it with {!digest}. Does not flush or
+    mutate the live trees or cached root. *)
 val recompute_digest : t -> string
 
 (** [(digest_cached, digest_recompute, serializations)] counters for

@@ -41,10 +41,10 @@ type data = {
 }
 
 (* Link-level liveness probes: the only messages sent on their own, one
-   HMAC each. *)
+   HMAC each. An ack names the daemon whose hello it answers. *)
 type link_inner =
   | Hello of { hfrom : node_id; hseq : int }
-  | Hello_ack of { afrom : node_id; hseq : int }
+  | Hello_ack of { afrom : node_id; ato : node_id; hseq : int }
 
 type Netbase.Packet.payload +=
   | Link_msg of { auth : string; encrypted : bool; inner : link_inner }
@@ -207,7 +207,7 @@ let encode_dst = function
 
 let encode_link_inner = function
   | Hello { hfrom; hseq } -> Printf.sprintf "hello:%d:%d" hfrom hseq
-  | Hello_ack { afrom; hseq } -> Printf.sprintf "ack:%d:%d" afrom hseq
+  | Hello_ack { afrom; ato; hseq } -> Printf.sprintf "ack:%d:%d:%d" afrom ato hseq
 
 let compute_auth t inner =
   match t.auth_sched with
@@ -551,18 +551,24 @@ let hello_tick t =
     t.links
 
 let handle_hello_ack t ~afrom =
-  (match Hashtbl.find_opt t.link_of_peer afrom with
-  | Some s -> s.last_ack <- Sim.Engine.now t.engine
-  | None -> ());
   match Hashtbl.find_opt t.link_of_peer afrom with
-  | Some s when not s.up -> mark_neighbor t afrom ~up:true
-  | _ -> ()
+  | Some s ->
+      s.last_ack <- Sim.Engine.now t.engine;
+      if not s.up then mark_neighbor t afrom ~up:true
+  | None -> ()
 
 (* --- receive ---------------------------------------------------------------- *)
 
-let handle_link_inner t = function
-  | Hello { hfrom; hseq } -> send_link t ~to_:hfrom (Hello_ack { afrom = t.id; hseq })
-  | Hello_ack { afrom; _ } -> handle_hello_ack t ~afrom
+(* An ack proves the link only if it comes from the peer that owns the
+   source address, answers this daemon, and answers one of its hellos
+   from the last [hello_timeout]: a replayed old ack cannot keep a dead
+   link up. *)
+let handle_link_inner t ~from = function
+  | Hello { hfrom; hseq } -> send_link t ~to_:hfrom (Hello_ack { afrom = t.id; ato = hfrom; hseq })
+  | Hello_ack { afrom; ato; hseq } ->
+      let rounds = Float.to_int (Float.ceil (t.config.hello_timeout /. t.config.hello_period)) in
+      if afrom = from && ato = t.id && hseq <= t.hello_seq && hseq > t.hello_seq - rounds then
+        handle_hello_ack t ~afrom
 
 let peer_of_ip t ip = Hashtbl.find_opt t.peer_by_ip ip
 
@@ -588,7 +594,7 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
         end
         else
           match peer_of_ip t src.Netbase.Addr.ip with
-          | Some _ -> handle_link_inner t inner
+          | Some from -> handle_link_inner t ~from inner
           | None -> Sim.Stats.Counter.incr t.counters "link.unknown_peer")
     | Link_frame { fr_auth; fr_header; fr_msgs } -> (
         if not (frame_auth_valid t ~auth:fr_auth fr_header) then begin

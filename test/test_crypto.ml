@@ -276,19 +276,20 @@ let prop_hmac_schedule_reuse =
               Crypto.Hmac.verify_sched sched ~tag m = not wrong)
         ops)
 
-(* Incremental leaf replacement must land on exactly the root a full
-   rebuild produces — across sizes that exercise promoted odd nodes. *)
-let test_merkle_set_leaf_matches_rebuild () =
+(* Marked leaves must land on exactly the root a full rebuild produces,
+   across sizes that exercise promoted odd nodes, when one read flushes
+   many marks at once. *)
+let test_merkle_marked_leaves_match_rebuild () =
   List.iter
     (fun n ->
       let leaves = Array.init n (fun i -> Printf.sprintf "leaf-%03d" i) in
-      let tree = Crypto.Merkle.build leaves in
+      let tree = Crypto.Merkle.init n (fun i -> Crypto.Merkle.leaf_hash leaves.(i)) in
       (* Deterministic pseudo-random walk over indices. *)
       let idx = ref 7 in
       for step = 0 to (4 * n) - 1 do
         idx := ((!idx * 31) + step) mod n;
         leaves.(!idx) <- Printf.sprintf "leaf-%03d-v%d" !idx step;
-        Crypto.Merkle.set_leaf_hash tree !idx (Crypto.Merkle.leaf_hash leaves.(!idx))
+        Crypto.Merkle.mark tree !idx
       done;
       let rebuilt = Crypto.Merkle.build leaves in
       check_str
@@ -296,6 +297,43 @@ let test_merkle_set_leaf_matches_rebuild () =
         (Crypto.Sha256.to_hex (Crypto.Merkle.tree_root rebuilt))
         (Crypto.Sha256.to_hex (Crypto.Merkle.tree_root tree)))
     [ 1; 2; 3; 5; 8; 13; 64; 1000 ]
+
+(* Any interleaving of leaf replacements (the same leaf often replaced
+   again, before and after a read) and reads: every read gives the root
+   of a tree built from scratch over the current leaves. *)
+let prop_merkle_lazy_matches_rebuild =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 1100 >>= fun n ->
+    let index = oneof [ int_bound (n - 1); int_bound (min 3 (n - 1)) ] in
+    let op = frequency [ (4, map Option.some (pair index small_nat)); (1, return None) ] in
+    pair (return n) (list_size (int_range 0 60) op)
+  in
+  let print (n, ops) =
+    Printf.sprintf "n=%d %s" n
+      (String.concat " "
+         (List.map
+            (function Some (i, v) -> Printf.sprintf "%d:=%d" i v | None -> "read")
+            ops))
+  in
+  QCheck.Test.make ~count:150 ~name:"merkle lazy root equals rebuild"
+    (QCheck.make ~print gen)
+    (fun (n, ops) ->
+      let hashes = Array.init n (fun i -> Crypto.Merkle.leaf_hash (string_of_int i)) in
+      let tree = Crypto.Merkle.build_of_leaf_hashes hashes in
+      let agrees () =
+        String.equal (Crypto.Merkle.tree_root tree)
+          (Crypto.Merkle.tree_root (Crypto.Merkle.build_of_leaf_hashes (Array.copy hashes)))
+      in
+      List.for_all
+        (function
+          | Some (i, v) ->
+              hashes.(i) <- Crypto.Merkle.leaf_hash (Printf.sprintf "%d-%d" i v);
+              Crypto.Merkle.mark tree i;
+              true
+          | None -> agrees ())
+        ops
+      && agrees ())
 
 let suite =
   [
@@ -314,13 +352,14 @@ let suite =
     ("merkle wrong leaf rejected", `Quick, test_merkle_wrong_leaf_rejected);
     ("merkle order matters", `Quick, test_merkle_root_depends_on_order);
     ("sha256 feed_bytes and restore", `Quick, test_sha256_feed_bytes_and_restore);
-    ("merkle set_leaf matches rebuild", `Quick, test_merkle_set_leaf_matches_rebuild);
+    ("merkle marked leaves match rebuild", `Quick, test_merkle_marked_leaves_match_rebuild);
     QCheck_alcotest.to_alcotest prop_hmac_schedule_equals_mac;
     QCheck_alcotest.to_alcotest prop_hmac_schedule_reuse;
     QCheck_alcotest.to_alcotest prop_sha256_split_invariance;
     QCheck_alcotest.to_alcotest prop_sha256_injective_smoke;
     QCheck_alcotest.to_alcotest prop_hmac_mac_list;
     QCheck_alcotest.to_alcotest prop_merkle_tamper_detected;
+    QCheck_alcotest.to_alcotest prop_merkle_lazy_matches_rebuild;
   ]
 
 let () = Alcotest.run "crypto" [ ("crypto", suite) ]

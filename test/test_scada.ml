@@ -457,7 +457,7 @@ let prop_state_blob_canonical =
 
 (* Differential property for the incremental digest: any interleaving of
    status/command/batch applies, snapshot loads, and resets leaves the
-   O(1) cached digest equal to a from-scratch recompute at every step. *)
+   digest equal to a from-scratch recompute at every step. *)
 let prop_state_incremental_matches_recompute =
   QCheck.Test.make ~count:200 ~name:"incremental digest equals from-scratch recompute"
     QCheck.(list_of_size Gen.(int_range 0 40) (pair small_nat bool))
@@ -494,6 +494,69 @@ let prop_state_incremental_matches_recompute =
           | _ -> Scada.State.reset s);
           if not (String.equal (Scada.State.digest s) (Scada.State.recompute_digest s)) then
             ok := false)
+        ops;
+      !ok && String.equal (Scada.State.digest s) (Scada.State.recompute_digest s))
+
+(* The same differential when the digest is read only now and then, as
+   the replicas read it: each read flushes every leaf marked since the
+   previous one, across a scenario large enough for promoted odd nodes
+   in all three trees. *)
+let prop_state_sparse_reads_match_recompute =
+  let scenario = Plc.Power.synthetic ~devices:24 () in
+  let breakers = Array.of_list (Plc.Power.all_breakers scenario) in
+  let points = Array.of_list (Power.Model.point_names (Power.Model.of_scenario scenario)) in
+  let origins =
+    Array.of_list (List.map (fun p -> "proxy-" ^ p.Plc.Power.plc_name) scenario.Plc.Power.plcs)
+  in
+  let pick a k = a.(k mod Array.length a) in
+  QCheck.Test.make ~count:200 ~name:"digest read at random steps equals recompute"
+    QCheck.(list_of_size Gen.(int_range 0 60) (quad (int_bound 9) small_nat bool (int_bound 3)))
+    (fun ops ->
+      let s = Scada.State.create scenario in
+      let saved = ref (Scada.State.serialize s) in
+      let ok = ref true in
+      List.iteri
+        (fun i (sel, k, flag, read) ->
+          let exec_seq = i + 1 in
+          let apply op = ignore (Scada.State.apply_changes s ~exec_seq op) in
+          (match sel with
+          | 0 | 1 -> apply (Scada.Op.Status { breaker = pick breakers k; closed = flag })
+          | 2 -> apply (Scada.Op.Command { breaker = pick breakers k; close = flag })
+          | 3 ->
+              apply
+                (Scada.Op.Batch
+                   {
+                     origin = pick origins k;
+                     cursor = exec_seq;
+                     reports =
+                       List.init 4 (fun j -> (pick breakers (k + (j * 7)), flag <> (j mod 2 = 0)));
+                   })
+          | 4 ->
+              apply
+                (Scada.Op.Batch
+                   { origin = Printf.sprintf "ghost-%d" (k mod 3); cursor = exec_seq;
+                     reports = [ (pick breakers k, flag) ] })
+          | 5 | 6 ->
+              apply
+                (Scada.Op.Telemetry
+                   {
+                     origin = pick origins k;
+                     cursor = exec_seq;
+                     readings =
+                       [
+                         (pick points k, k - 50);
+                         (pick points (k + 3), exec_seq);
+                         ("no-such-point", 1);
+                       ];
+                   })
+          | 7 -> saved := Scada.State.serialize s
+          | 8 -> (
+              match Scada.State.load s !saved with
+              | Ok () -> ()
+              | Error e -> failwith ("snapshot load failed: " ^ e))
+          | _ -> Scada.State.reset s);
+          if read = 0 && not (String.equal (Scada.State.digest s) (Scada.State.recompute_digest s))
+          then ok := false)
         ops;
       !ok && String.equal (Scada.State.digest s) (Scada.State.recompute_digest s))
 
@@ -658,6 +721,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_state_digest_deterministic;
     QCheck_alcotest.to_alcotest prop_state_incremental_matches_recompute;
     QCheck_alcotest.to_alcotest prop_state_blob_canonical;
+    QCheck_alcotest.to_alcotest prop_state_sparse_reads_match_recompute;
   ]
 
 let () = Alcotest.run "scada" [ ("scada", suite) ]

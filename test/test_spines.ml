@@ -1318,6 +1318,44 @@ let prop_window_seen_matches_mark =
           && seen = not (Spines.Window.mark w ~origin ~seq))
         ops)
 
+(* An attacker on the switch records 1's hellos and acks to 0, then, once
+   the 0-1 link is cut both ways, replays them every half second. The
+   old acks answer hellos 0 sent long ago, so 0 must still mark the link
+   down, and its next group message must reach 1 through 2. *)
+let test_replayed_hello_ack_keeps_no_link_up () =
+  let o = make_overlay (Spines.Topology.full_mesh [ 0; 1; 2 ]) in
+  let sinks = group_sinks o in
+  let attacker = Netbase.Host.create ~engine:o.engine ~trace:o.trace "mallory" in
+  let a_nic = Netbase.Host.add_nic attacker ~ip:(ip 10 0 0 99) in
+  let (_ : int) = Netbase.Host.plug_into_switch attacker a_nic o.switch in
+  let recording = ref true and recorded = ref [] in
+  Netbase.Switch.add_tap o.switch (fun frame ->
+      match frame.Netbase.Packet.l3 with
+      | Netbase.Packet.Ipv4 { src; dst; udp; _ }
+        when !recording
+             && Netbase.Addr.Ip.equal src (ip 10 0 0 2)
+             && Netbase.Addr.Ip.equal dst (ip 10 0 0 1)
+             && udp.Netbase.Packet.size = Spines.Node.overhead_bytes ->
+          recorded := frame :: !recorded
+      | _ -> ());
+  Sim.Engine.run ~until:2.0 o.engine;
+  recording := false;
+  check "acks recorded" true (!recorded <> []);
+  cut_links o [ (0, 1) ];
+  let (_ : Sim.Engine.timer) =
+    Sim.Engine.every o.engine ~period:0.5 (fun () ->
+        List.iter (Netbase.Host.inject_frame attacker a_nic) !recorded)
+  in
+  Sim.Engine.run ~until:10.0 o.engine;
+  check "0 marked its link to 1 down" true
+    (Sim.Trace.find o.trace ~category:"spines" ~contains:"node 0: link to 1 down" <> None);
+  Spines.Node.send o.nodes.(0) ~client:1 ~size:50 (Spines.Node.To_group "g")
+    (Netbase.Packet.Raw "after-cut");
+  Sim.Engine.run ~until:10.5 o.engine;
+  Array.iteri
+    (fun i sink -> check_int (Printf.sprintf "daemon %d once" i) 1 (List.length !sink))
+    sinks
+
 let suite =
   [
     ("full mesh", `Quick, test_full_mesh);
@@ -1363,6 +1401,7 @@ let suite =
     ("session group delivery exactly once", `Quick, test_session_group_delivery);
     ("session re-attach replaces groups", `Quick, test_session_reattach_replaces_groups);
     ("session group delivery after failover", `Quick, test_session_group_after_failover);
+    ("replayed hello ack keeps no link up", `Quick, test_replayed_hello_ack_keeps_no_link_up);
   ]
 
 let () = Alcotest.run "spines" [ ("spines", suite) ]
