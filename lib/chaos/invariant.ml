@@ -60,8 +60,8 @@ let create ?(liveness_bound = 20.0) ?(recovery_bound = 30.0) ~engine ~is_healthy
     liveness_bound;
     recovery_bound;
     is_healthy;
-    executed = Hashtbl.create 4096;
-    actuated = Hashtbl.create 1024;
+    executed = Hashtbl.create 64;
+    actuated = Hashtbl.create 16;
     violations = [];
     recoveries = [];
     recovery_latencies = [];

@@ -20,15 +20,17 @@ val counters : t -> Sim.Stats.Counter.t
 (** Callback fired once per update, when f + 1 matching replies arrive. *)
 val set_on_confirmed : t -> (client_seq:int -> latency:float -> unit) -> unit
 
-(** Submit an operation; sends to [targets] (default: all replicas).
-    Returns the client sequence number for tracking. *)
+(** Submit an operation; sends to [targets] (default: f + 1 replicas,
+    rotating with the sequence number). Returns the client sequence
+    number for tracking. *)
 val submit : ?targets:int list -> t -> op:string -> int
 
 (** Feed a [Client_reply] received from the network. *)
 val handle_reply : t -> Msg.t -> unit
 
-(** Periodically re-send unconfirmed updates to every replica (survives
-    message loss during network failover or replica recovery). *)
+(** Periodically re-send unconfirmed updates to every replica, oldest
+    first (survives message loss during network failover or replica
+    recovery). *)
 val enable_retransmit : t -> period:float -> unit
 
 val disable_retransmit : t -> unit

@@ -14,7 +14,10 @@ type t = {
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
   reconcile_period : float; (* missing-update re-request interval *)
   log_retention : int; (* ordered-log entries kept for catchup *)
-  checkpoint_interval : int; (* executions between durable checkpoints *)
+  checkpoint_interval : int;
+      (* executions between durable checkpoints; at the same boundaries a
+         replica releases executed ordering instances and pre-order
+         slots, so it holds one to two intervals of executed history *)
   wal_segment_size : int; (* bytes per WAL segment before rotation *)
   fsync_every : int; (* WAL appends between durability points *)
 }

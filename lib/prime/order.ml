@@ -17,7 +17,12 @@
    instance waiting for the reconciliation tick's relay. Only instances up
    to one past the highest pre-prepare seen are buffered, so a vote far
    ahead creates no state. A buffered vote counts only against the
-   accepted (view, digest), exactly like a vote arriving on time. *)
+   accepted (view, digest), exactly like a vote arriving on time.
+
+   Executed instances stay for commit-certificate serving until the
+   replica releases them at a checkpoint boundary ([release_below]);
+   below that low-water mark every message is stale and the caller drops
+   it before verification. *)
 
 type instance = {
   pp_seq : int;
@@ -48,7 +53,8 @@ type early = {
 type t = {
   config : Config.t;
   my_id : int;
-  instances : (int, instance) Hashtbl.t; (* by pp_seq *)
+  instances : (int, instance) Hashtbl.t; (* by pp_seq, none below [low_water] *)
+  mutable low_water : int; (* instances below it are released *)
   mutable next_exec_pp : int; (* lowest pp_seq not yet executed *)
   exec_cursor : int array; (* per-origin: preorder seq executed through *)
   mutable exec_seq : int; (* global execution counter *)
@@ -60,7 +66,8 @@ let create config ~my_id =
   {
     config;
     my_id;
-    instances = Hashtbl.create 1024;
+    instances = Hashtbl.create 64;
+    low_water = 1;
     next_exec_pp = 1;
     exec_cursor = Array.make config.Config.n 0;
     exec_seq = 0;
@@ -99,6 +106,25 @@ let exec_seq t = t.exec_seq
 let exec_cursor t = Array.copy t.exec_cursor
 
 let early_votes t = Hashtbl.length t.early
+
+let released t pp_seq = pp_seq < t.low_water
+
+(* Executed instances still held; everything from [next_exec_pp] up is in
+   flight. *)
+let retained_executed t =
+  Hashtbl.fold (fun pp _ acc -> if pp < t.next_exec_pp then acc + 1 else acc) t.instances 0
+
+(* A filter, not a walk over the released range: a jump of
+   [next_exec_pp] (state transfer) can span far more sequences than the
+   table holds. *)
+let release_below t pp_seq =
+  let pp_seq = min pp_seq t.next_exec_pp in
+  if pp_seq > t.low_water then begin
+    t.low_water <- pp_seq;
+    Hashtbl.filter_map_inplace
+      (fun pp inst -> if pp < pp_seq then None else Some inst)
+      t.instances
+  end
 
 let note_pp_seq t pp_seq = if pp_seq > t.max_seen_pp then t.max_seen_pp <- pp_seq
 

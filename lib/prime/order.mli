@@ -1,7 +1,12 @@
 (** Prime ordering state: pre-prepare/prepare/commit instances keyed by
     sequence, votes that arrived before their pre-prepare, deterministic
     execution of newly-eligible preordered updates, and prepared
-    certificates for view changes. *)
+    certificates for view changes.
+
+    Executed instances are kept (their commit authenticators form the
+    certificates served to laggards) until {!release_below} drops them;
+    the replica calls it at checkpoint boundaries, so an instance lives
+    one to two [checkpoint_interval]s of executions past its own. *)
 
 type t
 
@@ -22,6 +27,17 @@ val exec_cursor : t -> int array
 (** Number of (pp_seq, voter) keys holding early votes
     (see {!add_prepare}). *)
 val early_votes : t -> int
+
+(** Whether [pp_seq] lies below the low-water mark: its instance was
+    executed and released, and no message for it may create state. *)
+val released : t -> int -> bool
+
+(** Release every instance below [pp_seq] (capped at {!next_exec_pp}) and
+    raise the low-water mark to it. *)
+val release_below : t -> int -> unit
+
+(** Executed instances still held (below {!next_exec_pp}). *)
+val retained_executed : t -> int
 
 (** Accept a pre-prepare at time [now]. A higher view overrides
     (view-change re-proposal) and resets the quorum counters. Early votes

@@ -9,7 +9,12 @@
    material of the leader's proof matrix.
 
    This module is pure protocol state: the replica drives it and performs
-   all sending/signing. *)
+   all sending/signing.
+
+   Slots and acks are released per origin once they are both executed
+   and certified here ([release]); the replica does so at checkpoint
+   boundaries. At or below an origin's release point every message is
+   stale, and the replica drops it before verification. *)
 
 type slot = {
   mutable update : Msg.Update.t option;
@@ -25,6 +30,7 @@ type t = {
   mutable next_po_seq : int;
   aru : int array; (* my cumulative certified vector, indexed by origin *)
   floors : int array; (* per-origin reset floor: slots <= floor are void *)
+  released : int array; (* per-origin: slots and acks <= it are released *)
   summaries : Msg.summary option array; (* freshest signed summary per replica *)
   acked : (int * int, unit) Hashtbl.t; (* slots I already acked *)
   seen_updates : (string * int, unit) Hashtbl.t; (* client update dedup *)
@@ -39,13 +45,14 @@ let create config ~my_id =
   {
     config;
     my_id;
-    slots = Hashtbl.create 4096;
+    slots = Hashtbl.create 64;
     next_po_seq = 0;
     aru = Array.make config.Config.n 0;
     floors = Array.make config.Config.n 0;
+    released = Array.make config.Config.n 0;
     summaries = Array.make config.Config.n None;
-    acked = Hashtbl.create 4096;
-    seen_updates = Hashtbl.create 4096;
+    acked = Hashtbl.create 64;
+    seen_updates = Hashtbl.create 64;
     dirty = false;
     on_dirty = ignore;
     on_certified = None;
@@ -72,6 +79,35 @@ let aru t = Array.copy t.aru
 let floor_of t ~origin = t.floors.(origin)
 
 let next_po_seq t = t.next_po_seq
+
+let released t ~origin ~po_seq =
+  origin >= 0 && origin < Array.length t.released && po_seq <= t.released.(origin)
+
+(* Executed slots still held: at or below [cursor]. *)
+let retained_executed t ~cursor =
+  Hashtbl.fold
+    (fun (origin, po_seq) _ acc ->
+      if origin >= 0 && origin < Array.length cursor && po_seq <= cursor.(origin) then acc + 1 else acc)
+    t.slots 0
+
+(* Certification needs no released slot: the cumulative vector already
+   passed it. A filter, not a walk over the released range, because an
+   origin reset can move the cursor arbitrarily far. *)
+let release t ~cursor =
+  let moved = ref false in
+  Array.iteri
+    (fun origin c ->
+      let upto = min c t.aru.(origin) in
+      if upto > t.released.(origin) then begin
+        t.released.(origin) <- upto;
+        moved := true
+      end)
+    cursor;
+  if !moved then begin
+    let keep (origin, po_seq) = not (released t ~origin ~po_seq) in
+    Hashtbl.filter_map_inplace (fun key s -> if keep key then Some s else None) t.slots;
+    Hashtbl.filter_map_inplace (fun key () -> if keep key then Some () else None) t.acked
+  end
 
 (* A recovered origin restarts its own sequence above anything it may
    have used before (peers learn via the signed Origin_reset). *)

@@ -1,7 +1,10 @@
 (** Prime pre-ordering state: slot certification with 2f + k + 1
     endorsements, per-origin cumulative vectors (aru), summary storage,
     and matrix eligibility. Pure protocol state — the replica does all
-    signing and sending. *)
+    signing and sending.
+
+    Slots and acks are kept until {!release} drops those both executed
+    and certified; the replica calls it at checkpoint boundaries. *)
 
 type t
 
@@ -24,6 +27,17 @@ val next_po_seq : t -> int
 (** Per-origin reset floor: slots at or below it are void (skipped by
     execution). *)
 val floor_of : t -> origin:int -> int
+
+(** Whether [origin]'s slot [po_seq] is released: no message for it may
+    create state. False for an out-of-range origin. *)
+val released : t -> origin:int -> po_seq:int -> bool
+
+(** Release, per origin, every slot and ack at or below
+    [min cursor.(origin) (aru).(origin)]. *)
+val release : t -> cursor:int array -> unit
+
+(** Slots still held at or below [cursor] (already executed). *)
+val retained_executed : t -> cursor:int array -> int
 
 (** Restart my own sequence at [new_start] after a proactive recovery. *)
 val begin_reset : t -> new_start:int -> unit

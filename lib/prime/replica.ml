@@ -20,6 +20,18 @@
      their pre-prepare are counted by [Order], not dropped);
    - catchup probing.
 
+   State retention: each time a settled batch end enters a new
+   [checkpoint_interval] window of [exec_seq] (the points where the
+   durable store checkpoints) the replica records a mark, its
+   (next_exec_pp, execution cursor), and releases what lies below the
+   previous mark: ordering instances below its next_exec_pp, and per
+   origin the pre-order slots and acks at or below its cursor that are
+   also certified here. So executed protocol state lives one to two
+   intervals, and any message for released state is dropped before
+   verification. A replica lagging past that point catches up through
+   [Catchup_reply] entries ([log_retention] executions) or the
+   application's checkpoint transfer, as one past the log does.
+
    Misbehaviour knobs ([set_misbehavior]) model the attacks the
    benchmarks measure: a silently crashed leader, a leader delaying
    pre-prepares to just under the detection bound, and a leader censoring
@@ -130,6 +142,12 @@ type t = {
      that window would not be a deterministic function of the ordered
      history. *)
   mutable cursors_settled : bool;
+  (* The last mark recorded at a settled checkpoint boundary:
+     (next_exec_pp, execution cursor). The next boundary releases below
+     it. [mark_window] is the [checkpoint_interval] window of that
+     boundary. *)
+  mutable mark : (int * int array) option;
+  mutable mark_window : int;
 }
 
 (* Verified-signature cache entries per replica. *)
@@ -168,8 +186,8 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     last_summary_time = 0.0;
     tat_pending = [];
     origin_freshness = Hashtbl.create 8;
-    executed_clients = Hashtbl.create 1024;
-    exec_log = Hashtbl.create 4096;
+    executed_clients = Hashtbl.create 64;
+    exec_log = Hashtbl.create 64;
     awaiting_app_transfer = false;
     catchup_votes = Hashtbl.create 8;
     outstanding_recon = Hashtbl.create 64;
@@ -185,6 +203,8 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     on_execute_hooks = [];
     on_batch_hooks = [];
     cursors_settled = true;
+    mark = None;
+    mark_window = 0;
   }
   in
   (* Telemetry: certification has no single message of its own — it is
@@ -444,6 +464,24 @@ let maybe_rebase_origin t (s : Msg.summary) =
 
 (* --- execution -------------------------------------------------------------- *)
 
+(* A settled point of the agreed history. The first one inside a new
+   [checkpoint_interval] window moves the mark, releasing what lies below
+   the previous one; then the batch-end observers run. *)
+let settled_batch_end t =
+  if t.cursors_settled then begin
+    let window = Order.exec_seq t.order / t.config.Config.checkpoint_interval in
+    if window > t.mark_window then begin
+      (match t.mark with
+      | Some (next_exec_pp, cursor) ->
+          Order.release_below t.order next_exec_pp;
+          Preorder.release t.preorder ~cursor
+      | None -> ());
+      t.mark <- Some (Order.next_exec_pp t.order, Order.exec_cursor t.order);
+      t.mark_window <- window
+    end
+  end;
+  List.iter (fun h -> h ()) t.on_batch_hooks
+
 let request_missing t missing =
   List.iter
     (fun { Order.miss_origin; miss_po_seq } ->
@@ -479,7 +517,7 @@ let execute_ready t =
         end
         else Sim.Stats.Counter.incr t.counters "executed.duplicate_client_seq")
       executed;
-    if executed <> [] then List.iter (fun h -> h ()) t.on_batch_hooks;
+    if executed <> [] then settled_batch_end t;
     if missing <> [] then request_missing t missing
   end
 
@@ -1208,7 +1246,7 @@ let handle_catchup_reply t ~cr_entries ~cr_upto ~cr_behind_log ~cr_next_exec_pp 
               ~exec_seq:cr_upto ~cursor:cr_cursor;
             Preorder.install_floors t.preorder ~cursor:cr_cursor;
             t.cursors_settled <- true;
-            List.iter (fun h -> h ()) t.on_batch_hooks
+            settled_batch_end t
           end;
           if !applied > 0 then Sim.Stats.Counter.incr ~by:!applied t.counters "catchup.applied"
         end
@@ -1284,19 +1322,41 @@ let install_app_checkpoint t ~next_exec_pp ~exec_seq ~cursor ~client_seqs =
   List.iter (fun key -> Hashtbl.replace t.executed_clients key 0) client_seqs;
   t.awaiting_app_transfer <- false;
   t.cursors_settled <- true;
+  t.mark_window <- exec_seq / t.config.Config.checkpoint_interval;
   Sim.Stats.Counter.incr t.counters "app_checkpoint.installed"
 
+let exec_point t = (Order.next_exec_pp t.order, Order.exec_seq t.order, Order.exec_cursor t.order)
+
 let order_state t =
-  ( Order.next_exec_pp t.order,
-    Order.exec_seq t.order,
-    Order.exec_cursor t.order,
-    Hashtbl.fold (fun key _ acc -> key :: acc) t.executed_clients [] )
+  let next_exec_pp, exec_seq, cursor = exec_point t in
+  (next_exec_pp, exec_seq, cursor, Hashtbl.fold (fun key _ acc -> key :: acc) t.executed_clients [])
+
+let retained_history t =
+  ( Order.retained_executed t.order,
+    Preorder.retained_executed t.preorder ~cursor:(Order.exec_cursor t.order) )
 
 (* --- message dispatch ------------------------------------------------------------------ *)
+
+(* A message about a released slot or instance: already executed and
+   settled here, so it can neither change state nor need an answer. *)
+let released t = function
+  | Msg.Po_request { origin; po_seq; _ } -> Preorder.released t.preorder ~origin ~po_seq
+  | Msg.Po_ack { ack_origin; ack_po_seq; _ } ->
+      Preorder.released t.preorder ~origin:ack_origin ~po_seq:ack_po_seq
+  | Msg.Recon_reply { rp_origin; rp_po_seq; _ } ->
+      Preorder.released t.preorder ~origin:rp_origin ~po_seq:rp_po_seq
+  | Msg.Pre_prepare { pp_seq = s; _ }
+  | Msg.Prepare { prep_seq = s; _ }
+  | Msg.Commit { com_seq = s; _ }
+  | Msg.Order_cert { oc_seq = s; _ } ->
+      Order.released t.order s
+  | _ -> false
 
 let handle_message t msg =
   if t.running then begin
     Sim.Stats.Counter.incr t.counters "msg.rx";
+    if released t msg then Sim.Stats.Counter.incr t.counters "released.drop"
+    else
     match msg with
     | Msg.Update_msg u -> handle_client_update t u
     | Msg.Po_request { origin; po_seq; update; po_sig } ->
@@ -1424,6 +1484,8 @@ let restart_clean t =
   Hashtbl.reset t.exec_log;
   t.awaiting_app_transfer <- false;
   t.cursors_settled <- true;
+  t.mark <- None;
+  t.mark_window <- 0;
   Hashtbl.reset t.catchup_votes;
   Hashtbl.reset t.outstanding_recon;
   t.po_assigned_by_last_tick <- 0;

@@ -107,6 +107,16 @@ val restart_clean : t -> unit
     client-op set) for application-level state transfer. *)
 val order_state : t -> int * int * int array * (string * int) list
 
+(** The first three components of {!order_state}, without the client
+    set: the cursors a durable mark records. *)
+val exec_point : t -> int * int * int array
+
+(** Ordering instances and pre-order slots still held for history this
+    replica has already executed. Both stay within one to two
+    [checkpoint_interval]s of executions: what lies below the previous
+    checkpoint boundary is released. Read-only. *)
+val retained_history : t -> int * int
+
 (** Install the checkpoint matching an application-level state transfer;
     clears the pending-transfer flag. *)
 val install_app_checkpoint :

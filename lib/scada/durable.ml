@@ -150,7 +150,7 @@ let on_execute t ~exec_seq (u : Prime.Msg.Update.t) =
 
 let on_batch_end t =
   if Prime.Replica.cursors_settled t.replica then begin
-    let next_exec_pp, exec_seq, cursor, _ = Prime.Replica.order_state t.replica in
+    let next_exec_pp, exec_seq, cursor = Prime.Replica.exec_point t.replica in
     Store.Wal.append t.wal
       (encode_record
          (Mark { m_next_exec_pp = next_exec_pp; m_exec_seq = exec_seq; m_cursor = cursor }));

@@ -30,7 +30,7 @@ let create ?(retention = 4096) ~needed () =
     needed;
     retention;
     votes = Hashtbl.create 64;
-    decided = Hashtbl.create 256;
+    decided = Hashtbl.create 16;
     decided_order = Queue.create ();
     tick = 0;
     evictions = 0;

@@ -845,6 +845,129 @@ let prop_eligibility_matches_sorted_column =
         (fun origin -> Prime.Preorder.eligible_up_to config matrix ~origin = reference origin)
         (List.init n Fun.id))
 
+(* --- state retention ------------------------------------------------------------ *)
+
+(* [checkpoint_interval] executions per retention window. *)
+let retention_interval = 16
+
+let retention_config () =
+  Prime.Config.create ~f:1 ~k:0 ~checkpoint_interval:retention_interval ()
+
+(* A paced stream of [count] updates from one client, [gap] apart from
+   [start], to the default f + 1 rotating targets. *)
+let submit_stream c client ~prefix ~start ~gap ~count =
+  for i = 1 to count do
+    ignore
+      (Sim.Engine.schedule c.engine ~delay:(start +. (gap *. float_of_int i)) (fun () ->
+           ignore (Prime.Client.submit client ~op:(Printf.sprintf "%s-%d" prefix i))))
+  done
+
+(* Over 600 updates (two origins each, so 1 200 executions), what a
+   replica holds for history it has executed stays within two
+   checkpoint intervals: the mark moves at each interval boundary and
+   releases what lies below the previous one. *)
+let test_state_bounded_by_checkpoint_interval () =
+  let c = make_cluster ~config:(retention_config ()) () in
+  let client = add_client c "hmi" in
+  submit_stream c client ~prefix:"bounded" ~start:0.0 ~gap:0.01 ~count:600;
+  let worst = Array.make 4 (0, 0) in
+  ignore
+    (Sim.Engine.every c.engine ~period:0.005 (fun () ->
+         Array.iteri
+           (fun id r ->
+             let instances, slots = Prime.Replica.retained_history r in
+             let wi, ws = worst.(id) in
+             worst.(id) <- (max wi instances, max ws slots))
+           c.replicas));
+  run c ~until:8.0;
+  Array.iteri
+    (fun id r ->
+      let executed = Prime.Replica.exec_seq r in
+      check (Printf.sprintf "replica %d executed all (%d)" id executed) true (executed >= 1200);
+      let instances, slots = worst.(id) in
+      let bound = 2 * retention_interval in
+      check
+        (Printf.sprintf "replica %d: at most %d executed instances held (%d)" id bound instances)
+        true (instances <= bound);
+      check
+        (Printf.sprintf "replica %d: at most %d executed slots held (%d)" id bound slots)
+        true (slots <= bound))
+    c.replicas
+
+(* Validly signed messages for the first slot and instance, recorded as
+   they crossed the mesh and replayed once both are released, are
+   dropped unverified: no state, no signature check, no answer. *)
+let test_replayed_released_messages_create_no_state () =
+  let c = make_cluster ~config:(retention_config ()) () in
+  let client = add_client c "hmi" in
+  let recorded = ref [] in
+  let replaying = ref false and answers = ref 0 in
+  c.drop <-
+    (fun ~src ~dst msg ->
+      (if dst = 1 then
+         match msg with
+         | Prime.Msg.Po_request { po_seq = 1; _ }
+         | Prime.Msg.Po_ack { ack_po_seq = 1; _ }
+         | Prime.Msg.Pre_prepare { pp_seq = 1; _ }
+         | Prime.Msg.Prepare { prep_seq = 1; _ }
+         | Prime.Msg.Commit { com_seq = 1; _ } ->
+             recorded := msg :: !recorded
+         | _ -> ());
+      if !replaying && src = 1 then incr answers;
+      false);
+  submit_stream c client ~prefix:"replay" ~start:0.0 ~gap:0.01 ~count:100;
+  run c ~until:3.0;
+  let kinds =
+    List.sort_uniq compare
+      (List.map
+         (function
+           | Prime.Msg.Po_request _ -> "po-request"
+           | Prime.Msg.Po_ack _ -> "po-ack"
+           | Prime.Msg.Pre_prepare _ -> "pre-prepare"
+           | Prime.Msg.Prepare _ -> "prepare"
+           | _ -> "commit")
+         !recorded)
+  in
+  check "every kind recorded" true
+    (kinds = [ "commit"; "po-ack"; "po-request"; "pre-prepare"; "prepare" ]);
+  let r = c.replicas.(1) in
+  check "replica 1 executed past two intervals" true
+    (Prime.Replica.exec_seq r > 2 * retention_interval);
+  let held = Prime.Replica.retained_history r in
+  let counter name = Sim.Stats.Counter.get (Prime.Replica.counters r) name in
+  let checks () = counter "crypto.verify" + counter "crypto.cache_hit" in
+  let checks_before = checks () in
+  replaying := true;
+  List.iter (Prime.Replica.handle_message r) (List.rev !recorded);
+  replaying := false;
+  check "retained state unchanged" true (Prime.Replica.retained_history r = held);
+  check_int "no ack, prepare or commit sent" 0 !answers;
+  check_int "no signature checked" checks_before (checks ());
+  check_int "every replay dropped" (List.length !recorded) (counter "released.drop")
+
+(* A replica cut off for more than two intervals finds its peers'
+   history released: it rejoins through catchup entries and ends with
+   the same execution history as the others. *)
+let test_laggard_past_release_point_rejoins () =
+  let c = make_cluster ~config:(retention_config ()) () in
+  let client = add_client c "hmi" in
+  let isolated = ref true in
+  c.drop <- (fun ~src ~dst _ -> !isolated && (src = 3 || dst = 3));
+  submit_stream c client ~prefix:"cut" ~start:0.0 ~gap:0.02 ~count:100;
+  run c ~until:3.0;
+  check "peers moved past two intervals" true
+    (Prime.Replica.exec_seq c.replicas.(0) > 2 * retention_interval
+    && Prime.Replica.exec_seq c.replicas.(3) = 0);
+  isolated := false;
+  submit_stream c client ~prefix:"healed" ~start:0.0 ~gap:0.02 ~count:20;
+  run c ~until:10.0;
+  let final = Prime.Replica.exec_seq c.replicas.(0) in
+  Array.iteri
+    (fun id r -> check_int (Printf.sprintf "replica %d exec_seq" id) final (Prime.Replica.exec_seq r))
+    c.replicas;
+  check "laggard's history equals replica 0's" true (exec_history c 3 = exec_history c 0);
+  check "laggard used catchup" true (replica_counter c 3 "catchup.applied" > 0)
+
 let suite =
   [
     ("single update executes everywhere", `Quick, test_single_update_executes_everywhere);
@@ -881,6 +1004,9 @@ let suite =
     ("order: early votes match view and digest", `Quick, test_order_early_votes_match_view_and_digest);
     ("order: early-vote window", `Quick, test_order_early_window);
     ("order: executed instance's entries gone", `Quick, test_order_executed_instance_entries_gone);
+    ("prime state bounded by checkpoint interval", `Quick, test_state_bounded_by_checkpoint_interval);
+    ("replayed released messages create no state", `Quick, test_replayed_released_messages_create_no_state);
+    ("laggard past the release point rejoins", `Quick, test_laggard_past_release_point_rejoins);
   ]
 
 let () = Alcotest.run "prime" [ ("prime", suite) ]
