@@ -4,29 +4,31 @@
    simultaneously be down for proactive recovery requires
    n = 3f + 2k + 1 replicas, with quorums of 2f + k + 1. The red-team
    deployment used f = 1, k = 0 (4 replicas, no automatic recovery); the
-   power-plant deployment used f = 1, k = 1 (6 replicas). *)
+   power-plant deployment used f = 1, k = 1 (6 replicas).
+
+   The protocol's timer periods are constants, not fields: no deployment
+   tunes them. *)
+
+let delta_pp = 0.03 (* minimum spacing of the leader's pre-prepares; also its idle tick *)
+let summary_period = 0.01 (* minimum spacing of a replica's PO-summaries *)
+let heartbeat_period = 0.5 (* idle-leader pre-prepare heartbeat *)
+let tat_check_period = 0.25 (* suspect-leader evaluation interval *)
+let reconcile_period = 0.1 (* missing-update re-request interval *)
 
 type t = {
   f : int; (* tolerated intrusions *)
   k : int; (* simultaneous proactive recoveries *)
   n : int;
   quorum : int; (* 2f + k + 1 *)
-  delta_pp : float; (* minimum spacing of the leader's pre-prepares; also its idle tick *)
-  summary_period : float; (* minimum spacing of a replica's PO-summaries *)
-  heartbeat_period : float; (* idle-leader pre-prepare heartbeat *)
-  tat_check_period : float; (* suspect-leader evaluation interval *)
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
-  reconcile_period : float; (* missing-update re-request interval *)
   log_retention : int; (* ordered-log entries kept for catchup *)
   checkpoint_interval : int; (* executions between durable checkpoints *)
   wal_segment_size : int; (* bytes per WAL segment before rotation *)
   fsync_every : int; (* WAL appends between durability points *)
 }
 
-let create ?(f = 1) ?(k = 0) ?(delta_pp = 0.03) ?(summary_period = 0.01)
-    ?(heartbeat_period = 0.5) ?(tat_check_period = 0.25) ?(tat_allowance = 0.25)
-    ?(reconcile_period = 0.1) ?(log_retention = 1000) ?(checkpoint_interval = 64)
-    ?(wal_segment_size = 64 * 1024) ?(fsync_every = 8) () =
+let create ?(f = 1) ?(k = 0) ?(tat_allowance = 0.25) ?(log_retention = 1000)
+    ?(checkpoint_interval = 64) ?(wal_segment_size = 64 * 1024) ?(fsync_every = 8) () =
   if f < 1 then invalid_arg "Config.create: f must be >= 1";
   if k < 0 then invalid_arg "Config.create: k must be >= 0";
   if checkpoint_interval < 1 then invalid_arg "Config.create: checkpoint_interval must be >= 1";
@@ -37,12 +39,7 @@ let create ?(f = 1) ?(k = 0) ?(delta_pp = 0.03) ?(summary_period = 0.01)
     k;
     n = (3 * f) + (2 * k) + 1;
     quorum = (2 * f) + k + 1;
-    delta_pp;
-    summary_period;
-    heartbeat_period;
-    tat_check_period;
     tat_allowance;
-    reconcile_period;
     log_retention;
     checkpoint_interval;
     wal_segment_size;

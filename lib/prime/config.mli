@@ -1,18 +1,30 @@
 (** Prime replication parameters: n = 3f + 2k + 1 replicas tolerate f
     intrusions while k replicas undergo proactive recovery, with quorums
-    of 2f + k + 1. *)
+    of 2f + k + 1. The timer periods no deployment tunes are constants. *)
+
+(** Minimum spacing of the leader's pre-prepares; also its idle tick
+    (30 ms). *)
+val delta_pp : float
+
+(** Minimum spacing of a replica's PO-summaries (10 ms). *)
+val summary_period : float
+
+(** Idle-leader pre-prepare heartbeat, and the idle summary refresh
+    (0.5 s). *)
+val heartbeat_period : float
+
+(** Suspect-leader evaluation interval (0.25 s). *)
+val tat_check_period : float
+
+(** Missing-update re-request and retransmission interval (0.1 s). *)
+val reconcile_period : float
 
 type t = {
   f : int; (* tolerated intrusions *)
   k : int; (* simultaneous proactive recoveries *)
   n : int; (* 3f + 2k + 1 *)
   quorum : int; (* 2f + k + 1 *)
-  delta_pp : float; (* minimum spacing of the leader's pre-prepares; also its idle tick *)
-  summary_period : float; (* minimum spacing of a replica's PO-summaries *)
-  heartbeat_period : float; (* idle-leader pre-prepare heartbeat *)
-  tat_check_period : float; (* suspect-leader evaluation interval *)
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
-  reconcile_period : float; (* missing-update re-request interval *)
   log_retention : int; (* ordered-log entries kept for catchup *)
   checkpoint_interval : int;
       (* executions between durable checkpoints; at the same boundaries a
@@ -27,12 +39,7 @@ type t = {
 val create :
   ?f:int ->
   ?k:int ->
-  ?delta_pp:float ->
-  ?summary_period:float ->
-  ?heartbeat_period:float ->
-  ?tat_check_period:float ->
   ?tat_allowance:float ->
-  ?reconcile_period:float ->
   ?log_retention:int ->
   ?checkpoint_interval:int ->
   ?wal_segment_size:int ->

@@ -21,16 +21,18 @@
    - catchup probing.
 
    State retention: each time a settled batch end enters a new
-   [checkpoint_interval] window of [exec_seq] (the points where the
-   durable store checkpoints) the replica records a mark, its
-   (next_exec_pp, execution cursor), and releases what lies below the
-   previous mark: ordering instances below its next_exec_pp, and per
-   origin the pre-order slots and acks at or below its cursor that are
-   also certified here. So executed protocol state lives one to two
-   intervals, and any message for released state is dropped before
+   [checkpoint_interval] window of [exec_seq], the replica records a
+   mark, its (next_exec_pp, execution cursor), and releases what lies
+   below the previous mark: ordering instances below its next_exec_pp,
+   and per origin the pre-order slots and acks at or below its cursor
+   that are also certified here. So executed protocol state lives one to
+   two intervals, and any message for released state is dropped before
    verification. A replica lagging past that point catches up through
    [Catchup_reply] entries ([log_retention] executions) or the
-   application's checkpoint transfer, as one past the log does.
+   application's checkpoint transfer, as one past the log does. The
+   same marks are the checkpoint schedule: the batch-end observer is
+   told [~checkpoint:true] exactly when the mark moved, so the durable
+   store snapshots where Prime releases, and nowhere else.
 
    Misbehaviour knobs ([set_misbehavior]) model the attacks the
    benchmarks measure: a silently crashed leader, a leader delaying
@@ -134,12 +136,12 @@ type t = {
      same point of the agreed history. Fired after each fully-executed
      batch and after a catchup reply is adopted in full — never mid-batch,
      where [Order.try_execute] has already advanced the cursors past the
-     update currently being applied. *)
-  mutable on_batch_hooks : (unit -> unit) list;
+     update currently being applied. [~checkpoint] says the mark moved. *)
+  mutable on_batch_end : checkpoint:bool -> unit;
   (* False while catchup entries are being adopted: [Order.exec_cursor] and
      [next_exec_pp] lag the true execution point until the responder's
-     cursors are installed at [cr_upto], so durable checkpoints taken in
-     that window would not be a deterministic function of the ordered
+     cursors are installed at [cr_upto], so no mark or checkpoint taken in
+     that window would be a deterministic function of the ordered
      history. *)
   mutable cursors_settled : bool;
   (* The last mark recorded at a settled checkpoint boundary:
@@ -201,7 +203,7 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     misbehavior = Honest;
     counters = Sim.Stats.Counter.create ();
     on_execute_hooks = [];
-    on_batch_hooks = [];
+    on_batch_end = (fun ~checkpoint:_ -> ());
     cursors_settled = true;
     mark = None;
     mark_window = 0;
@@ -265,9 +267,7 @@ let set_misbehavior t m = t.misbehavior <- m
    both observe executions. *)
 let set_on_execute t hook = t.on_execute_hooks <- t.on_execute_hooks @ [ hook ]
 
-let set_on_batch_end t hook = t.on_batch_hooks <- t.on_batch_hooks @ [ hook ]
-
-let cursors_settled t = t.cursors_settled
+let set_on_batch_end t hook = t.on_batch_end <- hook
 
 let now t = Sim.Engine.now t.engine
 
@@ -349,7 +349,7 @@ let emit_delay = 0.001
 let schedule_summary t =
   if t.running && t.summary_due = None then begin
     let time =
-      Float.max (now t +. emit_delay) (t.last_summary_time +. t.config.Config.summary_period)
+      Float.max (now t +. emit_delay) (t.last_summary_time +. Config.summary_period)
     in
     t.summary_due <-
       Some
@@ -464,13 +464,15 @@ let maybe_rebase_origin t (s : Msg.summary) =
 
 (* --- execution -------------------------------------------------------------- *)
 
-(* A settled point of the agreed history. The first one inside a new
+(* A batch end. At a settled point, the first one inside a new
    [checkpoint_interval] window moves the mark, releasing what lies below
-   the previous one; then the batch-end observers run. *)
+   the previous one; then the batch-end observer runs, told whether the
+   mark moved. *)
 let settled_batch_end t =
   if t.cursors_settled then begin
     let window = Order.exec_seq t.order / t.config.Config.checkpoint_interval in
-    if window > t.mark_window then begin
+    let checkpoint = window > t.mark_window in
+    if checkpoint then begin
       (match t.mark with
       | Some (next_exec_pp, cursor) ->
           Order.release_below t.order next_exec_pp;
@@ -478,9 +480,9 @@ let settled_batch_end t =
       | None -> ());
       t.mark <- Some (Order.next_exec_pp t.order, Order.exec_cursor t.order);
       t.mark_window <- window
-    end
-  end;
-  List.iter (fun h -> h ()) t.on_batch_hooks
+    end;
+    t.on_batch_end ~checkpoint
+  end
 
 let request_missing t missing =
   List.iter
@@ -630,7 +632,7 @@ let forget_proposal t =
    pre-prepare that the quorum's summaries are about to make useful.
    Turnaround and freshness coverage still come within two periods. *)
 let rec emit_pre_prepare ?delay_broadcast ?(tick = false) t =
-  let heartbeat_due = now t -. t.last_pp_time >= t.config.Config.heartbeat_period in
+  let heartbeat_due = now t -. t.last_pp_time >= Config.heartbeat_period in
   let changed = heartbeat_due || proposal_changed t in
   if tick && changed && (not heartbeat_due) && not t.change_waiting then t.change_waiting <- true
   else if changed then begin
@@ -697,7 +699,7 @@ and emit_equivocation t =
    previous one. It goes through [leader_tick], so misbehaviour knobs
    apply as on the tick. *)
 and schedule_pre_prepare t =
-  let time = Float.max (now t +. emit_delay) (t.last_pp_time +. t.config.Config.delta_pp) in
+  let time = Float.max (now t +. emit_delay) (t.last_pp_time +. Config.delta_pp) in
   t.pp_due <-
     Some
       (Sim.Engine.schedule_at t.engine ~time (fun () ->
@@ -1048,7 +1050,7 @@ let period_slack = 1e-9
    mean a replica that saw the votes before the pre-prepare needs no
    relay either. *)
 let reconcile_tick t =
-  let horizon = now t -. t.config.Config.reconcile_period in
+  let horizon = now t -. Config.reconcile_period in
   Hashtbl.iter
     (fun (origin, po_seq) asked ->
       if asked < horizon then begin
@@ -1410,7 +1412,7 @@ let start t =
       schedule_summary t;
       check_eligibility t);
   let summary_timer =
-    Sim.Engine.every t.engine ~period:t.config.Config.summary_period (fun () ->
+    Sim.Engine.every t.engine ~period:Config.summary_period (fun () ->
         if not (silent t) then begin
           (* Refresh periodically: a lost summary must not leave the
              leader's matrix stale forever once traffic quiesces. A vector
@@ -1418,7 +1420,7 @@ let start t =
           if Preorder.dirty t.preorder then schedule_summary t
           else if
             aru_sum (Preorder.aru t.preorder) > 0
-            && now t -. t.last_summary_time >= t.config.Config.heartbeat_period
+            && now t -. t.last_summary_time >= Config.heartbeat_period
           then emit_summary ~arm_tat:false t
         end)
   in
@@ -1427,18 +1429,18 @@ let start t =
      idle heartbeat. It stands aside while a pre-prepare is scheduled or
      one went out less than [delta_pp] ago. *)
   let pp_timer =
-    Sim.Engine.every t.engine ~period:t.config.Config.delta_pp (fun () ->
+    Sim.Engine.every t.engine ~period:Config.delta_pp (fun () ->
         if
           t.pp_due = None
-          && now t -. t.last_pp_time >= t.config.Config.delta_pp -. period_slack
+          && now t -. t.last_pp_time >= Config.delta_pp -. period_slack
         then leader_tick ~tick:true t)
   in
   let tat_timer =
-    Sim.Engine.every t.engine ~period:t.config.Config.tat_check_period (fun () ->
+    Sim.Engine.every t.engine ~period:Config.tat_check_period (fun () ->
         if not (silent t) then tat_check t)
   in
   let recon_timer =
-    Sim.Engine.every t.engine ~period:t.config.Config.reconcile_period (fun () ->
+    Sim.Engine.every t.engine ~period:Config.reconcile_period (fun () ->
         if not (silent t) then reconcile_tick t)
   in
   let catchup_timer =

@@ -70,20 +70,19 @@ val set_misbehavior : t -> misbehavior -> unit
     fires in registration order and survives [restart_clean]. *)
 val set_on_execute : t -> (exec_seq:int -> Msg.Update.t -> unit) -> unit
 
-(** Register an observer invoked whenever execution reaches a settled
+(** Set the observer invoked whenever execution reaches a settled
     point: after each fully-executed batch and after a catchup reply is
-    adopted in full. At that moment [order_state] and the application
-    state describe the same point of the agreed history (mid-batch they
-    do not — [Order.try_execute] advances cursors wholesale before
-    per-update hooks run). Observers accumulate, as with
-    {!set_on_execute}. *)
-val set_on_batch_end : t -> (unit -> unit) -> unit
-
-(** False while catchup-applied entries have not yet adopted the
-    responder's ordering cursors: in that window [order_state] cursors
-    lag the execution point, so durable checkpoints should wait for the
-    next settled execution boundary. *)
-val cursors_settled : t -> bool
+    adopted in full, never while catchup entries still lag the
+    responder's cursors. At that moment [order_state] and the
+    application state describe the same point of the agreed history
+    (mid-batch they do not — [Order.try_execute] advances cursors
+    wholesale before per-update hooks run). [~checkpoint] is [true] at
+    the first such point in each new [checkpoint_interval] window of
+    [exec_seq], where the replica moves its release mark: a pure
+    function of the agreed history, so every replica is told at the same
+    point, and the one place the checkpoint schedule is decided. There
+    is one observer (the durable store); a second call replaces it. *)
+val set_on_batch_end : t -> (checkpoint:bool -> unit) -> unit
 
 (** Deliver a protocol message from the transport. *)
 val handle_message : t -> Msg.t -> unit

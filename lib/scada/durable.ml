@@ -14,7 +14,13 @@
      catchup.
    - [install_from_peer] (lagging or disk wiped): adopt a peer checkpoint
      that won f + 1 matching-root votes, then restart the local log from
-     that point.
+     that point and persist the adopted checkpoint.
+
+   A peer asking for state is served [transfer_checkpoint]: the latest
+   checkpoint on disk, or, in a run too young to have taken one, one
+   built from the current state exactly as the periodic checkpoint is
+   (not persisted). Its root is producer-independent, so f + 1 replicas
+   at the same point still match.
 
    Two consistency subtleties shape the WAL record format:
 
@@ -29,9 +35,10 @@
      re-fetched through normal Prime catchup.
    - The checkpoint schedule must be a pure function of the agreed
      history, or transfer votes on the root could never reach f + 1
-     matches: a checkpoint fires at the first settled batch end whose
-     exec_seq enters a new [checkpoint_interval] window, which every
-     replica observes at the same point. *)
+     matches. [Prime.Replica] owns it: its batch-end observer is told
+     [~checkpoint:true] at the first settled batch end whose exec_seq
+     enters a new [checkpoint_interval] window (where it moves its
+     release mark), which every replica observes at the same point. *)
 
 type t = {
   keystore : Crypto.Signature.keystore;
@@ -44,11 +51,6 @@ type t = {
   counters : Sim.Stats.Counter.t;
   mutable latest : Store.Checkpoint.t option;
   mutable slot : int; (* next checkpoint slot, alternating 0/1 *)
-  mutable last_ck_window : int;
-      (* last [checkpoint_interval] window whose boundary has been
-         crossed by a settled exec_seq — a pure function of the agreed
-         history, so every replica (including one that just recovered)
-         fires its next checkpoint at the same batch end *)
   mutable transfer_bytes : int;
 }
 
@@ -117,8 +119,6 @@ let persist_checkpoint t ck =
   Store.Media.fsync t.media ~file;
   t.slot <- 1 - t.slot;
   t.latest <- Some ck;
-  t.last_ck_window <-
-    max t.last_ck_window (ck.Store.Checkpoint.ck_exec_seq / t.checkpoint_interval);
   (* Sealed segments below the live one are fully covered by the
      checkpoint now on disk. *)
   ignore (Store.Wal.gc_before t.wal ~segment:(Store.Wal.current_segment t.wal));
@@ -128,14 +128,15 @@ let persist_checkpoint t ck =
       (Printf.sprintf "replica %d checkpointed exec %d"
          (Prime.Replica.id t.replica) ck.Store.Checkpoint.ck_exec_seq)
 
-let take_checkpoint t =
+(* A checkpoint of the current execution point, signed by this replica. *)
+let snapshot t =
   let next_exec_pp, exec_seq, cursor, client_seqs = Prime.Replica.order_state t.replica in
-  let ck =
-    Store.Checkpoint.make ~keypair:t.keypair ~replica:(Prime.Replica.id t.replica)
-      ~next_exec_pp ~exec_seq ~cursor ~client_seqs ~app_state:(State.serialize t.state)
-      ~app_root:(State.digest_root t.state)
-  in
-  persist_checkpoint t ck
+  Store.Checkpoint.make ~keypair:t.keypair ~replica:(Prime.Replica.id t.replica)
+    ~next_exec_pp ~exec_seq ~cursor ~client_seqs ~app_state:(State.serialize t.state)
+    ~app_root:(State.digest_root t.state)
+
+let transfer_checkpoint t =
+  match t.latest with Some ck -> ck | None -> snapshot t
 
 let on_execute t ~exec_seq (u : Prime.Msg.Update.t) =
   Store.Wal.append t.wal
@@ -148,18 +149,16 @@ let on_execute t ~exec_seq (u : Prime.Msg.Update.t) =
             x_op = u.Prime.Msg.Update.op;
           }))
 
-let on_batch_end t =
-  if Prime.Replica.cursors_settled t.replica then begin
-    let next_exec_pp, exec_seq, cursor = Prime.Replica.exec_point t.replica in
-    Store.Wal.append t.wal
-      (encode_record
-         (Mark { m_next_exec_pp = next_exec_pp; m_exec_seq = exec_seq; m_cursor = cursor }));
-    (* Batch ends are agreed points of the ordered history, so "first
-       settled batch end inside a new interval window" fires at the same
-       exec_seq on every replica — which is what lets transfer votes on
-       the checkpoint root reach f + 1 matches. *)
-    if exec_seq / t.checkpoint_interval > t.last_ck_window then take_checkpoint t
-  end
+(* Settled batch ends are agreed points of the ordered history, and the
+   replica says [~checkpoint] at the same exec_seq on every replica —
+   which is what lets transfer votes on the checkpoint root reach f + 1
+   matches. *)
+let on_batch_end t ~checkpoint =
+  let next_exec_pp, exec_seq, cursor = Prime.Replica.exec_point t.replica in
+  Store.Wal.append t.wal
+    (encode_record
+       (Mark { m_next_exec_pp = next_exec_pp; m_exec_seq = exec_seq; m_cursor = cursor }));
+  if checkpoint then persist_checkpoint t (snapshot t)
 
 (* --- recovery ---------------------------------------------------------------- *)
 
@@ -307,13 +306,11 @@ let local_recover t =
       false
     end
     else begin
-      let installed_exec = ref base_exec in
       let installed =
         match (install, ck) with
         | Some (next_exec_pp, exec_seq, cursor), _ ->
             Prime.Replica.install_app_checkpoint t.replica ~next_exec_pp ~exec_seq ~cursor
               ~client_seqs:(base_keys @ keys);
-            installed_exec := exec_seq;
             true
         | None, Some c ->
             Prime.Replica.install_app_checkpoint t.replica
@@ -327,11 +324,6 @@ let local_recover t =
       (match best with
       | Some (slot, _) -> t.slot <- 1 - slot (* next write targets the other slot *)
       | None -> t.slot <- 0);
-      (* The schedule is a function of the settled exec point, not of
-         when this replica last wrote a slot: a recovered replica's next
-         checkpoint then fires at the same window boundary as steady
-         peers, keeping the roots matchable for future rejoiners. *)
-      t.last_ck_window <- !installed_exec / t.checkpoint_interval;
       if installed then begin
         Sim.Stats.Counter.incr ~by:(max 1 replayed) t.counters "durable.recovered_records";
         Sim.Stats.Counter.incr t.counters "durable.local_recover"
@@ -384,14 +376,6 @@ let install_from_peer t ck =
              (Store.Checkpoint.size ck));
       Ok ()
 
-(* Adoption of a full [App_state_reply] (peers had no checkpoint yet):
-   the replica jumped to [exec_seq] outside the local log's history, so
-   the log must be rebased the same way a checkpoint adoption does — a
-   WAL spanning the jump would replay a discontinuous suffix. *)
-let rebase t ~next_exec_pp ~exec_seq ~cursor =
-  restart_log_at t ~next_exec_pp ~exec_seq ~cursor;
-  t.last_ck_window <- exec_seq / t.checkpoint_interval
-
 (* --- lifecycle --------------------------------------------------------------- *)
 
 let on_crash t = Store.Media.crash t.media
@@ -401,7 +385,6 @@ let wipe_disk t =
   Store.Wal.reset t.wal;
   t.latest <- None;
   t.slot <- 0;
-  t.last_ck_window <- 0;
   if flight_on () then
     flight ~severity:Obs.Flight.Alarm ~kind:"disk.wipe"
       (Printf.sprintf "replica %d: durable media wiped" (Prime.Replica.id t.replica))
@@ -422,23 +405,23 @@ let create ~keystore ~keypair ~config ~replica ~state ~media =
       counters = Sim.Stats.Counter.create ();
       latest = None;
       slot = 0;
-      last_ck_window = 0;
       transfer_bytes = 0;
     }
   in
   Prime.Replica.set_on_execute replica (fun ~exec_seq u -> on_execute t ~exec_seq u);
-  Prime.Replica.set_on_batch_end replica (fun () -> on_batch_end t);
+  Prime.Replica.set_on_batch_end replica (fun ~checkpoint -> on_batch_end t ~checkpoint);
   (* Health probe; no-op unless a harness enabled [Obs.Probe]. *)
   Obs.Probe.register Obs.Probe.default
     ~name:(Printf.sprintf "store.durable.%d" (Prime.Replica.id replica))
     (fun () ->
       let exec = Prime.Replica.exec_seq t.replica in
+      let ck_exec =
+        match t.latest with Some ck -> ck.Store.Checkpoint.ck_exec_seq | None -> 0
+      in
       [
-        ( "ck_exec",
-          float_of_int
-            (match t.latest with Some ck -> ck.Store.Checkpoint.ck_exec_seq | None -> 0) );
+        ("ck_exec", float_of_int ck_exec);
         ( "ck_lag_windows",
-          float_of_int ((exec / t.checkpoint_interval) - t.last_ck_window) );
+          float_of_int ((exec / t.checkpoint_interval) - (ck_exec / t.checkpoint_interval)) );
         ("wal_records", float_of_int (Store.Wal.records_appended t.wal));
         ("wal_segments", float_of_int (Store.Wal.segment_count t.wal));
       ]);

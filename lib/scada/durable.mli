@@ -1,13 +1,16 @@
 (** Durable state for one SCADA master / Prime replica pair: a
     write-ahead log of executed updates plus periodic authenticated
     checkpoints on the replica's simulated device, with local (disk
-    intact) and peer (f + 1 verified checkpoint) recovery paths. *)
+    intact) and peer (f + 1 verified checkpoint) recovery paths. The
+    checkpoint is the only form in which state moves between masters. *)
 
 type t
 
 (** Creates the WAL on [media] (reopening any surviving segments) and
-    registers an execute observer on [replica] that logs every update
-    and checkpoints each [config.checkpoint_interval] executions. *)
+    registers observers on [replica] that log every update, mark every
+    settled batch end, and checkpoint where the replica says to (the
+    first settled batch end in each [config.checkpoint_interval]
+    window). *)
 val create :
   keystore:Crypto.Signature.keystore ->
   keypair:Crypto.Signature.keypair ->
@@ -29,9 +32,11 @@ val latest_checkpoint : t -> Store.Checkpoint.t option
 (** Bytes of checkpoint payload adopted from peers. *)
 val transfer_bytes : t -> int
 
-(** Force a checkpoint at the current execution point (the periodic path
-    calls this automatically at settled execution boundaries). *)
-val take_checkpoint : t -> unit
+(** The checkpoint a peer's state-transfer request is answered with:
+    {!latest_checkpoint} if there is one, else one built from the
+    current state exactly as the periodic checkpoint is, signed but not
+    persisted (a run too young to have checkpointed). *)
+val transfer_checkpoint : t -> Store.Checkpoint.t
 
 (** Disk-intact recovery: load the best verified checkpoint slot, replay
     the WAL suffix, and fast-forward the replica. Returns [false] when
@@ -42,15 +47,11 @@ val take_checkpoint : t -> unit
     through the f + 1-voted peer transfer instead. *)
 val local_recover : t -> bool
 
-(** Adopt a peer checkpoint that won f + 1 matching-root votes: load its
-    application state, fast-forward the replica, restart the local log
-    from that point. *)
+(** Adopt a peer checkpoint that won f + 1 matching-root votes: bind its
+    blob to the voted app root, load its application state, fast-forward
+    the replica, restart the local log from that point and persist the
+    checkpoint. *)
 val install_from_peer : t -> Store.Checkpoint.t -> (unit, string) result
-
-(** The replica adopted an install point outside the local log's history
-    without a checkpoint to persist (full [App_state_reply] transfer):
-    restart the log at that point so it never spans the jump. *)
-val rebase : t -> next_exec_pp:int -> exec_seq:int -> cursor:int array -> unit
 
 (** Power loss: the device drops its unsynced tails. *)
 val on_crash : t -> unit

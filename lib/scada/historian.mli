@@ -1,8 +1,7 @@
-(** SCADA historian (the testbed's PI server): an append-only archive
-    over a growable array. Unlike the masters' active state, lost history
-    is unrecoverable — the Section III-A asymmetry. A historian backed by
-    a durable device ({!attach_store}) narrows a breach's loss to the
-    unsynced tail of its write-ahead log. *)
+(** SCADA historian (the testbed's PI server): an append-only in-memory
+    archive over a growable array, indexed by time. Unlike the masters'
+    active state, lost history is unrecoverable — the Section III-A
+    asymmetry. *)
 
 type event = { time : float; source : string; kind : string; detail : string }
 
@@ -10,6 +9,9 @@ type t
 
 val create : unit -> t
 
+(** Raises [Invalid_argument] when [time] is below the last recorded
+    time: every caller stamps events with the simulation clock, so the
+    archive stays sorted. *)
 val record : t -> time:float -> source:string -> kind:string -> detail:string -> unit
 
 (** All events in recording order. *)
@@ -17,24 +19,12 @@ val events : t -> event list
 
 val length : t -> int
 
-(** Events with [time >= t], in recording order. Binary search while
-    recorded times are monotone; linear scan otherwise. *)
+(** Events with [time >= t], in recording order, by binary search. *)
 val since : t -> float -> event list
 
 val by_kind : t -> string -> event list
 
-(** Back the archive with a write-ahead log on [media] (a device
-    dedicated to this historian). History already on the device is
-    replayed into memory, counted by {!recovered_events}. *)
-val attach_store : t -> Store.Media.t -> unit
-
-(** Assumption breach. Plain historian: everything archived is gone.
-    Store-backed: the device loses its unsynced tail, the fsynced prefix
-    replays back, and only the tail counts as lost. *)
+(** Assumption breach: everything archived is gone. *)
 val wipe : t -> unit
 
 val lost_events : t -> int
-
-(** Events repopulated from the durable log across {!attach_store} and
-    {!wipe}. *)
-val recovered_events : t -> int

@@ -86,25 +86,8 @@ let apply_display_update t ~exec_seq ~breaker ~closed =
         end
       end
 
-let handle_hmi_state t ~rep ~exec_seq ~breaker ~closed signature =
-  let body = Messages.encode_hmi_state ~rep ~exec_seq ~breaker ~closed in
-  let valid =
-    Crypto.Signature.verify t.keystore ~signer:(Prime.Msg.replica_identity rep) body signature
-  in
-  if not valid then Sim.Stats.Counter.incr t.counters "display.bad_sig"
-  else begin
-    let key = Printf.sprintf "%d:%s:%b" exec_seq breaker closed in
-    if Threshold.vote t.display_gate ~key ~voter:rep then begin
-      if Obs.Flight.recording Obs.Flight.default then
-        Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
-          ~severity:Obs.Flight.Info ~subsystem:"scada" ~kind:"gate.display"
-          (Printf.sprintf "%s: display gate crossed for %s" t.name key);
-      apply_display_update t ~exec_seq ~breaker ~closed
-    end
-  end
-
-(* Batched display push: one signature check and one f + 1 gate vote for
-   the whole change set, then each cell repaints under the usual monotone
+(* Display push: one signature check and one f + 1 gate vote for the
+   whole change set, then each cell repaints under the usual monotone
    exec_seq rule. The vote key is the canonical encoding, so replicas
    must agree on the exact change list — a compromised master cannot
    smuggle a divergent subset through the gate. *)
@@ -131,10 +114,6 @@ let handle_hmi_batch t ~rep ~exec_seq ~changes signature =
 
 let handle_payload t payload =
   match payload with
-  | Messages.Scada_msg (Messages.Hmi_state { hs_rep; hs_exec_seq; hs_breaker; hs_closed; hs_sig })
-    ->
-      handle_hmi_state t ~rep:hs_rep ~exec_seq:hs_exec_seq ~breaker:hs_breaker
-        ~closed:hs_closed hs_sig
   | Messages.Scada_msg (Messages.Hmi_batch { hb_rep; hb_exec_seq; hb_changes; hb_sig }) ->
       handle_hmi_batch t ~rep:hb_rep ~exec_seq:hb_exec_seq ~changes:hb_changes hb_sig
   | Prime.Msg.Prime_msg reply -> Prime.Client.handle_reply t.client reply

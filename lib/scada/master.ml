@@ -3,9 +3,11 @@
    The division of labour follows Section III-A: Prime orders updates;
    the master applies them to the application state, drives proxies and
    HMIs, and owns the application-level state transfer that Prime's
-   catchup signals for. The master signs its outbound commands with the
-   replica's key so proxies and HMIs can hold every replica to the f + 1
-   agreement threshold. *)
+   catchup signals for. A transfer always moves a checkpoint: the
+   rejoiner adopts the first root f + 1 distinct replicas vouch for, and
+   persists it through its durable store. The master signs its outbound
+   commands and display pushes with the replica's key so proxies and
+   HMIs can hold every replica to the f + 1 agreement threshold. *)
 
 type net = {
   broadcast_masters : Netbase.Packet.payload -> size:int -> unit; (* internal network *)
@@ -23,8 +25,8 @@ type t = {
   state : State.t;
   net : net;
   mutable awaiting_transfer : bool;
-  transfer_votes : (string, int list * Messages.t) Hashtbl.t;
-      (* vote key -> distinct authenticated voter ids, sample reply *)
+  transfer_votes : (string, int list * Store.Checkpoint.t) Hashtbl.t;
+      (* checkpoint root -> distinct authenticated voter ids, sample checkpoint *)
   mutable transfer_timer : Sim.Engine.timer option;
   counters : Sim.Stats.Counter.t;
   mutable on_apply : (exec_seq:int -> Op.t -> unit) list;
@@ -52,20 +54,9 @@ let proxy_endpoint_for_breaker t breaker =
 
 let sign t body = Crypto.Signature.sign t.keypair body
 
-let push_hmi_state t ~exec_seq ~breaker ~closed =
-  let body =
-    Messages.encode_hmi_state ~rep:(id t) ~exec_seq ~breaker ~closed
-  in
-  let msg =
-    Messages.Hmi_state
-      { hs_rep = id t; hs_exec_seq = exec_seq; hs_breaker = breaker; hs_closed = closed;
-        hs_sig = sign t body }
-  in
-  t.net.push_hmis (Messages.Scada_msg msg) ~size:(Messages.size msg)
-
-(* One display push per applied batch op: the whole change set rides one
-   signed message, sent once for every HMI, instead of one message per
-   breaker. *)
+(* One display push per applied status or batch op that changed the
+   state: the whole change set rides one signed message, sent once for
+   every HMI, instead of one message per breaker. *)
 let push_hmi_batch t ~exec_seq ~changes =
   let body = Messages.encode_hmi_batch ~rep:(id t) ~exec_seq ~changes in
   let msg =
@@ -94,71 +85,42 @@ let apply_update t ~exec_seq (u : Prime.Msg.Update.t) =
       let changes = State.apply_changes t.state ~exec_seq op in
       List.iter (fun f -> f ~exec_seq op) t.on_apply;
       (match op with
-      | Op.Status { breaker; closed } ->
-          Sim.Stats.Counter.incr t.counters "apply.status";
-          if changes <> [] then begin
-            Obs.Registry.mark Obs.Registry.default ~trace:u.Prime.Msg.Update.op
-              ~stage:Obs.Registry.stage_push ~time:(Sim.Engine.now t.engine);
-            push_hmi_state t ~exec_seq ~breaker ~closed
-          end
+      | Op.Status _ -> Sim.Stats.Counter.incr t.counters "apply.status"
+      | Op.Batch _ ->
+          Sim.Stats.Counter.incr t.counters "apply.batch";
+          Sim.Stats.Counter.incr ~by:(Op.updates op) t.counters "apply.batch_updates"
       | Op.Command { breaker; close } ->
           Sim.Stats.Counter.incr t.counters "apply.command";
           send_breaker_command t ~exec_seq ~breaker ~close
-      | Op.Batch _ ->
-          Sim.Stats.Counter.incr t.counters "apply.batch";
-          Sim.Stats.Counter.incr ~by:(Op.updates op) t.counters "apply.batch_updates";
-          if changes <> [] then begin
-            (* Per-breaker push marks keep the span pipeline seeing one
-               report per device even though the wire carried one op. *)
-            List.iter
-              (fun (name, closed) ->
-                Obs.Registry.mark_status Obs.Registry.default ~breaker:name ~closed
-                  ~stage:Obs.Registry.stage_push ~time:(Sim.Engine.now t.engine))
-              changes;
-            push_hmi_batch t ~exec_seq ~changes
-          end
       | Op.Telemetry _ ->
           (* Measurements update the replicated state (and therefore the
              digest) but carry no position changes, so nothing is pushed
              to HMIs — operators read them via the grid overview path. *)
-          Sim.Stats.Counter.incr t.counters "apply.telemetry")
+          Sim.Stats.Counter.incr t.counters "apply.telemetry");
+      (* Only status and batch ops change positions. Per-breaker push
+         marks keep the span pipeline seeing one report per device even
+         though the wire carried one op. *)
+      if changes <> [] then begin
+        List.iter
+          (fun (name, closed) ->
+            Obs.Registry.mark_status Obs.Registry.default ~breaker:name ~closed
+              ~stage:Obs.Registry.stage_push ~time:(Sim.Engine.now t.engine))
+          changes;
+        push_hmi_batch t ~exec_seq ~changes
+      end
 
 (* --- application-level state transfer -------------------------------------- *)
 
-let reply_vote_key ~state_blob ~next_exec_pp ~exec_seq ~cursor ~client_seqs =
-  Crypto.Sha256.to_hex
-    (Crypto.Sha256.digest
-       (Messages.encode_app_state_reply ~rep:0 ~state_blob ~next_exec_pp ~exec_seq ~cursor
-          ~client_seqs))
-
+(* Every reply is a checkpoint: the latest on disk, or one built from
+   the current state when this run has none yet. The requester votes by
+   its Merkle root and replays forward from there. *)
 let send_state_reply t =
-  (* Serve the latest authenticated checkpoint — the requester votes by
-     its Merkle root and replays forward from there. Without a checkpoint
-     yet (young run) fall back to the full App_state_reply. *)
-  match Durable.latest_checkpoint t.durable with
-  | Some ck ->
-      let vote = Messages.encode_checkpoint_reply ~rep:(id t) ~root:ck.Store.Checkpoint.ck_root in
-      let msg =
-        Messages.Checkpoint_reply { ckr_rep = id t; ckr_ck = ck; ckr_sig = sign t vote }
-      in
-      Sim.Stats.Counter.incr t.counters "transfer.reply_sent";
-      Sim.Stats.Counter.incr ~by:(Messages.size msg) t.counters "transfer.bytes_sent";
-      t.net.broadcast_masters (Messages.Scada_msg msg) ~size:(Messages.size msg)
-  | None ->
-      let next_exec_pp, exec_seq, cursor, client_seqs = Prime.Replica.order_state t.replica in
-      let state_blob = State.serialize t.state in
-      let body =
-        Messages.encode_app_state_reply ~rep:(id t) ~state_blob ~next_exec_pp ~exec_seq ~cursor
-          ~client_seqs
-      in
-      let msg =
-        Messages.App_state_reply
-          { rep = id t; state_blob; next_exec_pp; exec_seq; cursor; client_seqs;
-            reply_sig = sign t body }
-      in
-      Sim.Stats.Counter.incr t.counters "transfer.reply_sent";
-      Sim.Stats.Counter.incr ~by:(Messages.size msg) t.counters "transfer.bytes_sent";
-      t.net.broadcast_masters (Messages.Scada_msg msg) ~size:(Messages.size msg)
+  let ck = Durable.transfer_checkpoint t.durable in
+  let vote = Messages.encode_checkpoint_reply ~rep:(id t) ~root:ck.Store.Checkpoint.ck_root in
+  let msg = Messages.Checkpoint_reply { ckr_rep = id t; ckr_ck = ck; ckr_sig = sign t vote } in
+  Sim.Stats.Counter.incr t.counters "transfer.reply_sent";
+  Sim.Stats.Counter.incr ~by:(Messages.size msg) t.counters "transfer.bytes_sent";
+  t.net.broadcast_masters (Messages.Scada_msg msg) ~size:(Messages.size msg)
 
 let request_state_transfer t =
   Sim.Stats.Counter.incr t.counters "transfer.requested";
@@ -198,111 +160,72 @@ let transfer_done t ~exec_seq =
   Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"scada"
     "master %d: application state transfer complete at exec %d" (id t) exec_seq
 
-(* Returns [true] when the reply installed; a [false] lets the caller
-   drop the vote entry so later (retried) replies can re-earn f + 1. *)
-let finish_state_transfer t (reply : Messages.t) =
-  match reply with
-  | Messages.App_state_reply { state_blob; next_exec_pp; exec_seq; cursor; client_seqs; _ } -> (
-      match State.load t.state state_blob with
-      | Ok () ->
-          Prime.Replica.install_app_checkpoint t.replica ~next_exec_pp ~exec_seq ~cursor
-            ~client_seqs;
-          (* The local log precedes this install point; rebase it so
-             recovery never replays across the jump. *)
-          Durable.rebase t.durable ~next_exec_pp ~exec_seq ~cursor;
-          transfer_done t ~exec_seq;
-          true
-      | Error e ->
-          Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"scada"
-            "master %d: rejected state blob: %s" (id t) e;
-          false)
-  | Messages.Checkpoint_reply { ckr_ck = ck; _ } -> (
-      let exec_seq = ck.Store.Checkpoint.ck_exec_seq in
-      match Durable.install_from_peer t.durable ck with
-      | Ok () ->
-          transfer_done t ~exec_seq;
-          true
-      | Error e ->
-          Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"scada"
-            "master %d: rejected peer checkpoint: %s" (id t) e;
-          false)
-  | _ -> false
+(* Returns [true] when the checkpoint installed; a [false] lets the
+   caller drop the vote entry so later (retried) replies can re-earn
+   f + 1. *)
+let finish_state_transfer t ck =
+  match Durable.install_from_peer t.durable ck with
+  | Ok () ->
+      transfer_done t ~exec_seq:ck.Store.Checkpoint.ck_exec_seq;
+      true
+  | Error e ->
+      Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"scada"
+        "master %d: rejected peer checkpoint: %s" (id t) e;
+      false
 
-(* Count one vote from authenticated replica [voter] for [key]. Votes
-   are deduplicated by voter id: a single replica replaying its reply
-   (or answering every 1s retry round) still contributes one vote, so
-   f + 1 votes always involve f + 1 distinct replicas — at least one of
-   them correct. *)
-let record_transfer_vote t ~key ~voter reply =
+(* Count one vote from authenticated replica [voter] for [ck]'s root.
+   Votes are deduplicated by voter id: a single replica replaying its
+   reply (or answering every 1s retry round) still contributes one vote,
+   so f + 1 votes always involve f + 1 distinct replicas — at least one
+   of them correct. *)
+let record_transfer_vote t ~voter ck =
+  let root = ck.Store.Checkpoint.ck_root in
   let voters =
-    match Hashtbl.find_opt t.transfer_votes key with Some (vs, _) -> vs | None -> []
+    match Hashtbl.find_opt t.transfer_votes root with Some (vs, _) -> vs | None -> []
   in
   if not (List.mem voter voters) then begin
     let voters = voter :: voters in
-    Hashtbl.replace t.transfer_votes key (voters, reply);
+    Hashtbl.replace t.transfer_votes root (voters, ck);
     if List.length voters >= t.config.Prime.Config.f + 1 then
-      if not (finish_state_transfer t reply) then
+      if not (finish_state_transfer t ck) then
         (* Failed install (e.g. a blob that does not match the voted
-           root): forget this key so the next retry round can earn a
+           root): forget this root so the next retry round can earn a
            fresh f + 1 on a healthy reply. *)
-        Hashtbl.remove t.transfer_votes key
+        Hashtbl.remove t.transfer_votes root
   end
 
-let handle_state_reply t (reply : Messages.t) =
-  match reply with
-  | Messages.Checkpoint_reply { ckr_rep; ckr_ck; ckr_sig } when t.awaiting_transfer ->
-      Sim.Stats.Counter.incr ~by:(Messages.size reply) t.counters "transfer.bytes_received";
-      (* Two signatures, two roles: the checkpoint's own signature pins
-         it to the replica that produced it (which may differ from the
-         sender when the sender itself adopted it from a peer), while
-         [ckr_sig] binds the *sender* to the root it vouches for — the
-         authenticated identity the vote is counted under. Trust in the
-         content comes from f + 1 distinct replicas vouching for the
-         same root. *)
-      let producer = ckr_ck.Store.Checkpoint.ck_replica in
-      let valid =
-        producer >= 0
-        && producer < t.config.Prime.Config.n
-        && ckr_rep >= 0
-        && ckr_rep < t.config.Prime.Config.n
-        && Store.Checkpoint.verify ~keystore:t.keystore
-             ~signer:(Prime.Msg.replica_identity producer) ckr_ck
-        && Crypto.Signature.verify t.keystore
-             ~signer:(Prime.Msg.replica_identity ckr_rep)
-             (Messages.encode_checkpoint_reply ~rep:ckr_rep
-                ~root:ckr_ck.Store.Checkpoint.ck_root)
-             ckr_sig
-      in
-      if valid then
-        let key = "ck:" ^ Crypto.Sha256.to_hex ckr_ck.Store.Checkpoint.ck_root in
-        record_transfer_vote t ~key ~voter:ckr_rep reply
-  | Messages.App_state_reply { rep; state_blob; next_exec_pp; exec_seq; cursor; client_seqs; reply_sig }
-    when t.awaiting_transfer ->
-      let body =
-        Messages.encode_app_state_reply ~rep ~state_blob ~next_exec_pp ~exec_seq ~cursor
-          ~client_seqs
-      in
-      let valid =
-        rep >= 0
-        && rep < t.config.Prime.Config.n
-        && Crypto.Signature.verify t.keystore ~signer:(Prime.Msg.replica_identity rep) body
-             reply_sig
-      in
-      if valid then
-        let key = reply_vote_key ~state_blob ~next_exec_pp ~exec_seq ~cursor ~client_seqs in
-        record_transfer_vote t ~key ~voter:rep reply
-  | _ -> ()
+let handle_state_reply t ~rep ~ck ~signature ~size =
+  if t.awaiting_transfer then begin
+    Sim.Stats.Counter.incr ~by:size t.counters "transfer.bytes_received";
+    (* Two signatures, two roles: the checkpoint's own signature pins it
+       to the replica that produced it (which may differ from the sender
+       when the sender itself adopted it from a peer), while [signature]
+       binds the *sender* to the root it vouches for — the authenticated
+       identity the vote is counted under. Trust in the content comes
+       from f + 1 distinct replicas vouching for the same root. *)
+    let producer = ck.Store.Checkpoint.ck_replica in
+    let valid =
+      producer >= 0
+      && producer < t.config.Prime.Config.n
+      && rep >= 0
+      && rep < t.config.Prime.Config.n
+      && Store.Checkpoint.verify ~keystore:t.keystore
+           ~signer:(Prime.Msg.replica_identity producer) ck
+      && Crypto.Signature.verify t.keystore ~signer:(Prime.Msg.replica_identity rep)
+           (Messages.encode_checkpoint_reply ~rep ~root:ck.Store.Checkpoint.ck_root)
+           signature
+    in
+    if valid then record_transfer_vote t ~voter:rep ck
+  end
 
 let handle_payload t payload =
   match payload with
   | Messages.Scada_msg (Messages.App_state_request { asr_rep }) ->
       if asr_rep <> id t && not t.awaiting_transfer then send_state_reply t
-  | Messages.Scada_msg ((Messages.App_state_reply _ | Messages.Checkpoint_reply _) as reply) ->
-      handle_state_reply t reply
-  | Messages.Scada_msg (Messages.Breaker_command _) | Messages.Scada_msg (Messages.Hmi_state _)
-    ->
-      () (* destined for proxies / HMIs, not masters *)
-  | _ -> ()
+  | Messages.Scada_msg (Messages.Checkpoint_reply { ckr_rep; ckr_ck; ckr_sig } as reply) ->
+      handle_state_reply t ~rep:ckr_rep ~ck:ckr_ck ~signature:ckr_sig
+        ~size:(Messages.size reply)
+  | _ -> () (* breaker commands and display pushes are for proxies and HMIs *)
 
 (* Ground-truth reset (Section III-A): after an assumption breach the
    masters abandon historical state; the field devices are authoritative

@@ -4,13 +4,13 @@
      The proxy only obeys after f + 1 distinct replicas send the same
      command for the same execution point — a compromised master alone
      cannot move a breaker.
-   - [Hmi_state]: a replica pushes a display update; the HMI likewise
-     requires f + 1 agreeing replicas before repainting.
-   - [App_state_request]/[App_state_reply]: the application-level state
-     transfer protocol between SCADA masters (Section III-A). Replies are
-     accepted once f + 1 carry the same digest.
-   - [Checkpoint_reply]: the durable-store variant of a transfer reply —
-     an authenticated [Store.Checkpoint.t]; the requester votes by the
+   - [Hmi_batch]: a replica pushes the status changes one applied op
+     produced (one change for a [Status] op, many for a [Batch]); the
+     HMI likewise requires f + 1 replicas pushing the same change set at
+     the same execution point before repainting.
+   - [App_state_request]/[Checkpoint_reply]: the application-level state
+     transfer between SCADA masters (Section III-A). Every reply is an
+     authenticated [Store.Checkpoint.t]; the requester votes by the
      checkpoint's Merkle root and accepts once f + 1 *distinct* replicas
      vouch for the same root. The checkpoint's own signature pins it to
      the replica that produced it; [ckr_sig] separately binds the sending
@@ -25,13 +25,6 @@ type t =
       bc_close : bool;
       bc_sig : Crypto.Signature.t;
     }
-  | Hmi_state of {
-      hs_rep : int;
-      hs_exec_seq : int;
-      hs_breaker : string;
-      hs_closed : bool;
-      hs_sig : Crypto.Signature.t;
-    }
   | Hmi_batch of {
       hb_rep : int;
       hb_exec_seq : int;
@@ -39,15 +32,6 @@ type t =
       hb_sig : Crypto.Signature.t;
     }
   | App_state_request of { asr_rep : int }
-  | App_state_reply of {
-      rep : int;
-      state_blob : string;
-      next_exec_pp : int;
-      exec_seq : int;
-      cursor : int array;
-      client_seqs : (string * int) list;
-      reply_sig : Crypto.Signature.t;
-    }
   | Checkpoint_reply of {
       ckr_rep : int;
       ckr_ck : Store.Checkpoint.t;
@@ -59,9 +43,6 @@ type Netbase.Packet.payload += Scada_msg of t
 let encode_breaker_command ~rep ~exec_seq ~breaker ~close =
   Printf.sprintf "bc:%d:%d:%s:%d" rep exec_seq breaker (if close then 1 else 0)
 
-let encode_hmi_state ~rep ~exec_seq ~breaker ~closed =
-  Printf.sprintf "hs:%d:%d:%s:%d" rep exec_seq breaker (if closed then 1 else 0)
-
 let encode_hmi_batch ~rep ~exec_seq ~changes =
   Printf.sprintf "hb:%d:%d:%s" rep exec_seq
     (String.concat ","
@@ -70,36 +51,20 @@ let encode_hmi_batch ~rep ~exec_seq ~changes =
 let encode_checkpoint_reply ~rep ~root =
   Printf.sprintf "ckr:%d:%s" rep (Crypto.Sha256.to_hex root)
 
-let encode_app_state_reply ~rep ~state_blob ~next_exec_pp ~exec_seq ~cursor ~client_seqs =
-  Printf.sprintf "asr:%d:%d:%d:%s:%s:%s" rep next_exec_pp exec_seq
-    (String.concat "," (Array.to_list (Array.map string_of_int cursor)))
-    (String.concat ","
-       (List.map (fun (c, s) -> Printf.sprintf "%s=%d" c s)
-          (List.sort compare client_seqs)))
-    state_blob
-
 let size = function
-  | Breaker_command _ | Hmi_state _ -> 80 + Crypto.Signature.size_bytes
+  | Breaker_command _ -> 80 + Crypto.Signature.size_bytes
   | Hmi_batch { hb_changes; _ } ->
       40 + (12 * List.length hb_changes) + Crypto.Signature.size_bytes
   | App_state_request _ -> 40
-  | App_state_reply { state_blob; cursor; client_seqs; _ } ->
-      80 + Crypto.Signature.size_bytes + String.length state_blob
-      + (8 * Array.length cursor)
-      + (24 * List.length client_seqs)
   | Checkpoint_reply { ckr_ck; _ } ->
       16 + Crypto.Signature.size_bytes + Store.Checkpoint.size ckr_ck
 
 let describe = function
   | Breaker_command { bc_rep; bc_breaker; bc_close; _ } ->
       Printf.sprintf "breaker-command %s=%b from replica %d" bc_breaker bc_close bc_rep
-  | Hmi_state { hs_rep; hs_breaker; hs_closed; _ } ->
-      Printf.sprintf "hmi-state %s=%b from replica %d" hs_breaker hs_closed hs_rep
   | Hmi_batch { hb_rep; hb_changes; _ } ->
       Printf.sprintf "hmi-batch of %d changes from replica %d" (List.length hb_changes) hb_rep
   | App_state_request { asr_rep } -> Printf.sprintf "app-state-request from replica %d" asr_rep
-  | App_state_reply { rep; exec_seq; _ } ->
-      Printf.sprintf "app-state-reply from replica %d at exec %d" rep exec_seq
   | Checkpoint_reply { ckr_rep; ckr_ck; _ } ->
       Printf.sprintf "checkpoint-reply from replica %d at exec %d" ckr_rep
         ckr_ck.Store.Checkpoint.ck_exec_seq

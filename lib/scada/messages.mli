@@ -1,6 +1,7 @@
 (** SCADA-level messages beside the Prime stream: replica-signed breaker
-    commands and display updates (enforced f + 1 thresholds downstream),
-    and the master-to-master application state transfer. *)
+    commands and display pushes (enforced f + 1 thresholds downstream),
+    and the master-to-master application state transfer, whose one reply
+    is a checkpoint. *)
 
 type t =
   | Breaker_command of {
@@ -10,41 +11,27 @@ type t =
       bc_close : bool;
       bc_sig : Crypto.Signature.t;
     }
-  | Hmi_state of {
-      hs_rep : int;
-      hs_exec_seq : int;
-      hs_breaker : string;
-      hs_closed : bool;
-      hs_sig : Crypto.Signature.t;
-    }
   | Hmi_batch of {
       hb_rep : int;
       hb_exec_seq : int;
       hb_changes : (string * bool) list;
       hb_sig : Crypto.Signature.t;
     }
-      (** One display push per applied batch op: every status change the
-          batch produced, signed as a unit. The HMI votes the whole batch
-          through its f + 1 gate once instead of once per breaker. *)
+      (** One display push per applied status or batch op that changed
+          the state: every status change the op produced, signed as a
+          unit. The HMI votes the whole change set through its f + 1 gate
+          once instead of once per breaker. *)
   | App_state_request of { asr_rep : int }
-  | App_state_reply of {
-      rep : int;
-      state_blob : string;
-      next_exec_pp : int;
-      exec_seq : int;
-      cursor : int array;
-      client_seqs : (string * int) list;
-      reply_sig : Crypto.Signature.t;
-    }
   | Checkpoint_reply of {
       ckr_rep : int;
       ckr_ck : Store.Checkpoint.t;
       ckr_sig : Crypto.Signature.t;
     }
-      (** Durable-store transfer reply: vote by [ck_root], accept once
-          f + 1 distinct replicas vouch for the same root. [ckr_sig]
-          covers [encode_checkpoint_reply] so the sender's vote is
-          authenticated independently of the checkpoint's producer. *)
+      (** The state-transfer reply: the sender's latest checkpoint, or
+          one built on demand when it has none. Vote by [ck_root], accept
+          once f + 1 distinct replicas vouch for the same root.
+          [ckr_sig] covers [encode_checkpoint_reply] so the sender's vote
+          is authenticated independently of the checkpoint's producer. *)
 
 type Netbase.Packet.payload += Scada_msg of t
 
@@ -52,20 +39,9 @@ type Netbase.Packet.payload += Scada_msg of t
 
 val encode_breaker_command : rep:int -> exec_seq:int -> breaker:string -> close:bool -> string
 
-val encode_hmi_state : rep:int -> exec_seq:int -> breaker:string -> closed:bool -> string
-
 val encode_hmi_batch : rep:int -> exec_seq:int -> changes:(string * bool) list -> string
 
 val encode_checkpoint_reply : rep:int -> root:Crypto.Sha256.digest -> string
-
-val encode_app_state_reply :
-  rep:int ->
-  state_blob:string ->
-  next_exec_pp:int ->
-  exec_seq:int ->
-  cursor:int array ->
-  client_seqs:(string * int) list ->
-  string
 
 (** Approximate wire size in bytes. *)
 val size : t -> int

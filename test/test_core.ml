@@ -129,11 +129,12 @@ let test_proactive_recovery_cycle () =
   | first :: rest -> List.iter (fun s -> Alcotest.(check string) "converged" first s) rest
   | [] -> Alcotest.fail "no masters"
 
-let test_application_state_transfer_between_masters () =
-  (* Tiny replication log: a replica that misses more updates than the
-     log retains must recover through the masters' application-level
-     state transfer protocol (Section III-A), end to end over the real
-     Spines networks. *)
+(* Tiny replication log: replica 3 misses more updates than the log
+   retains, so it must recover through the masters' application-level
+   state transfer protocol (Section III-A), end to end over the real
+   Spines networks. The run is younger than one checkpoint interval, so
+   no master holds a checkpoint when it asks. *)
+let young_run_rejoin () =
   let config = Prime.Config.create ~f:1 ~k:0 ~log_retention:8 () in
   let engine, d = make_spire ~config () in
   run engine ~until:3.0;
@@ -153,6 +154,10 @@ let test_application_state_transfer_between_masters () =
            Plc.Breaker.toggle_force (main_breaker d "B56")))
   done;
   run engine ~until:40.0;
+  (engine, d)
+
+let test_application_state_transfer_between_masters () =
+  let engine, d = young_run_rejoin () in
   let r3 = (Spire.Deployment.replicas d).(3) in
   check "application transfer completed" true
     (Sim.Stats.Counter.get (Scada.Master.counters r3.Spire.Deployment.r_master)
@@ -472,6 +477,59 @@ let test_full_red_team_scenario_boots () =
   check "remote substation breaker opened" false
     (Plc.Breaker.is_closed (main_breaker d "DIST-03/B1"))
 
+(* With no checkpoint yet, the peers answer with one built on demand from
+   their current state; the rejoiner adopts it through the durable store,
+   so it ends with a checkpoint on disk and counts the bytes it took. *)
+let test_young_run_rejoiner_adopts_on_demand_checkpoint () =
+  let _engine, d = young_run_rejoin () in
+  let r3 = (Spire.Deployment.replicas d).(3) in
+  let durable = Spire.Deployment.durable d 3 in
+  check "peer checkpoint installed" true
+    (Sim.Stats.Counter.get (Scada.Durable.counters durable) "durable.peer_install" >= 1);
+  check "checkpoint on disk" true (Scada.Durable.latest_checkpoint durable <> None);
+  check "transfer bytes counted" true
+    (Sim.Stats.Counter.get (Scada.Master.counters r3.Spire.Deployment.r_master)
+       "transfer.bytes_received"
+     > 0);
+  match master_states d with
+  | first :: rest -> List.iter (fun st -> Alcotest.(check string) "states agree" first st) rest
+  | [] -> Alcotest.fail "no masters"
+
+(* The HMI's f + 1 display gate: a cell repaints only once f + 1 distinct
+   replicas push the same change set for the same execution point. *)
+let test_hmi_repaints_only_on_matching_pushes () =
+  let _engine, d = make_spire () in
+  let h = hmi d in
+  let replicas = Spire.Deployment.replicas d in
+  let push ?signer rep ~exec_seq changes =
+    let keypair = replicas.(Option.value signer ~default:rep).Spire.Deployment.r_keypair in
+    let body = Scada.Messages.encode_hmi_batch ~rep ~exec_seq ~changes in
+    Scada.Hmi.handle_payload h
+      (Scada.Messages.Scada_msg
+         (Scada.Messages.Hmi_batch
+            { hb_rep = rep; hb_exec_seq = exec_seq; hb_changes = changes;
+              hb_sig = Crypto.Signature.sign keypair body }))
+  in
+  let shown () = Scada.Hmi.displayed_closed h "B57" in
+  let counter name = Sim.Stats.Counter.get (Scada.Hmi.counters h) name in
+  push 0 ~exec_seq:10 [ ("B57", false) ];
+  Alcotest.(check (option bool)) "a lone push does not repaint" (Some true) (shown ());
+  push 1 ~exec_seq:10 [ ("B57", false); ("B56", false) ];
+  Alcotest.(check (option bool)) "a divergent push does not repaint" (Some true) (shown ());
+  push 2 ~exec_seq:10 [ ("B57", false) ];
+  Alcotest.(check (option bool)) "a matching push repaints" (Some false) (shown ());
+  Alcotest.(check (option bool)) "the divergent change stays out" (Some true)
+    (Scada.Hmi.displayed_closed h "B56");
+  let bad_sig = counter "display.bad_sig" in
+  push ~signer:0 3 ~exec_seq:11 [ ("B57", true) ];
+  check_int "a forged signature is counted" (bad_sig + 1) (counter "display.bad_sig");
+  push 0 ~exec_seq:11 [ ("B57", true) ];
+  Alcotest.(check (option bool)) "the forged vote does not count" (Some false) (shown ());
+  push 1 ~exec_seq:5 [ ("B57", true) ];
+  push 2 ~exec_seq:5 [ ("B57", true) ];
+  Alcotest.(check (option bool)) "an older exec_seq is ignored" (Some false) (shown ());
+  check_int "one repaint" 1 (counter "display.changed")
+
 let suite =
   [
     ("status propagates to hmi", `Quick, test_status_propagates_to_hmi);
@@ -492,6 +550,10 @@ let suite =
     ("grid sharded end to end", `Quick, test_grid_sharded_end_to_end);
     ("grid shard crash isolated", `Quick, test_grid_shard_crash_isolated);
     ("one display push per replica", `Quick, test_one_display_push_per_replica);
+    ("young-run rejoiner adopts an on-demand checkpoint", `Slow,
+      test_young_run_rejoiner_adopts_on_demand_checkpoint);
+    ("hmi repaints only on f + 1 matching pushes", `Quick,
+      test_hmi_repaints_only_on_matching_pushes);
   ]
 
 let () = Alcotest.run "core" [ ("core", suite) ]

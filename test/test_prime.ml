@@ -643,9 +643,8 @@ let test_emission_rate_capped_under_load () =
   let summaries = Array.init 4 (fun id -> replica_counter c id "summary.sent") in
   let pre_prepares = replica_counter c 0 "pre_prepare.sent" in
   run c ~until:1.4;
-  let cfg = c.config in
-  let pp_cap = int_of_float (1.0 /. cfg.Prime.Config.delta_pp) + 1 in
-  let sum_cap = int_of_float (1.0 /. cfg.Prime.Config.summary_period) + 1 in
+  let pp_cap = int_of_float (1.0 /. Prime.Config.delta_pp) + 1 in
+  let sum_cap = int_of_float (1.0 /. Prime.Config.summary_period) + 1 in
   let pp = replica_counter c 0 "pre_prepare.sent" - pre_prepares in
   check (Printf.sprintf "leader: %d pre-prepares in 1 s, cap %d" pp pp_cap) true (pp <= pp_cap);
   Array.iteri
@@ -663,7 +662,7 @@ let test_emission_rate_capped_under_load () =
 let test_idle_leader_signs_only_heartbeats () =
   let c = make_cluster () in
   run c ~until:10.0;
-  let heartbeats = int_of_float (10.0 /. c.config.Prime.Config.heartbeat_period) in
+  let heartbeats = int_of_float (10.0 /. Prime.Config.heartbeat_period) in
   let signs = replica_counter c 0 "crypto.sign" in
   check (Printf.sprintf "%d signs, budget %d" signs (4 * heartbeats)) true (signs <= 4 * heartbeats)
 

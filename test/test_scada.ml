@@ -598,16 +598,17 @@ let test_historian_wipe_is_permanent () =
   check_int "loss accounted" 10 (Scada.Historian.lost_events h)
 
 let test_historian_matches_list_semantics () =
-  (* Regression for the growable-array rewrite: queries must agree with
-     the old list-based historian, including on out-of-order times (where
-     [since] degrades from binary search to the old linear filter). *)
+  (* Queries must agree with a plain list of the recorded events, on a
+     monotone history with runs of equal times; a time below the last
+     recorded one is refused and leaves the archive as it was. *)
   let input =
     [
       (1.0, "m", "status", "a");
-      (4.0, "m", "command", "b");
-      (2.0, "p", "status", "c"); (* non-monotone *)
+      (2.0, "p", "status", "b");
+      (4.0, "m", "command", "c");
       (4.0, "m", "status", "d"); (* duplicate time *)
-      (9.0, "p", "alarm", "e");
+      (4.0, "p", "alarm", "e"); (* duplicate time *)
+      (9.0, "p", "alarm", "f");
     ]
   in
   let h = Scada.Historian.create () in
@@ -615,13 +616,19 @@ let test_historian_matches_list_semantics () =
   let reference = List.map (fun (time, source, kind, detail) -> { Scada.Historian.time; source; kind; detail }) input in
   Alcotest.(check int) "recording order" (List.length reference) (Scada.Historian.length h);
   check "events in recording order" true (Scada.Historian.events h = reference);
-  check "since filters like the old scan" true
-    (Scada.Historian.since h 4.0 = List.filter (fun e -> e.Scada.Historian.time >= 4.0) reference);
+  List.iter
+    (fun from ->
+      check (Printf.sprintf "since %g filters like a scan" from) true
+        (Scada.Historian.since h from
+        = List.filter (fun e -> e.Scada.Historian.time >= from) reference))
+    [ 0.0; 1.0; 3.0; 4.0; 4.5; 9.0; 10.0 ];
   check "by_kind preserves order" true
     (Scada.Historian.by_kind h "status"
     = List.filter (fun e -> e.Scada.Historian.kind = "status") reference);
-  (* And on a monotone history the binary-search path gives the same
-     answers as the filter. *)
+  Alcotest.check_raises "time below the last is refused"
+    (Invalid_argument "Historian.record: time below the last recorded") (fun () ->
+      Scada.Historian.record h ~time:3.0 ~source:"m" ~kind:"status" ~detail:"late");
+  check "refused event not archived" true (Scada.Historian.events h = reference);
   let hm = Scada.Historian.create () in
   for i = 1 to 100 do
     Scada.Historian.record hm ~time:(float_of_int i) ~source:"m" ~kind:"s" ~detail:""
@@ -629,30 +636,6 @@ let test_historian_matches_list_semantics () =
   check_int "since mid" 51 (List.length (Scada.Historian.since hm 50.0));
   check_int "since before start" 100 (List.length (Scada.Historian.since hm 0.0));
   check_int "since past end" 0 (List.length (Scada.Historian.since hm 101.0))
-
-let test_historian_store_backed_wipe_keeps_synced_prefix () =
-  let media = Store.Media.create ~rng:(Sim.Rng.create 5L) "hist-disk" in
-  let h = Scada.Historian.create () in
-  Scada.Historian.attach_store h media;
-  for i = 1 to 10 do
-    Scada.Historian.record h ~time:(float_of_int i) ~source:"m" ~kind:"sample" ~detail:"x"
-  done;
-  (* Default WAL batching syncs in groups; whatever is past the last
-     durability point is the only thing a breach may take. *)
-  Scada.Historian.wipe h;
-  let survived = Scada.Historian.length h in
-  check "synced prefix survives" true (survived > 0);
-  check_int "only the unsynced tail is lost" (10 - survived) (Scada.Historian.lost_events h);
-  check_int "recovered accounted" survived (Scada.Historian.recovered_events h);
-  (* The survivors are the exact prefix, still queryable. *)
-  List.iteri
-    (fun i e -> check "prefix order" true (e.Scada.Historian.time = float_of_int (i + 1)))
-    (Scada.Historian.events h);
-  (* A second incarnation of the process re-attaching the same device
-     sees the same durable history. *)
-  let h2 = Scada.Historian.create () in
-  Scada.Historian.attach_store h2 media;
-  check_int "reattach replays prefix" survived (Scada.Historian.length h2)
 
 (* --- threshold gate ------------------------------------------------------- *)
 
@@ -715,7 +698,6 @@ let suite =
     ("historian record and query", `Quick, test_historian_record_and_query);
     ("historian wipe permanent", `Quick, test_historian_wipe_is_permanent);
     ("historian matches list semantics", `Quick, test_historian_matches_list_semantics);
-    ("historian store-backed wipe", `Quick, test_historian_store_backed_wipe_keeps_synced_prefix);
     QCheck_alcotest.to_alcotest prop_op_roundtrip;
     QCheck_alcotest.to_alcotest prop_op_decode_canonical;
     QCheck_alcotest.to_alcotest prop_state_digest_deterministic;
