@@ -528,9 +528,19 @@ let exp_e8 () =
   let deployment = Spire.Deployment.create ~engine ~trace ~config mini_scenario in
   let historian = Scada.Historian.create () in
   let r0 = (Spire.Deployment.replicas deployment).(0) in
+  (* One archived event per field report, as a historian logs each
+     point change; a poll batch carries several. *)
+  let archive op =
+    Scada.Historian.record historian ~time:(Sim.Engine.now engine) ~source:"master-0"
+      ~kind:"op" ~detail:(Scada.Op.encode op)
+  in
   Scada.Master.on_apply r0.Spire.Deployment.r_master (fun ~exec_seq:_ op ->
-      Scada.Historian.record historian ~time:(Sim.Engine.now engine) ~source:"master-0"
-        ~kind:"op" ~detail:(Scada.Op.encode op));
+      match op with
+      | Scada.Op.Batch { reports; _ } ->
+          List.iter
+            (fun (breaker, closed) -> archive (Scada.Op.Status { breaker; closed }))
+            reports
+      | op -> archive op);
   Sim.Engine.run ~until:5.0 engine;
   List.iter
     (fun name ->

@@ -61,22 +61,15 @@ let record t ~action outcome =
     (match outcome with Succeeded _ -> "SUCCESS" | Failed _ -> "failed")
     (outcome_detail outcome)
 
-(* Attach an attacker machine to a switch. [bound] registers its MAC in
-   the switch's static table (models being handed a provisioned port, as
-   in the red-team rules of engagement). *)
-let attach ?(bound = true) t ~name ~ip switch =
+(* Attach an attacker machine to a switch, its MAC registered in the
+   switch's static table (models being handed a provisioned port, as in
+   the red-team rules of engagement). *)
+let attach t ~name ~ip switch =
   let host = Netbase.Host.create ~os:Netbase.Host.ubuntu_desktop ~engine:t.engine ~trace:t.trace name in
   let nic = Netbase.Host.add_nic host ~ip in
   let port = Netbase.Host.plug_into_switch host nic switch in
-  if bound then Netbase.Switch.bind_mac switch (Netbase.Host.nic_mac nic) port;
+  Netbase.Switch.bind_mac switch (Netbase.Host.nic_mac nic) port;
   Netbase.Host.set_promiscuous nic (Some (fun frame -> sniff_arp t frame));
-  let position = { pos_name = name; pos_host = host; pos_nic = nic } in
-  t.positions <- position :: t.positions;
-  position
-
-(* Use an already-compromised machine as a position (the replica
-   excursion hands the red team a Spire machine). *)
-let position_on t ~name host nic =
   let position = { pos_name = name; pos_host = host; pos_nic = nic } in
   t.positions <- position :: t.positions;
   position

@@ -33,11 +33,7 @@ val log : t -> (float * string * outcome) list
 
 val record : t -> action:string -> outcome -> unit
 
-(** Attach an attacker machine to a switch. [bound] (default true)
-    registers its MAC in the switch's static table — being handed a
-    provisioned port, per the rules of engagement. *)
-val attach : ?bound:bool -> t -> name:string -> ip:Netbase.Addr.Ip.t -> Netbase.Switch.t -> position
-
-(** Use an already-compromised machine as a position (the replica
-    excursion). *)
-val position_on : t -> name:string -> Netbase.Host.t -> Netbase.Host.nic -> position
+(** Attach an attacker machine to a switch, its MAC registered in the
+    switch's static table — being handed a provisioned port, per the
+    rules of engagement. *)
+val attach : t -> name:string -> ip:Netbase.Addr.Ip.t -> Netbase.Switch.t -> position

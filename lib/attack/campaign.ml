@@ -332,13 +332,9 @@ let run_excursion (tb : Testbed.t) =
        (Printf.sprintf "system tolerates the silent replica: %d actuations" progressed));
   (* Step 2: run a rebuilt open-source daemon without the new keys. *)
   let rogue_config =
-    {
-      (Spines.Node.default_config ~port:Spire.Addressing.spines_internal_port
-         (Spines.Topology.full_mesh
-            (List.init (Spire.Deployment.config deployment).Prime.Config.n (fun i -> i))))
-      with
-      Spines.Node.group_key = None;
-    }
+    Spines.Node.default_config ~port:Spire.Addressing.spines_internal_port
+      (Spines.Topology.full_mesh
+         (List.init (Spire.Deployment.config deployment).Prime.Config.n (fun i -> i)))
   in
   let rogue =
     Spines.Node.create ~engine ~trace:tb.Testbed.trace ~host:r0.Spire.Deployment.r_host ~id:0

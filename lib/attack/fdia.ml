@@ -21,7 +21,6 @@ type t = {
   fdia_site : string;
   fdia_proxy : Scada.Proxy.t;
   mutable fdia_frozen : (string * int) list option; (* snapshot replayed *)
-  mutable fdia_launched_at : float option;
   mutable fdia_forced : (string * float) list; (* breaker, time; newest first *)
 }
 
@@ -46,7 +45,6 @@ let launch deployment ~site =
           fdia_site = site;
           fdia_proxy = proxy;
           fdia_frozen = None;
-          fdia_launched_at = Some (Sim.Engine.now (Spire.Deployment.engine deployment));
           fdia_forced = [];
         }
       in
@@ -76,8 +74,6 @@ let force_open t deployment ~breaker =
 let release t = ignore (Scada.Proxy.set_analog_rewrite t.fdia_proxy None : bool)
 
 let site t = t.fdia_site
-
-let launched_at t = t.fdia_launched_at
 
 let frozen t = t.fdia_frozen <> None
 

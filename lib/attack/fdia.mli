@@ -20,8 +20,6 @@ val release : t -> unit
 
 val site : t -> string
 
-val launched_at : t -> float option
-
 (** Has the replayed snapshot been captured yet (first poll ran)? *)
 val frozen : t -> bool
 

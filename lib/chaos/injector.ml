@@ -22,7 +22,6 @@ type t = {
   lossy : (Fault.link, lossy) Hashtbl.t;
   crashed : bool array;
   mutable leader_fault : int option; (* replica currently faulted as leader *)
-  mutable applied : int;
 }
 
 let norm ((a, b) : Fault.link) : Fault.link = if a <= b then (a, b) else (b, a)
@@ -61,7 +60,6 @@ let create ~rng deployment =
       lossy = Hashtbl.create 16;
       crashed = Array.make (Array.length replicas) false;
       leader_fault = None;
-      applied = 0;
     }
   in
   Array.iteri
@@ -79,7 +77,6 @@ let fault_leader t misbehavior =
   t.leader_fault <- Some leader
 
 let apply t (action : Fault.action) =
-  t.applied <- t.applied + 1;
   match action with
   | Crash_replica i ->
       if not t.crashed.(i) then begin
@@ -145,5 +142,3 @@ let isolated_count t =
 
 let max_active_drop t =
   Hashtbl.fold (fun _ p acc -> Float.max acc p.lp_drop) t.lossy 0.0
-
-let faults_applied t = t.applied

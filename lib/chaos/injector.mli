@@ -22,5 +22,3 @@ val isolated_count : t -> int
 
 (** Highest drop probability among active lossy links (0 if none). *)
 val max_active_drop : t -> float
-
-val faults_applied : t -> int

@@ -295,13 +295,13 @@ let check_bad_data t deployment (net : Power.Net.t) =
             end
           end)
 
-let attach_power ?(period = 0.1) ?(bad_data = true) t deployment =
+let attach_power t deployment =
   let net = Spire.Deployment.power_net deployment in
   t.power_poll <-
     Some
-      (Sim.Engine.every t.engine ~period (fun () ->
+      (Sim.Engine.every t.engine ~period:0.1 (fun () ->
            check_power_physics t net;
-           if bad_data then check_bad_data t deployment net))
+           check_bad_data t deployment net))
 
 let fdia_detected_at t = t.fdia_detected_at
 

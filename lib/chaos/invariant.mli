@@ -21,13 +21,13 @@ val create :
 val attach : t -> Spire.Deployment.t -> unit
 
 (** Start the power-physics sweep against the deployment's electrical
-    overlay every [period] (default 0.1 s): no flow through dead lines,
-    generation/served balance, frequency bounds, cascade containment —
-    plus (unless [bad_data:false]) the chi-square bad-data sweep over
-    the replicated telemetry image, which records a ["bad-data"]
-    violation and an [fdia.flagged] flight alarm once the flag persists
-    across consecutive sweeps. Usable with or without {!attach}. *)
-val attach_power : ?period:float -> ?bad_data:bool -> t -> Spire.Deployment.t -> unit
+    overlay every 0.1 s: no flow through dead lines, generation/served
+    balance, frequency bounds, cascade containment — plus the chi-square
+    bad-data sweep over the replicated telemetry image, which records a
+    ["bad-data"] violation and an [fdia.flagged] flight alarm once the
+    flag persists across consecutive sweeps. Usable with or without
+    {!attach}. *)
+val attach_power : t -> Spire.Deployment.t -> unit
 
 (** Time the chi-square verdict landed, if it has. *)
 val fdia_detected_at : t -> float option

@@ -76,7 +76,7 @@ let sum_dedup_evictions deployment =
     (Spire.Deployment.replicas deployment)
 
 let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period = 1.0)
-    ?(liveness_bound = 20.0) ?(recovery_bound = 30.0) ?(heal_grace = 10.0) ?schedule
+    ?(liveness_bound = 20.0) ?(recovery_bound = 30.0) ?schedule
     ?(observe = true) ?flight_dump ?fault_class ~seed () =
   let config = match config with Some c -> c | None -> Prime.Config.power_plant () in
   (* Observation is opt-in per run and restored afterwards: the default
@@ -129,6 +129,7 @@ let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period
     > config.Prime.Config.f
     || Injector.max_active_drop injector >= 0.5
   in
+  let heal_grace = 10.0 (* settle time granted after the system heals *) in
   let was_degraded = ref false in
   let calm_since = ref (-.heal_grace) in
   let update_health () =
@@ -200,9 +201,9 @@ let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period
         end)
   in
   (* Health sampler: polls the probe registry and runs the alert rules.
-     Purely passive — [Sim.Engine.every] without jitter draws no RNG and
-     the event queue breaks same-time ties by insertion order, so protocol
-     events are never reordered by observation. *)
+     Purely passive — [Sim.Engine.every] draws no RNG and the event queue
+     breaks same-time ties by insertion order, so protocol events are
+     never reordered by observation. *)
   let sampler =
     match alert with
     | Some a ->

@@ -32,8 +32,8 @@ val default_scenario : Plc.Power.scenario
 (** [run ~seed ()] executes a chaos scenario. Without [schedule], a
     mixed crash+partition+lossy+leader schedule is generated from the
     seed. [liveness_bound] / [recovery_bound] parameterise the invariant
-    checker; [heal_grace] is the settle time granted after the fault
-    burden drops back to at most f replicas.
+    checker, which enforces liveness from 10 s after the fault burden
+    drops back to at most f replicas.
 
     [observe] (default true) turns on the flight recorder, health-probe
     sampler and alert engine for the run (process-global enablement is
@@ -52,7 +52,6 @@ val run :
   ?load_period:float ->
   ?liveness_bound:float ->
   ?recovery_bound:float ->
-  ?heal_grace:float ->
   ?schedule:Fault.schedule ->
   ?observe:bool ->
   ?flight_dump:string ->

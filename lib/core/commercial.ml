@@ -41,10 +41,13 @@ type t = {
   mutable transaction : int;
   plc_ip_of_breaker : (string, Netbase.Addr.Ip.t * int) Hashtbl.t; (* -> plc ip, coil *)
   counters : Sim.Stats.Counter.t;
-  poll_period : float;
-  refresh_period : float;
   pcap : Netbase.Pcap.t;
 }
+
+(* The masters' PLC poll and full HMI refresh periods (seconds). *)
+let poll_period = 0.5
+
+let refresh_period = 0.5
 
 let counters t = t.counters
 
@@ -157,11 +160,11 @@ let setup_master t role ~is_primary =
       | Hmi_command { breaker; close } -> if role.m_active then handle_command t role ~breaker ~close
       | _ -> ());
   ignore
-    (Sim.Engine.every t.engine ~period:t.poll_period (fun () ->
+    (Sim.Engine.every t.engine ~period:poll_period (fun () ->
          if role.m_active then poll_all t role));
   (* Periodic full refresh toward the HMI, as commercial masters do. *)
   ignore
-    (Sim.Engine.every t.engine ~period:t.refresh_period (fun () ->
+    (Sim.Engine.every t.engine ~period:refresh_period (fun () ->
          if role.m_active then
            Hashtbl.iter (fun breaker closed -> push_hmi t role ~breaker ~closed) t.master_view));
   if is_primary then
@@ -220,7 +223,7 @@ let hmi_command t ~breaker ~close =
 
 (* --- construction ------------------------------------------------------------- *)
 
-let create ?(poll_period = 0.5) ?(refresh_period = 0.5) ~engine ~trace scenario =
+let create ~engine ~trace scenario =
   (* Best practice did not include port security on the testbed's
      operations switch; learning mode reflects that. *)
   let ops_switch = Netbase.Switch.create ~mode:Netbase.Switch.Learning ~engine ~trace "commercial-ops" in
@@ -296,8 +299,6 @@ let create ?(poll_period = 0.5) ?(refresh_period = 0.5) ~engine ~trace scenario 
       transaction = 0;
       plc_ip_of_breaker;
       counters = Sim.Stats.Counter.create ();
-      poll_period;
-      refresh_period;
       pcap;
     }
   in

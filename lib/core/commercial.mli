@@ -19,13 +19,9 @@ val command_port : int
 
 type t
 
-val create :
-  ?poll_period:float ->
-  ?refresh_period:float ->
-  engine:Sim.Engine.t ->
-  trace:Sim.Trace.t ->
-  Plc.Power.scenario ->
-  t
+(** The masters poll every PLC, and refresh the whole HMI display, every
+    0.5 s. *)
+val create : engine:Sim.Engine.t -> trace:Sim.Trace.t -> Plc.Power.scenario -> t
 
 val counters : t -> Sim.Stats.Counter.t
 

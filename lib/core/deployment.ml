@@ -176,22 +176,12 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
   let internal_topology = Spines.Topology.full_mesh (List.init n (fun i -> i)) in
   let external_topology = Spines.Topology.full_mesh (List.init n (fun i -> i)) in
   let internal_config node_key =
-    {
-      (Spines.Node.default_config ~port:Addressing.spines_internal_port ~group_key:node_key
-         internal_topology)
-      with
-      Spines.Node.hello_period = 1.0;
-      hello_timeout = 3.5;
-    }
+    Spines.Node.default_config ~port:Addressing.spines_internal_port ~group_key:node_key
+      internal_topology
   in
   let external_config node_key =
-    {
-      (Spines.Node.default_config ~port:Addressing.spines_external_port
-         ~session_port:Addressing.spines_session_port ~group_key:node_key external_topology)
-      with
-      Spines.Node.hello_period = 1.0;
-      hello_timeout = 3.5;
-    }
+    Spines.Node.default_config ~port:Addressing.spines_external_port
+      ~session_port:Addressing.spines_session_port ~group_key:node_key external_topology
   in
   let endpoints = Hashtbl.create 16 in
   (* --- replica machines --- *)
@@ -363,7 +353,6 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
     Hashtbl.replace endpoints (Printf.sprintf "hmi-%d" j) j
   done;
   (* --- Prime replicas and SCADA masters --- *)
-  let msg_size msg = Prime.Msg.size n msg in
   let replica_bundles =
     Array.init n (fun i ->
         let host, internal_nic, external_nic = replica_hosts.(i) in
@@ -373,17 +362,17 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
           {
             Prime.Replica.send =
               (fun ~dst msg ->
-                Spines.Node.send internal_node ~client:prime_client ~size:(msg_size msg)
+                Spines.Node.send internal_node ~client:prime_client ~size:(Prime.Msg.size msg)
                   (Spines.Node.To_client { node = dst; client = prime_client })
                   (Prime.Msg.Prime_msg msg));
             broadcast =
               (fun msg ->
-                Spines.Node.send internal_node ~client:prime_client ~size:(msg_size msg)
+                Spines.Node.send internal_node ~client:prime_client ~size:(Prime.Msg.size msg)
                   (Spines.Node.To_group "prime") (Prime.Msg.Prime_msg msg));
             reply_to_client =
               (fun ~client msg ->
                 if Hashtbl.mem endpoints client then
-                  Spines.Node.send external_node ~client:prime_client ~size:(msg_size msg)
+                  Spines.Node.send external_node ~client:prime_client ~size:(Prime.Msg.size msg)
                     (Spines.Node.To_session client) (Prime.Msg.Prime_msg msg));
           }
         in
@@ -464,7 +453,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
             ~daemon_session_port:Addressing.spines_session_port ~name:proxy_name ()
         in
         let send_to_replica ~dst msg =
-          Spines.Node.Session.send session ~size:(msg_size msg)
+          Spines.Node.Session.send session ~size:(Prime.Msg.size msg)
             (Spines.Node.To_client { node = dst; client = prime_client })
             (Prime.Msg.Prime_msg msg)
         in
@@ -534,7 +523,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
             ~daemon_session_port:Addressing.spines_session_port ~name:hmi_name ()
         in
         let send_to_replica ~dst msg =
-          Spines.Node.Session.send session ~size:(msg_size msg)
+          Spines.Node.Session.send session ~size:(Prime.Msg.size msg)
             (Spines.Node.To_client { node = dst; client = prime_client })
             (Prime.Msg.Prime_msg msg)
         in

@@ -43,12 +43,12 @@ let run ?(first_target = true) ~engine ~breaker ~flip ~watch_display ~samples ~g
   done;
   (results, completed)
 
-(* Convenience wrapper for a Spire deployment. *)
-let spire_reaction_time ?(hmi_index = 0) ~deployment ~breaker ~samples ~gap () =
+(* Convenience wrapper for a Spire deployment, watching its first HMI. *)
+let spire_reaction_time ~deployment ~breaker ~samples ~gap () =
   match Deployment.find_breaker deployment breaker with
   | None -> invalid_arg ("Measure.spire_reaction_time: unknown breaker " ^ breaker)
   | Some (_, b) ->
-      let hmi = (Deployment.hmis deployment).(hmi_index).Deployment.h_hmi in
+      let hmi = (Deployment.hmis deployment).(0).Deployment.h_hmi in
       run
         ~first_target:(not (Plc.Breaker.is_closed b))
         ~engine:(Deployment.engine deployment) ~breaker

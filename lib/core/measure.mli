@@ -19,10 +19,9 @@ val run :
   unit ->
   Sim.Stats.Summary.t * int ref
 
-(** Measure a Spire deployment. Raises [Invalid_argument] on an unknown
-    breaker. *)
+(** Measure a Spire deployment at its first HMI. Raises
+    [Invalid_argument] on an unknown breaker. *)
 val spire_reaction_time :
-  ?hmi_index:int ->
   deployment:Deployment.t ->
   breaker:string ->
   samples:int ->

@@ -5,7 +5,7 @@
    periodically in a predetermined cycle that the red team would attempt
    to disrupt". This module is that tool: every [period] it commands the
    next breaker in the cycle to the opposite of its currently displayed
-   state, through a Spire HMI. *)
+   state, through the deployment's first HMI. *)
 
 type t = {
   deployment : Deployment.t;
@@ -16,9 +16,9 @@ type t = {
   mutable commands_issued : int;
 }
 
-let create ?(hmi_index = 0) deployment =
+let create deployment =
   let scenario = Deployment.scenario deployment in
-  let hmi_bundle = (Deployment.hmis deployment).(hmi_index) in
+  let hmi_bundle = (Deployment.hmis deployment).(0) in
   {
     deployment;
     hmi = hmi_bundle.Deployment.h_hmi;

@@ -1,10 +1,10 @@
 (** The red-team exercise's required workload generator: cycle through
     the scenario's breakers, commanding each to the opposite of its
-    displayed state, through a Spire HMI. *)
+    displayed state, through the deployment's first HMI. *)
 
 type t
 
-val create : ?hmi_index:int -> Deployment.t -> t
+val create : Deployment.t -> t
 
 val commands_issued : t -> int
 

@@ -46,8 +46,6 @@ let tag t = t.tag
 
 let sign kp message = { signer = kp.id; tag = Hmac.mac_sched kp.sched message }
 
-let sign_parts kp parts = { signer = kp.id; tag = Hmac.mac_list_sched kp.sched parts }
-
 let verify ks ~signer message t =
   String.equal t.signer signer
   &&

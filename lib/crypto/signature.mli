@@ -39,10 +39,6 @@ val of_tag : signer:identity -> string -> t
 (** [sign kp message] signs the exact byte string [message]. *)
 val sign : keypair -> string -> t
 
-(** [sign_parts kp parts] signs the concatenation of [parts] without
-    building it. *)
-val sign_parts : keypair -> string list -> t
-
 (** [verify ks ~signer message t] checks that [t] is [signer]'s signature
     over [message]. *)
 val verify : keystore -> signer:identity -> string -> t -> bool

@@ -68,5 +68,3 @@ let evaluate t ~direction ~remote_ip ~local_port ~remote_port =
   scan t.rules
 
 let rules t = t.rules
-
-let pp_action ppf = function Allow -> Fmt.string ppf "allow" | Deny -> Fmt.string ppf "deny"

@@ -42,5 +42,3 @@ val evaluate :
   t -> direction:direction -> remote_ip:Addr.Ip.t -> local_port:int -> remote_port:int -> verdict
 
 val rules : t -> rule list
-
-val pp_action : Format.formatter -> action -> unit

@@ -78,13 +78,15 @@ type t = {
   counters : Sim.Stats.Counter.t;
   mutable ingress_tokens : float; (* packets; models host processing capacity *)
   mutable tokens_updated : float;
-  ingress_rate : float; (* packets per second *)
 }
 
 let arp_timeout = 1.0
 
-let create ?(os = ubuntu_desktop) ?(firewall = Firewall.create ()) ?(ingress_rate = 200_000.0)
-    ~engine ~trace host_name =
+(* Packets per second a host can process; a burst of a tenth of a
+   second's worth is admitted at once. *)
+let ingress_rate = 200_000.0
+
+let create ?(os = ubuntu_desktop) ?(firewall = Firewall.create ()) ~engine ~trace host_name =
   let t =
     {
       engine;
@@ -103,7 +105,6 @@ let create ?(os = ubuntu_desktop) ?(firewall = Firewall.create ()) ?(ingress_rat
       counters = Sim.Stats.Counter.create ();
       ingress_tokens = ingress_rate /. 10.0;
       tokens_updated = 0.0;
-      ingress_rate;
     }
   in
   List.iter (fun (port, svc) -> Hashtbl.replace t.services port svc) os.preinstalled;
@@ -147,10 +148,6 @@ let set_promiscuous nic handler = nic.promiscuous <- handler
 let set_raw_handler t handler = t.raw_handler <- handler
 
 let add_service t ~port service = Hashtbl.replace t.services port service
-
-let remove_service t ~port = Hashtbl.remove t.services port
-
-let service_at t ~port = Hashtbl.find_opt t.services port
 
 let udp_bind t ~port handler =
   if Hashtbl.mem t.sockets port then
@@ -238,8 +235,8 @@ let refill_tokens t =
   let now = Sim.Engine.now t.engine in
   let elapsed = now -. t.tokens_updated in
   if elapsed > 0.0 then begin
-    let cap = t.ingress_rate /. 10.0 in
-    t.ingress_tokens <- Float.min cap (t.ingress_tokens +. (elapsed *. t.ingress_rate));
+    let cap = ingress_rate /. 10.0 in
+    t.ingress_tokens <- Float.min cap (t.ingress_tokens +. (elapsed *. ingress_rate));
     t.tokens_updated <- now
   end
 

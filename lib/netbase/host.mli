@@ -30,10 +30,13 @@ val ubuntu_desktop : os_profile
 
 type udp_handler = src:Addr.endpoint -> dst_port:int -> size:int -> Packet.payload -> unit
 
+(** Packets per second a host processes (200 000); a tenth of a second's
+    worth is admitted in one burst. *)
+val ingress_rate : float
+
 val create :
   ?os:os_profile ->
   ?firewall:Firewall.t ->
-  ?ingress_rate:float ->
   engine:Sim.Engine.t ->
   trace:Sim.Trace.t ->
   string ->
@@ -75,10 +78,6 @@ val set_promiscuous : nic -> (Packet.frame -> unit) option -> unit
 val set_raw_handler : t -> (nic -> Packet.frame -> bool) option -> unit
 
 val add_service : t -> port:int -> service -> unit
-
-val remove_service : t -> port:int -> unit
-
-val service_at : t -> port:int -> service option
 
 (** Bind a UDP socket. Raises [Invalid_argument] if the port is taken. *)
 val udp_bind : t -> port:int -> udp_handler -> unit

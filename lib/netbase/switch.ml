@@ -22,7 +22,7 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   name : string;
-  mutable mode : mode;
+  mode : mode;
   mutable ports : port array;
   mutable port_count : int;
   mac_table : (Addr.Mac.t, port_id) Hashtbl.t; (* learned or static *)
@@ -30,11 +30,13 @@ type t = {
   counters : Sim.Stats.Counter.t;
   latency : float;
   bandwidth : float; (* bytes per second per port *)
-  max_backlog : float; (* seconds of queued serialisation before tail drop *)
 }
 
-let create ?(mode = Learning) ?(latency = 5e-6) ?(bandwidth = 125_000_000.0)
-    ?(max_backlog = 0.05) ~engine ~trace name =
+(* Seconds of queued serialisation on a port before tail drop. *)
+let max_backlog = 0.05
+
+let create ?(mode = Learning) ?(latency = 5e-6) ?(bandwidth = 125_000_000.0) ~engine ~trace
+    name =
   {
     engine;
     trace;
@@ -47,14 +49,11 @@ let create ?(mode = Learning) ?(latency = 5e-6) ?(bandwidth = 125_000_000.0)
     counters = Sim.Stats.Counter.create ();
     latency;
     bandwidth;
-    max_backlog;
   }
 
 let name t = t.name
 
 let counters t = t.counters
-
-let set_mode t mode = t.mode <- mode
 
 let attach t deliver =
   let port = { deliver; next_free = 0.0 } in
@@ -78,7 +77,7 @@ let send_out t port_id frame =
   let port = t.ports.(port_id) in
   let now = Sim.Engine.now t.engine in
   let start = Float.max now port.next_free in
-  if start -. now > t.max_backlog then begin
+  if start -. now > max_backlog then begin
     Sim.Stats.Counter.incr t.counters "drop.backlog";
     Sim.Trace.record t.trace ~time:now ~category:"switch"
       "%s: port %d backlog full, dropping %s" t.name port_id (Packet.describe_l3 frame.Packet.l3)

@@ -9,11 +9,14 @@ type port_id = int
 
 type mode = Learning | Static
 
+(** Seconds of queued serialisation a port holds before it tail-drops
+    (0.05). *)
+val max_backlog : float
+
 val create :
   ?mode:mode ->
   ?latency:float ->
   ?bandwidth:float ->
-  ?max_backlog:float ->
   engine:Sim.Engine.t ->
   trace:Sim.Trace.t ->
   string ->
@@ -22,8 +25,6 @@ val create :
 val name : t -> string
 
 val counters : t -> Sim.Stats.Counter.t
-
-val set_mode : t -> mode -> unit
 
 (** [attach t deliver] adds a port whose egress calls [deliver]. *)
 val attach : t -> (Packet.frame -> unit) -> port_id

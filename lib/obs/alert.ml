@@ -75,9 +75,11 @@ let metrics_with ~probe_prefix ~metric sample =
       else [])
     sample
 
-(* Checkpoint lag: a durable store has fallen more than two checkpoint
-   windows behind its replica's execution frontier. *)
-let checkpoint_lag_rule ?(max_windows = 2.0) () =
+(* Checkpoint lag: a durable store has fallen more than [max_windows]
+   checkpoint windows behind its replica's execution frontier. *)
+let max_windows = 2.0
+
+let checkpoint_lag_rule () =
   sample_rule ~name:"checkpoint-lag" (fun sample ->
       match
         List.filter (fun (_, lag) -> lag > max_windows)
@@ -88,29 +90,37 @@ let checkpoint_lag_rule ?(max_windows = 2.0) () =
           Some (Printf.sprintf "%s is %.0f checkpoint windows behind" name lag))
 
 (* Sustained link-layer drops: the total dropped count across Spines
-   daemons grew by at least [min_drops] within the last [window]
+   daemons grew by at least [min_drops] within the last [drops_window]
    evaluations. A rate condition, not a consecutive-growth streak: at a
    50ms sampling period even a heavily lossy link skips ticks. *)
-let sustained_drops_rule ?(min_drops = 5.0) ?(window = 20) () =
-  let history = ref [] (* newest first, at most [window] totals *) in
+let min_drops = 5.0
+
+let drops_window = 20
+
+let sustained_drops_rule () =
+  let history = ref [] (* newest first, at most [drops_window] totals *) in
   sample_rule ~name:"sustained-drops" (fun sample ->
       let total =
         List.fold_left (fun acc (_, v) -> acc +. v) 0.0
           (metrics_with ~probe_prefix:"spines." ~metric:"drops_total" sample)
       in
-      let keep = window - 1 in
+      let keep = drops_window - 1 in
       let trimmed = if List.length !history > keep then List.filteri (fun i _ -> i < keep) !history else !history in
       history := total :: trimmed;
       let oldest = List.nth !history (List.length !history - 1) in
       let grown = total -. oldest in
-      if List.length !history >= window && grown >= min_drops then
-        Some (Printf.sprintf "%.0f link drops in the last %d samples (total %.0f)" grown window total)
+      if List.length !history >= drops_window && grown >= min_drops then
+        Some
+          (Printf.sprintf "%.0f link drops in the last %d samples (total %.0f)" grown
+             drops_window total)
       else None)
 
 (* Replica health divergence: the execution frontiers of *running*
    replicas have spread beyond [max_spread] sequence numbers — a
    partitioned or struggling replica is falling behind the quorum. *)
-let divergence_rule ?(max_spread = 5.0) () =
+let max_spread = 5.0
+
+let divergence_rule () =
   sample_rule ~name:"replica-divergence" (fun sample ->
       let running =
         List.filter

@@ -32,17 +32,19 @@ val event_rule :
   unit ->
   event_rule
 
-(** Durable store more than [max_windows] (default 2) checkpoint windows
-    behind its replica's execution frontier. *)
-val checkpoint_lag_rule : ?max_windows:float -> unit -> sample_rule
+(** Durable store more than 2 checkpoint windows behind its replica's
+    execution frontier. Each builtin rule is a fresh rule with its own
+    edge (and, for drops, history) state, so two engines never share
+    it. *)
+val checkpoint_lag_rule : unit -> sample_rule
 
-(** Total Spines drops grew by at least [min_drops] (default 5) within
-    the last [window] (default 20) evaluations. *)
-val sustained_drops_rule : ?min_drops:float -> ?window:int -> unit -> sample_rule
+(** Total Spines drops grew by at least 5 within the last 20
+    evaluations. *)
+val sustained_drops_rule : unit -> sample_rule
 
-(** Running replicas' execution frontiers span more than [max_spread]
-    (default 5) sequence numbers. *)
-val divergence_rule : ?max_spread:float -> unit -> sample_rule
+(** Running replicas' execution frontiers span more than 5 sequence
+    numbers. *)
+val divergence_rule : unit -> sample_rule
 
 (** Any Prime replica reports [running = 0]. *)
 val replica_down_rule : unit -> sample_rule

@@ -7,23 +7,24 @@
 
 type position = Open | Closed
 
+(* Mechanical actuation time from coil command to contact (seconds). *)
+let actuation_delay = 0.08
+
 type t = {
   name : string;
   engine : Sim.Engine.t;
   mutable commanded : position;
   mutable actual : position;
-  actuation_delay : float;
   mutable listeners : (t -> unit) list;
   mutable actuations : int;
 }
 
-let create ?(initial = Closed) ?(actuation_delay = 0.08) ~engine name =
+let create ~engine name =
   {
     name;
     engine;
-    commanded = initial;
-    actual = initial;
-    actuation_delay;
+    commanded = Closed;
+    actual = Closed;
     listeners = [];
     actuations = 0;
   }
@@ -55,7 +56,7 @@ let command t position =
   t.commanded <- position;
   if t.actual <> position then
     ignore
-      (Sim.Engine.schedule t.engine ~delay:t.actuation_delay (fun () ->
+      (Sim.Engine.schedule t.engine ~delay:actuation_delay (fun () ->
            if t.commanded = position && t.actual <> position then begin
              t.actual <- position;
              t.actuations <- t.actuations + 1;

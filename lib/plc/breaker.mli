@@ -6,7 +6,11 @@ type position = Open | Closed
 
 type t
 
-val create : ?initial:position -> ?actuation_delay:float -> engine:Sim.Engine.t -> string -> t
+(** Seconds from a coil command to the contacts moving (0.08). *)
+val actuation_delay : float
+
+(** A breaker that starts closed. *)
+val create : engine:Sim.Engine.t -> string -> t
 
 val name : t -> string
 

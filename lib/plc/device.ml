@@ -55,8 +55,6 @@ let wire_breaker t ~coil breaker =
 
 let breaker t ~coil = t.breakers.(coil)
 
-let coil_state t ~coil = t.coils.(coil)
-
 (* Actual position as seen by the process image: 1 = closed. *)
 let holding_value t i =
   match t.breakers.(i) with

@@ -34,8 +34,6 @@ val wire_breaker : t -> coil:int -> Breaker.t -> unit
 
 val breaker : t -> coil:int -> Breaker.t option
 
-val coil_state : t -> coil:int -> bool
-
 (** Process one Modbus request (exposed for unit tests; network service
     via {!serve_on}). *)
 val handle_request : t -> Modbus.request Modbus.framed -> Modbus.response Modbus.framed

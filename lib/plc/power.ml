@@ -86,12 +86,15 @@ let power_plant =
       @ distribution_feeds @ generation_feeds;
   }
 
+(* Breakers per emulated substation PLC of [synthetic]. *)
+let per_site = 20
+
 (* Synthetic scale-out topology: [devices] breakers spread over emulated
    substation PLCs of [per_site] breakers each (SUB-000/B00, ...). Each
    site gets one feed through its first breaker, mirroring the
    distribution-substation pattern above. Purely deterministic in
    [devices], so same-parameter runs build identical scenarios. *)
-let synthetic ?(per_site = 20) ~devices () =
+let synthetic ~devices () =
   let sites = (devices + per_site - 1) / per_site in
   let plcs =
     List.init sites (fun s ->

@@ -20,10 +20,13 @@ val red_team : scenario
     6 generation PLCs. *)
 val power_plant : scenario
 
+(** Breakers per emulated substation PLC of {!synthetic} (20). *)
+val per_site : int
+
 (** Synthetic scale-out topology: [devices] breakers over emulated
-    substation PLCs of [per_site] (default 20) breakers each, one feed
-    per site. Deterministic in its parameters. *)
-val synthetic : ?per_site:int -> devices:int -> unit -> scenario
+    substation PLCs of [per_site] breakers each, one feed per site.
+    Deterministic in [devices]. *)
+val synthetic : devices:int -> unit -> scenario
 
 val all_breakers : scenario -> string list
 

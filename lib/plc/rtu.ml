@@ -10,6 +10,9 @@
    Like the PLC, the RTU is unauthenticated by design; Spire keeps it on
    a dedicated wire behind its proxy. *)
 
+(* Buffered change events before the oldest are shed. *)
+let event_buffer_limit = 256
+
 type t = {
   name : string;
   engine : Sim.Engine.t;
@@ -17,12 +20,11 @@ type t = {
   breakers : Breaker.t option array;
   mutable events : Dnp3.event list; (* newest first *)
   mutable events_overflowed : bool;
-  event_buffer_limit : int;
   mutable analog_source : (unit -> int list) option; (* group-30 analog image *)
   counters : Sim.Stats.Counter.t;
 }
 
-let create ?(event_buffer_limit = 256) ~engine ~trace ~name ~n_points () =
+let create ~engine ~trace ~name ~n_points () =
   {
     name;
     engine;
@@ -30,7 +32,6 @@ let create ?(event_buffer_limit = 256) ~engine ~trace ~name ~n_points () =
     breakers = Array.make n_points None;
     events = [];
     events_overflowed = false;
-    event_buffer_limit;
     analog_source = None;
     counters = Sim.Stats.Counter.create ();
   }
@@ -46,12 +47,12 @@ let pending_events t = List.length t.events
 let events_overflowed t = t.events_overflowed
 
 let record_event t ~index ~closed =
-  if List.length t.events >= t.event_buffer_limit then begin
+  if List.length t.events >= event_buffer_limit then begin
     (* Oldest events are shed; the master must fall back to a static read
        (integrity poll) to resynchronise — as real DNP3 masters do. *)
     t.events_overflowed <- true;
     t.events <- { Dnp3.ev_index = index; ev_closed = closed; ev_time = Sim.Engine.now t.engine }
-                :: (List.filteri (fun i _ -> i < t.event_buffer_limit - 1) t.events)
+                :: (List.filteri (fun i _ -> i < event_buffer_limit - 1) t.events)
   end
   else
     t.events <-

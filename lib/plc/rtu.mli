@@ -4,14 +4,10 @@
 
 type t
 
-val create :
-  ?event_buffer_limit:int ->
-  engine:Sim.Engine.t ->
-  trace:Sim.Trace.t ->
-  name:string ->
-  n_points:int ->
-  unit ->
-  t
+(** Change events buffered before the oldest are shed (256). *)
+val event_buffer_limit : int
+
+val create : engine:Sim.Engine.t -> trace:Sim.Trace.t -> name:string -> n_points:int -> unit -> t
 
 val name : t -> string
 

@@ -150,11 +150,6 @@ let solves t = t.solves
 let total_demand_mw t = Model.total_demand_mw t.model
 let tripped_lines t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.tripped
 
-let line_tripped t name =
-  match Array.find_opt (fun (l : Model.line) -> l.line_name = name) t.model.lines with
-  | Some l -> t.tripped.(l.line_index)
-  | None -> false
-
 let trip_log t = List.rev t.trip_log
 let shed_log t = List.rev t.shed_log
 

@@ -34,8 +34,6 @@ val total_demand_mw : t -> float
 
 val tripped_lines : t -> int
 
-val line_tripped : t -> string -> bool
-
 (** DC solves performed so far. *)
 val solves : t -> int
 

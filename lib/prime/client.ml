@@ -127,12 +127,5 @@ let enable_retransmit t ~period =
                  | Some _ | None -> ())
                (List.sort Int.compare (outstanding t))))
 
-let disable_retransmit t =
-  match t.retransmit_timer with
-  | Some timer ->
-      Sim.Engine.cancel_timer t.engine timer;
-      t.retransmit_timer <- None
-  | None -> ()
-
 let is_confirmed t ~client_seq =
   client_seq >= 1 && client_seq <= t.next_seq && not (Hashtbl.mem t.pending client_seq)

@@ -33,8 +33,6 @@ val handle_reply : t -> Msg.t -> unit
     recovery). *)
 val enable_retransmit : t -> period:float -> unit
 
-val disable_retransmit : t -> unit
-
 val is_confirmed : t -> client_seq:int -> bool
 
 (** Client sequence numbers not yet confirmed. *)

@@ -23,17 +23,13 @@ type t = {
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
   log_retention : int; (* ordered-log entries kept for catchup *)
   checkpoint_interval : int; (* executions between durable checkpoints *)
-  wal_segment_size : int; (* bytes per WAL segment before rotation *)
-  fsync_every : int; (* WAL appends between durability points *)
 }
 
 let create ?(f = 1) ?(k = 0) ?(tat_allowance = 0.25) ?(log_retention = 1000)
-    ?(checkpoint_interval = 64) ?(wal_segment_size = 64 * 1024) ?(fsync_every = 8) () =
+    ?(checkpoint_interval = 64) () =
   if f < 1 then invalid_arg "Config.create: f must be >= 1";
   if k < 0 then invalid_arg "Config.create: k must be >= 0";
   if checkpoint_interval < 1 then invalid_arg "Config.create: checkpoint_interval must be >= 1";
-  if wal_segment_size < 64 then invalid_arg "Config.create: wal_segment_size must be >= 64";
-  if fsync_every < 1 then invalid_arg "Config.create: fsync_every must be >= 1";
   {
     f;
     k;
@@ -42,8 +38,6 @@ let create ?(f = 1) ?(k = 0) ?(tat_allowance = 0.25) ?(log_retention = 1000)
     tat_allowance;
     log_retention;
     checkpoint_interval;
-    wal_segment_size;
-    fsync_every;
   }
 
 (* The red-team configuration: 4 replicas, one intrusion, no recovery. *)

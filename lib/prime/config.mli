@@ -30,20 +30,16 @@ type t = {
       (* executions between durable checkpoints; at the same boundaries a
          replica releases executed ordering instances and pre-order
          slots, so it holds one to two intervals of executed history *)
-  wal_segment_size : int; (* bytes per WAL segment before rotation *)
-  fsync_every : int; (* WAL appends between durability points *)
 }
 
-(** Raises [Invalid_argument] for f < 1 or k < 0 (and on out-of-range
-    store knobs). *)
+(** Raises [Invalid_argument] for f < 1, k < 0 or a non-positive
+    [checkpoint_interval]. *)
 val create :
   ?f:int ->
   ?k:int ->
   ?tat_allowance:float ->
   ?log_retention:int ->
   ?checkpoint_interval:int ->
-  ?wal_segment_size:int ->
-  ?fsync_every:int ->
   unit ->
   t
 

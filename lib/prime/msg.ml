@@ -39,6 +39,8 @@ let tag_vc_report = 0x0B
 
 let tag_client_reply = 0x0C
 
+let tag_catchup_reply = 0x0E
+
 (* 0x0D is reserved for Order_cert, which carries no signed body of its
    own: a commit certificate is authenticated by its constituents (the
    leader's pre-prepare authenticator plus a quorum of commit
@@ -183,7 +185,6 @@ type t =
       vc_sig : Crypto.Signature.t;
     }
   | Origin_reset of { or_rep : int; or_new_start : int; or_sig : Crypto.Signature.t }
-  | Recon_floor of { rf_origin : int; rf_new_start : int; rf_sig : Crypto.Signature.t }
   | Recon_request of { rr_rep : int; rr_origin : int; rr_po_seq : int }
   | Recon_reply of { rp_rep : int; rp_origin : int; rp_po_seq : int; rp_update : Update.t }
   | Order_cert of {
@@ -206,6 +207,7 @@ type t =
       cr_behind_log : bool; (* requested range no longer in the log *)
       cr_next_exec_pp : int; (* responder's ordering cursor ... *)
       cr_cursor : int array; (* ... and per-origin execution cursor *)
+      cr_sig : Crypto.Signature.t;
     }
   | Client_reply of {
       crep_rep : int;
@@ -282,6 +284,28 @@ let encode_vc_report ~rep ~view ~max_ordered ~prepared =
       Wire.w_u32 b (List.length prepared);
       List.iter (write_prepared_cert b) prepared)
 
+(* What a catchup reply says, without who says it: replicas serving the
+   same history produce the same content, which is what a laggard's
+   votes match on. The signed body prefixes the sender. *)
+let encode_catchup_content ~upto ~behind_log ~next_exec_pp ~cursor ~entries =
+  Wire.encode ~size_hint:256 (fun b ->
+      Wire.w_int b upto;
+      Wire.w_bool b behind_log;
+      Wire.w_int b next_exec_pp;
+      Wire.w_int_array b cursor;
+      Wire.w_u32 b (List.length entries);
+      List.iter
+        (fun (exec_seq, u) ->
+          Wire.w_int b exec_seq;
+          Update.write b u)
+        entries)
+
+let encode_catchup_reply ~rep content =
+  Wire.encode ~size_hint:(16 + String.length content) (fun b ->
+      Wire.w_u8 b tag_catchup_reply;
+      Wire.w_int b rep;
+      Buffer.add_string b content)
+
 let encode_client_reply ~rep ~client ~client_seq ~exec_seq =
   Wire.encode ~size_hint:(48 + String.length client) (fun b ->
       Wire.w_u8 b tag_client_reply;
@@ -300,15 +324,13 @@ let matrix_size m =
     (fun acc entry -> acc + match entry with None -> 1 | Some s -> 1 + summary_size s)
     4 m
 
-(* The cluster-size parameter is retained for interface stability; sizes
-   are now derived from the actual matrices and signatures. *)
-let size _config_n = function
+let size = function
   | Update_msg u -> Update.size u
   | Po_request { update; _ } -> Update.size update + 48 + sig_bytes
   | Po_ack _ | Prepare _ | Commit _ | Client_reply _ -> 80 + sig_bytes
   | Po_summary s -> 16 + summary_size s
   | Pre_prepare { pp_matrix; _ } -> 48 + matrix_size pp_matrix + sig_bytes
-  | Suspect_leader _ | Origin_reset _ | Recon_floor _ -> 48 + sig_bytes
+  | Suspect_leader _ | Origin_reset _ -> 48 + sig_bytes
   | Vc_report { vc_prepared; _ } ->
       64 + sig_bytes
       + List.fold_left (fun acc c -> acc + 16 + matrix_size c.pc_matrix) 0 vc_prepared
@@ -318,7 +340,7 @@ let size _config_n = function
       48 + matrix_size oc_matrix + sig_bytes + (List.length oc_commits * (16 + sig_bytes))
   | Catchup_request _ -> 48
   | Catchup_reply { cr_entries; cr_cursor; _ } ->
-      48 + (8 * Array.length cr_cursor)
+      48 + (8 * Array.length cr_cursor) + sig_bytes
       + List.fold_left (fun acc (_, u) -> acc + 16 + Update.size u) 0 cr_entries
 
 let describe = function
@@ -335,8 +357,6 @@ let describe = function
   | Vc_report { vc_rep; vc_view; _ } -> Printf.sprintf "vc-report v%d by %d" vc_view vc_rep
   | Origin_reset { or_rep; or_new_start; _ } ->
       Printf.sprintf "origin-reset %d -> %d" or_rep or_new_start
-  | Recon_floor { rf_origin; rf_new_start; _ } ->
-      Printf.sprintf "recon-floor %d -> %d" rf_origin rf_new_start
   | Recon_request { rr_rep; rr_origin; rr_po_seq } ->
       Printf.sprintf "recon-request by %d for (%d,%d)" rr_rep rr_origin rr_po_seq
   | Recon_reply { rp_origin; rp_po_seq; _ } ->

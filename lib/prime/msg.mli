@@ -89,7 +89,6 @@ type t =
       vc_sig : Crypto.Signature.t;
     }
   | Origin_reset of { or_rep : int; or_new_start : int; or_sig : Crypto.Signature.t }
-  | Recon_floor of { rf_origin : int; rf_new_start : int; rf_sig : Crypto.Signature.t }
   | Recon_request of { rr_rep : int; rr_origin : int; rr_po_seq : int }
   | Recon_reply of { rp_rep : int; rp_origin : int; rp_po_seq : int; rp_update : Update.t }
   | Order_cert of {
@@ -113,6 +112,7 @@ type t =
       cr_behind_log : bool;
       cr_next_exec_pp : int;
       cr_cursor : int array;
+      cr_sig : Crypto.Signature.t;
     }
   | Client_reply of {
       crep_rep : int;
@@ -149,9 +149,22 @@ val encode_origin_reset : rep:int -> new_start:int -> string
 val encode_vc_report :
   rep:int -> view:int -> max_ordered:int -> prepared:prepared_cert list -> string
 
+(** What a catchup reply says, the same from every replica serving the
+    same history; [entries] are (exec_seq, update) pairs. *)
+val encode_catchup_content :
+  upto:int ->
+  behind_log:bool ->
+  next_exec_pp:int ->
+  cursor:int array ->
+  entries:(int * Update.t) list ->
+  string
+
+(** The signed body of replica [rep]'s catchup reply with that content. *)
+val encode_catchup_reply : rep:int -> string -> string
+
 val encode_client_reply : rep:int -> client:string -> client_seq:int -> exec_seq:int -> string
 
-(** Approximate wire size for a cluster of [n] replicas. *)
-val size : int -> t -> int
+(** Approximate wire size in bytes. *)
+val size : t -> int
 
 val describe : t -> string

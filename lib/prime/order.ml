@@ -349,9 +349,6 @@ let max_ordered_seen t =
 let is_ordered t pp_seq =
   match Hashtbl.find_opt t.instances pp_seq with Some i -> i.ordered | None -> false
 
-let is_prepared t pp_seq =
-  match Hashtbl.find_opt t.instances pp_seq with Some i -> i.prepared | None -> false
-
 (* Execution: walk ordered instances in pp_seq order; for each, derive
    per-origin eligibility from the matrix and execute newly-eligible
    updates origin-by-origin. Returns executed (exec_seq, origin, po_seq,

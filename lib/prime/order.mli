@@ -118,8 +118,6 @@ val max_ordered_seen : t -> int
 
 val is_ordered : t -> int -> bool
 
-val is_prepared : t -> int -> bool
-
 type missing = { miss_origin : int; miss_po_seq : int }
 
 (** Execute ordered instances in sequence. Returns executed updates as

@@ -334,5 +334,3 @@ let update_for t ~origin ~po_seq =
   match Hashtbl.find_opt t.slots (origin, po_seq) with
   | Some { update = Some u; _ } -> Some u
   | Some _ | None -> None
-
-let have_update t ~origin ~po_seq = update_for t ~origin ~po_seq <> None

@@ -103,5 +103,3 @@ val store_body :
   t -> origin:int -> po_seq:int -> Msg.Update.t -> [ `Stored | `Mismatch ]
 
 val update_for : t -> origin:int -> po_seq:int -> Msg.Update.t option
-
-val have_update : t -> origin:int -> po_seq:int -> bool

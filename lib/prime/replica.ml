@@ -114,7 +114,7 @@ type t = {
   executed_clients : (string * int, int) Hashtbl.t; (* executed op -> exec_seq (reply cache) *)
   exec_log : (int, Msg.Update.t) Hashtbl.t;
   mutable awaiting_app_transfer : bool;
-  mutable catchup_votes : (string, int * Msg.t) Hashtbl.t; (* digest -> count, sample *)
+  catchup_votes : (string, int list) Hashtbl.t; (* reply content -> distinct signed voters *)
   (* reconciliation *)
   outstanding_recon : (int * int, float) Hashtbl.t;
   (* My highest assigned preorder sequence at the previous reconcile
@@ -562,16 +562,7 @@ let note_tat_covered t (m : Msg.matrix) =
   (match m.(t.id) with
   | Some s ->
       let covered = aru_sum s.Msg.aru in
-      let still_pending, covered_entries =
-        List.partition (fun p -> p.sent_sum > covered) t.tat_pending
-      in
-      List.iter
-        (fun p ->
-          let tat = now t -. p.sent_at in
-          Sim.Stats.Counter.incr t.counters "tat.measured";
-          ignore tat)
-        covered_entries;
-      t.tat_pending <- still_pending
+      t.tat_pending <- List.filter (fun p -> p.sent_sum > covered) t.tat_pending
   | None -> ());
   (* Freshness deadlines satisfied by this matrix. Covering the armed
      announcement clears its deadline; if fresher information is already
@@ -1015,12 +1006,12 @@ let apply_origin_reset t ~origin ~new_start or_sig =
 
 let handle_recon_request t ~rr_rep ~rr_origin ~rr_po_seq =
   (* A request for a slot voided by an origin reset is answered with the
-     relayed (origin-signed) reset instead of a body. *)
+     stored (origin-signed) reset instead of a body. *)
   if rr_po_seq <= Preorder.floor_of t.preorder ~origin:rr_origin then begin
     match Hashtbl.find_opt t.stored_resets rr_origin with
     | Some (new_start, or_sig) ->
         send t ~dst:rr_rep
-          (Msg.Recon_floor { rf_origin = rr_origin; rf_new_start = new_start; rf_sig = or_sig })
+          (Msg.Origin_reset { or_rep = rr_origin; or_new_start = new_start; or_sig })
     | None -> ()
   end
   else
@@ -1118,23 +1109,6 @@ let reconcile_tick t =
     | None -> ()
   done
 
-(* Catchup replies are matched by the digest of their canonical binary
-   encoding; the digest only keys the local vote table, so raw bytes
-   suffice (no hex round-trip). *)
-let catchup_digest entries ~upto ~next_exec_pp ~cursor =
-  Crypto.Sha256.digest
-    (Wire.encode ~size_hint:256 (fun b ->
-         Buffer.add_string b "catchup:";
-         Wire.w_int b upto;
-         Wire.w_int b next_exec_pp;
-         Wire.w_int_array b cursor;
-         Wire.w_u32 b (List.length entries);
-         List.iter
-           (fun (i, u) ->
-             Wire.w_int b i;
-             Wire.w_str b (Msg.Update.encode u))
-           entries))
-
 (* Commit certificates are served in a bounded window per request: the
    requester re-probes once its cursor advances. *)
 let catchup_cert_window = 8
@@ -1162,6 +1136,10 @@ let handle_catchup_request t ~cu_rep ~cu_from ~cu_next_pp =
   if cu_from <= my_max then begin
     let oldest_retained = max 1 (my_max - t.config.Config.log_retention + 1) in
     let reply ~entries ~behind =
+      let next_exec_pp = Order.next_exec_pp t.order and cursor = Order.exec_cursor t.order in
+      let content =
+        Msg.encode_catchup_content ~upto:my_max ~behind_log:behind ~next_exec_pp ~cursor ~entries
+      in
       send t ~dst:cu_rep
         (Msg.Catchup_reply
            {
@@ -1169,8 +1147,9 @@ let handle_catchup_request t ~cu_rep ~cu_from ~cu_next_pp =
              cr_entries = entries;
              cr_upto = my_max;
              cr_behind_log = behind;
-             cr_next_exec_pp = Order.next_exec_pp t.order;
-             cr_cursor = Order.exec_cursor t.order;
+             cr_next_exec_pp = next_exec_pp;
+             cr_cursor = cursor;
+             cr_sig = sign t (Msg.encode_catchup_reply ~rep:t.id content);
            })
     in
     if cu_from < oldest_retained then reply ~entries:[] ~behind:true
@@ -1185,20 +1164,29 @@ let handle_catchup_request t ~cu_rep ~cu_from ~cu_next_pp =
     end
   end
 
-(* Catchup replies are only trusted with f + 1 matching copies: a single
-   compromised replica cannot feed a recovering peer fabricated history. *)
-let handle_catchup_reply t ~cr_entries ~cr_upto ~cr_behind_log ~cr_next_exec_pp ~cr_cursor =
-  if cr_upto > Order.exec_seq t.order then begin
-    let sample =
-      Msg.Catchup_reply
-        { cr_rep = 0; cr_entries; cr_upto; cr_behind_log; cr_next_exec_pp; cr_cursor }
+(* Add [rep]'s vote for [key]; the number of distinct voters so far. *)
+let catchup_vote t key ~rep =
+  let voters = Option.value (Hashtbl.find_opt t.catchup_votes key) ~default:[] in
+  if List.mem rep voters then List.length voters
+  else begin
+    Hashtbl.replace t.catchup_votes key (rep :: voters);
+    List.length voters + 1
+  end
+
+(* Catchup replies are only trusted from f + 1 distinct replicas, each
+   reply signed by its sender: a single compromised replica cannot feed a
+   recovering peer fabricated history, however often it repeats itself. *)
+let handle_catchup_reply t ~cr_rep ~cr_entries ~cr_upto ~cr_behind_log ~cr_next_exec_pp
+    ~cr_cursor ~cr_sig =
+  if cr_upto > Order.exec_seq t.order && cr_rep >= 0 && cr_rep < t.config.Config.n then begin
+    let content =
+      Msg.encode_catchup_content ~upto:cr_upto ~behind_log:cr_behind_log
+        ~next_exec_pp:cr_next_exec_pp ~cursor:cr_cursor ~entries:cr_entries
     in
-    if cr_behind_log then begin
-      let key = "behind" in
-      let count =
-        match Hashtbl.find_opt t.catchup_votes key with Some (c, _) -> c + 1 | None -> 1
-      in
-      Hashtbl.replace t.catchup_votes key (count, sample);
+    if not (verify_from t ~rep:cr_rep (Msg.encode_catchup_reply ~rep:cr_rep content) cr_sig)
+    then Sim.Stats.Counter.incr t.counters "catchup.bad_sig"
+    else if cr_behind_log then begin
+      let count = catchup_vote t "behind" ~rep:cr_rep in
       if count >= t.config.Config.f + 1 && not t.awaiting_app_transfer then begin
         t.awaiting_app_transfer <- true;
         Hashtbl.reset t.catchup_votes;
@@ -1211,15 +1199,7 @@ let handle_catchup_reply t ~cr_entries ~cr_upto ~cr_behind_log ~cr_next_exec_pp 
     else begin
       let all_valid = List.for_all (fun (_, u) -> verify_update t u) cr_entries in
       if all_valid then begin
-        let key =
-          "entries:"
-          ^ catchup_digest cr_entries ~upto:cr_upto ~next_exec_pp:cr_next_exec_pp
-              ~cursor:cr_cursor
-        in
-        let count =
-          match Hashtbl.find_opt t.catchup_votes key with Some (c, _) -> c + 1 | None -> 1
-        in
-        Hashtbl.replace t.catchup_votes key (count, sample);
+        let count = catchup_vote t ("entries:" ^ content) ~rep:cr_rep in
         if count >= t.config.Config.f + 1 then begin
           Hashtbl.reset t.catchup_votes;
           let applied = ref 0 in
@@ -1382,8 +1362,6 @@ let handle_message t msg =
           ~prepared:vc_prepared vc_sig
     | Msg.Origin_reset { or_rep; or_new_start; or_sig } ->
         apply_origin_reset t ~origin:or_rep ~new_start:or_new_start or_sig
-    | Msg.Recon_floor { rf_origin; rf_new_start; rf_sig } ->
-        apply_origin_reset t ~origin:rf_origin ~new_start:rf_new_start rf_sig
     | Msg.Recon_request { rr_rep; rr_origin; rr_po_seq } ->
         handle_recon_request t ~rr_rep ~rr_origin ~rr_po_seq
     | Msg.Recon_reply { rp_origin; rp_po_seq; rp_update; _ } ->
@@ -1392,8 +1370,10 @@ let handle_message t msg =
         handle_order_cert t ~oc_seq ~oc_view ~oc_matrix ~oc_pp_sig ~oc_commits
     | Msg.Catchup_request { cu_rep; cu_from; cu_next_pp } ->
         handle_catchup_request t ~cu_rep ~cu_from ~cu_next_pp
-    | Msg.Catchup_reply { cr_entries; cr_upto; cr_behind_log; cr_next_exec_pp; cr_cursor; _ } ->
-        handle_catchup_reply t ~cr_entries ~cr_upto ~cr_behind_log ~cr_next_exec_pp ~cr_cursor
+    | Msg.Catchup_reply
+        { cr_rep; cr_entries; cr_upto; cr_behind_log; cr_next_exec_pp; cr_cursor; cr_sig } ->
+        handle_catchup_reply t ~cr_rep ~cr_entries ~cr_upto ~cr_behind_log ~cr_next_exec_pp
+          ~cr_cursor ~cr_sig
     | Msg.Client_reply _ -> () (* replicas do not consume client replies *)
   end
 

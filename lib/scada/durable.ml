@@ -397,10 +397,7 @@ let create ~keystore ~keypair ~config ~replica ~state ~media =
       replica;
       state;
       media;
-      wal =
-        Store.Wal.create ~prefix:"wal"
-          ~segment_size:config.Prime.Config.wal_segment_size
-          ~fsync_every:config.Prime.Config.fsync_every media;
+      wal = Store.Wal.create media;
       checkpoint_interval = config.Prime.Config.checkpoint_interval;
       counters = Sim.Stats.Counter.create ();
       latest = None;

@@ -355,11 +355,6 @@ let telemetry_value t name =
   | Some p when p.t_last_exec > 0 -> Some p.t_value
   | _ -> None
 
-(* Reported points with values, in the frozen canonical order. *)
-let telemetry_points t =
-  Array.to_list t.telem_ordered
-  |> List.filter_map (fun p -> if p.t_last_exec > 0 then Some (p.t_name, p.t_value) else None)
-
 (* --- digest ----------------------------------------------------------------- *)
 
 (* Hashes what is stale (see [Crypto.Merkle.tree_root]) and combines the

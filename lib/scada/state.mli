@@ -46,9 +46,6 @@ val energized_tri : t -> (string * [ `Energized | `De_energized | `Unknown ]) li
     (and for names outside the frozen telemetry slots). *)
 val telemetry_value : t -> string -> int option
 
-(** Reported measurement points with values, canonical name order. *)
-val telemetry_points : t -> (string * int) list
-
 (** Canonical binary blob (Wire-encoded, breakers in the frozen name
     order). Memoized: repeated calls between mutations return the same
     string without re-encoding. *)

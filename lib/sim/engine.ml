@@ -74,12 +74,10 @@ let step t =
       thunk ();
       true
 
-let run ?until ?(max_events = max_int) t =
+let run ?until t =
   t.stop_requested <- false;
-  let budget = ref max_events in
   let continue () =
     (not t.stop_requested)
-    && !budget > 0
     &&
     match (Wheel.peek t.queue, until) with
     | None, _ -> false
@@ -87,7 +85,6 @@ let run ?until ?(max_events = max_int) t =
     | Some time, Some limit -> time <= limit
   in
   while continue () do
-    decr budget;
     ignore (step t)
   done;
   (* A bounded run leaves the clock at the horizon even if the queue went
@@ -99,7 +96,7 @@ let run ?until ?(max_events = max_int) t =
    pending event. *)
 type timer = { mutable next_event : event_id; mutable active : bool }
 
-let every t ~period ?(jitter = 0.0) thunk =
+let every t ~period thunk =
   if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
   let timer = { next_event = 0; active = true } in
   let rec arm delay =
@@ -107,9 +104,7 @@ let every t ~period ?(jitter = 0.0) thunk =
       schedule t ~delay (fun () ->
           if timer.active then begin
             thunk ();
-            if timer.active then
-              let extra = if jitter > 0.0 then Rng.float t.rng jitter else 0.0 in
-              arm (period +. extra)
+            if timer.active then arm period
           end)
   in
   arm period;

@@ -57,18 +57,18 @@ val queue_capacity : t -> int
     empty. *)
 val step : t -> bool
 
-(** [run ?until ?max_events t] executes events in time order until the
-    queue is empty, the horizon [until] is passed, [max_events] have run,
-    or [stop] is called. With [until], the clock is advanced to the
-    horizon even if the queue empties early. *)
-val run : ?until:float -> ?max_events:int -> t -> unit
+(** [run ?until t] executes events in time order until the queue is
+    empty, the horizon [until] is passed, or [stop] is called. With
+    [until], the clock is advanced to the horizon even if the queue
+    empties early. *)
+val run : ?until:float -> t -> unit
 
 (** Request that [run] return after the current event. *)
 val stop : t -> unit
 
-(** [every t ~period ?jitter f] runs [f] every [period] (plus uniform
-    random [jitter]) seconds, starting one period from now. *)
-val every : t -> period:float -> ?jitter:float -> (unit -> unit) -> timer
+(** [every t ~period f] runs [f] every [period] seconds, starting one
+    period from now. It draws no RNG. *)
+val every : t -> period:float -> (unit -> unit) -> timer
 
 (** Stop a recurring timer. Idempotent. *)
 val cancel_timer : t -> timer -> unit

@@ -2,8 +2,8 @@
 
    Subsystems record (time, category, message) entries. Experiments read
    the trace back to build narrative output (e.g. the red-team attack log)
-   and tests assert on it. Echoing to stderr is off by default so that
-   property tests running thousands of simulations stay quiet.
+   and tests assert on it. Nothing is echoed, so property tests running
+   thousands of simulations stay quiet.
 
    Storage is a flat array: unbounded runs grow it geometrically, while a
    [?capacity] turns it into a ring so that multi-day plant deployments
@@ -18,19 +18,16 @@ type t = {
   mutable start : int; (* ring read position (0 unless bounded and full) *)
   capacity : int option;
   mutable total : int; (* entries ever recorded *)
-  mutable echo : bool;
 }
 
 let dummy = { time = 0.0; category = ""; message = "" }
 
-let create ?capacity ?(echo = false) () =
+let create ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Trace.create: capacity must be positive"
   | _ -> ());
   let initial = match capacity with Some c -> Stdlib.min c 64 | None -> 64 in
-  { buf = Array.make initial dummy; len = 0; start = 0; capacity; total = 0; echo }
-
-let set_echo t echo = t.echo <- echo
+  { buf = Array.make initial dummy; len = 0; start = 0; capacity; total = 0 }
 
 let grow t =
   let cap = Array.length t.buf in
@@ -57,11 +54,7 @@ let push t entry =
   t.total <- t.total + 1
 
 let record t ~time ~category fmt =
-  Format.kasprintf
-    (fun message ->
-      push t { time; category; message };
-      if t.echo then Printf.eprintf "[%10.4f] %-12s %s\n%!" time category message)
-    fmt
+  Format.kasprintf (fun message -> push t { time; category; message }) fmt
 
 (* Chronological fold over the live window. *)
 let fold t ~init ~f =
@@ -94,6 +87,3 @@ let find t ~category ~contains =
       else go (i + 1)
   in
   go 0
-
-let pp_entry ppf entry =
-  Fmt.pf ppf "[%10.4f] %-12s %s" entry.time entry.category entry.message

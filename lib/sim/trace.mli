@@ -9,10 +9,7 @@ type t
     is a ring keeping only the newest [capacity] entries (long plant
     deployments stay bounded); without it the trace grows as needed.
     Raises [Invalid_argument] on a non-positive capacity. *)
-val create : ?capacity:int -> ?echo:bool -> unit -> t
-
-(** Toggle live echoing of entries to stderr. *)
-val set_echo : t -> bool -> unit
+val create : ?capacity:int -> unit -> t
 
 (** [record t ~time ~category fmt ...] appends a formatted entry. *)
 val record : t -> time:float -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
@@ -34,5 +31,3 @@ val by_category : t -> string -> entry list
 (** First retained entry in [category] whose message contains
     [contains]. *)
 val find : t -> category:string -> contains:string -> entry option
-
-val pp_entry : Format.formatter -> entry -> unit

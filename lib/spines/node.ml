@@ -88,12 +88,22 @@ type config = {
   port : int;
   session_port : int; (* client-facing port for remote session clients *)
   group_key : string option; (* None models a build without the new encryption *)
-  hello_period : float;
-  hello_timeout : float;
-  source_rate_limit : float; (* data msgs/s accepted per origin *)
-  session_timeout : float; (* attachment freshness bound *)
-  dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
 }
+
+(* Hello period and the silence after which a link is marked down, as
+   every deployment daemon runs them (seconds). *)
+let hello_period = 1.0
+
+let hello_timeout = 3.5
+
+(* Data messages/s accepted per origin. *)
+let source_rate_limit = 2000.0
+
+(* Attachment freshness bound (seconds). *)
+let session_timeout = 5.0
+
+(* Per-origin sequence horizon for dedup eviction, daemons and sessions. *)
+let dedup_window = 4096
 
 (* Per-neighbor egress queue bound (messages) and coalescing flush
    window (seconds). *)
@@ -101,17 +111,12 @@ let egress_bound = 256
 
 let flush_window = 0.0005
 
-let default_config ?(port = 8100) ?session_port ?group_key ?(dedup_window = 4096) topology =
+let default_config ?(port = 8100) ?session_port ?group_key topology =
   {
     topology;
     port;
     session_port = (match session_port with Some p -> p | None -> port + 1);
     group_key;
-    hello_period = 0.2;
-    hello_timeout = 1.0;
-    source_rate_limit = 2000.0;
-    session_timeout = 5.0;
-    dedup_window;
   }
 
 type client = {
@@ -380,7 +385,7 @@ let create ~engine ~trace ~host ~id config =
       clients = Hashtbl.create 8;
       seq = 0;
       hello_seq = 0;
-      dedup = Window.create ~span:config.dedup_window ();
+      dedup = Window.create ~span:dedup_window ();
       buckets = Hashtbl.create 16;
       counters = Sim.Stats.Counter.create ();
       sessions = Hashtbl.create 16;
@@ -418,7 +423,7 @@ let create ~engine ~trace ~host ~id config =
 let deliver_session t entry (d : data) =
   match t.auth_sched with
   | Some sched
-    when Sim.Engine.now t.engine -. entry.sess_last_seen <= t.config.session_timeout ->
+    when Sim.Engine.now t.engine -. entry.sess_last_seen <= session_timeout ->
       Sim.Stats.Counter.incr t.counters "session.delivered";
       let inner =
         Sess_deliver
@@ -460,15 +465,15 @@ let bucket_for t origin =
   match Hashtbl.find_opt t.buckets origin with
   | Some b -> b
   | None ->
-      let b = { tokens = t.config.source_rate_limit /. 10.0; updated = 0.0 } in
+      let b = { tokens = source_rate_limit /. 10.0; updated = 0.0 } in
       Hashtbl.replace t.buckets origin b;
       b
 
 let within_rate t origin =
   let b = bucket_for t origin in
   let now = Sim.Engine.now t.engine in
-  let cap = t.config.source_rate_limit /. 10.0 in
-  b.tokens <- Float.min cap (b.tokens +. ((now -. b.updated) *. t.config.source_rate_limit));
+  let cap = source_rate_limit /. 10.0 in
+  b.tokens <- Float.min cap (b.tokens +. ((now -. b.updated) *. source_rate_limit));
   b.updated <- now;
   if b.tokens >= 1.0 then begin
     b.tokens <- b.tokens -. 1.0;
@@ -542,7 +547,7 @@ let hello_tick t =
   let now = Sim.Engine.now t.engine in
   Hashtbl.iter
     (fun n state ->
-      if state.up && now -. state.last_ack > t.config.hello_timeout then
+      if state.up && now -. state.last_ack > hello_timeout then
         mark_neighbor t n ~up:false)
     t.link_of_peer;
   t.hello_seq <- t.hello_seq + 1;
@@ -566,7 +571,7 @@ let handle_hello_ack t ~afrom =
 let handle_link_inner t ~from = function
   | Hello { hfrom; hseq } -> send_link t ~to_:hfrom (Hello_ack { afrom = t.id; ato = hfrom; hseq })
   | Hello_ack { afrom; ato; hseq } ->
-      let rounds = Float.to_int (Float.ceil (t.config.hello_timeout /. t.config.hello_period)) in
+      let rounds = Float.to_int (Float.ceil (hello_timeout /. hello_period)) in
       if afrom = from && ato = t.id && hseq <= t.hello_seq && hseq > t.hello_seq - rounds then
         handle_hello_ack t ~afrom
 
@@ -661,7 +666,7 @@ let receive_session t ~src payload =
             match Hashtbl.find_opt t.sessions ss_name with
             | Some entry
               when Sim.Engine.now t.engine -. entry.sess_last_seen
-                   <= t.config.session_timeout ->
+                   <= session_timeout ->
                 t.seq <- t.seq + 1;
                 Sim.Stats.Counter.incr t.counters "session.send";
                 forward_data t ~from:None
@@ -683,7 +688,7 @@ let start t =
     (fun ~src ~dst_port:_ ~size:_ payload -> if t.running then receive_session t ~src payload);
   let now = Sim.Engine.now t.engine in
   Hashtbl.iter (fun _ s -> s.last_ack <- now) t.link_of_peer;
-  let hello = Sim.Engine.every t.engine ~period:t.config.hello_period (fun () -> hello_tick t) in
+  let hello = Sim.Engine.every t.engine ~period:hello_period (fun () -> hello_tick t) in
   t.timers <- [ hello ]
 
 let stop t =
@@ -750,12 +755,15 @@ module Session = struct
     sess_counters : Sim.Stats.Counter.t;
     mutable sess_timers : Sim.Engine.timer list;
     mutable sess_running : bool;
-    attach_period : float;
-    failover_timeout : float;
   }
 
-  let create ?(attach_period = 1.0) ?(failover_timeout = 3.0) ?(local_port = 9001)
-      ?(dedup_window = 4096) ?(groups = []) ~engine ~trace ~host ~key ~daemons
+  (* Re-attachment heartbeat, and the daemon silence that triggers
+     failover to the next one (seconds). *)
+  let attach_period = 1.0
+
+  let failover_timeout = 3.0
+
+  let create ?(local_port = 9001) ?(groups = []) ~engine ~trace ~host ~key ~daemons
       ~daemon_session_port ~name () =
     if daemons = [] then invalid_arg "Session.create: no daemons";
     {
@@ -775,8 +783,6 @@ module Session = struct
       sess_counters = Sim.Stats.Counter.create ();
       sess_timers = [];
       sess_running = false;
-      attach_period;
-      failover_timeout;
     }
 
   let name s = s.sess_name
@@ -799,7 +805,7 @@ module Session = struct
 
   let attach_tick s =
     let now = Sim.Engine.now s.engine in
-    if now -. s.last_ack > s.failover_timeout then begin
+    if now -. s.last_ack > failover_timeout then begin
       (* Current daemon is silent (stopped, recovering, unreachable):
          rotate to the next one. *)
       let previous = s.current in
@@ -847,7 +853,7 @@ module Session = struct
     s.last_ack <- Sim.Engine.now s.engine;
     send_wire s (Sess_attach { sa_name = s.sess_name; sa_groups = s.sess_groups });
     s.sess_timers <-
-      [ Sim.Engine.every s.engine ~period:s.attach_period (fun () -> attach_tick s) ]
+      [ Sim.Engine.every s.engine ~period:attach_period (fun () -> attach_tick s) ]
 
   let stop s =
     if s.sess_running then begin

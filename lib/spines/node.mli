@@ -24,20 +24,20 @@ type config = {
   port : int;
   session_port : int; (* client-facing port for remote session clients *)
   group_key : string option; (* None models a daemon built without keys *)
-  hello_period : float;
-  hello_timeout : float;
-  source_rate_limit : float;
-  session_timeout : float;
-  dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
 }
 
-val default_config :
-  ?port:int ->
-  ?session_port:int ->
-  ?group_key:string ->
-  ?dedup_window:int ->
-  Topology.t ->
-  config
+val default_config : ?port:int -> ?session_port:int -> ?group_key:string -> Topology.t -> config
+
+(** Seconds between a daemon's hellos on each link (1.0). *)
+val hello_period : float
+
+(** Seconds without a valid hello ack after which a link is marked down
+    (3.5). *)
+val hello_timeout : float
+
+(** Per-origin sequence horizon of the dedup windows of daemons and
+    sessions (4096). *)
+val dedup_window : int
 
 (** Overlay message overhead added to every client payload, bytes. *)
 val overhead_bytes : int
@@ -116,10 +116,7 @@ module Session : sig
       carries the list under the session MAC, and the hosting daemon
       replaces its copy at each attach. *)
   val create :
-    ?attach_period:float ->
-    ?failover_timeout:float ->
     ?local_port:int ->
-    ?dedup_window:int ->
     ?groups:string list ->
     engine:Sim.Engine.t ->
     trace:Sim.Trace.t ->

@@ -16,20 +16,21 @@ type file = {
   mutable synced : int; (* durable prefix length *)
 }
 
+(* Mean modeled stall per fsync, seconds. *)
+let fsync_latency = 5e-4
+
 type t = {
   name : string;
   rng : Sim.Rng.t;
-  fsync_latency : float; (* mean modeled stall per fsync, seconds *)
   files : (string, file) Hashtbl.t;
   counters : Sim.Stats.Counter.t;
   mutable io_stall : float; (* accumulated modeled fsync time *)
 }
 
-let create ?(fsync_latency = 5e-4) ~rng name =
+let create ~rng name =
   {
     name;
     rng;
-    fsync_latency;
     files = Hashtbl.create 8;
     counters = Sim.Stats.Counter.create ();
     io_stall = 0.0;
@@ -88,7 +89,7 @@ let fsync t ~file =
   (* Modeled stall: accounted, not scheduled — the replica's logical
      control flow stays synchronous, while benchmarks still see the
      device-time cost of each durability point. *)
-  t.io_stall <- t.io_stall +. (t.fsync_latency *. (0.5 +. Sim.Rng.float t.rng 1.0));
+  t.io_stall <- t.io_stall +. (fsync_latency *. (0.5 +. Sim.Rng.float t.rng 1.0));
   Sim.Stats.Counter.incr t.counters "media.fsync"
 
 let exists t ~file =

@@ -5,7 +5,7 @@
 
 type t
 
-val create : ?fsync_latency:float -> rng:Sim.Rng.t -> string -> t
+val create : rng:Sim.Rng.t -> string -> t
 
 val name : t -> string
 

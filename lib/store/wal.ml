@@ -4,10 +4,11 @@
 
      magic (1 byte) | crc32 of payload (u32) | payload (u32-length-prefixed)
 
-   in [Wire] layout. Segments rotate once they pass [segment_size] bytes;
-   whole segments below a checkpoint are garbage-collected by [gc_before].
-   [fsync_every] batches durability points: every Nth append syncs the
-   current segment, so a crash loses at most N-1 records.
+   in [Wire] layout, in media files [wal-NNNNNN]. Segments rotate once
+   they pass [segment_size] bytes; whole segments below a checkpoint are
+   garbage-collected by [gc_before]. [fsync_every] batches durability
+   points: every Nth append syncs the current segment, so a crash loses
+   at most N-1 records.
 
    Replay is *total*: it walks every live segment in order and applies
    each valid record, truncating at the first invalid one — torn tail,
@@ -16,6 +17,10 @@
    last valid record. *)
 
 let magic = 0xA6
+
+let segment_size = 64 * 1024
+
+let fsync_every = 8
 
 (* CRC-32 (IEEE 802.3, reflected), table-driven. *)
 let crc_table =
@@ -35,9 +40,6 @@ let crc32 s =
 
 type t = {
   media : Media.t;
-  prefix : string;
-  segment_size : int;
-  fsync_every : int;
   counters : Sim.Stats.Counter.t;
   mutable seg_lo : int; (* lowest live segment *)
   mutable seg_hi : int; (* segment currently appended to *)
@@ -48,19 +50,16 @@ type t = {
   mutable bytes_appended : int;
 }
 
-let segment_file t i = Printf.sprintf "%s-%06d" t.prefix i
+let prefix = "wal-"
+
+let segment_file i = Printf.sprintf "%s%06d" prefix i
 
 (* Reopen against whatever segments the media already holds, so a
    restart continues appending after the surviving prefix. *)
-let create ?(prefix = "wal") ?(segment_size = 64 * 1024) ?(fsync_every = 8) media =
-  if segment_size < 64 then invalid_arg "Wal.create: segment_size must be >= 64";
-  if fsync_every < 1 then invalid_arg "Wal.create: fsync_every must be >= 1";
+let create media =
   let t =
     {
       media;
-      prefix;
-      segment_size;
-      fsync_every;
       counters = Sim.Stats.Counter.create ();
       seg_lo = 0;
       seg_hi = 0;
@@ -71,14 +70,13 @@ let create ?(prefix = "wal") ?(segment_size = 64 * 1024) ?(fsync_every = 8) medi
       bytes_appended = 0;
     }
   in
-  let dash_prefix = prefix ^ "-" in
   let live =
     List.filter_map
       (fun file ->
-        if String.length file > String.length dash_prefix
-           && String.sub file 0 (String.length dash_prefix) = dash_prefix
-        then int_of_string_opt (String.sub file (String.length dash_prefix)
-                                  (String.length file - String.length dash_prefix))
+        if String.length file > String.length prefix
+           && String.sub file 0 (String.length prefix) = prefix
+        then int_of_string_opt (String.sub file (String.length prefix)
+                                  (String.length file - String.length prefix))
         else None)
       (Media.files media)
   in
@@ -87,7 +85,7 @@ let create ?(prefix = "wal") ?(segment_size = 64 * 1024) ?(fsync_every = 8) medi
   | idx ->
       t.seg_lo <- List.fold_left min max_int idx;
       t.seg_hi <- List.fold_left max 0 idx;
-      t.seg_bytes <- Media.length media ~file:(segment_file t t.seg_hi));
+      t.seg_bytes <- Media.length media ~file:(segment_file t.seg_hi));
   t
 
 let counters t = t.counters
@@ -104,7 +102,7 @@ let segment_count t = t.seg_hi - t.seg_lo + 1
 
 let sync t =
   if t.unsynced > 0 then begin
-    Media.fsync t.media ~file:(segment_file t t.seg_hi);
+    Media.fsync t.media ~file:(segment_file t.seg_hi);
     t.unsynced <- 0;
     t.records_synced <- t.records;
     Sim.Stats.Counter.incr t.counters "wal.fsync"
@@ -117,23 +115,23 @@ let append t payload =
         Wire.w_u32 b (crc32 payload);
         Wire.w_str b payload)
   in
-  if t.seg_bytes > 0 && t.seg_bytes + String.length frame > t.segment_size then begin
+  if t.seg_bytes > 0 && t.seg_bytes + String.length frame > segment_size then begin
     (* Rotation syncs the finished segment: a sealed segment is always
        fully durable. *)
-    Media.fsync t.media ~file:(segment_file t t.seg_hi);
+    Media.fsync t.media ~file:(segment_file t.seg_hi);
     t.records_synced <- t.records;
     t.seg_hi <- t.seg_hi + 1;
     t.seg_bytes <- 0;
     t.unsynced <- 0;
     Sim.Stats.Counter.incr t.counters "wal.rotate"
   end;
-  Media.append t.media ~file:(segment_file t t.seg_hi) frame;
+  Media.append t.media ~file:(segment_file t.seg_hi) frame;
   t.seg_bytes <- t.seg_bytes + String.length frame;
   t.bytes_appended <- t.bytes_appended + String.length frame;
   t.records <- t.records + 1;
   t.unsynced <- t.unsynced + 1;
   Sim.Stats.Counter.incr t.counters "wal.append";
-  if t.unsynced >= t.fsync_every then sync t
+  if t.unsynced >= fsync_every then sync t
 
 (* Decode one frame; [Ok None] at a clean end-of-segment. *)
 let decode_frame r =
@@ -155,7 +153,7 @@ let replay t ~f =
   let corrupt = ref false in
   let seg = ref t.seg_lo in
   while (not !corrupt) && !seg <= t.seg_hi do
-    let file = segment_file t !seg in
+    let file = segment_file !seg in
     (match Media.read t.media ~file with
     | None -> ()
     | Some data ->
@@ -178,7 +176,7 @@ let replay t ~f =
               Sim.Stats.Counter.incr t.counters "wal.corrupt_record";
               Media.truncate t.media ~file !valid_end;
               for later = !seg + 1 to t.seg_hi do
-                Media.delete t.media ~file:(segment_file t later)
+                Media.delete t.media ~file:(segment_file later)
               done;
               t.seg_hi <- !seg;
               t.seg_bytes <- !valid_end
@@ -197,7 +195,7 @@ let gc_before t ~segment =
   let upto = min segment t.seg_hi in
   let dropped = ref 0 in
   while t.seg_lo < upto do
-    Media.delete t.media ~file:(segment_file t t.seg_lo);
+    Media.delete t.media ~file:(segment_file t.seg_lo);
     t.seg_lo <- t.seg_lo + 1;
     incr dropped
   done;
@@ -206,7 +204,7 @@ let gc_before t ~segment =
 
 let reset t =
   for i = t.seg_lo to t.seg_hi do
-    Media.delete t.media ~file:(segment_file t i)
+    Media.delete t.media ~file:(segment_file i)
   done;
   t.seg_lo <- 0;
   t.seg_hi <- 0;

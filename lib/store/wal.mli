@@ -4,10 +4,16 @@
 
 type t
 
-(** [create media] opens (or reopens) the log named [prefix] on [media],
-    continuing after any surviving segments. [fsync_every] batches
-    durability points: a crash loses at most that many records. *)
-val create : ?prefix:string -> ?segment_size:int -> ?fsync_every:int -> Media.t -> t
+(** Bytes per segment before rotation. *)
+val segment_size : int
+
+(** Appends between durability points: a crash loses fewer records than
+    this. *)
+val fsync_every : int
+
+(** [create media] opens (or reopens) the log on [media], continuing
+    after any surviving segments. *)
+val create : Media.t -> t
 
 val counters : t -> Sim.Stats.Counter.t
 

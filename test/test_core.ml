@@ -345,7 +345,9 @@ let test_grid_sharded_end_to_end () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let config = Prime.Config.create ~f:1 ~k:0 () in
-  let scenario = Plc.Power.synthetic ~per_site:2 ~devices:8 () in
+  (* Four substation sites, two per shard. *)
+  let per_site = Plc.Power.per_site in
+  let scenario = Plc.Power.synthetic ~devices:(4 * per_site) () in
   let g = Spire.Grid.create ~engine ~trace ~config ~shards:2 scenario in
   run engine ~until:3.0;
   check_int "two shards" 2 (Spire.Grid.shard_count g);
@@ -357,7 +359,7 @@ let test_grid_sharded_end_to_end () =
     (fun row -> check ("agreed " ^ row.Spire.Grid.o_label) true row.Spire.Grid.o_agreed)
     ov;
   let closed_of i = (List.nth ov i).Spire.Grid.o_closed in
-  check_int "all breakers closed initially" 8 (closed_of 0 + closed_of 1);
+  check_int "all breakers closed initially" (4 * per_site) (closed_of 0 + closed_of 1);
   (* A field event is visible through the owning shard only. *)
   (match Spire.Grid.find_breaker g "SUB-001/B00" with
   | Some (_, b) -> Plc.Breaker.force b Plc.Breaker.Open
@@ -365,8 +367,8 @@ let test_grid_sharded_end_to_end () =
   run engine ~until:6.0;
   let ov = Spire.Grid.overview g in
   let closed_of i = (List.nth ov i).Spire.Grid.o_closed in
-  check_int "shard 0 untouched" 4 (closed_of 0);
-  check_int "shard 1 sees the open breaker" 3 (closed_of 1);
+  check_int "shard 0 untouched" (2 * per_site) (closed_of 0);
+  check_int "shard 1 sees the open breaker" ((2 * per_site) - 1) (closed_of 1);
   let d1 = Spire.Grid.deployment g 1 in
   Alcotest.(check (option bool)) "shard hmi sees it open" (Some false)
     (Scada.Hmi.displayed_closed
@@ -397,7 +399,7 @@ let test_grid_shard_crash_isolated () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let config = Prime.Config.create ~f:1 ~k:0 () in
-  let scenario = Plc.Power.synthetic ~per_site:2 ~devices:8 () in
+  let scenario = Plc.Power.synthetic ~devices:(4 * Plc.Power.per_site) () in
   let g = Spire.Grid.create ~engine ~trace ~config ~shards:2 scenario in
   run engine ~until:3.0;
   Spire.Deployment.take_down_replica (Spire.Grid.deployment g 0) 1;

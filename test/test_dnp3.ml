@@ -221,7 +221,7 @@ let make_rtu () =
   let rtu = Plc.Rtu.create ~engine ~trace ~name:"RTU-1" ~n_points:3 () in
   let breakers =
     Array.init 3 (fun i ->
-        let b = Plc.Breaker.create ~engine ~actuation_delay:0.05 (Printf.sprintf "P%d" i) in
+        let b = Plc.Breaker.create ~engine (Printf.sprintf "P%d" i) in
         Plc.Rtu.wire_breaker rtu ~index:i b;
         b)
   in
@@ -261,14 +261,19 @@ let test_rtu_buffers_events_with_timestamps () =
 let test_rtu_event_overflow () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
-  let rtu = Plc.Rtu.create ~event_buffer_limit:5 ~engine ~trace ~name:"RTU-S" ~n_points:1 () in
+  let rtu = Plc.Rtu.create ~engine ~trace ~name:"RTU-S" ~n_points:1 () in
   let b = Plc.Breaker.create ~engine "P0" in
   Plc.Rtu.wire_breaker rtu ~index:0 b;
-  for _ = 1 to 10 do
+  let limit = Plc.Rtu.event_buffer_limit in
+  for _ = 1 to limit - 1 do
+    Plc.Breaker.toggle_force b
+  done;
+  check "no overflow below the limit" false (Plc.Rtu.events_overflowed rtu);
+  for _ = limit to 2 * limit do
     Plc.Breaker.toggle_force b
   done;
   check "overflow flagged" true (Plc.Rtu.events_overflowed rtu);
-  check "buffer bounded" true (Plc.Rtu.pending_events rtu <= 5)
+  check "buffer bounded" true (Plc.Rtu.pending_events rtu <= limit)
 
 let test_rtu_operate () =
   let engine, rtu, breakers = make_rtu () in

@@ -475,10 +475,9 @@ let test_cable_point_to_point () =
 let test_switch_backlog_drops_flood () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
-  (* Slow 10 Mb/s port with a 10 ms backlog bound makes saturation cheap. *)
-  let switch =
-    Netbase.Switch.create ~bandwidth:1_250_000.0 ~max_backlog:0.01 ~engine ~trace "slow"
-  in
+  (* A slow 10 Mb/s port makes saturation cheap. *)
+  let bandwidth = 1_250_000.0 in
+  let switch = Netbase.Switch.create ~bandwidth ~engine ~trace "slow" in
   let a = Netbase.Host.create ~engine ~trace "flooder" in
   let nic_a = Netbase.Host.add_nic a ~ip:(ip 10 0 0 1) in
   let (_ : int) = Netbase.Host.plug_into_switch a nic_a switch in
@@ -499,7 +498,12 @@ let test_switch_backlog_drops_flood () =
   check "some flood delivered" true (!received > 1);
   check "saturation drops occurred" true
     (Sim.Stats.Counter.get (Netbase.Switch.counters switch) "drop.backlog" > 0);
-  check "not everything got through" true (!received < 201)
+  check "not everything got through" true (!received < 201);
+  (* A port queues at most [max_backlog] seconds of serialisation: no
+     more 1 400-byte frames than fit in that time, plus the one on the
+     wire. *)
+  let fit = int_of_float (Netbase.Switch.max_backlog *. bandwidth /. 1400.0) + 1 in
+  check "flood admitted up to the backlog bound" true (!received - 1 <= fit)
 
 (* --- Compromise model -------------------------------------------------------------- *)
 

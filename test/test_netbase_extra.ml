@@ -15,26 +15,24 @@ type lan = {
   host_b : Netbase.Host.t;
 }
 
-let make_lan ?ingress_rate_b () =
+let make_lan () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let switch = Netbase.Switch.create ~engine ~trace "sw" in
   let host_a = Netbase.Host.create ~engine ~trace "a" in
   let nic_a = Netbase.Host.add_nic host_a ~ip:(ip 10 0 0 1) in
   let (_ : int) = Netbase.Host.plug_into_switch host_a nic_a switch in
-  let host_b =
-    match ingress_rate_b with
-    | Some rate -> Netbase.Host.create ~ingress_rate:rate ~engine ~trace "b"
-    | None -> Netbase.Host.create ~engine ~trace "b"
-  in
+  let host_b = Netbase.Host.create ~engine ~trace "b" in
   let nic_b = Netbase.Host.add_nic host_b ~ip:(ip 10 0 0 2) in
   let (_ : int) = Netbase.Host.plug_into_switch host_b nic_b switch in
   { engine; trace; switch; host_a; host_b }
 
 let test_host_overload_sheds_packets () =
-  (* A host with little processing capacity drops under a packet flood
-     (the host-level half of the DoS model). *)
-  let lan = make_lan ~ingress_rate_b:100.0 () in
+  (* A host drops a packet flood beyond its processing capacity (the
+     host-level half of the DoS model): a burst of twice what it admits
+     at once, arriving faster than it processes. *)
+  let lan = make_lan () in
+  let burst = int_of_float (2.0 *. Netbase.Host.ingress_rate /. 10.0) in
   let received = ref 0 in
   Netbase.Host.udp_bind lan.host_b ~port:7000 (fun ~src:_ ~dst_port:_ ~size:_ _ ->
       incr received);
@@ -42,17 +40,15 @@ let test_host_overload_sheds_packets () =
   Netbase.Host.udp_send lan.host_a ~dst_ip:(ip 10 0 0 2) ~dst_port:7000 ~src_port:9 ~size:60
     (Netbase.Packet.Raw "warm");
   Sim.Engine.run ~until:0.5 lan.engine;
-  for i = 1 to 2000 do
-    ignore
-      (Sim.Engine.schedule lan.engine ~delay:(0.001 *. float_of_int i) (fun () ->
-           Netbase.Host.udp_send lan.host_a ~dst_ip:(ip 10 0 0 2) ~dst_port:7000 ~src_port:9
-             ~size:60 (Netbase.Packet.Raw "x")))
+  for _ = 1 to burst do
+    Netbase.Host.udp_send lan.host_a ~dst_ip:(ip 10 0 0 2) ~dst_port:7000 ~src_port:9 ~size:60
+      (Netbase.Packet.Raw "x")
   done;
   Sim.Engine.run ~until:5.0 lan.engine;
   check "some delivered" true (!received > 10);
   check "overload drops occurred" true
     (Sim.Stats.Counter.get (Netbase.Host.counters lan.host_b) "rx.overload_drop" > 0);
-  check "well below the offered load" true (!received < 1500)
+  check "well below the offered load" true (!received < burst * 3 / 4)
 
 let test_spoofed_source_passes_address_filter () =
   (* The firewall filters by source address; a spoofed packet claiming an

@@ -228,21 +228,22 @@ let prop_modbus_response_decode_canonical =
 
 let test_breaker_actuation_delay () =
   let engine = Sim.Engine.create () in
-  let b = Plc.Breaker.create ~engine ~actuation_delay:0.1 "B1" in
+  let b = Plc.Breaker.create ~engine "B1" in
+  let delay = Plc.Breaker.actuation_delay in
   check "initially closed" true (Plc.Breaker.is_closed b);
   Plc.Breaker.command b Plc.Breaker.Open;
   check "not yet moved" true (Plc.Breaker.is_closed b);
-  Sim.Engine.run ~until:0.05 engine;
+  Sim.Engine.run ~until:(0.5 *. delay) engine;
   check "still moving" true (Plc.Breaker.is_closed b);
-  Sim.Engine.run ~until:0.2 engine;
+  Sim.Engine.run ~until:(2.0 *. delay) engine;
   check "now open" false (Plc.Breaker.is_closed b);
   check_int "one actuation" 1 (Plc.Breaker.actuations b)
 
 let test_breaker_superseded_command () =
   let engine = Sim.Engine.create () in
-  let b = Plc.Breaker.create ~engine ~actuation_delay:0.1 "B1" in
+  let b = Plc.Breaker.create ~engine "B1" in
   Plc.Breaker.command b Plc.Breaker.Open;
-  Sim.Engine.run ~until:0.05 engine;
+  Sim.Engine.run ~until:(0.5 *. Plc.Breaker.actuation_delay) engine;
   (* Countermand before the first actuation lands. *)
   Plc.Breaker.command b Plc.Breaker.Closed;
   Sim.Engine.run ~until:0.5 engine;
@@ -268,7 +269,7 @@ let make_device () =
   let d = Plc.Device.create ~engine ~trace ~name:"TEST" ~n_coils:3 in
   let breakers =
     Array.init 3 (fun i ->
-        let b = Plc.Breaker.create ~engine ~actuation_delay:0.05 (Printf.sprintf "B%d" i) in
+        let b = Plc.Breaker.create ~engine (Printf.sprintf "B%d" i) in
         Plc.Device.wire_breaker d ~coil:i b;
         b)
   in
@@ -314,7 +315,7 @@ let test_device_compromised_logic_ignores_commands () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let d = Plc.Device.create ~engine ~trace ~name:"VICTIM" ~n_coils:1 in
-  let b = Plc.Breaker.create ~engine ~actuation_delay:0.05 "B0" in
+  let b = Plc.Breaker.create ~engine "B0" in
   Plc.Device.wire_breaker d ~coil:0 b;
   let host = Netbase.Host.create ~engine ~trace "plc-host" in
   let nic = Netbase.Host.add_nic host ~ip:(Netbase.Addr.Ip.v 10 9 9 2) in

@@ -17,6 +17,7 @@ type cluster = {
   (* Added to the link latency of one message. *)
   mutable extra_delay : dst:int -> Prime.Msg.t -> float;
   applied : (int * Prime.Msg.Update.t) list ref array; (* per-replica exec log *)
+  keypairs : Crypto.Signature.keypair array; (* what a compromised replica signs with *)
 }
 
 let make_cluster ?(config = Prime.Config.create ~f:1 ~k:0 ()) ?(latency = 0.001) ?seed () =
@@ -52,8 +53,11 @@ let make_cluster ?(config = Prime.Config.create ~f:1 ~k:0 ()) ?(latency = 0.001)
     }
   in
   let applied = Array.init n (fun _ -> ref []) in
+  let keypairs =
+    Array.init n (fun id -> Crypto.Signature.generate keystore (Prime.Msg.replica_identity id))
+  in
   for id = 0 to n - 1 do
-    let keypair = Crypto.Signature.generate keystore (Prime.Msg.replica_identity id) in
+    let keypair = keypairs.(id) in
     let r =
       Prime.Replica.create ~engine ~trace ~keystore ~keypair ~transport:(transport_for id)
         ~id config
@@ -73,6 +77,7 @@ let make_cluster ?(config = Prime.Config.create ~f:1 ~k:0 ()) ?(latency = 0.001)
       drop = (fun ~src:_ ~dst:_ _ -> false);
       extra_delay = (fun ~dst:_ _ -> 0.0);
       applied;
+      keypairs;
     }
   in
   cluster_ref := Some c;
@@ -967,6 +972,54 @@ let test_laggard_past_release_point_rejoins () =
   check "laggard's history equals replica 0's" true (exec_history c 3 = exec_history c 0);
   check "laggard used catchup" true (replica_counter c 3 "catchup.applied" > 0)
 
+(* A catchup reply counts once per replica, however often it arrives:
+   one compromised replica sending the same signed reply twice must not
+   make the f + 1 votes that let a laggard adopt an entry no replica
+   ordered, nor the foreign ordering cursor that came with it. *)
+let test_catchup_reply_counts_each_replica_once () =
+  let c = make_cluster () in
+  let client = add_client c "hmi" in
+  for i = 1 to 10 do
+    ignore (Prime.Client.submit client ~op:(Printf.sprintf "op-%d" i))
+  done;
+  run c ~until:2.0;
+  let exec = Prime.Replica.exec_seq c.replicas.(3) in
+  check_int "replica 3 is current" (Prime.Replica.exec_seq c.replicas.(0)) exec;
+  let rogue = Crypto.Signature.generate c.keystore "rogue-hmi" in
+  let forged = Prime.Msg.Update.create ~keypair:rogue ~client_seq:1 ~op:"never ordered" in
+  let entries = [ (exec + 1, forged) ] in
+  let _, _, cursor = Prime.Replica.exec_point c.replicas.(3) in
+  let body =
+    Prime.Msg.encode_catchup_reply ~rep:1
+      (Prime.Msg.encode_catchup_content ~upto:(exec + 1) ~behind_log:false ~next_exec_pp:1000
+         ~cursor ~entries)
+  in
+  let reply =
+    Prime.Msg.Catchup_reply
+      {
+        cr_rep = 1;
+        cr_entries = entries;
+        cr_upto = exec + 1;
+        cr_behind_log = false;
+        cr_next_exec_pp = 1000;
+        cr_cursor = cursor;
+        cr_sig = Crypto.Signature.sign c.keypairs.(1) body;
+      }
+  in
+  Prime.Replica.handle_message c.replicas.(3) reply;
+  Prime.Replica.handle_message c.replicas.(3) reply;
+  check_int "the forged entry is not executed" exec (Prime.Replica.exec_seq c.replicas.(3));
+  for i = 11 to 20 do
+    ignore (Prime.Client.submit client ~op:(Printf.sprintf "op-%d" i))
+  done;
+  run c ~until:4.0;
+  let final = Prime.Replica.exec_seq c.replicas.(0) in
+  check "the group went on" true (final > exec);
+  Array.iteri
+    (fun id r -> check_int (Printf.sprintf "replica %d exec_seq" id) final (Prime.Replica.exec_seq r))
+    c.replicas;
+  check "replica 3's history equals replica 0's" true (exec_history c 3 = exec_history c 0)
+
 let suite =
   [
     ("single update executes everywhere", `Quick, test_single_update_executes_everywhere);
@@ -1006,6 +1059,7 @@ let suite =
     ("prime state bounded by checkpoint interval", `Quick, test_state_bounded_by_checkpoint_interval);
     ("replayed released messages create no state", `Quick, test_replayed_released_messages_create_no_state);
     ("laggard past the release point rejoins", `Quick, test_laggard_past_release_point_rejoins);
+    ("catchup reply counts each replica once", `Quick, test_catchup_reply_counts_each_replica_once);
   ]
 
 let () = Alcotest.run "prime" [ ("prime", suite) ]

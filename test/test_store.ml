@@ -76,7 +76,7 @@ let records wal =
 
 let test_wal_append_replay_roundtrip () =
   let m = media "disk" in
-  let wal = Store.Wal.create ~fsync_every:1 m in
+  let wal = Store.Wal.create m in
   let payloads = List.init 20 (Printf.sprintf "record-%04d") in
   List.iter (Store.Wal.append wal) payloads;
   let n, rs = records wal in
@@ -85,8 +85,12 @@ let test_wal_append_replay_roundtrip () =
 
 let test_wal_rotation_and_gc () =
   let m = media "disk" in
-  let wal = Store.Wal.create ~segment_size:128 ~fsync_every:1 m in
-  let payloads = List.init 30 (Printf.sprintf "record-%04d") in
+  let wal = Store.Wal.create m in
+  (* Records a tenth of a segment long: 30 of them fill three segments. *)
+  let payloads =
+    List.init 30 (fun i ->
+        Printf.sprintf "record-%04d" i ^ String.make (Store.Wal.segment_size / 10) 'x')
+  in
   List.iter (Store.Wal.append wal) payloads;
   check "rotated" true (Store.Wal.segment_count wal > 1);
   let n, rs = records wal in
@@ -102,9 +106,10 @@ let test_wal_rotation_and_gc () =
 
 let test_wal_corrupt_record_truncates_replay () =
   let m = media "disk" in
-  let wal = Store.Wal.create ~fsync_every:1 m in
+  let wal = Store.Wal.create m in
   let payloads = List.init 12 (Printf.sprintf "record-%04d") in
   List.iter (Store.Wal.append wal) payloads;
+  Store.Wal.sync wal;
   check "a synced byte was flipped" true (Store.Media.corrupt_any m);
   let n, rs = records wal in
   check "replay stopped short, no crash" true (n < 12);
@@ -121,30 +126,33 @@ let test_wal_corrupt_record_truncates_replay () =
 
 let test_wal_crash_loses_only_unsynced_tail () =
   let m = media "disk" in
-  let wal = Store.Wal.create ~fsync_every:4 m in
-  List.iter (Store.Wal.append wal) (List.init 10 (Printf.sprintf "r%d"));
-  (* 8 records are covered by durability points; 2 ride in the tail. *)
+  let wal = Store.Wal.create m in
+  let every = Store.Wal.fsync_every in
+  List.iter (Store.Wal.append wal) (List.init (every + 2) (Printf.sprintf "r%d"));
+  (* [every] records are covered by a durability point; 2 ride in the
+     tail. *)
   Store.Media.crash m;
   let n, _ = records wal in
-  check_int "synced prefix survives" 8 n
+  check_int "synced prefix survives" every n
 
 let test_wal_tear_mid_record () =
   let m = media "disk" in
-  let wal = Store.Wal.create ~fsync_every:4 m in
-  List.iter (Store.Wal.append wal) (List.init 9 (Printf.sprintf "record-%04d"));
+  let wal = Store.Wal.create m in
+  let total = Store.Wal.fsync_every + 1 in
+  List.iter (Store.Wal.append wal) (List.init total (Printf.sprintf "record-%04d"));
   (* Tear the unsynced tail mid-record; replay must stop cleanly at a
      frame boundary inside the synced prefix or the torn point. *)
   check "tore a tail" true (Store.Media.tear_any m);
   let n, rs = records wal in
-  check "no crash, prefix only" true (n <= 9);
+  check "no crash, prefix only" true (n <= total);
   List.iteri (fun i r -> check_str "prefix intact" (Printf.sprintf "record-%04d" i) r) rs
 
 let test_wal_reopen_continues () =
   let m = media "disk" in
-  let wal = Store.Wal.create ~fsync_every:1 m in
+  let wal = Store.Wal.create m in
   List.iter (Store.Wal.append wal) [ "a"; "b"; "c" ];
   (* A process restart: a fresh Wal.t over the same device. *)
-  let wal2 = Store.Wal.create ~fsync_every:1 m in
+  let wal2 = Store.Wal.create m in
   let n, rs = records wal2 in
   check_int "previous records visible" 3 n;
   Alcotest.(check (list string)) "byte-exact" [ "a"; "b"; "c" ] rs;
@@ -564,13 +572,23 @@ let test_corrupt_newest_slot_past_gcd_wal_fails_over () =
      the surviving suffix does not reach back to the older checkpoint
      and fail over to peer transfer instead of installing a gapped —
      silently divergent — state. *)
-  let config =
-    Prime.Config.create ~f:1 ~k:0 ~checkpoint_interval:8 ~wal_segment_size:64 ~fsync_every:1
-      ()
-  in
-  let engine, _, d = make_spire ~config () in
+  let engine, _, d = make_spire () in
   run engine ~until:3.0;
-  let t = drive_until_checkpoints engine d 3 ~target:3 ~from_t:3.0 in
+  (* Flip a breaker every poll until the WAL seals its first segment and
+     the next checkpoint collects it: the older checkpoint's suffix is
+     gone, the newer one's survives. *)
+  let wal = Scada.Durable.wal (Spire.Deployment.durable d 3) in
+  let collected () = Sim.Stats.Counter.get (Store.Wal.counters wal) "wal.segment_gc" > 0 in
+  let t = ref 3.0 in
+  while (not (collected ())) && !t < 600.0 do
+    Plc.Breaker.toggle_force (main_breaker d "B57");
+    t := !t +. 0.1;
+    run engine ~until:!t
+  done;
+  if not (collected ()) then Alcotest.fail "no WAL segment was collected";
+  let t = !t in
+  (* The surviving suffix is durable, so the crash keeps all of it. *)
+  Store.Wal.sync wal;
   Spire.Deployment.take_down_replica d 3;
   let dur = Spire.Deployment.durable d 3 in
   let newest_slot =

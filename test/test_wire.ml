@@ -218,8 +218,14 @@ let canonical_body = function
       Some
         (Prime.Msg.encode_client_reply ~rep:crep_rep ~client:crep_client
            ~client_seq:crep_client_seq ~exec_seq:crep_exec_seq)
-  | Prime.Msg.Recon_floor _ | Prime.Msg.Recon_request _ | Prime.Msg.Recon_reply _
-  | Prime.Msg.Order_cert _ | Prime.Msg.Catchup_request _ | Prime.Msg.Catchup_reply _ ->
+  | Prime.Msg.Catchup_reply
+      { cr_rep; cr_entries; cr_upto; cr_behind_log; cr_next_exec_pp; cr_cursor; _ } ->
+      Some
+        (Prime.Msg.encode_catchup_reply ~rep:cr_rep
+           (Prime.Msg.encode_catchup_content ~upto:cr_upto ~behind_log:cr_behind_log
+              ~next_exec_pp:cr_next_exec_pp ~cursor:cr_cursor ~entries:cr_entries))
+  | Prime.Msg.Recon_request _ | Prime.Msg.Recon_reply _ | Prime.Msg.Order_cert _
+  | Prime.Msg.Catchup_request _ ->
       None
 
 let run_deployment ~seed =
