@@ -1,7 +1,9 @@
 (** Passive packet capture: frame metadata only (no payload inspection),
     as delivered to MANA via a mirror port. Keeps every frame since
-    creation (or {!clear}), stored flat at 64 bytes a record;
-    {!records} and {!window} rebuild records on demand. *)
+    creation (or {!clear}). Each distinct flow (kind, MACs, IPs, ports) is
+    stored once, in a table the capture interns into, so a record costs 16
+    bytes: its time and one int holding its size and flow. {!records} and
+    {!window} rebuild records on demand. *)
 
 type record = {
   time : float;
@@ -23,7 +25,9 @@ val create : unit -> t
 val of_frame : time:float -> Packet.frame -> record
 
 (** Append a frame to the capture. [time] must be no earlier than the
-    previous capture's (as with a sim clock): {!window} relies on it. *)
+    previous capture's (as with a sim clock): {!window} relies on it.
+    Allocates nothing once the frame's flow is interned; fails with
+    [Failure] past 2{^24} distinct flows. *)
 val capture : t -> time:float -> Packet.frame -> unit
 
 (** All records, chronological. *)

@@ -30,10 +30,14 @@ let create ?(f = 1) ?(k = 0) ?(tat_allowance = 0.25) ?(log_retention = 1000)
   if f < 1 then invalid_arg "Config.create: f must be >= 1";
   if k < 0 then invalid_arg "Config.create: k must be >= 0";
   if checkpoint_interval < 1 then invalid_arg "Config.create: checkpoint_interval must be >= 1";
+  let n = (3 * f) + (2 * k) + 1 in
+  (* Voter sets are int bit sets ([Voters]): one bit per replica. *)
+  if n > Sys.int_size - 1 then
+    invalid_arg (Printf.sprintf "Config.create: n = 3f + 2k + 1 must be <= %d" (Sys.int_size - 1));
   {
     f;
     k;
-    n = (3 * f) + (2 * k) + 1;
+    n;
     quorum = (2 * f) + k + 1;
     tat_allowance;
     log_retention;

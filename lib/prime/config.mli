@@ -32,7 +32,8 @@ type t = {
          slots, so it holds one to two intervals of executed history *)
 }
 
-(** Raises [Invalid_argument] for f < 1, k < 0 or a non-positive
+(** Raises [Invalid_argument] for f < 1, k < 0, n > [Sys.int_size - 1]
+    (voter sets are bit sets, one bit per replica) or a non-positive
     [checkpoint_interval]. *)
 val create :
   ?f:int ->

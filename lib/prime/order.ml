@@ -30,13 +30,15 @@ type instance = {
   mutable matrix : Msg.matrix option;
   mutable digest : Crypto.Sha256.digest option;
   mutable pp_sig : Crypto.Signature.t option; (* leader's authenticator, for relay *)
-  prepares : (int, unit) Hashtbl.t;
-  commits : (int, unit) Hashtbl.t;
-  (* Commit authenticators retained past ordering: together with
-     [pp_sig] they form a self-certifying commit certificate that can be
-     served to lagging replicas (who may be unable to complete the
-     quorum themselves once everyone else has moved on). *)
-  commit_auths : (int, Crypto.Signature.t) Hashtbl.t;
+  (* Voter bit sets ([Voters]) of the current view's matching votes.
+     [commits] keeps growing past ordering, with [commit_auths]. *)
+  mutable prepares : int;
+  mutable commits : int;
+  (* Commit authenticators by voter, retained past ordering: together
+     with [pp_sig] they form a self-certifying commit certificate that
+     can be served to lagging replicas (who may be unable to complete
+     the quorum themselves once everyone else has moved on). *)
+  commit_auths : Crypto.Signature.t option array;
   mutable prepared : bool;
   mutable ordered : bool;
   mutable accepted_at : float; (* when the current pre-prepare was accepted *)
@@ -86,9 +88,9 @@ let instance_for t pp_seq =
           matrix = None;
           digest = None;
           pp_sig = None;
-          prepares = Hashtbl.create 8;
-          commits = Hashtbl.create 8;
-          commit_auths = Hashtbl.create 8;
+          prepares = 0;
+          commits = 0;
+          commit_auths = Array.make t.config.Config.n None;
           prepared = false;
           ordered = false;
           accepted_at = neg_infinity;
@@ -150,7 +152,14 @@ let early_entry t ~pp_seq ~voter =
       Hashtbl.replace t.early key e;
       e
 
-let valid_voter t voter = voter >= 0 && voter < t.config.Config.n
+let valid_voter t voter = Voters.valid t.config voter
+
+(* Count a matching commit: its voter's bit and authenticator. *)
+let note_commit t inst voter auth =
+  if valid_voter t voter then begin
+    inst.commits <- Voters.add t.config inst.commits voter;
+    inst.commit_auths.(voter) <- Some auth
+  end
 
 (* A voter's latest view wins: an honest replica only moves forward, and
    a faulty one can only spoil its own entry. *)
@@ -181,15 +190,13 @@ let fold_early t inst ~view ~digest =
       | Some e ->
           (match e.early_prepare with
           | Some (v, d) when v <= view ->
-              if v = view && String.equal d digest then Hashtbl.replace inst.prepares voter ();
+              if v = view && String.equal d digest then
+                inst.prepares <- Voters.add t.config inst.prepares voter;
               e.early_prepare <- None
           | Some _ | None -> ());
           (match e.early_commit with
           | Some (v, d, auth) when v <= view ->
-              if v = view && String.equal d digest then begin
-                Hashtbl.replace inst.commits voter ();
-                Hashtbl.replace inst.commit_auths voter auth
-              end;
+              if v = view && String.equal d digest then note_commit t inst voter auth;
               e.early_commit <- None
           | Some _ | None -> ());
           if Option.is_none e.early_prepare && Option.is_none e.early_commit then
@@ -225,12 +232,12 @@ let accept_pre_prepare t ~now ~view ~pp_seq ~matrix ~pp_sig =
       inst.digest <- Some digest;
       inst.pp_sig <- Some pp_sig;
       inst.accepted_at <- now;
-      Hashtbl.reset inst.prepares;
-      Hashtbl.reset inst.commits;
-      Hashtbl.reset inst.commit_auths;
+      inst.prepares <- 0;
+      inst.commits <- 0;
+      Array.fill inst.commit_auths 0 t.config.Config.n None;
       inst.prepared <- false;
       fold_early t inst ~view ~digest;
-      if Hashtbl.length inst.commits >= t.config.Config.quorum then inst.ordered <- true;
+      if Voters.count inst.commits >= t.config.Config.quorum then inst.ordered <- true;
       `Accept digest
     end
   end
@@ -260,8 +267,8 @@ let stalled_instances t ~accepted_by ~limit =
 let add_prepare t ~rep ~view ~pp_seq ~digest =
   match classify t ~view ~pp_seq with
   | `Count ({ digest = Some d; _ } as inst) when String.equal d digest && not inst.ordered ->
-      Hashtbl.replace inst.prepares rep ();
-      if (not inst.prepared) && Hashtbl.length inst.prepares >= t.config.Config.quorum
+      inst.prepares <- Voters.add t.config inst.prepares rep;
+      if (not inst.prepared) && Voters.count inst.prepares >= t.config.Config.quorum
       then begin
         inst.prepared <- true;
         true
@@ -280,11 +287,10 @@ let add_prepare t ~rep ~view ~pp_seq ~digest =
 let add_commit t ~rep ~view ~pp_seq ~digest auth =
   match classify t ~view ~pp_seq with
   | `Count ({ digest = Some d; _ } as inst) when String.equal d digest ->
-      Hashtbl.replace inst.commit_auths rep auth;
+      note_commit t inst rep auth;
       if inst.ordered then false
       else begin
-        Hashtbl.replace inst.commits rep ();
-        if Hashtbl.length inst.commits >= t.config.Config.quorum then begin
+        if Voters.count inst.commits >= t.config.Config.quorum then begin
           inst.ordered <- true;
           true
         end
@@ -300,10 +306,14 @@ let add_commit t ~rep ~view ~pp_seq ~digest auth =
 let ordered_cert t pp_seq =
   match Hashtbl.find_opt t.instances pp_seq with
   | Some ({ ordered = true; matrix = Some m; pp_sig = Some s; _ } as inst)
-    when Hashtbl.length inst.commit_auths >= t.config.Config.quorum ->
-      let commits = Hashtbl.fold (fun rep a acc -> (rep, a) :: acc) inst.commit_auths [] in
-      let commits = List.sort (fun (a, _) (b, _) -> compare a b) commits in
-      Some (inst.inst_view, m, s, commits)
+    when Voters.count inst.commits >= t.config.Config.quorum ->
+      let commits = ref [] in
+      for rep = t.config.Config.n - 1 downto 0 do
+        match inst.commit_auths.(rep) with
+        | Some a -> commits := (rep, a) :: !commits
+        | None -> ()
+      done;
+      Some (inst.inst_view, m, s, !commits)
   | Some _ | None -> None
 
 (* Install a verified commit certificate: the instance is ordered by
@@ -320,14 +330,10 @@ let install_cert t ~pp_seq ~view ~matrix ~digest ~pp_sig ~commits =
     inst.matrix <- Some matrix;
     inst.digest <- Some digest;
     inst.pp_sig <- Some pp_sig;
-    Hashtbl.reset inst.prepares;
-    Hashtbl.reset inst.commits;
-    Hashtbl.reset inst.commit_auths;
-    List.iter
-      (fun (rep, auth) ->
-        Hashtbl.replace inst.commits rep ();
-        Hashtbl.replace inst.commit_auths rep auth)
-      commits;
+    inst.prepares <- 0;
+    inst.commits <- 0;
+    Array.fill inst.commit_auths 0 t.config.Config.n None;
+    List.iter (fun (rep, auth) -> note_commit t inst rep auth) commits;
     inst.prepared <- true;
     inst.ordered <- true;
     true

@@ -78,7 +78,8 @@ val stalled_instances :
     no higher than {!max_seen_pp} + 1, and counted by
     {!accept_pre_prepare} only if its view and digest match. A vote
     outside that window creates no state; the entries of an instance
-    are deleted once it executes. *)
+    are deleted once it executes. A voter outside 0 <= rep < n is never
+    counted and creates no state, on any path. *)
 val add_prepare :
   t -> rep:int -> view:int -> pp_seq:int -> digest:Crypto.Sha256.digest -> bool
 
@@ -97,12 +98,13 @@ val add_commit :
 
 (** Self-certifying commit certificate for an ordered instance:
     (view, matrix, leader authenticator, quorum of commit
-    authenticators), once enough authenticators are retained. *)
+    authenticators in ascending voter order), once enough authenticators
+    are retained. *)
 val ordered_cert :
   t -> int -> (int * Msg.matrix * Crypto.Signature.t * (int * Crypto.Signature.t) list) option
 
 (** Install a verified commit certificate; [true] when the instance was
-    not already ordered. *)
+    not already ordered. Commits from outside 0 <= rep < n are skipped. *)
 val install_cert :
   t ->
   pp_seq:int ->

@@ -19,7 +19,7 @@
 type slot = {
   mutable update : Msg.Update.t option;
   mutable digest : Crypto.Sha256.digest option;
-  endorsers : (int, unit) Hashtbl.t; (* replicas vouching for the digest *)
+  mutable endorsers : int; (* voter bit set ([Voters]) vouching for the digest *)
   mutable certified : bool;
 }
 
@@ -70,7 +70,7 @@ let slot_for t key =
   match Hashtbl.find_opt t.slots key with
   | Some s -> s
   | None ->
-      let s = { update = None; digest = None; endorsers = Hashtbl.create 8; certified = false } in
+      let s = { update = None; digest = None; endorsers = 0; certified = false } in
       Hashtbl.replace t.slots key s;
       s
 
@@ -184,8 +184,10 @@ let advance_aru t origin =
   loop ();
   if t.aru.(origin) > before then mark_dirty t
 
+let endorse t slot voter = slot.endorsers <- Voters.add t.config slot.endorsers voter
+
 let check_certified t ~origin key slot =
-  if (not slot.certified) && Hashtbl.length slot.endorsers >= t.config.Config.quorum then begin
+  if (not slot.certified) && Voters.count slot.endorsers >= t.config.Config.quorum then begin
     slot.certified <- true;
     advance_aru t origin;
     match t.on_certified with
@@ -202,7 +204,7 @@ let assign t update =
   let slot = slot_for t (t.my_id, po_seq) in
   slot.update <- Some update;
   slot.digest <- Some (Msg.Update.digest update);
-  Hashtbl.replace slot.endorsers t.my_id ();
+  endorse t slot t.my_id;
   note_update t update;
   check_certified t ~origin:t.my_id (t.my_id, po_seq) slot;
   po_seq
@@ -220,13 +222,13 @@ let receive_request t ~origin ~po_seq update =
   | _ ->
       slot.update <- Some update;
       slot.digest <- Some digest;
-      Hashtbl.replace slot.endorsers origin ();
+      endorse t slot origin;
       note_update t update;
       check_certified t ~origin key slot;
       if Hashtbl.mem t.acked key then `Already_acked digest
       else begin
         Hashtbl.replace t.acked key ();
-        Hashtbl.replace slot.endorsers t.my_id ();
+        endorse t slot t.my_id;
         check_certified t ~origin key slot;
         `Ack digest
       end
@@ -237,13 +239,13 @@ let receive_ack t ~acker ~origin ~po_seq ~digest =
   match slot.digest with
   | Some existing when not (String.equal existing digest) -> () (* ack for a conflict *)
   | Some _ ->
-      Hashtbl.replace slot.endorsers acker ();
+      endorse t slot acker;
       check_certified t ~origin key slot
   | None ->
       (* Ack arrived before the request; remember the endorsement and the
          digest it vouches for. *)
       slot.digest <- Some digest;
-      Hashtbl.replace slot.endorsers acker ();
+      endorse t slot acker;
       check_certified t ~origin key slot
 
 (* Keep the freshest summary per replica (component sums are monotone for

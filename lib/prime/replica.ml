@@ -84,7 +84,7 @@ type t = {
   (* view / leader election *)
   mutable view : int;
   mutable suspected_view : int; (* highest view I've sent a suspect for *)
-  suspects : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* view -> suspecting replicas *)
+  suspects : (int, int) Hashtbl.t; (* view -> suspecting replicas, a [Voters] bit set *)
   vc_reports : (int, (int, Msg.t) Hashtbl.t) Hashtbl.t; (* view -> reports *)
   mutable leader_active : bool; (* I am leader of [view] and finished VC *)
   (* View-change liveness: [view_live] turns true once the view's leader
@@ -778,16 +778,10 @@ and suspect_leader t view =
   end
 
 and note_suspect t ~rep ~view =
-  let tbl =
-    match Hashtbl.find_opt t.suspects view with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.replace t.suspects view tbl;
-        tbl
-  in
-  Hashtbl.replace tbl rep ();
-  if view >= t.view && Hashtbl.length tbl >= t.config.Config.quorum then begin
+  let before = Option.value (Hashtbl.find_opt t.suspects view) ~default:0 in
+  let suspects = Voters.add t.config before rep in
+  if suspects <> before then Hashtbl.replace t.suspects view suspects;
+  if view >= t.view && Voters.count suspects >= t.config.Config.quorum then begin
     tracef t "replica %d: view %d has a suspicion quorum, moving to view %d" t.id view (view + 1);
     enter_view t (view + 1) ~report:true
   end

@@ -585,40 +585,99 @@ let test_pcap_tap_records_traffic () =
 
 (* The capture against a plain list of [of_frame] records: [records],
    [window] (equal times, empty and inverted windows included) and
-   [length] agree, across chunk boundaries. *)
-let gen_pcap_case =
+   [length] agree, across chunk boundaries. Frames come from one of three
+   flow mixes: all fresh (most frames intern a new flow); a pool of 1-8
+   flows (most frames hit an interned one); or 65-96 distinct flows in
+   turn, so the flow index resizes. Pooled flows come from a universe
+   whose fields take two values each, so many pairs differ in one field
+   only and some share a probe chain in the index. UDP sizes reach
+   100 000, as Spines frames have no size bound. *)
+let gen_pcap_frame =
   let open QCheck.Gen in
   let ip = map Netbase.Addr.Ip.of_int (int_range 0 0xFFFFFFFF) in
   let mac = map Netbase.Addr.Mac.of_int (int_range 0 0xFFFFFFFFFFFF) in
   let port = oneof [ int_range 0 65535; oneofl [ 0; 8100; 65535 ] ] in
-  let frame =
-    oneof
+  let size = oneof [ int_range 0 1500; int_range 0 100_000; oneofl [ 0; 100_000 ] ] in
+  oneof
+    [
+      map3
+        (fun (src_mac, dst_mac) (sender_ip, target_ip) sender_mac ->
+          { Netbase.Packet.src_mac; dst_mac;
+            l3 = Netbase.Packet.Arp_request { sender_ip; sender_mac; target_ip } })
+        (pair mac mac) (pair ip ip) mac;
+      map3
+        (fun (src_mac, dst_mac) (sender_ip, target_ip) (sender_mac, target_mac) ->
+          { Netbase.Packet.src_mac; dst_mac;
+            l3 = Netbase.Packet.Arp_reply { sender_ip; sender_mac; target_ip; target_mac } })
+        (pair mac mac) (pair ip ip) (pair mac mac);
+      map3
+        (fun (src_mac, dst_mac) (src_ip, dst_ip) (src_port, dst_port, size) ->
+          Netbase.Packet.udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~size
+            (Netbase.Packet.Raw ""))
+        (pair mac mac) (pair ip ip) (triple port port size);
+    ]
+
+(* Every flow over two MACs, two IPs and two ports: 16 ARP requests, 16
+   ARP replies and 64 UDP flows. *)
+let narrow_flows =
+  let pairs = [ (0, 0); (0, 1); (1, 0); (1, 1) ] in
+  let mac i = Netbase.Addr.Mac.of_int (0x020000000001 + i) in
+  let ip i = Netbase.Addr.Ip.of_int (0x0a000001 + i) in
+  List.concat_map
+    (fun (s, d) ->
+      List.concat_map
+        (fun (a, b) ->
+          let src_mac = mac s and dst_mac = mac d and sender_ip = ip a and target_ip = ip b in
+          let arp l3 = { Netbase.Packet.src_mac; dst_mac; l3 } in
+          let udp (sp, dp) =
+            Netbase.Packet.udp_frame ~src_mac ~dst_mac ~src_ip:sender_ip ~dst_ip:target_ip
+              ~src_port:(8100 * sp) ~dst_port:(8100 * dp) ~size:0 (Netbase.Packet.Raw "")
+          in
+          arp (Netbase.Packet.Arp_request { sender_ip; sender_mac = src_mac; target_ip })
+          :: arp
+               (Netbase.Packet.Arp_reply
+                  { sender_ip; sender_mac = src_mac; target_ip; target_mac = dst_mac })
+          :: List.map udp pairs)
+        pairs)
+    pairs
+  |> Array.of_list
+
+(* The same flow with another UDP size: sizes vary within a flow. *)
+let resize_udp size (f : Netbase.Packet.frame) =
+  match f.l3 with
+  | Netbase.Packet.Ipv4 ({ udp; _ } as l3) ->
+      { f with l3 = Netbase.Packet.Ipv4 { l3 with udp = { udp with size } } }
+  | Netbase.Packet.Arp_request _ | Netbase.Packet.Arp_reply _ -> f
+
+let gen_pcap_case =
+  let open QCheck.Gen in
+  let n = frequency [ (4, int_range 0 40); (1, int_range 1000 2100) ] in
+  (* [n] frames over [lo]-[hi] distinct flows of [narrow_flows], drawn at
+     random or, with [cycle], in turn so that every flow occurs. *)
+  let pooled ~cycle lo hi n =
+    int_range lo hi >>= fun flows ->
+    map Array.of_list (shuffle_l (Array.to_list narrow_flows)) >>= fun universe ->
+    list_repeat n (pair (int_bound (flows - 1)) (int_range 0 100_000))
+    |> map
+         (List.mapi (fun k (i, size) ->
+              resize_udp size universe.(if cycle then k mod flows else i)))
+  in
+  let frames n =
+    frequency
       [
-        map3
-          (fun (src_mac, dst_mac) (sender_ip, target_ip) sender_mac ->
-            { Netbase.Packet.src_mac; dst_mac;
-              l3 = Netbase.Packet.Arp_request { sender_ip; sender_mac; target_ip } })
-          (pair mac mac) (pair ip ip) mac;
-        map3
-          (fun (src_mac, dst_mac) (sender_ip, target_ip) (sender_mac, target_mac) ->
-            { Netbase.Packet.src_mac; dst_mac;
-              l3 = Netbase.Packet.Arp_reply { sender_ip; sender_mac; target_ip; target_mac } })
-          (pair mac mac) (pair ip ip) (pair mac mac);
-        map3
-          (fun (src_mac, dst_mac) (src_ip, dst_ip) (src_port, dst_port, size) ->
-            Netbase.Packet.udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~size
-              (Netbase.Packet.Raw ""))
-          (pair mac mac) (pair ip ip) (triple port port (int_range 0 1500));
+        (2, list_repeat n gen_pcap_frame);
+        (2, pooled ~cycle:false 1 8 n);
+        (1, pooled ~cycle:true 65 (Array.length narrow_flows) (max n 300));
       ]
   in
   let step = oneof [ oneofl [ 0.0; 0.0; 0.25; 1.0 ]; float_range 0.0 2.0 ] in
-  let n = frequency [ (4, int_range 0 40); (1, int_range 1000 2100) ] in
-  n >>= fun n ->
-  list_repeat n (pair step frame) >>= fun steps ->
+  n >>= frames >>= fun frames ->
+  list_repeat (List.length frames) step >>= fun steps ->
+  let n = List.length frames in
   let _, timed =
-    List.fold_left
-      (fun (now, acc) (dt, f) -> (now +. dt, (now +. dt, f) :: acc))
-      (0.0, []) steps
+    List.fold_left2
+      (fun (now, acc) dt f -> (now +. dt, (now +. dt, f) :: acc))
+      (0.0, []) steps frames
   in
   let timed = List.rev timed in
   let bound =
@@ -646,6 +705,27 @@ let prop_pcap_matches_list_model =
              Netbase.Pcap.window cap ~t0 ~t1
              = List.filter (fun r -> r.Netbase.Pcap.time >= t0 && r.Netbase.Pcap.time < t1) model)
            windows)
+
+(* A record costs its time and one int once its flow is interned: a
+   10 240-frame capture over 8 flows holds at most 2.1 words a record,
+   flow table and chunk headers included. *)
+let test_pcap_words_per_record () =
+  let cap = Netbase.Pcap.create () in
+  let frames = 10_240 and flows = 8 in
+  for k = 0 to frames - 1 do
+    let flow = k mod flows in
+    Netbase.Pcap.capture cap ~time:(float_of_int k *. 0.001)
+      (Netbase.Packet.udp_frame
+         ~src_mac:(Netbase.Addr.Mac.of_int (0x020000000000 + flow))
+         ~dst_mac:(Netbase.Addr.Mac.of_int 0x020000000100)
+         ~src_ip:(ip 10 0 0 (1 + flow)) ~dst_ip:(ip 10 0 0 100) ~src_port:(8100 + flow)
+         ~dst_port:8100 ~size:(64 + k) (Netbase.Packet.Raw ""))
+  done;
+  check_int "every frame kept" frames (Netbase.Pcap.length cap);
+  let words = Obj.reachable_words (Obj.repr cap) in
+  let per_record = float_of_int words /. float_of_int frames in
+  check (Printf.sprintf "%.3f words a record (%d words)" per_record words) true
+    (per_record <= 2.1)
 
 let suite =
   [
@@ -677,6 +757,7 @@ let suite =
     ("privilege escalation depends on os", `Quick, test_privilege_escalation_depends_on_os);
     ("pcap tap records traffic", `Quick, test_pcap_tap_records_traffic);
     QCheck_alcotest.to_alcotest prop_pcap_matches_list_model;
+    ("pcap holds a record in two words", `Quick, test_pcap_words_per_record);
     QCheck_alcotest.to_alcotest prop_firewall_locked_down_denies_everything;
   ]
 

@@ -364,6 +364,15 @@ let test_config_sizing () =
   Alcotest.check_raises "f=0 rejected" (Invalid_argument "Config.create: f must be >= 1")
     (fun () -> ignore (Prime.Config.create ~f:0 ()))
 
+(* Voter sets hold one bit per replica, so n stops below the int's width. *)
+let test_config_bounds_n_by_voter_bits () =
+  let rejects what make =
+    check what true (match make () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "f=21 (n = 64) rejected" (fun () -> Prime.Config.create ~f:21 ());
+  rejects "f=20 k=1 (n = 63) rejected" (fun () -> Prime.Config.create ~f:20 ~k:1 ());
+  check_int "f=20 (n = 61) accepted" 61 (Prime.Config.create ~f:20 ()).Prime.Config.n
+
 (* --- safety property --------------------------------------------------------------- *)
 
 let prop_replicas_agree_on_execution_order =
@@ -812,6 +821,68 @@ let test_order_executed_instance_entries_gone () =
   check_int "instance executed" 1 (Prime.Order.max_executed o);
   check_int "its entries are gone" 0 (Prime.Order.early_votes o)
 
+(* Voter sets are bit sets: one voter counts once however often it votes,
+   on time or early. *)
+let test_order_repeated_vote_counts_once () =
+  let o, digest, accept, _ = order_fixture () in
+  let auth = Crypto.Signature.forge ~signer:"replica" "commit" in
+  let prepare rep =
+    Prime.Order.add_prepare o ~rep ~view:0 ~pp_seq:1 ~digest:(digest ~view:0 ~pp_seq:1)
+  in
+  let commit ~pp_seq rep =
+    Prime.Order.add_commit o ~rep ~view:0 ~pp_seq ~digest:(digest ~view:0 ~pp_seq) auth
+  in
+  accept ~view:0 ~pp_seq:1;
+  check "repeated prepares do not make a quorum" false
+    (List.exists Fun.id [ prepare 1; prepare 1; prepare 1; prepare 2; prepare 2 ]);
+  check "no prepared certificate" true (Prime.Order.prepared_certs o = []);
+  check "the third voter prepares it" true (prepare 3);
+  check "repeated commits do not make a quorum" false
+    (List.exists Fun.id (List.map (commit ~pp_seq:1) [ 1; 1; 2; 2 ]));
+  check "not ordered" false (Prime.Order.is_ordered o 1);
+  check "the third voter orders it" true (commit ~pp_seq:1 3);
+  (* Early commits: one entry per voter, counted once on acceptance. *)
+  List.iter (fun rep -> ignore (commit ~pp_seq:2 rep)) [ 1; 1; 2; 2 ];
+  check_int "one early entry per voter" 2 (Prime.Order.early_votes o);
+  accept ~view:0 ~pp_seq:2;
+  check "repeated early commits do not order" false (Prime.Order.is_ordered o 2)
+
+(* A vote from outside 0..n-1 is never counted and keeps no state, on
+   every path that writes a voter bit; 64 would alias voter 0 if its bit
+   were taken unchecked. *)
+let test_order_invalid_voters_never_count () =
+  List.iter
+    (fun bad ->
+      let o, digest, accept, _ = order_fixture () in
+      let name what = Printf.sprintf "voter %d: %s" bad what in
+      let auth = Crypto.Signature.forge ~signer:"replica" "commit" in
+      let d = digest ~view:0 ~pp_seq:1 in
+      ignore (Prime.Order.add_prepare o ~rep:bad ~view:0 ~pp_seq:1 ~digest:d);
+      ignore (Prime.Order.add_commit o ~rep:bad ~view:0 ~pp_seq:1 ~digest:d auth);
+      check_int (name "no early vote kept") 0 (Prime.Order.early_votes o);
+      accept ~view:0 ~pp_seq:1;
+      let votes add = List.exists Fun.id (List.map add [ 1; 2; bad; bad ]) in
+      check (name "prepares not counted") false
+        (votes (fun rep -> Prime.Order.add_prepare o ~rep ~view:0 ~pp_seq:1 ~digest:d));
+      check (name "nothing prepared") true (Prime.Order.prepared_certs o = []);
+      check (name "commits not counted") false
+        (votes (fun rep -> Prime.Order.add_commit o ~rep ~view:0 ~pp_seq:1 ~digest:d auth));
+      check (name "not ordered") false (Prime.Order.is_ordered o 1);
+      let matrix = Array.make 4 None and pp_sig = Crypto.Signature.forge ~signer:"replica-0" "pp" in
+      let install pp_seq reps =
+        ignore
+          (Prime.Order.install_cert o ~pp_seq ~view:0 ~matrix ~digest:(digest ~view:0 ~pp_seq)
+             ~pp_sig ~commits:(List.map (fun rep -> (rep, auth)) reps))
+      in
+      install 2 [ bad; 1; bad; 2 ];
+      check (name "short certificate not served") true (Prime.Order.ordered_cert o 2 = None);
+      install 3 [ 3; bad; 1; 2 ];
+      match Prime.Order.ordered_cert o 3 with
+      | Some (_, _, _, commits) ->
+          check (name "certificate lists voters 1, 2, 3") true (List.map fst commits = [ 1; 2; 3 ])
+      | None -> Alcotest.fail (name "certificate not served"))
+    [ -1; 4; 62; 63; 64 ]
+
 (* The in-place eligibility count agrees with the quorum-th largest entry
    of the sorted column, over random matrices with missing rows. *)
 let prop_eligibility_matches_sorted_column =
@@ -1038,6 +1109,7 @@ let suite =
     ("catchup after downtime", `Quick, test_catchup_after_downtime);
     ("app state transfer when behind log", `Quick, test_app_state_transfer_signal_when_behind_log);
     ("config sizing", `Quick, test_config_sizing);
+    ("config bounds n by voter bits", `Quick, test_config_bounds_n_by_voter_bits);
     ("sigcache bound and hits", `Quick, test_sigcache_bound_and_hits);
     ("sigcache never accepts forgery", `Quick, test_sigcache_never_accepts_forgery);
     ("direct signing orders with cache hits", `Quick, test_direct_signing_orders_with_cache_hits);
@@ -1056,6 +1128,8 @@ let suite =
     ("order: early votes match view and digest", `Quick, test_order_early_votes_match_view_and_digest);
     ("order: early-vote window", `Quick, test_order_early_window);
     ("order: executed instance's entries gone", `Quick, test_order_executed_instance_entries_gone);
+    ("order: repeated vote counts once", `Quick, test_order_repeated_vote_counts_once);
+    ("order: invalid voters never count", `Quick, test_order_invalid_voters_never_count);
     ("prime state bounded by checkpoint interval", `Quick, test_state_bounded_by_checkpoint_interval);
     ("replayed released messages create no state", `Quick, test_replayed_released_messages_create_no_state);
     ("laggard past the release point rejoins", `Quick, test_laggard_past_release_point_rejoins);
