@@ -11,7 +11,7 @@
 
 let delta_pp = 0.03 (* minimum spacing of the leader's pre-prepares; also its idle tick *)
 let summary_period = 0.01 (* minimum spacing of a replica's PO-summaries *)
-let heartbeat_period = 0.5 (* idle-leader pre-prepare heartbeat *)
+let summary_refresh_period = 0.5 (* idle summary refresh *)
 let tat_check_period = 0.25 (* suspect-leader evaluation interval *)
 let reconcile_period = 0.1 (* missing-update re-request interval *)
 

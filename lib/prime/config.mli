@@ -9,9 +9,10 @@ val delta_pp : float
 (** Minimum spacing of a replica's PO-summaries (10 ms). *)
 val summary_period : float
 
-(** Idle-leader pre-prepare heartbeat, and the idle summary refresh
-    (0.5 s). *)
-val heartbeat_period : float
+(** Idle summary refresh (0.5 s): once anything has certified, a replica
+    whose vector has not changed re-sends its summary this long after its
+    last one, so a lost summary cannot leave matrices stale. *)
+val summary_refresh_period : float
 
 (** Suspect-leader evaluation interval (0.25 s). *)
 val tat_check_period : float

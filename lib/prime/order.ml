@@ -107,6 +107,8 @@ let exec_seq t = t.exec_seq
 
 let exec_cursor t = Array.copy t.exec_cursor
 
+let executed_through t ~origin = t.exec_cursor.(origin)
+
 let early_votes t = Hashtbl.length t.early
 
 let released t pp_seq = pp_seq < t.low_water
@@ -354,6 +356,9 @@ let max_ordered_seen t =
 
 let is_ordered t pp_seq =
   match Hashtbl.find_opt t.instances pp_seq with Some i -> i.ordered | None -> false
+
+let has_pre_prepare t pp_seq =
+  match Hashtbl.find_opt t.instances pp_seq with Some i -> Option.is_some i.matrix | None -> false
 
 (* Execution: walk ordered instances in pp_seq order; for each, derive
    per-origin eligibility from the matrix and execute newly-eligible

@@ -24,6 +24,9 @@ val exec_seq : t -> int
 (** Copy of the per-origin executed-through cursor. *)
 val exec_cursor : t -> int array
 
+(** [origin]'s entry of the cursor, without copying it. *)
+val executed_through : t -> origin:int -> int
+
 (** Number of (pp_seq, voter) keys holding early votes
     (see {!add_prepare}). *)
 val early_votes : t -> int
@@ -119,6 +122,10 @@ val install_cert :
 val max_ordered_seen : t -> int
 
 val is_ordered : t -> int -> bool
+
+(** Whether a pre-prepare (or a commit certificate) for [pp_seq] was
+    accepted here and is still held. *)
+val has_pre_prepare : t -> int -> bool
 
 type missing = { miss_origin : int; miss_po_seq : int }
 

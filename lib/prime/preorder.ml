@@ -310,6 +310,18 @@ let advances t ~eligible =
   done;
   !found
 
+(* Do f + 1 peers' stored summaries certify [origin] past [executed] (or
+   past its reset floor, whichever is higher)? At least one of them is
+   honest, so some update I have not executed exists. Counted in place:
+   it runs on every catchup tick. *)
+let peers_ahead t ~origin ~executed =
+  let mark = max executed t.floors.(origin) in
+  let ahead = ref 0 in
+  for row = 0 to Array.length t.summaries - 1 do
+    if row <> t.my_id && column_entry t.summaries row ~origin > mark then incr ahead
+  done;
+  !ahead >= t.config.Config.f + 1
+
 let aru_equals t a =
   let same = ref (Array.length a = Array.length t.aru) in
   for i = 0 to Array.length a - 1 do

@@ -94,6 +94,12 @@ val eligible_up_to : Config.t -> Msg.matrix -> origin:int -> int
     Allocation-free. *)
 val advances : t -> eligible:int array -> bool
 
+(** Whether f + 1 peers' stored summaries certify [origin] beyond
+    [executed] (or beyond its reset floor, if higher): then some update of
+    [origin] that I have not executed exists. A lone peer, however far
+    ahead it claims to be, never suffices. Allocation-free. *)
+val peers_ahead : t -> origin:int -> executed:int -> bool
+
 (** Whether my vector equals [a], without copying it. *)
 val aru_equals : t -> int array -> bool
 

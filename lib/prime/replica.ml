@@ -7,10 +7,10 @@
    leader's pre-prepare once the matrix it could propose advances some
    origin's eligibility. The replica also owns timers on the simulation
    engine:
-   - the idle summary refresh (every heartbeat_period once anything
-     certified, so a lost summary cannot leave matrices stale);
+   - the idle summary refresh (every summary_refresh_period once
+     anything certified, so a lost summary cannot leave matrices stale);
    - the leader's delta_pp tick, for matrix changes that advance no
-     eligibility and for the slower idle heartbeat;
+     eligibility. A leader with no change to propose sends nothing;
    - suspect-leader evaluation (turnaround-time and matrix-freshness
      checks);
    - reconciliation: re-requests of missing bodies, and retransmission
@@ -18,7 +18,10 @@
      at least one period ago, PO-requests assigned before the previous
      tick; younger traffic is still in flight, and votes that overtake
      their pre-prepare are counted by [Order], not dropped);
-   - catchup probing.
+   - catchup probing, when ordering has visibly moved past my execution
+     point or, in a quiet group, when f + 1 peers' stored summaries
+     certify updates I have not executed and a whole tick passed without
+     my executing anything.
 
    State retention: each time a settled batch end enters a new
    [checkpoint_interval] window of [exec_seq], the replica records a
@@ -114,6 +117,10 @@ type t = {
   executed_clients : (string * int, int) Hashtbl.t; (* executed op -> exec_seq (reply cache) *)
   exec_log : (int, Msg.Update.t) Hashtbl.t;
   mutable awaiting_app_transfer : bool;
+  (* At the previous catchup tick: did f + 1 peers' summaries show
+     updates past my execution cursor, and where did my execution stand? *)
+  mutable peers_ahead_at_tick : bool;
+  mutable next_exec_pp_at_tick : int;
   catchup_votes : (string, int list) Hashtbl.t; (* reply content -> distinct signed voters *)
   (* reconciliation *)
   outstanding_recon : (int * int, float) Hashtbl.t;
@@ -191,6 +198,8 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     executed_clients = Hashtbl.create 64;
     exec_log = Hashtbl.create 64;
     awaiting_app_transfer = false;
+    peers_ahead_at_tick = false;
+    next_exec_pp_at_tick = 0;
     catchup_votes = Hashtbl.create 8;
     outstanding_recon = Hashtbl.create 64;
     po_assigned_by_last_tick = 0;
@@ -617,21 +626,33 @@ let forget_proposal t =
   Array.fill t.proposed_eligible 0 t.config.Config.n 0;
   t.change_waiting <- false
 
+(* The sequence of my next proposal: never below the execution point,
+   nor one that already has a pre-prepare here. A leader that restarted
+   wiped in its own view counts from 1 again; once catchup has shown it
+   what is executed and its peers have relayed what they accepted, it
+   proposes past both at once. Re-proposing used sequences one per
+   emission would stall ordering until it had counted past them. *)
+let fresh_pp_seq t =
+  let s = ref (max t.next_pp_seq (Order.next_exec_pp t.order)) in
+  while !s <= Order.max_seen_pp t.order && Order.has_pre_prepare t.order !s do
+    incr s
+  done;
+  !s
+
 (* On the tick, a change that advances no eligibility waits one period
    first: it is usually a peer's summary or my own vector running a few
    milliseconds ahead of the quorum, and proposing it would hold back the
    pre-prepare that the quorum's summaries are about to make useful.
    Turnaround and freshness coverage still come within two periods. *)
 let rec emit_pre_prepare ?delay_broadcast ?(tick = false) t =
-  let heartbeat_due = now t -. t.last_pp_time >= Config.heartbeat_period in
-  let changed = heartbeat_due || proposal_changed t in
-  if tick && changed && (not heartbeat_due) && not t.change_waiting then t.change_waiting <- true
+  let changed = proposal_changed t in
+  if tick && changed && not t.change_waiting then t.change_waiting <- true
   else if changed then begin
     let matrix = matrix_for_proposal t in
     t.last_pp_matrix <- matrix;
     note_proposed t matrix;
-    let pp_seq = t.next_pp_seq in
-    t.next_pp_seq <- t.next_pp_seq + 1;
+    let pp_seq = fresh_pp_seq t in
+    t.next_pp_seq <- pp_seq + 1;
     let view = t.view in
     let body = Msg.encode_pre_prepare ~view ~pp_seq matrix in
     let pp_sig = sign t body in
@@ -1091,7 +1112,7 @@ let reconcile_tick t =
      acknowledgements that were lost, and only a retransmitted request
      makes them re-ack. *)
   let my_floor = Preorder.floor_of t.preorder ~origin:t.id in
-  let my_done = max (Order.exec_cursor t.order).(t.id) my_floor in
+  let my_done = max (Order.executed_through t.order ~origin:t.id) my_floor in
   let limit = min t.po_assigned_by_last_tick (my_done + 20) (* a bounded window *) in
   t.po_assigned_by_last_tick <- Preorder.next_po_seq t.preorder;
   for po_seq = my_done + 1 to limit do
@@ -1270,10 +1291,31 @@ let handle_order_cert t ~oc_seq ~oc_view ~oc_matrix ~oc_pp_sig ~oc_commits =
     end
   end
 
+(* Do f + 1 peers' summaries certify, for some origin, an update past my
+   execution cursor? *)
+let peers_ahead t =
+  let ahead = ref false and origin = ref 0 in
+  while (not !ahead) && !origin < t.config.Config.n do
+    ahead :=
+      Preorder.peers_ahead t.preorder ~origin:!origin
+        ~executed:(Order.executed_through t.order ~origin:!origin);
+    incr origin
+  done;
+  !ahead
+
+(* Probe when ordering has visibly moved past our execution point, or
+   when peers' summaries showed updates past it at the previous tick and
+   still do, with nothing executed in between. The second rule finds a
+   replica that lost the last pre-prepares before the group went quiet:
+   no later pre-prepare comes to tell it, and an update certified but
+   not yet ordered elsewhere is ordered well within a tick. *)
 let catchup_tick t =
-  (* Probe when ordering has visibly moved past our execution point. *)
+  let next_exec_pp = Order.next_exec_pp t.order and ahead = peers_ahead t in
+  let stuck = ahead && t.peers_ahead_at_tick && next_exec_pp = t.next_exec_pp_at_tick in
+  t.peers_ahead_at_tick <- ahead;
+  t.next_exec_pp_at_tick <- next_exec_pp;
   if
-    Order.max_seen_pp t.order > Order.next_exec_pp t.order + 2
+    (Order.max_seen_pp t.order > next_exec_pp + 2 || stuck)
     && not t.awaiting_app_transfer
   then begin
     Sim.Stats.Counter.incr t.counters "catchup.probe";
@@ -1394,14 +1436,14 @@ let start t =
           if Preorder.dirty t.preorder then schedule_summary t
           else if
             aru_sum (Preorder.aru t.preorder) > 0
-            && now t -. t.last_summary_time >= Config.heartbeat_period
+            && now t -. t.last_summary_time >= Config.summary_refresh_period
           then emit_summary ~arm_tat:false t
         end)
   in
   (* The tick covers what the event path does not: matrix changes that
-     advance no eligibility (turnaround and freshness coverage) and the
-     idle heartbeat. It stands aside while a pre-prepare is scheduled or
-     one went out less than [delta_pp] ago. *)
+     advance no eligibility (turnaround and freshness coverage). With no
+     change to propose it sends nothing. It stands aside while a
+     pre-prepare is scheduled or one went out less than [delta_pp] ago. *)
   let pp_timer =
     Sim.Engine.every t.engine ~period:Config.delta_pp (fun () ->
         if
@@ -1459,6 +1501,7 @@ let restart_clean t =
   Hashtbl.reset t.executed_clients;
   Hashtbl.reset t.exec_log;
   t.awaiting_app_transfer <- false;
+  t.peers_ahead_at_tick <- false;
   t.cursors_settled <- true;
   t.mark <- None;
   t.mark_window <- 0;

@@ -5,7 +5,7 @@
    Layout. L0 has 256 buckets of 2^-10 s (~0.98 ms) granularity — a
    quarter second of fine-grained span. L1 has 256 buckets of L0-span
    width (~0.25 s) covering the next ~64 s, which catches every periodic
-   protocol timer (summary/pre-prepare/reconcile/catchup/heartbeat).
+   protocol timer (summary/pre-prepare/reconcile/catchup/refresh).
    Anything further out sits in an overflow heap and migrates inward
    when the cursor approaches. The bucket that is currently due is
    materialized into a small "active" binary heap ordered by

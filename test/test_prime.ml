@@ -618,7 +618,7 @@ let test_idle_group_reacts_without_ticks () =
    replica and one pre-prepare: the coalescing delay absorbs the gap. The
    pair straddles a summary-period boundary (certification comes 2 ms
    after submission, at 0.669995 and 0.670005 s), where a fixed-phase
-   tick would split them, and the window holds no heartbeat. *)
+   tick would split them. *)
 let test_near_simultaneous_origins_coalesce () =
   let c = make_cluster () in
   let keypair = Crypto.Signature.generate c.keystore "proxy" in
@@ -670,15 +670,91 @@ let test_emission_rate_capped_under_load () =
   run c ~until:3.0;
   check_int "all executed" 600 (List.length (exec_history c 0))
 
-(* An idle leader signs only for its heartbeat pre-prepares (its own
-   summary, the pre-prepare, its prepare and commit), not once per tick
-   for a proposal it then discards. *)
-let test_idle_leader_signs_only_heartbeats () =
+(* Ten updates, then 55 s of quiet: the leader proposes nothing, so no
+   ordering instance is created or retained, and each replica signs at
+   most its idle summary refresh, once per refresh period. The leader
+   signs no proposal that it then discards. *)
+let test_idle_group_orders_nothing () =
   let c = make_cluster () in
-  run c ~until:10.0;
-  let heartbeats = int_of_float (10.0 /. Prime.Config.heartbeat_period) in
-  let signs = replica_counter c 0 "crypto.sign" in
-  check (Printf.sprintf "%d signs, budget %d" signs (4 * heartbeats)) true (signs <= 4 * heartbeats)
+  let client = add_client c "hmi" in
+  for i = 1 to 10 do
+    ignore
+      (Sim.Engine.schedule c.engine ~delay:(0.1 *. float_of_int i) (fun () ->
+           ignore (Prime.Client.submit ~targets:[ i mod 4 ] client ~op:(Printf.sprintf "q-%d" i))))
+  done;
+  let idle_from = 5.0 and idle_until = 60.0 in
+  run c ~until:idle_from;
+  check_int "all executed before the quiet span" 10 (List.length (exec_history c 3));
+  let pre_prepares () =
+    Array.fold_left ( + ) 0 (Array.init 4 (fun id -> replica_counter c id "pre_prepare.sent"))
+  in
+  let signs () = Array.init 4 (fun id -> replica_counter c id "crypto.sign") in
+  let held () = Array.map Prime.Replica.retained_history c.replicas in
+  let pp_before = pre_prepares () and signs_before = signs () and held_before = held () in
+  run c ~until:idle_until;
+  check_int "no pre-prepare while idle" pp_before (pre_prepares ());
+  check "no ordering state gained or lost while idle" true (held () = held_before);
+  let budget = int_of_float ((idle_until -. idle_from) /. Prime.Config.summary_refresh_period) in
+  Array.iteri
+    (fun id before ->
+      let n = (signs ()).(id) - before in
+      check (Printf.sprintf "replica %d: %d signs while idle, budget %d" id n budget) true
+        (n <= budget))
+    signs_before
+
+(* A quiet laggard: replica 3 loses every pre-prepare, prepare and
+   commit between 1.0 and 1.5 s, and then the group goes quiet, so no
+   later pre-prepare tells it that it is behind. The peers' summaries
+   certify the five updates past its cursor; once a whole catchup tick
+   passes without it executing anything, it probes, and its peers'
+   answers bring it up to date. Without that rule it never catches up. *)
+let test_quiet_laggard_catches_up () =
+  let c = make_cluster () in
+  c.drop <-
+    (fun ~src:_ ~dst msg ->
+      let now = Sim.Engine.now c.engine in
+      dst = 3 && now >= 1.0 && now < 1.5
+      &&
+      match msg with
+      | Prime.Msg.Pre_prepare _ | Prime.Msg.Prepare _ | Prime.Msg.Commit _ -> true
+      | _ -> false);
+  let client = add_client c "hmi" in
+  for i = 1 to 5 do
+    ignore
+      (Sim.Engine.schedule c.engine ~delay:(1.0 +. (0.08 *. float_of_int i)) (fun () ->
+           ignore (Prime.Client.submit ~targets:[ i mod 3 ] client ~op:(Printf.sprintf "g-%d" i))))
+  done;
+  let caught_up = ref infinity in
+  Prime.Replica.set_on_execute c.replicas.(3) (fun ~exec_seq _ ->
+      if exec_seq = 5 then caught_up := Sim.Engine.now c.engine);
+  run c ~until:1.5;
+  check "replica 3 is behind at 1.5 s" true (Prime.Replica.exec_seq c.replicas.(3) < 5);
+  check_int "the others executed all" 5 (Prime.Replica.exec_seq c.replicas.(0));
+  run c ~until:4.0;
+  check (Printf.sprintf "replica 3 executed all 5 by 4 s (at %.2f s)" !caught_up) true
+    (!caught_up <= 4.0);
+  check "replica 3's history equals replica 0's" true (exec_history c 3 = exec_history c 0)
+
+(* The rule behind it counts peers: one peer ahead, however far, never
+   triggers a probe; f + 1 peers ahead do. *)
+let test_peers_ahead_needs_f_plus_one () =
+  let config = Prime.Config.create ~f:1 ~k:0 () in
+  let keystore = Crypto.Signature.create_keystore () in
+  let p = Prime.Preorder.create config ~my_id:3 in
+  let summary rep aru =
+    let kp = Crypto.Signature.generate keystore (Prime.Msg.replica_identity rep) in
+    let body = Prime.Msg.encode_summary_body ~sum_rep:rep ~aru in
+    { Prime.Msg.sum_rep = rep; aru; sum_sig = Crypto.Signature.sign kp body }
+  in
+  let ahead ~origin ~executed = Prime.Preorder.peers_ahead p ~origin ~executed in
+  ignore (Prime.Preorder.receive_summary p (summary 3 [| 9; 0; 0; 9 |]));
+  check "my own summary does not count" false (ahead ~origin:0 ~executed:0);
+  ignore (Prime.Preorder.receive_summary p (summary 0 [| 1000; 0; 0; 0 |]));
+  check "one peer far ahead: no" false (ahead ~origin:0 ~executed:0);
+  ignore (Prime.Preorder.receive_summary p (summary 1 [| 5; 0; 0; 0 |]));
+  check "f + 1 peers ahead: yes" true (ahead ~origin:0 ~executed:4);
+  check "executed what f + 1 certify: no" false (ahead ~origin:0 ~executed:5);
+  check "another origin: no" false (ahead ~origin:1 ~executed:0)
 
 (* --- early votes and aged retransmission -------------------------------- *)
 
@@ -1091,6 +1167,28 @@ let test_catchup_reply_counts_each_replica_once () =
     c.replicas;
   check "replica 3's history equals replica 0's" true (exec_history c 3 = exec_history c 0)
 
+(* The leader restarts wiped in its own view, so it counts its
+   sequences from 1 again. Once catchup has shown it the execution point
+   and its peers have relayed the pre-prepares they accepted, it proposes
+   past both: updates submitted 2.1–2.5 s after the restart execute by
+   3.5 s. Re-proposing each used sequence in turn, one per emission,
+   left them waiting until it had counted past the ~50 it had used. *)
+let test_wiped_leader_resumes_past_used_sequences () =
+  let c = make_cluster () in
+  let client = add_client c "hmi" in
+  submit_stream c client ~prefix:"before" ~start:0.0 ~gap:0.2 ~count:45;
+  run c ~until:10.0;
+  check_int "all executed before the restart" 45 (List.length (exec_history c 1));
+  Prime.Replica.restart_clean c.replicas.(0);
+  submit_stream c client ~prefix:"after" ~start:2.0 ~gap:0.1 ~count:5;
+  run c ~until:13.5;
+  List.iter
+    (fun id ->
+      check_int (Printf.sprintf "replica %d executed all" id) 50 (List.length (exec_history c id)))
+    [ 1; 2; 3 ];
+  check_int "the restarted leader is at the same point" (Prime.Replica.exec_seq c.replicas.(1))
+    (Prime.Replica.exec_seq c.replicas.(0))
+
 let suite =
   [
     ("single update executes everywhere", `Quick, test_single_update_executes_everywhere);
@@ -1121,7 +1219,10 @@ let suite =
     ("idle group reacts without ticks", `Quick, test_idle_group_reacts_without_ticks);
     ("near-simultaneous origins coalesce", `Quick, test_near_simultaneous_origins_coalesce);
     ("emission rate capped under load", `Quick, test_emission_rate_capped_under_load);
-    ("idle leader signs only heartbeats", `Quick, test_idle_leader_signs_only_heartbeats);
+    ("an idle group orders nothing", `Quick, test_idle_group_orders_nothing);
+    ("quiet laggard catches up", `Quick, test_quiet_laggard_catches_up);
+    ("peers ahead needs f + 1 peers", `Quick, test_peers_ahead_needs_f_plus_one);
+    ("wiped leader resumes past used sequences", `Quick, test_wiped_leader_resumes_past_used_sequences);
     QCheck_alcotest.to_alcotest prop_eligibility_matches_sorted_column;
     ("early votes counted on acceptance", `Quick, test_early_votes_counted);
     ("no retransmission when lossless", `Quick, test_no_retransmission_when_lossless);
