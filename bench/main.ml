@@ -440,9 +440,7 @@ let exp_e7 () =
   let driver = Spire.Scenario_driver.create deployment in
   Spire.Scenario_driver.start driver ~period:2.0;
   Sim.Engine.run ~until:125.0 engine;
-  let det =
-    Mana.Detector.create ~window:1.0 ~threshold:6.0 ~consecutive_required:2 ~engine ~trace ()
-  in
+  let det = Mana.Detector.create ~engine ~trace () in
   Mana.Detector.train det ~rng:(Sim.Engine.split_rng engine) pcap ~t0:5.0 ~t1:125.0;
   let (_ : Sim.Engine.timer) = Mana.Detector.start det pcap in
   let attacker = Attack.Attacker.create ~engine ~trace in

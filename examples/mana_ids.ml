@@ -19,7 +19,7 @@ let () =
   let config = Prime.Config.red_team () in
   let deployment = Spire.Deployment.create ~engine ~trace ~config scenario in
   let pcap = Spire.Deployment.external_pcap deployment in
-  let detector = Mana.Detector.create ~window:1.0 ~engine ~trace () in
+  let detector = Mana.Detector.create ~engine ~trace () in
   Mana.Detector.alerts detector |> ignore;
 
   (* Phase 1: baseline traffic collection (the deployment's 12-hour

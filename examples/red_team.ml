@@ -55,7 +55,7 @@ let () =
   (* What the defenders saw: MANA's situational awareness board (the
      display "tailored for power plant engineers"). *)
   hr ();
-  let board = Mana.Board.create ~elevated_window:120.0 ~engine () in
+  let board = Mana.Board.create ~engine () in
   Mana.Board.add_network board ~name:"commercial-ops" commercial_det;
   Mana.Board.add_network board ~name:"spire-ops" spire_det;
   print_string (Mana.Board.render board);

@@ -21,8 +21,7 @@ type t = {
   historian : Scada.Historian.t;
 }
 
-let create ?(config = Prime.Config.red_team ()) ?(scenario = Plc.Power.red_team)
-    ?(spire_hardened = true) ~engine ~trace () =
+let create ?(scenario = Plc.Power.red_team) ?(spire_hardened = true) ~engine ~trace () =
   (* Enterprise network. *)
   let enterprise_switch = Netbase.Switch.create ~engine ~trace "enterprise" in
   let enterprise_pcap = Netbase.Pcap.create () in
@@ -44,7 +43,10 @@ let create ?(config = Prime.Config.red_team ()) ?(scenario = Plc.Power.red_team)
   Netbase.Host.set_default_gateway workstation Spire.Addressing.enterprise_gateway;
   (* The two parallel operations networks. *)
   let commercial = Spire.Commercial.create ~engine ~trace scenario in
-  let spire = Spire.Deployment.create ~hardened:spire_hardened ~engine ~trace ~config scenario in
+  let spire =
+    Spire.Deployment.create ~hardened:spire_hardened ~engine ~trace
+      ~config:(Prime.Config.red_team ()) scenario
+  in
   (* Corporate firewall: enterprise uplink plus one interface on each
      operations network. The ACL mirrors the permissive reality the red
      team found: enterprise hosts may reach the operations subnets (the

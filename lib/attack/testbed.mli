@@ -16,10 +16,10 @@ type t = {
   historian : Scada.Historian.t;
 }
 
-(** [spire_hardened:false] builds Spire without the Section III-B
-    hardening — the ablation behind the paper's "lessons learned". *)
+(** Spire runs {!Prime.Config.red_team}. [spire_hardened:false] builds
+    Spire without the Section III-B hardening — the ablation behind the
+    paper's "lessons learned". *)
 val create :
-  ?config:Prime.Config.t ->
   ?scenario:Plc.Power.scenario ->
   ?spire_hardened:bool ->
   engine:Sim.Engine.t ->

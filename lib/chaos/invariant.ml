@@ -14,7 +14,7 @@
      seconds;
    - recovery liveness: a replica brought back from a clean image fails
      to rejoin — running with its preorder origin re-based — within
-     [recovery_bound] seconds;
+     [recovery_bound] (30 s);
    - state-digest agreement: two running replicas at the same execution
      frontier hold different application state digests (a recovered
      replica must converge to the quorum's state byte-for-byte).
@@ -29,7 +29,6 @@ type pending_recovery = { pr_replica : int; pr_started : float; pr_deadline : fl
 type t = {
   engine : Sim.Engine.t;
   liveness_bound : float;
-  recovery_bound : float;
   is_healthy : unit -> bool;
   executed : (int, string) Hashtbl.t; (* exec_seq -> update identity *)
   actuated : (string, int) Hashtbl.t; (* proxy ^ key -> actuation count *)
@@ -54,11 +53,13 @@ type t = {
   mutable on_violation : (violation -> unit) option;
 }
 
-let create ?(liveness_bound = 20.0) ?(recovery_bound = 30.0) ~engine ~is_healthy () =
+(* Seconds a replica restarted from a clean image has to rejoin. *)
+let recovery_bound = 30.0
+
+let create ?(liveness_bound = 20.0) ~engine ~is_healthy () =
   {
     engine;
     liveness_bound;
-    recovery_bound;
     is_healthy;
     executed = Hashtbl.create 64;
     actuated = Hashtbl.create 16;
@@ -116,7 +117,7 @@ let note_actuation t ~proxy ~key =
 let expect_recovery t ~replica =
   let now = Sim.Engine.now t.engine in
   t.recoveries <-
-    { pr_replica = replica; pr_started = now; pr_deadline = now +. t.recovery_bound }
+    { pr_replica = replica; pr_started = now; pr_deadline = now +. recovery_bound }
     :: t.recoveries
 
 let check_progress t =
@@ -196,7 +197,7 @@ let check_recoveries t =
               violate t ~invariant:"recovery"
                 (Printf.sprintf
                    "replica %d not rejoined %.1f s after clean restart (running=%b synced=%b)"
-                   pr.pr_replica t.recovery_bound (Prime.Replica.is_running r)
+                   pr.pr_replica recovery_bound (Prime.Replica.is_running r)
                    (Prime.Replica.origin_synced r));
               false
             end

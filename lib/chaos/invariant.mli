@@ -10,7 +10,6 @@ type t
     enforced while it returns [true]. *)
 val create :
   ?liveness_bound:float ->
-  ?recovery_bound:float ->
   engine:Sim.Engine.t ->
   is_healthy:(unit -> bool) ->
   unit ->
@@ -50,7 +49,7 @@ val note_execution : t -> replica:int -> exec_seq:int -> identity:string -> unit
 val note_actuation : t -> proxy:string -> key:string -> unit
 
 (** Announce that a replica was restarted from a clean image; it must
-    rejoin (running, origin re-based) within the recovery bound. *)
+    rejoin (running, origin re-based) within 30 s. *)
 val expect_recovery : t -> replica:int -> unit
 
 (** Chronological. *)

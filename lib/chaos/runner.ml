@@ -76,7 +76,7 @@ let sum_dedup_evictions deployment =
     (Spire.Deployment.replicas deployment)
 
 let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period = 1.0)
-    ?(liveness_bound = 20.0) ?(recovery_bound = 30.0) ?schedule
+    ?(liveness_bound = 20.0) ?schedule
     ?(observe = true) ?flight_dump ?fault_class ~seed () =
   let config = match config with Some c -> c | None -> Prime.Config.power_plant () in
   (* Observation is opt-in per run and restored afterwards: the default
@@ -141,7 +141,7 @@ let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period
     (not !was_degraded) && Sim.Engine.now engine -. !calm_since >= heal_grace
   in
   let invariant =
-    Invariant.create ~liveness_bound ~recovery_bound ~engine ~is_healthy ()
+    Invariant.create ~liveness_bound ~engine ~is_healthy ()
   in
   Invariant.attach invariant deployment;
   (* First violation → dump the flight narrative immediately, so the

@@ -31,9 +31,9 @@ val default_scenario : Plc.Power.scenario
 
 (** [run ~seed ()] executes a chaos scenario. Without [schedule], a
     mixed crash+partition+lossy+leader schedule is generated from the
-    seed. [liveness_bound] / [recovery_bound] parameterise the invariant
-    checker, which enforces liveness from 10 s after the fault burden
-    drops back to at most f replicas.
+    seed. [liveness_bound] parameterises the invariant checker, which
+    enforces liveness from 10 s after the fault burden drops back to at
+    most f replicas.
 
     [observe] (default true) turns on the flight recorder, health-probe
     sampler and alert engine for the run (process-global enablement is
@@ -51,7 +51,6 @@ val run :
   ?duration:float ->
   ?load_period:float ->
   ?liveness_bound:float ->
-  ?recovery_bound:float ->
   ?schedule:Fault.schedule ->
   ?observe:bool ->
   ?flight_dump:string ->

@@ -14,11 +14,12 @@ type condition = Normal | Elevated | Critical
 type t = {
   engine : Sim.Engine.t;
   mutable networks : network list;
-  elevated_window : float; (* alerts within this window raise the condition *)
 }
 
-let create ?(elevated_window = 60.0) ~engine () =
-  { engine; networks = []; elevated_window }
+(* Seconds within which an alert raises the condition. *)
+let elevated_window = 60.0
+
+let create ~engine () = { engine; networks = [] }
 
 let add_network t ~name detector =
   t.networks <- t.networks @ [ { net_name = name; detector } ]
@@ -26,7 +27,7 @@ let add_network t ~name detector =
 let recent_alerts t detector =
   let now = Sim.Engine.now t.engine in
   List.filter
-    (fun a -> now -. a.Detector.alert_time <= t.elevated_window)
+    (fun a -> now -. a.Detector.alert_time <= elevated_window)
     (Detector.alerts detector)
 
 let condition_of t detector =

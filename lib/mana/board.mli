@@ -6,7 +6,8 @@ type t
 
 type condition = Normal | Elevated | Critical
 
-val create : ?elevated_window:float -> engine:Sim.Engine.t -> unit -> t
+(** Alerts of the last 60 s raise a network's condition. *)
+val create : engine:Sim.Engine.t -> unit -> t
 
 val add_network : t -> name:string -> Detector.t -> unit
 

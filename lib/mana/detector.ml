@@ -28,9 +28,6 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   features : Features.t;
-  window : float;
-  threshold : float;
-  consecutive_required : int;
   mutable model : model option;
   mutable alerts : alert list;
   mutable consecutive : int;
@@ -39,14 +36,20 @@ type t = {
   counters : Sim.Stats.Counter.t;
 }
 
-let create ?(window = 1.0) ?(threshold = 6.0) ?(consecutive_required = 2) ~engine ~trace () =
+(* Seconds of capture per scored window, the anomaly score above which a
+   window is anomalous, and the run of anomalous windows that raises an
+   alert. *)
+let window = 1.0
+
+let threshold = 6.0
+
+let consecutive_required = 2
+
+let create ~engine ~trace () =
   {
     engine;
     trace;
     features = Features.create ();
-    window;
-    threshold;
-    consecutive_required;
     model = None;
     alerts = [];
     consecutive = 0;
@@ -66,8 +69,8 @@ let windows_of_capture t pcap ~t0 ~t1 =
   let rec slice start acc =
     if start >= t1 then List.rev acc
     else
-      let records = Netbase.Pcap.window pcap ~t0:start ~t1:(start +. t.window) in
-      slice (start +. t.window) (Features.extract t.features records :: acc)
+      let records = Netbase.Pcap.window pcap ~t0:start ~t1:(start +. window) in
+      slice (start +. window) (Features.extract t.features records :: acc)
   in
   slice t0 []
 
@@ -156,16 +159,16 @@ let evaluate t pcap =
   | None -> invalid_arg "Detector.evaluate: not trained"
   | Some model ->
       let t0 = t.last_window_end in
-      let t1 = t0 +. t.window in
+      let t1 = t0 +. window in
       t.last_window_end <- t1;
       let records = Netbase.Pcap.window pcap ~t0 ~t1 in
       let v = Features.extract t.features records in
       let score, dominant = score_window model v in
       t.windows_scored <- t.windows_scored + 1;
       Sim.Stats.Counter.incr t.counters "windows";
-      if score > t.threshold then begin
+      if score > threshold then begin
         t.consecutive <- t.consecutive + 1;
-        if t.consecutive >= t.consecutive_required then begin
+        if t.consecutive >= consecutive_required then begin
           let category = categorize dominant in
           let alert =
             { alert_time = Sim.Engine.now t.engine; score; dominant_feature = dominant; category }
@@ -182,7 +185,7 @@ let evaluate t pcap =
 (* Run detection continuously against a live capture. *)
 let start t pcap =
   t.last_window_end <- Sim.Engine.now t.engine;
-  Sim.Engine.every t.engine ~period:t.window (fun () -> evaluate t pcap)
+  Sim.Engine.every t.engine ~period:window (fun () -> evaluate t pcap)
 
 let alert_categories t =
   List.sort_uniq String.compare (List.map (fun a -> a.category) (alerts t))

@@ -12,14 +12,9 @@ type alert = {
 
 type t
 
-val create :
-  ?window:float ->
-  ?threshold:float ->
-  ?consecutive_required:int ->
-  engine:Sim.Engine.t ->
-  trace:Sim.Trace.t ->
-  unit ->
-  t
+(** Scores 1 s windows and alerts after two consecutive windows score
+    above 6. *)
+val create : engine:Sim.Engine.t -> trace:Sim.Trace.t -> unit -> t
 
 val alerts : t -> alert list
 

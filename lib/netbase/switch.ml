@@ -28,15 +28,16 @@ type t = {
   mac_table : (Addr.Mac.t, port_id) Hashtbl.t; (* learned or static *)
   mutable taps : (Packet.frame -> unit) list;
   counters : Sim.Stats.Counter.t;
-  latency : float;
   bandwidth : float; (* bytes per second per port *)
 }
 
 (* Seconds of queued serialisation on a port before tail drop. *)
 let max_backlog = 0.05
 
-let create ?(mode = Learning) ?(latency = 5e-6) ?(bandwidth = 125_000_000.0) ~engine ~trace
-    name =
+(* Seconds from the end of a frame's serialisation to its delivery. *)
+let latency = 5e-6
+
+let create ?(mode = Learning) ?(bandwidth = 125_000_000.0) ~engine ~trace name =
   {
     engine;
     trace;
@@ -47,7 +48,6 @@ let create ?(mode = Learning) ?(latency = 5e-6) ?(bandwidth = 125_000_000.0) ~en
     mac_table = Hashtbl.create 32;
     taps = [];
     counters = Sim.Stats.Counter.create ();
-    latency;
     bandwidth;
   }
 
@@ -85,7 +85,7 @@ let send_out t port_id frame =
   else begin
     let serialization = float_of_int (Packet.frame_size frame) /. t.bandwidth in
     port.next_free <- start +. serialization;
-    let arrival = start +. serialization +. t.latency in
+    let arrival = start +. serialization +. latency in
     ignore (Sim.Engine.schedule_at t.engine ~time:arrival (fun () -> port.deliver frame));
     Sim.Stats.Counter.incr t.counters "tx"
   end

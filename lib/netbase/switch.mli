@@ -15,7 +15,6 @@ val max_backlog : float
 
 val create :
   ?mode:mode ->
-  ?latency:float ->
   ?bandwidth:float ->
   engine:Sim.Engine.t ->
   trace:Sim.Trace.t ->

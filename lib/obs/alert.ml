@@ -10,8 +10,9 @@
 
    - Event rules watch the flight-event stream: an alarm is raised when
      at least [threshold] events of the watched kinds arrive within
-     [window] seconds, with a [cooldown] before the same rule may fire
-     again (retransmission storms produce one alarm per burst).
+     [event_window] (1 s), with an [event_cooldown] (5 s) before the same
+     rule may fire again (retransmission storms produce one alarm per
+     burst).
 
    Raised alarms are appended to the engine's log and echoed into the
    flight recorder at severity [Alarm], so the JSONL dump interleaves
@@ -34,8 +35,6 @@ type event_rule = {
   er_name : string;
   er_kinds : string list;
   er_threshold : int;
-  er_window : float;
-  er_cooldown : float;
   mutable er_times : float list; (* matching-event times, newest first *)
   mutable er_last : float; (* last alarm time; negative infinity initially *)
 }
@@ -50,13 +49,18 @@ type t = {
 
 let sample_rule ~name check = { sr_name = name; sr_active = false; sr_check = check }
 
-let event_rule ~name ~kinds ?(threshold = 1) ?(window = 1.0) ?(cooldown = 5.0) () =
+(* An event rule counts matching events over the last [event_window]
+   seconds and, once it alarms, stays quiet for [event_cooldown]
+   seconds. *)
+let event_window = 1.0
+
+let event_cooldown = 5.0
+
+let event_rule ~name ~kinds ?(threshold = 1) () =
   {
     er_name = name;
     er_kinds = kinds;
     er_threshold = threshold;
-    er_window = window;
-    er_cooldown = cooldown;
     er_times = [];
     er_last = neg_infinity;
   }
@@ -162,15 +166,11 @@ let default_sample_rules () =
 
 let default_event_rules () =
   [
-    event_rule ~name:"malformed-frames" ~kinds:[ "frame.malformed" ] ~threshold:3
-      ~window:1.0 ~cooldown:5.0 ();
-    event_rule ~name:"leader-suspected" ~kinds:[ "leader.suspect" ] ~threshold:1
-      ~window:1.0 ~cooldown:5.0 ();
+    event_rule ~name:"malformed-frames" ~kinds:[ "frame.malformed" ] ~threshold:3 ();
+    event_rule ~name:"leader-suspected" ~kinds:[ "leader.suspect" ] ();
     event_rule ~name:"store-fault"
-      ~kinds:[ "wal.replay_gap"; "wal.corrupt"; "checkpoint.bad"; "disk.wipe" ]
-      ~threshold:1 ~window:1.0 ~cooldown:5.0 ();
-    event_rule ~name:"bad-data" ~kinds:[ "fdia.flagged" ] ~threshold:1 ~window:1.0
-      ~cooldown:5.0 ();
+      ~kinds:[ "wal.replay_gap"; "wal.corrupt"; "checkpoint.bad"; "disk.wipe" ] ();
+    event_rule ~name:"bad-data" ~kinds:[ "fdia.flagged" ] ();
   ]
 
 (* --- engine ----------------------------------------------------------- *)
@@ -188,19 +188,19 @@ let observe_event t (e : Flight.event) =
     List.iter
       (fun r ->
         if List.mem e.Flight.ev_kind r.er_kinds then begin
-          let horizon = e.Flight.ev_time -. r.er_window in
+          let horizon = e.Flight.ev_time -. event_window in
           r.er_times <-
             e.Flight.ev_time :: List.filter (fun ti -> ti >= horizon) r.er_times;
           if
             List.length r.er_times >= r.er_threshold
-            && e.Flight.ev_time -. r.er_last >= r.er_cooldown
+            && e.Flight.ev_time -. r.er_last >= event_cooldown
           then begin
             r.er_last <- e.Flight.ev_time;
             r.er_times <- [];
             raise_alarm t ~time:e.Flight.ev_time ~rule:r.er_name
               ~detail:
                 (Printf.sprintf "%d %s event(s) within %.2fs" r.er_threshold
-                   e.Flight.ev_kind r.er_window)
+                   e.Flight.ev_kind event_window)
           end
         end)
       t.event_rules

@@ -21,16 +21,9 @@ type event_rule
 val sample_rule : name:string -> (sample -> string option) -> sample_rule
 
 (** [event_rule ~name ~kinds ()] alarms when [threshold] (default 1)
-    events whose kind is in [kinds] arrive within [window] seconds
-    (default 1.0), at most once per [cooldown] seconds (default 5.0). *)
-val event_rule :
-  name:string ->
-  kinds:string list ->
-  ?threshold:int ->
-  ?window:float ->
-  ?cooldown:float ->
-  unit ->
-  event_rule
+    events whose kind is in [kinds] arrive within 1 s, at most once per
+    5 s. *)
+val event_rule : name:string -> kinds:string list -> ?threshold:int -> unit -> event_rule
 
 (** Durable store more than 2 checkpoint windows behind its replica's
     execution frontier. Each builtin rule is a fresh rule with its own

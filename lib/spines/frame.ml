@@ -12,16 +12,16 @@
    encoded once, where the message is created, and travels with it: a hop
    builds a header by concatenating its messages' entries. Every frame
    header is hashed by the HMAC on both ends, so its size is CPU: entries
-   use {!Wire.w_varint} for their integers (origins, client ids,
-   priorities and sizes are small; sequence numbers take 2-3 bytes), so a
-   plant frame of ~4 messages has a ~70-byte header and its HMAC costs 3
-   SHA-256 compressions, against 5 for fixed 8-byte ints. The entry ends
-   with the origin's stamp, its neighbors it could not reach (usually
-   none). Layout (format version 3):
+   use {!Wire.w_varint} for their integers (origins, client ids and
+   sizes are small; sequence numbers take 2-3 bytes), so a plant frame
+   of ~4 messages has a ~63-byte header and its HMAC costs 3 SHA-256
+   compressions, against 5 for fixed 8-byte ints. The entry ends with
+   the origin's stamp, its neighbors it could not reach (usually none).
+   Layout (format version 4):
 
      u8 magic · u8 version · u16 count · count × entry
-     entry = varint len · u8 kind · varint origin · varint origin_client
-             · varint data_seq · varint priority · varint app_size
+     entry = varint len · varint origin · varint origin_client
+             · varint data_seq · varint app_size
              · u8 dst-tag · (varint node · varint client | varint len · bytes)
              · varint n · n × varint unreached   (strictly ascending)
 
@@ -38,20 +38,18 @@ type dst_meta =
   | M_group of string
   | M_session of string
 
-type meta =
-  | M_data of {
-      origin : int;
-      origin_client : int;
-      data_seq : int;
-      dst : dst_meta;
-      priority : int;
-      app_size : int;
-      unreached : int list;
-    }
+type meta = {
+  origin : int;
+  origin_client : int;
+  data_seq : int;
+  dst : dst_meta;
+  app_size : int;
+  unreached : int list;
+}
 
 let magic = 0xF5
 
-let version = 3
+let version = 4
 
 (* Bytes before the first entry: magic, version and the u16 count. *)
 let prefix_size = 4
@@ -59,16 +57,13 @@ let prefix_size = 4
 (* u16 count field; far above any realistic flush. *)
 let max_msgs = 0xFFFF
 
-(* Entry kind byte. Data is the only kind. *)
-let kind_data = 0
-
 let name_size s = Wire.varint_size (String.length s) + String.length s
 
-(* Bytes after the entry's length prefix: kind and dst-tag bytes, five
+(* Bytes after the entry's length prefix: the dst-tag byte, four
    varints, the destination and the stamp. *)
-let body_size (M_data d) =
-  2 + Wire.varint_size d.origin + Wire.varint_size d.origin_client
-  + Wire.varint_size d.data_seq + Wire.varint_size d.priority + Wire.varint_size d.app_size
+let body_size d =
+  1 + Wire.varint_size d.origin + Wire.varint_size d.origin_client
+  + Wire.varint_size d.data_seq + Wire.varint_size d.app_size
   + (match d.dst with
     | M_client { node; client } -> Wire.varint_size node + Wire.varint_size client
     | M_group s | M_session s -> name_size s)
@@ -81,16 +76,14 @@ let w_name b s =
   Wire.w_varint b (String.length s);
   Buffer.add_string b s
 
-let entry (M_data d as m) =
+let entry d =
   if not (ascending d.unreached) then invalid_arg "Frame.entry: stamp not strictly ascending";
-  let len = body_size m in
+  let len = body_size d in
   Wire.encode ~size_hint:(Wire.varint_size len + len) (fun b ->
       Wire.w_varint b len;
-      Wire.w_u8 b kind_data;
       Wire.w_varint b d.origin;
       Wire.w_varint b d.origin_client;
       Wire.w_varint b d.data_seq;
-      Wire.w_varint b d.priority;
       Wire.w_varint b d.app_size;
       (match d.dst with
       | M_client { node; client } ->

@@ -3,7 +3,7 @@
 
     Each message's manifest entry is encoded once, by {!entry}, where the
     message is created; a header is the entries of its messages behind a
-    fixed prefix (format version 3: length-prefixed entries with
+    fixed prefix (format version 4: length-prefixed entries with
     {!Wire.w_varint} integers, ending with the origin's stamp of
     unreached neighbors). There is no decoder: the receiver checks
     a header by comparing its bytes with the carried messages' entries.
@@ -20,16 +20,14 @@ type dst_meta =
     itself travels alongside; hellos are never coalesced). [unreached]
     is the origin's stamp: the neighbors whose links it saw down when it
     sent the message, in strictly ascending order. *)
-type meta =
-  | M_data of {
-      origin : int;
-      origin_client : int;
-      data_seq : int;
-      dst : dst_meta;
-      priority : int;
-      app_size : int;
-      unreached : int list;
-    }
+type meta = {
+  origin : int;
+  origin_client : int;
+  data_seq : int;
+  dst : dst_meta;
+  app_size : int;
+  unreached : int list;
+}
 
 (** The message's manifest entry, length prefix included. Injective:
     distinct metas give distinct entries. Raises [Invalid_argument] if

@@ -7,11 +7,13 @@
      key (the red team's recompiled open-source version) cannot produce
      valid traffic and is ignored by keyed peers.
    - intrusion-tolerant dissemination, the only mode Spire runs: every
-     message, unicast included, is priority-flooded with per-source rate
-     limiting (source fairness), so a compromised insider daemon cannot
-     starve other sources. The code path the red team's patched-binary
-     exploit targeted does not exist here. Relays skip the origin's
-     neighbors that the origin reached itself (see [flood]).
+     message, unicast included, is flooded with per-source rate limiting
+     and leaves each link through one source-fair egress queue (one
+     traffic class, round-robin across origins, refusing arrivals when
+     full), so a compromised insider daemon cannot starve other sources.
+     The code path the red team's patched-binary exploit targeted does
+     not exist here. Relays skip the origin's neighbors that the origin
+     reached itself (see [flood]).
    - hello-based liveness: each daemon tracks which of its own links are
      up, and flooding skips the dead ones.
 
@@ -33,7 +35,6 @@ type data = {
   origin_client : int;
   data_seq : int;
   dst : dst;
-  priority : int;
   app_size : int;
   app_payload : Netbase.Packet.payload;
   unreached : node_id list; (* the origin's stamp: its neighbors down at send, ascending *)
@@ -47,7 +48,7 @@ type link_inner =
   | Hello_ack of { afrom : node_id; ato : node_id; hseq : int }
 
 type Netbase.Packet.payload +=
-  | Link_msg of { auth : string; encrypted : bool; inner : link_inner }
+  | Link_msg of { auth : string; inner : link_inner }
 
 (* A coalesced frame: several data messages for the same neighbor under
    one HMAC. Data always leaves through the per-neighbor egress queue in
@@ -68,7 +69,6 @@ type session_inner =
   | Sess_send of {
       ss_name : string;
       ss_dst : dst;
-      ss_priority : int;
       ss_size : int;
       ss_payload : Netbase.Packet.payload;
     }
@@ -134,7 +134,7 @@ type fault_decision = { fd_drop : bool; fd_duplicate : bool; fd_delay : float }
 let no_fault = { fd_drop = false; fd_duplicate = false; fd_delay = 0.0 }
 
 (* One overlay link, seen from this daemon: the neighbor's liveness, and
-   its egress — the bounded priority queue plus the pending flush event
+   its egress — the bounded source-fair queue plus the pending flush event
    for the current coalesce window, if any. [flush] is that event's
    thunk, built once per link. *)
 type link = {
@@ -231,8 +231,8 @@ let encode_session_inner = function
         (Printf.sprintf "sess-attach:%d:%s" (String.length sa_name) sa_name
         :: List.map (fun g -> Printf.sprintf ":%d:%s" (String.length g) g) sa_groups)
   | Sess_attach_ack { sk_name } -> Printf.sprintf "sess-ack:%s" sk_name
-  | Sess_send { ss_name; ss_dst; ss_priority; ss_size; _ } ->
-      Printf.sprintf "sess-send:%s:%s:%d:%d" ss_name (encode_dst ss_dst) ss_priority ss_size
+  | Sess_send { ss_name; ss_dst; ss_size; _ } ->
+      Printf.sprintf "sess-send:%s:%s:%d" ss_name (encode_dst ss_dst) ss_size
   | Sess_deliver { sd_origin; sd_seq; sd_size; _ } ->
       Printf.sprintf "sess-deliver:%d:%d:%d" sd_origin sd_seq sd_size
 
@@ -278,7 +278,7 @@ let send_wire t ~to_ ~size payload =
 
 let send_link t ~to_ inner =
   send_wire t ~to_ ~size:overhead_bytes
-    (Link_msg { auth = compute_auth t inner; encrypted = t.config.group_key <> None; inner })
+    (Link_msg { auth = compute_auth t inner; inner })
 
 (* --- coalesced frames ---------------------------------------------------- *)
 
@@ -308,13 +308,12 @@ let meta_of_dst = function
 (* The only way a [data] is made: its entry always encodes its own fields,
    so comparing a header with the carried entries is comparing it with
    the carried messages. *)
-let make_data ~origin ~origin_client ~data_seq ~dst ~priority ~app_size ~unreached app_payload =
+let make_data ~origin ~origin_client ~data_seq ~dst ~app_size ~unreached app_payload =
   let entry =
     Frame.entry
-      (M_data
-         { origin; origin_client; data_seq; dst = meta_of_dst dst; priority; app_size; unreached })
+      { origin; origin_client; data_seq; dst = meta_of_dst dst; app_size; unreached }
   in
-  { origin; origin_client; data_seq; dst; priority; app_size; app_payload; unreached; entry }
+  { origin; origin_client; data_seq; dst; app_size; app_payload; unreached; entry }
 
 let data_entry d = d.entry
 
@@ -348,15 +347,12 @@ let schedule_flush t l =
   | None -> l.flush_event <- Some (Sim.Engine.schedule t.engine ~delay:flush_window l.flush)
 
 let enqueue_link t l (d : data) =
-  let before = Egress.drops l.eq in
-  ignore (Egress.enqueue l.eq ~prio:d.priority ~origin:d.origin d);
-  let dropped = Egress.drops l.eq - before in
-  if dropped > 0 then begin
-    Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
+  if not (Egress.enqueue l.eq ~origin:d.origin d) then begin
+    Sim.Stats.Counter.incr t.counters "egress.drop";
     if Obs.Flight.recording Obs.Flight.default then
       Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
         ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"egress.drop"
-        (Printf.sprintf "node %d dropped %d toward %d (queue full)" t.id dropped l.peer)
+        (Printf.sprintf "node %d dropped 1 toward %d (queue full)" t.id l.peer)
   end;
   schedule_flush t l
 
@@ -590,7 +586,7 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
        else happens; no MAC, decode or state is spent on it. *)
     | Link_frame { fr_msgs = _ :: _ as msgs; _ } when all_seen t.dedup msgs ->
         Sim.Stats.Counter.incr ~by:(List.length msgs) t.counters "dedup.drop"
-    | Link_msg { auth; encrypted = _; inner } -> (
+    | Link_msg { auth; inner } -> (
         if not (auth_valid t ~auth inner) then begin
           Sim.Stats.Counter.incr t.counters "auth.reject";
           Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"spines"
@@ -662,7 +658,7 @@ let receive_session t ~src payload =
               ~dst_port:src.Netbase.Addr.port ~src_port:t.config.session_port
               ~size:overhead_bytes
               (Session_wire { s_auth = session_auth sched ack; s_inner = ack })
-        | Sess_send { ss_name; ss_dst; ss_priority; ss_size; ss_payload } -> (
+        | Sess_send { ss_name; ss_dst; ss_size; ss_payload } -> (
             match Hashtbl.find_opt t.sessions ss_name with
             | Some entry
               when Sim.Engine.now t.engine -. entry.sess_last_seen
@@ -671,8 +667,7 @@ let receive_session t ~src payload =
                 Sim.Stats.Counter.incr t.counters "session.send";
                 forward_data t ~from:None
                   (make_data ~origin:t.id ~origin_client:0 ~data_seq:t.seq ~dst:ss_dst
-                     ~priority:ss_priority ~app_size:ss_size ~unreached:(unreached t)
-                     ss_payload)
+                     ~app_size:ss_size ~unreached:(unreached t) ss_payload)
             | Some _ | None -> Sim.Stats.Counter.incr t.counters "session.not_attached")
         | Sess_attach_ack _ | Sess_deliver _ -> ()
       end
@@ -718,13 +713,13 @@ let register_client t ~client ?(groups = []) handler =
     invalid_arg (Printf.sprintf "Node.register_client: client %d exists on node %d" client t.id);
   Hashtbl.replace t.clients client { handler; groups }
 
-let send t ~client ?(priority = 1) ~size dst payload =
+let send t ~client ~size dst payload =
   if not t.running then Sim.Stats.Counter.incr t.counters "send.not_running"
   else begin
     t.seq <- t.seq + 1;
     let d =
-      make_data ~origin:t.id ~origin_client:client ~data_seq:t.seq ~dst ~priority
-        ~app_size:size ~unreached:(unreached t) payload
+      make_data ~origin:t.id ~origin_client:client ~data_seq:t.seq ~dst ~app_size:size
+        ~unreached:(unreached t) payload
     in
     Sim.Stats.Counter.incr t.counters "send";
     forward_data t ~from:None d
@@ -863,10 +858,9 @@ module Session = struct
       s.sess_timers <- []
     end
 
-  let send s ?(priority = 1) ~size dst payload =
+  let send s ~size dst payload =
     Sim.Stats.Counter.incr s.sess_counters "sent";
     send_wire s
       (Sess_send
-         { ss_name = s.sess_name; ss_dst = dst; ss_priority = priority; ss_size = size;
-           ss_payload = payload })
+         { ss_name = s.sess_name; ss_dst = dst; ss_size = size; ss_payload = payload })
 end

@@ -1,5 +1,5 @@
 (** Spines overlay daemon: authenticated/encrypted links, intrusion-
-    tolerant priority flooding with source fairness (the only data
+    tolerant flooding with source fairness (the only data
     plane; hellos tell flooding which links are dead, and a relay skips
     the origin's neighbors that the origin reached itself), and client
     sessions.
@@ -99,7 +99,7 @@ val register_client :
     remote ones go to every live neighbor, stamped with the neighbors
     whose links are down, which relays then serve. *)
 val send :
-  t -> client:int -> ?priority:int -> size:int -> dst -> Netbase.Packet.payload -> unit
+  t -> client:int -> size:int -> dst -> Netbase.Packet.payload -> unit
 
 (** Remote session client: how proxies and HMIs reach the overlay. A
     session attaches by name to one daemon at a time (heartbeat
@@ -144,5 +144,5 @@ module Session : sig
   val stop : session -> unit
 
   (** Send into the overlay through the current daemon. *)
-  val send : session -> ?priority:int -> size:int -> dst -> Netbase.Packet.payload -> unit
+  val send : session -> size:int -> dst -> Netbase.Packet.payload -> unit
 end

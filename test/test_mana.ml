@@ -117,7 +117,7 @@ let make_trained_detector () =
   let trace = Sim.Trace.create () in
   let pcap = Netbase.Pcap.create () in
   fill_baseline pcap ~windows:30;
-  let det = Mana.Detector.create ~window:1.0 ~threshold:6.0 ~consecutive_required:2 ~engine ~trace () in
+  let det = Mana.Detector.create ~engine ~trace () in
   Mana.Detector.train det ~rng:(Sim.Rng.create 17L) pcap ~t0:0.0 ~t1:30.0;
   (engine, det, pcap)
 
@@ -213,7 +213,7 @@ let test_detector_requires_training () =
 
 let test_board_conditions () =
   let engine, det, pcap = make_trained_detector () in
-  let board = Mana.Board.create ~elevated_window:60.0 ~engine () in
+  let board = Mana.Board.create ~engine () in
   Mana.Board.add_network board ~name:"operations" det;
   check "normal at rest" true (Mana.Board.overall board = Mana.Board.Normal);
   (* Inject a flood to raise alerts. *)

@@ -377,10 +377,7 @@ let test_alert_edge_trigger () =
 let test_alert_event_window () =
   let fl = Obs.Flight.create () in
   Obs.Flight.set_enabled fl true;
-  let rule =
-    Obs.Alert.event_rule ~name:"burst" ~kinds:[ "boom" ] ~threshold:2 ~window:1.0
-      ~cooldown:5.0 ()
-  in
+  let rule = Obs.Alert.event_rule ~name:"burst" ~kinds:[ "boom" ] ~threshold:2 () in
   let a = Obs.Alert.create ~sample_rules:[] ~event_rules:[ rule ] ~flight:fl () in
   let boom t =
     Obs.Flight.record fl ~time:t ~severity:Obs.Flight.Warn ~subsystem:"x" ~kind:"boom" ""
